@@ -16,11 +16,21 @@ gradients, and raw, for cheap forward-only evaluation.
 All per-instance quantities carry a leading batch axis, so one recorded
 rollout covers a whole Monte Carlo batch.  Tapes are single-owner objects and
 must not be shared across threads; build one tape per differentiated rollout.
+
+Ownership: the tape owns its nodes, and the graph holds no reference cycle.
+A node refers back to its tape only through a weak reference, and each
+backward closure refers to its operands and to output arrays, never to its own
+node.  So a graph is freed by reference counting as soon as the last
+reference to the tape and to its nodes goes away (for a gradient step, when
+``solver.expected_cost`` returns), without waiting for the cyclic garbage
+collector.  A node that outlives its tape raises ``ReferenceError`` when
+asked for it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -30,20 +40,27 @@ NORM_EPS = 1e-9  # default regularizer for norms/abs so v=0 keeps finite gradien
 class Node:
     """One tape entry: a value plus what is needed to back-propagate through it."""
 
-    __slots__ = ("tape", "value", "op", "parents", "vjp", "grad", "is_param")
+    __slots__ = ("_tape_ref", "value", "op", "parents", "vjp", "grad", "is_param")
 
-    def __init__(self, tape, value, op, parents, vjp, is_param=False):
+    def __init__(self, tape_ref, value, op, parents, vjp, is_param=False):
         value = np.asarray(value, dtype=np.float64)
         # any NaN/Inf entry poisons the sum, so one reduction checks them all
         if not math.isfinite(value.sum()):
             raise FloatingPointError(f"non-finite value produced by op '{op}'")
-        self.tape = tape
+        self._tape_ref = tape_ref
         self.value = value
         self.op = op
         self.parents = parents
         self.vjp = vjp
         self.grad = None
         self.is_param = is_param
+
+    @property
+    def tape(self):
+        tape = self._tape_ref()
+        if tape is None:
+            raise ReferenceError(f"{self!r} outlived its tape")
+        return tape
 
     @property
     def shape(self):
@@ -84,9 +101,10 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self._ref = weakref.ref(self)  # shared by every node: no cycle back to the tape
 
     def _record(self, value, op, parents, vjp, is_param=False):
-        node = Node(self, value, op, parents, vjp, is_param)
+        node = Node(self._ref, value, op, parents, vjp, is_param)
         self.nodes.append(node)
         return node
 
@@ -211,10 +229,11 @@ def div(a, b):
         return _value(a) / _value(b)
     a, b = _lift(tape, a), _lift(tape, b)
     out = tape._record(a.value / b.value, "div", (a, b), None)
+    y = out.value  # the closure keeps the output array, not the node: no cycle
 
     def vjp(g):
         _accumulate(a, _unbroadcast(g / b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(-g * out.value / b.value, b.value.shape))
+        _accumulate(b, _unbroadcast(-g * y / b.value, b.value.shape))
 
     out.vjp = vjp
     return out
@@ -239,29 +258,38 @@ def scale(x, c):
     return affine(x, c, 0.0)
 
 
-def matvec(w, x):
-    """Matrix-vector product ``w @ x``; a row-batched ``x`` of shape (K, n)
-    yields (K, m)."""
-    tape = _tape_of(w, x)
+def dense_tanh(w, b, x):
+    """One tanh network layer, ``tanh(w @ x + b)``; a row-batched ``x`` of
+    shape (K, n) yields (K, m).
+
+    One node that stores only its output: the backward pass needs no
+    pre-activation, since tanh' = 1 - tanh^2.
+    """
+    tape = _tape_of(w, b, x)
     wv, xv = _value(w), _value(x)
     if wv.ndim != 2:
-        raise ValueError(f"matvec weight must be 2-D, got shape {wv.shape}")
+        raise ValueError(f"dense_tanh weight must be 2-D, got shape {wv.shape}")
     if xv.shape[-1] != wv.shape[1]:
-        raise ValueError(f"matvec shape mismatch: {wv.shape} @ {xv.shape}")
+        raise ValueError(f"dense_tanh shape mismatch: {wv.shape} @ {xv.shape}")
+    batched = xv.ndim == 2
+    pre = (xv @ wv.T if batched else wv @ xv) + _value(b)
     if tape is None:
-        return xv @ wv.T if xv.ndim == 2 else wv @ xv
-    w, x = _lift(tape, w), _lift(tape, x)
-    batched = x.value.ndim == 2
-    val = x.value @ w.value.T if batched else w.value @ x.value
-    out = tape._record(val, "matvec", (w, x), None)
+        return np.tanh(pre)
+    if not math.isfinite(pre.sum()):
+        raise FloatingPointError("non-finite value produced by op 'dense_tanh'")
+    w, b, x = _lift(tape, w), _lift(tape, b), _lift(tape, x)
+    out = tape._record(np.tanh(pre), "dense_tanh", (w, b, x), None)
+    y = out.value
 
     def vjp(g):
+        gz = g * (1.0 - y * y)
+        _accumulate(b, _unbroadcast(gz, b.value.shape))
         if batched:
-            _accumulate(w, g.T @ x.value)
-            _accumulate(x, g @ w.value)
+            _accumulate(w, gz.T @ x.value)
+            _accumulate(x, gz @ w.value)
         else:
-            _accumulate(w, np.outer(g, x.value))
-            _accumulate(x, w.value.T @ g)
+            _accumulate(w, np.outer(gz, x.value))
+            _accumulate(x, w.value.T @ gz)
 
     out.vjp = vjp
     return out
@@ -271,9 +299,10 @@ def tanh(x):
     if not isinstance(x, Node):
         return np.tanh(_value(x))
     out = x.tape._record(np.tanh(x.value), "tanh", (x,), None)
+    y = out.value
 
     def vjp(g):
-        _accumulate(x, g * (1.0 - out.value * out.value))
+        _accumulate(x, g * (1.0 - y * y))
 
     out.vjp = vjp
     return out
@@ -283,9 +312,10 @@ def exp(x):
     if not isinstance(x, Node):
         return np.exp(_value(x))
     out = x.tape._record(np.exp(x.value), "exp", (x,), None)
+    y = out.value
 
     def vjp(g):
-        _accumulate(x, g * out.value)
+        _accumulate(x, g * y)
 
     out.vjp = vjp
     return out
@@ -323,9 +353,10 @@ def sqrt(x):
     if not isinstance(x, Node):
         return np.sqrt(_value(x))
     out = x.tape._record(np.sqrt(x.value), "sqrt", (x,), None)
+    y = out.value
 
     def vjp(g):
-        _accumulate(x, 0.5 * g / out.value)
+        _accumulate(x, 0.5 * g / y)
 
     out.vjp = vjp
     return out
@@ -358,9 +389,10 @@ def norm_eps(x, eps=NORM_EPS, keepdims=True):
         return np.sqrt(np.sum(v * v, axis=-1, keepdims=keepdims) + eps)
     val = np.sqrt(np.sum(x.value * x.value, axis=-1, keepdims=keepdims) + eps)
     out = x.tape._record(val, "norm_eps", (x,), None)
+    y = out.value
 
     def vjp(g):
-        gn = g / out.value
+        gn = g / y
         if not keepdims:
             gn = gn[..., None]
         _accumulate(x, gn * x.value)
@@ -376,9 +408,10 @@ def smooth_abs(x, eps=NORM_EPS):
         return np.sqrt(v * v + eps)
     val = np.sqrt(x.value * x.value + eps)
     out = x.tape._record(val, "smooth_abs", (x,), None)
+    y = out.value
 
     def vjp(g):
-        _accumulate(x, g * x.value / out.value)
+        _accumulate(x, g * x.value / y)
 
     out.vjp = vjp
     return out
@@ -537,7 +570,7 @@ _PRIMITIVES = {
     "div": div,
     "scale": scale,
     "affine": affine,
-    "matvec": matvec,
+    "dense_tanh": dense_tanh,
     "tanh": tanh,
     "exp": exp,
     "log": log,

@@ -83,23 +83,28 @@ def policy_forward(theta, history, t_offset=0):
     ``history`` is (input_width,) or batched (K, input_width), most recent
     observation last, zero-filled prehistory.  Active mode ignores
     ``t_offset``; passive mode selects the ``t_offset``-th action block of
-    the emitted sequence.  The output satisfies ``|action| <= action_scale``
-    per coordinate via a tanh squash.
+    the emitted sequence, or returns the whole sequence when ``t_offset`` is
+    None.  The output satisfies ``|action| <= action_scale`` per coordinate
+    via a tanh squash.
     """
     width = history.shape[-1] if hasattr(history, "shape") else np.shape(history)[-1]
     if width != theta.input_width:
         raise ValueError(f"history width {width} != policy input width {theta.input_width}")
     h = history
-    for w, b in zip(theta.weights[:-1], theta.biases[:-1]):
-        h = ag.tanh(ag.add(ag.matvec(w, h), b))
-    out = ag.tanh(ag.add(ag.matvec(theta.weights[-1], h), theta.biases[-1]))
-    out = ag.scale(out, theta.action_scale)
-    if theta.mode == PASSIVE:
-        if not 0 <= t_offset < theta.horizon:
-            raise ValueError(f"t_offset {t_offset} outside horizon {theta.horizon}")
-        lo = t_offset * theta.action_dim
-        out = ag.slice_last(out, lo, lo + theta.action_dim)
+    for w, b in zip(theta.weights, theta.biases):
+        h = ag.dense_tanh(w, b, h)
+    out = ag.scale(h, theta.action_scale)
+    if theta.mode == PASSIVE and t_offset is not None:
+        out = action_block(theta, out, t_offset)
     return out
+
+
+def action_block(theta, sequence, t_offset):
+    """The ``t_offset``-th action of a passive policy's emitted sequence."""
+    if not 0 <= t_offset < theta.horizon:
+        raise ValueError(f"t_offset {t_offset} outside horizon {theta.horizon}")
+    lo = t_offset * theta.action_dim
+    return ag.slice_last(sequence, lo, lo + theta.action_dim)
 
 
 def lift_policy(tape, theta, trainable):

@@ -22,6 +22,7 @@ a pure function of (config, seed).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,65 +220,64 @@ def run_episode(game, opts, seed, agent_seeds=None):
                      rng=world_rng)
     windows = [np.zeros((1, game.t_past * game.obs_dim(i))) for i in range(n)]
     record = TrialRecord(seed=seed, brain=opts.brain, modes=list(modes))
-    dump_fh = open(opts.particle_dump, "w") if opts.particle_dump else None
-    if dump_fh:
-        dump_fh.write("# step agent player particle x y weight\n")
+    dump = open(opts.particle_dump, "w") if opts.particle_dump else nullcontext()
+    with dump as dump_fh:
+        if dump_fh:
+            dump_fh.write("# step agent player particle x y weight\n")
 
-    for step in range(opts.episode_steps):
-        iters = opts.max_iters
-        if step == 0 and opts.first_step_iters is not None:
-            iters = opts.first_step_iters
-        all_results = [plan(agent, game, opts, iters) for agent in agents]
-        if any(r.aborted for results in all_results for r in results):
-            record.aborted = True
-            break
-        if step == 0:
-            record.first_traces = [[r.cost_trace for r in results]
-                                   for results in all_results]
+        for step in range(opts.episode_steps):
+            iters = opts.max_iters
+            if step == 0 and opts.first_step_iters is not None:
+                iters = opts.first_step_iters
+            all_results = [plan(agent, game, opts, iters) for agent in agents]
+            if any(r.aborted for results in all_results for r in results):
+                record.aborted = True
+                break
+            if step == 0:
+                record.first_traces = [[r.cost_trace for r in results]
+                                       for results in all_results]
 
-        # the first candidate provides each player's real-world action
-        if opts.brain == SHARED:
-            policies = agents[0].candidates[0].thetas
-        else:
-            policies = [agents[i].candidates[0].thetas[i] for i in range(n)]
-        obs, actions, windows = act(world, game, policies, windows)
+            # the first candidate provides each player's real-world action
+            if opts.brain == SHARED:
+                policies = agents[0].candidates[0].thetas
+            else:
+                policies = [agents[i].candidates[0].thetas[i] for i in range(n)]
+            obs, actions, windows = act(world, game, policies, windows)
 
-        # each brain updates its own cloud with its own observation only
-        new_state = game.unpack_state(world.state)
-        surp, bmeans = {}, {}
-        for agent in agents:
-            block_policies = [cand.thetas for cand in agent.candidates]
-            true_obs = None if agent.player < 0 else obs[agent.player][0]
-            agent.pset = update_particles(
-                agent.pset, game, block_policies, true_obs, agent.player,
-                agent.gamma, agent.update_rng,
-                resample_threshold=opts.resample_threshold)
-            if dump_fh:
-                dump_particles(agent.pset, game, dump_fh, step, agent=agent.player)
-            for j in range(n):
-                pos = new_state[j][0][0]
-                bmeans[(agent.player, j)] = gaussian_summary(agent.pset, game, j)[0]
-                if j != agent.player:
-                    surp[(agent.player, j)] = surprisal(agent.pset, game, j, pos)
+            # each brain updates its own cloud with its own observation only
+            new_state = game.unpack_state(world.state)
+            surp, bmeans = {}, {}
+            for agent in agents:
+                block_policies = [cand.thetas for cand in agent.candidates]
+                true_obs = None if agent.player < 0 else obs[agent.player][0]
+                agent.pset = update_particles(
+                    agent.pset, game, block_policies, true_obs, agent.player,
+                    agent.gamma, agent.update_rng,
+                    resample_threshold=opts.resample_threshold)
+                if dump_fh:
+                    dump_particles(agent.pset, game, dump_fh, step, agent=agent.player)
+                for j in range(n):
+                    pos = new_state[j][0][0]
+                    bmeans[(agent.player, j)] = gaussian_summary(agent.pset, game, j)[0]
+                    if j != agent.player:
+                        surp[(agent.player, j)] = surprisal(agent.pset, game, j, pos)
 
-        record.steps.append(StepRecord(
-            step=step,
-            state=world.state.copy(),
-            observations=obs,
-            actions=actions,
-            rewards_report=[np.asarray(game.reward_report(new_state, i)).item()
-                            for i in range(n)],
-            rewards_full=[np.asarray(game.reward(new_state, i)).item()
-                          for i in range(n)],
-            solve_iterations=[[r.iterations for r in results]
-                              for results in all_results],
-            solve_converged=[[r.converged for r in results]
-                             for results in all_results],
-            grad_seconds=[t for results in all_results
-                          for r in results for t in r.grad_step_seconds],
-            surprisal=surp,
-            belief_means=bmeans,
-        ))
-    if dump_fh:
-        dump_fh.close()
+            record.steps.append(StepRecord(
+                step=step,
+                state=world.state.copy(),
+                observations=obs,
+                actions=actions,
+                rewards_report=[np.asarray(game.reward_report(new_state, i)).item()
+                                for i in range(n)],
+                rewards_full=[np.asarray(game.reward(new_state, i)).item()
+                              for i in range(n)],
+                solve_iterations=[[r.iterations for r in results]
+                                  for results in all_results],
+                solve_converged=[[r.converged for r in results]
+                                 for results in all_results],
+                grad_seconds=[t for results in all_results
+                              for r in results for t in r.grad_step_seconds],
+                surprisal=surp,
+                belief_means=bmeans,
+            ))
     return record

@@ -28,7 +28,15 @@ import numpy as np
 from . import adgraph as ag
 from .adgraph import Tape
 from .beliefs import sample_batch
-from .policy import ACTIVE, adam_init, adam_step, lift_policy, policy_forward, policy_leaves
+from .policy import (
+    ACTIVE,
+    action_block,
+    adam_init,
+    adam_step,
+    lift_policy,
+    policy_forward,
+    policy_leaves,
+)
 
 
 @dataclass
@@ -53,6 +61,7 @@ class EquilibriumResult:
     iterations: int
     converged: bool
     aborted: bool = False
+    adam_skips: int = 0   # Adam updates skipped for a non-finite gradient
     cost_trace: list = field(default_factory=list)   # per player: per-iteration costs
     grad_step_seconds: list = field(default_factory=list)
 
@@ -73,9 +82,12 @@ def _run_rollout(game, state, hists, thetas, eps, cost_players, record=False):
 
     Returns (reward sums per cost player, trajectory record or None).  Only
     active players' observations are sampled unless ``record`` asks for all.
+    A passive policy reads only the planning-time window, so its network runs
+    once here and each step takes one block of the emitted sequence.
     """
     n = game.n_players
-    frozen = list(hists)  # passive policies keep the planning-time window
+    sequences = {i: policy_forward(thetas[i], hists[i], t_offset=None)
+                 for i in range(n) if thetas[i].mode != ACTIVE}
     hists = list(hists)
     acc = {i: None for i in cost_players}
     traj = {"states": [], "observations": [], "actions": []} if record else None
@@ -92,7 +104,7 @@ def _run_rollout(game, state, hists, thetas, eps, cost_players, record=False):
             if thetas[i].mode == ACTIVE:
                 actions.append(policy_forward(thetas[i], hists[i]))
             else:
-                actions.append(policy_forward(thetas[i], frozen[i], t_offset=t))
+                actions.append(action_block(thetas[i], sequences[i], t))
         state = game.transition(state, actions)
         for i in cost_players:
             r = game.reward(state, i)
@@ -184,8 +196,10 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     Round-robin over players: one Adam step on a fresh batch gradient, then a
     cost re-evaluation on the fixed evaluation batch; stop when every
     player's |delta| drops below ``eps_tol`` or after ``max_iters``.  A
-    non-finite cost or gradient aborts the solve, returning the last finite
-    parameters.  Warm starts: pass the previous round's thetas/adam_states.
+    non-finite value on the tape or a non-finite evaluation cost aborts the
+    solve, returning the last finite parameters.  A finite rollout whose
+    gradient is non-finite skips that player's Adam update; ``adam_skips``
+    counts these.  Warm starts: pass the previous round's thetas/adam_states.
     """
     n = game.n_players
     thetas = [th.copy() for th in thetas]
@@ -201,6 +215,7 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     times = []
     converged = False
     aborted = False
+    adam_skips = 0
     iterations = 0
 
     for _ in range(max_iters):
@@ -214,7 +229,8 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
                 thetas[i] = backup
                 aborted = True
                 break
-            thetas[i], adam_states[i], _ = adam_step(thetas[i], grads, adam_states[i])
+            thetas[i], adam_states[i], skipped = adam_step(thetas[i], grads, adam_states[i])
+            adam_skips += skipped
             times.append(time.perf_counter() - t0)
             c = eval_cost(game, pset, thetas, i, batch)
             if not np.isfinite(c):
@@ -233,5 +249,5 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     return EquilibriumResult(thetas=thetas, adam_states=adam_states,
                              costs=list(prev), deltas=list(deltas),
                              iterations=iterations, converged=converged,
-                             aborted=aborted, cost_trace=trace,
+                             aborted=aborted, adam_skips=adam_skips, cost_trace=trace,
                              grad_step_seconds=times)

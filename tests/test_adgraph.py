@@ -1,10 +1,15 @@
 """Tape autodiff: exactness against analytic gradients and finite differences."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from pogplan import adgraph as ag
+from pogplan import beliefs, solver
 from pogplan.adgraph import Tape, apply, grad_check
+from pogplan.policy import ACTIVE, PASSIVE, init_policy
+from pogplan.scenarios import ScenarioConfig, make_game
 
 
 def fd_grad(f, x, h=1e-6):
@@ -110,12 +115,40 @@ def test_log_nonpositive_rejected():
         ag.log(x)
 
 
-def test_matvec_shape_mismatch_rejected():
+def test_dense_tanh_shape_mismatch_rejected():
     tape = Tape()
     w = tape.param(np.ones((2, 3)))
     x = tape.param(np.ones(4))
     with pytest.raises(ValueError):
-        ag.matvec(w, x)
+        ag.dense_tanh(w, np.zeros(2), x)
+
+
+def test_node_outliving_its_tape_raises():
+    x = Tape().param([1.0, 2.0])  # the tape is freed at the end of this line
+    np.testing.assert_array_equal(x.value, [1.0, 2.0])
+    with pytest.raises(ReferenceError):
+        x.tape
+    with pytest.raises(ReferenceError):
+        ag.tanh(x)
+
+
+def test_expected_cost_leaves_no_cyclic_garbage():
+    """The tape of a gradient step is freed by reference counting alone."""
+    game = make_game(ScenarioConfig(name="tag"))
+    thetas = [init_policy(game, i, mode, seed=i, hidden=(8,))
+              for i, mode in enumerate([PASSIVE, ACTIVE])]
+    pset = beliefs.init_particles(game, 50, 1, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    solver.expected_cost(game, pset, thetas, 1, 5, rng)  # warm up lazy imports
+    gc.collect()
+    gc.disable()
+    try:
+        for player in range(game.n_players):
+            solver.expected_cost(game, pset, thetas, player, 5, rng)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_gauss_reparam_exact_partials():
@@ -172,51 +205,55 @@ def test_fd_affine_square_exp_log_sqrt():
     _fd_check(lambda x: ag.asum(ag.sqrt(ag.add(ag.square(x), 0.5))), 3)
 
 
-def test_fd_matvec():
-    w0 = np.random.default_rng(1).normal(size=(2, 3))
-
-    def f(x):
-        return ag.asum(ag.tanh(ag.matvec(w0, x)))
-
-    _fd_check(f, 3)
-
-    def f_weights(x):
-        # differentiate wrt the matrix itself; reshape via slicing rows
-        rows = [ag.slice_last(x, 3 * i, 3 * (i + 1)) for i in range(2)]
-        stacked = ag.concat([rows[0], rows[1]])
-        return ag.asum(ag.square(stacked))
-
-    _fd_check(f_weights, 6)
+def _dense_args(x, m, n, batch=None):
+    """Split a flat vector into (w, b, x) operands of ``dense_tanh``."""
+    w = ag.reshape(ag.slice_last(x, 0, m * n), (m, n))
+    b = ag.slice_last(x, m * n, m * n + m)
+    rest = ag.slice_last(x, m * n + m, x.shape[-1])
+    return w, b, (rest if batch is None else ag.reshape(rest, (batch, n)))
 
 
-def test_fd_batched_matvec():
-    w0 = np.random.default_rng(2).normal(size=(3, 4))
-    xb = np.random.default_rng(3).normal(size=(5, 4))
+def test_fd_dense_tanh():
+    _fd_check(lambda x: ag.asum(ag.dense_tanh(*_dense_args(x, 2, 3))), 2 * 3 + 2 + 3)
 
-    def f_x(x):
-        # x arrives flat (20,) -> treat as (5, 4) batch
-        if isinstance(x, ag.Node):
-            rows = [ag.slice_last(x, 4 * i, 4 * (i + 1)) for i in range(5)]
-            total = None
-            for r in rows:
-                y = ag.asum(ag.tanh(ag.matvec(w0, r)))
-                total = y if total is None else ag.add(total, y)
-            return total
-        xs = x.reshape(5, 4)
-        return float(np.sum(np.tanh(xs @ w0.T)))
 
-    _fd_check(f_x, 20, points=20)
+def test_fd_batched_dense_tanh():
+    _fd_check(lambda x: ag.asum(ag.square(ag.dense_tanh(*_dense_args(x, 3, 4, batch=5)))),
+              3 * 4 + 3 + 5 * 4, points=20)
 
     # batched path must agree with the per-row path exactly
+    w0 = np.random.default_rng(2).normal(size=(3, 4))
+    xb = np.random.default_rng(3).normal(size=(5, 4))
     tape = Tape()
     xn = tape.param(xb)
-    y = ag.asum(ag.tanh(ag.matvec(w0, xn)))
+    y = ag.asum(ag.dense_tanh(w0, np.zeros(3), xn))
     tape.backward(y)
     grad_batched = xn.grad.copy()
     per_row = np.vstack([
         (1 - np.tanh(w0 @ xb[i]) ** 2) @ w0 for i in range(5)
     ])
     np.testing.assert_allclose(grad_batched, per_row, rtol=1e-12)
+
+
+def _unfused_dense_tanh(w, b, x):
+    """tanh(w @ x + b) from elementwise primitives, one node per step."""
+    rows = ag.reshape(x, (x.shape[0], 1, x.shape[1]))  # (K, 1, n) against (m, n)
+    return ag.tanh(ag.add(ag.asum(ag.mul(rows, w), axis=-1), b))
+
+
+def test_dense_tanh_matches_unfused_chain():
+    rng = np.random.default_rng(9)
+    values = (rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(6, 3)))
+    results = []
+    for layer in (ag.dense_tanh, _unfused_dense_tanh):
+        tape = Tape()
+        w, b, x = (tape.param(v) for v in values)
+        y = layer(w, b, x)
+        tape.backward(ag.asum(ag.mul(y, np.arange(24.0).reshape(6, 4))))
+        results.append([y.value, w.grad, b.grad, x.grad])
+    for fused, chain in zip(*results):
+        np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(results[0][0], ag.dense_tanh(*values), rtol=0)  # raw path
 
 
 def test_fd_norm_abs_atan2_relu_softplus_clamp():
@@ -265,15 +302,16 @@ def test_fd_synthetic_depth6_rollout_with_network():
     w1 = rng.normal(size=(4, 2)) * 0.7
     w2 = rng.normal(size=(4, 4)) * 0.7
     w3 = rng.normal(size=(2, 4)) * 0.7
+    b1, b2, b3 = rng.normal(size=4) * 0.1, rng.normal(size=4) * 0.1, rng.normal(size=2) * 0.1
     eps = rng.normal(size=(6, 2))
 
     def f(x):
         state = ag.slice_last(x, 0, 2) if isinstance(x, ag.Node) else x[0:2]
         total = None
         for t in range(6):
-            h = ag.tanh(ag.matvec(w1, state))
-            h = ag.tanh(ag.matvec(w2, h))
-            act = ag.scale(ag.tanh(ag.matvec(w3, h)), 0.3)
+            h = ag.dense_tanh(w1, b1, state)
+            h = ag.dense_tanh(w2, b2, h)
+            act = ag.scale(ag.dense_tanh(w3, b3, h), 0.3)
             state = ag.add(state, ag.smooth_clamp(act, -0.25, 0.25))
             state = ag.gauss_reparam(state, ag.smooth_abs(ag.norm_eps(state, keepdims=False)), eps[t])
             step_cost = ag.asum(ag.square(state))

@@ -104,6 +104,7 @@ def test_passive_blocks_cover_distinct_slices():
                     horizon=theta.horizon, action_scale=theta.action_scale),
         hist)
     np.testing.assert_allclose(np.concatenate(blocks), full_net)
+    np.testing.assert_array_equal(policy_forward(theta, hist, t_offset=None), full_net)
     with pytest.raises(ValueError):
         policy_forward(theta, hist, t_offset=g.t_future)
 

@@ -217,3 +217,22 @@ def test_episode_abort_flag_on_nonfinite():
     record = run_episode(game, opts, seed=29)
     assert record.aborted
     assert len(record.steps) < 3
+
+
+def test_particle_dump_closed_when_episode_raises(tmp_path, monkeypatch):
+    from pogplan import runner
+
+    opened = []
+
+    def failing_dump(pset, game, fh, step, agent=-1):
+        opened.append(fh)
+        raise RuntimeError("dump failed")
+
+    monkeypatch.setattr(runner, "dump_particles", failing_dump)
+    game = make_game(ScenarioConfig(name="tag"))
+    opts = EpisodeOptions(brain="shared", episode_steps=2, k_all=8, k_batch=2,
+                          max_iters=1, hidden=(4,),
+                          particle_dump=str(tmp_path / "cloud.txt"))
+    with pytest.raises(RuntimeError, match="dump failed"):
+        run_episode(game, opts, seed=31)
+    assert len(opened) == 1 and opened[0].closed

@@ -6,9 +6,17 @@ from conftest import constant_reward_game, single_quadratic, two_player_quadrati
 
 from pogplan import adgraph as ag
 from pogplan.beliefs import init_particles
-from pogplan.policy import ACTIVE, PASSIVE, init_policy, policy_forward, policy_leaves
+from pogplan.policy import (
+    ACTIVE,
+    PASSIVE,
+    init_policy,
+    lift_policy,
+    policy_forward,
+    policy_leaves,
+)
 from pogplan.scenarios import ScenarioConfig, make_game
 from pogplan.solver import (
+    _run_rollout,
     calc_eq,
     draw_noise,
     eval_cost,
@@ -79,6 +87,29 @@ def test_rollout_passive_actions_ignore_noise():
                   for oa, ob in zip(a.observations, b.observations)
                   for xa, xb in zip(oa, ob))
     assert changed  # the sampled observations themselves still vary
+
+
+def test_passive_sequence_computed_once_equals_per_step_forward():
+    """Both rollout paths slice one passive forward pass per rollout; each
+    block equals a fresh per-step forward on the planning-time window."""
+    game = make_game(ScenarioConfig(name="tag"))
+    rng = np.random.default_rng(10)
+    thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(8,)),
+              init_policy(game, 1, ACTIVE, seed=2, hidden=(8,))]
+    state = game.sample_initial(rng, 3)
+    hists = [rng.normal(size=(3, game.t_past * game.obs_dim(i))) for i in range(2)]
+    eps = draw_noise(game, 3, rng)
+
+    tape = ag.Tape()
+    taped_state = [tuple(tape.const(c) for c in block) for block in state]
+    lifted = [lift_policy(tape, th, trainable=True) for th in thetas]
+    _, raw = _run_rollout(game, state, hists, thetas, eps, [0], record=True)
+    _, taped = _run_rollout(game, taped_state, [tape.const(h) for h in hists],
+                            lifted, eps, [0], record=True)
+    for t in range(game.t_future):
+        want = policy_forward(thetas[0], hists[0], t_offset=t)
+        np.testing.assert_array_equal(raw["actions"][t][0], want)
+        np.testing.assert_array_equal(taped["actions"][t][0].value, want)
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +266,26 @@ def test_calc_eq_survives_nonfinite_costs():
     res = calc_eq(game, pset, thetas, rng, max_iters=5, k_batch=1)
     assert res.aborted
     assert not res.converged
+
+
+def test_calc_eq_counts_skipped_adam_steps():
+    """A finite rollout with a non-finite gradient skips the update, without
+    aborting, and every skip is counted."""
+    def kinked(state):
+        return ag.sqrt(ag.affine(state[0][0], 0.0, 0.0))  # value 0, slope 1/0
+
+    from conftest import QuadraticGame
+
+    game = QuadraticGame([kinked])
+    rng = np.random.default_rng(22)
+    pset = init_particles(game, 2, 1, rng)
+    thetas = _policies(game, hidden=(4,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = calc_eq(game, pset, thetas, rng, max_iters=5, k_batch=1)
+    assert not res.aborted
+    assert res.adam_skips == res.iterations > 0
+    for old, new in zip(policy_leaves(thetas[0]), policy_leaves(res.thetas[0])):
+        np.testing.assert_array_equal(old, new)
+
+    clean = calc_eq(single_quadratic(), pset, thetas, rng, max_iters=5, k_batch=1)
+    assert clean.adam_skips == 0
