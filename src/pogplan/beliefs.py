@@ -13,6 +13,10 @@ unconditioned update is an exact fixed point of the weight vector).  There is
 no resampling step by default; an optional effective-sample-size triggered
 systematic resampler is provided as a clearly flagged extension for long
 episodes.
+
+Policies run over the cloud in slices of ``ROW_BLOCK`` rows, so each layer's
+intermediate stays in cache instead of spilling a cloud-sized temporary to
+memory on every layer.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ import numpy as np
 from .policy import ACTIVE, policy_forward
 
 DEGENERACY_FLOOR = 1e-300
+# Rows per policy forward in the belief update: a 1024 x 64 float64 layer
+# output (512 KiB) stays in a per-core L2 cache.
+ROW_BLOCK = 1024
 
 
 @dataclass
@@ -82,8 +89,10 @@ def _apply_policies(game, policies, new_hists, old_hists, idx):
     # matching the rollout and real-world conventions.
     actions = []
     for i in range(game.n_players):
-        hist = new_hists[i] if policies[i].mode == ACTIVE else old_hists[i]
-        actions.append(policy_forward(policies[i], hist[idx], t_offset=0))
+        hist = (new_hists[i] if policies[i].mode == ACTIVE else old_hists[i])[idx]
+        actions.append(np.concatenate([
+            policy_forward(policies[i], hist[lo:lo + ROW_BLOCK], t_offset=0)
+            for lo in range(0, len(idx), ROW_BLOCK)]))
     return actions
 
 

@@ -167,20 +167,6 @@ def fov_observe(state, observer, target, eps, *, fov, sigma2_base, c_scale, play
     return ag.smooth_clamp(z, -play_radius, play_radius)
 
 
-def fov_logdensity(state, observer, target, obs, *, fov, sigma2_base, c_scale):
-    """Log of the untrimmed Gaussian density of one observed position block.
-
-    numpy-only companion of :func:`fov_observe`; the trim affects samples,
-    not the density used for reweighting.
-    """
-    pos_o, vel_o = state[observer][0], state[observer][1]
-    pos_t = state[target][0]
-    bearing = bearing_to(pos_o, vel_o, pos_t)
-    var = fov_variance(bearing, fov, sigma2_base, c_scale)[..., 0]
-    d2 = np.sum((np.asarray(obs) - pos_t) ** 2, axis=-1)
-    return -np.log(2.0 * np.pi * var) - d2 / (2.0 * var)
-
-
 def boundary_penalty(pos, radius, weight):
     """Soft penalty for leaving a circular play area.
 

@@ -199,7 +199,8 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     non-finite value on the tape or a non-finite evaluation cost aborts the
     solve, returning the last finite parameters.  A finite rollout whose
     gradient is non-finite skips that player's Adam update; ``adam_skips``
-    counts these.  Warm starts: pass the previous round's thetas/adam_states.
+    counts these, and an iteration with a skip never counts as converged.
+    Warm starts: pass the previous round's thetas/adam_states.
     """
     n = game.n_players
     thetas = [th.copy() for th in thetas]
@@ -220,6 +221,7 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
 
     for _ in range(max_iters):
         iterations += 1
+        skips_before = adam_skips
         for i in range(n):
             backup = thetas[i]
             t0 = time.perf_counter()
@@ -242,7 +244,9 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
             trace[i].append(c)
         if aborted:
             break
-        if all(abs(d) < eps_tol for d in deltas):
+        # A skipped update leaves its parameters unchanged, so its delta is
+        # zero by construction and says nothing about convergence.
+        if adam_skips == skips_before and all(abs(d) < eps_tol for d in deltas):
             converged = True
             break
 

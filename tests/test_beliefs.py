@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from pogplan import beliefs
 from pogplan.beliefs import (
     ParticleSet,
     dump_particles,
@@ -16,7 +17,7 @@ from pogplan.beliefs import (
     systematic_resample,
     update_particles,
 )
-from pogplan.policy import ACTIVE, init_policy
+from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.scenarios import ScenarioConfig, make_game
 from pogplan.toygame import ToyFilterGame, exact_posterior
 
@@ -104,6 +105,34 @@ def test_update_preserves_counts_and_moves_states():
     out2 = update_particles(pset, game, _policies(game), true_obs=None, player=0,
                             gamma=0.0, rng=np.random.default_rng(11))
     np.testing.assert_array_equal(out.states, out2.states)
+
+
+@pytest.mark.parametrize("mode", [ACTIVE, PASSIVE])
+def test_row_blocked_update_matches_single_forward(mode, monkeypatch):
+    """Policies evaluated in ROW_BLOCK-row slices, ragged last slice
+    included, reproduce one whole-block forward over conditioned updates."""
+    game = _tag()
+    k, n_eq = 5000, 2
+    assert k // n_eq > beliefs.ROW_BLOCK and (k // n_eq) % beliefs.ROW_BLOCK
+    thetas = [init_policy(game, i, mode, seed=30 + i) for i in range(game.n_players)]
+    start = init_particles(game, k, n_eq, np.random.default_rng(31))
+    true_obs = np.asarray(game.observe(game.unpack_state(start.states[:1]), 0,
+                                       np.zeros((1, game.noise_dim(0)))))[0]
+
+    def three_updates():
+        pset, rng = start, np.random.default_rng(32)
+        for _ in range(3):
+            pset = update_particles(pset, game, thetas, true_obs, player=0,
+                                    gamma=0.3, rng=rng)
+        return pset
+
+    blocked = three_updates()
+    monkeypatch.setattr(beliefs, "ROW_BLOCK", k)
+    single = three_updates()
+    # float64 BLAS results may depend on the row count, so not bitwise.
+    for got, want in [(blocked.states, single.states), (blocked.weights, single.weights),
+                      *zip(blocked.hists, single.hists)]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_update_two_particle_bayes_rule():

@@ -229,9 +229,9 @@ def test_cli_missing_records_dir(tmp_path, capsys):
 def test_cli_particle_cloud(tmp_path):
     path, cfg = _write_cfg(tmp_path, dump_particles=True, trials=1)
     assert main(["run", "--config", path]) == 0
-    dest = str(tmp_path / "clouds.txt")
+    dest = tmp_path / "clouds.txt"
     assert main(["emit", "--records", cfg.outdir, "--kind", "particle-cloud",
-                 "--out", dest]) == 0
-    lines = open(dest).read().splitlines()
+                 "--out", str(dest)]) == 0
+    lines = dest.read_text().splitlines()
     assert lines[0].startswith("# source step agent")
     assert len(lines) > 10

@@ -283,6 +283,7 @@ def test_calc_eq_counts_skipped_adam_steps():
     with np.errstate(divide="ignore", invalid="ignore"):
         res = calc_eq(game, pset, thetas, rng, max_iters=5, k_batch=1)
     assert not res.aborted
+    assert not res.converged
     assert res.adam_skips == res.iterations > 0
     for old, new in zip(policy_leaves(thetas[0]), policy_leaves(res.thetas[0])):
         np.testing.assert_array_equal(old, new)
