@@ -2,16 +2,34 @@
 
 A ``Tape`` records a define-by-run computation graph of numpy-valued nodes;
 ``Tape.backward`` runs the reverse sweep from a scalar root and leaves exact
-adjoints on every node.  The primitive set is deliberately small: just enough
+adjoints on the nodes.  The primitive set is deliberately small: just enough
 to differentiate a finite-horizon game rollout (network forward passes,
 double-integrator dynamics, reparameterized Gaussian observations, smooth
 costs) with respect to policy parameters.
 
 Every primitive is exposed as a module-level function that accepts either
-``Node`` operands (recording onto the owning tape) or plain arrays/floats
-(computing immediately with numpy).  Game and policy code written against
-these functions therefore runs in two modes from a single source: taped, for
-gradients, and raw, for cheap forward-only evaluation.
+``Node`` operands or plain arrays/floats ("raw" operands).  Game and policy
+code written against these functions therefore runs in two modes from a
+single source: taped, for gradients, and raw, for cheap forward-only
+evaluation.
+
+What gets recorded: a primitive records a node only when at least one of its
+operands is a node, and otherwise computes with numpy and returns an array.
+Raw operands are never lifted onto the tape, and no adjoint is computed for
+them.  So the tape holds exactly the leaves lifted with ``Tape.param`` (or
+``Tape.const``) and the values that depend on them; everything else in a
+rollout (batch rows, windows, noise, opponents' networks, game constants)
+stays raw.
+
+Finiteness: every leaf is checked, and so is the output of every op that can
+turn finite inputs into a non-finite value (arithmetic, exp, log, sqrt, sums,
+norms, the 2-vector products, and the pre-activation of ``dense_tanh``); a
+non-finite value raises ``FloatingPointError`` when it is recorded.  Ops that
+map finite inputs to finite outputs (slice, concat, reshape, tanh,
+smooth_clamp, atan2, relu, softplus and the output of ``dense_tanh``) skip the
+check.  Raw operands and raw results are not checked: a caller that feeds raw
+data into a taped computation checks it once itself (``check_finite``; see
+``solver.expected_cost``).
 
 All per-instance quantities carry a leading batch axis, so one recorded
 rollout covers a whole Monte Carlo batch.  Tapes are single-owner objects and
@@ -37,23 +55,25 @@ import numpy as np
 NORM_EPS = 1e-9  # default regularizer for norms/abs so v=0 keeps finite gradients
 
 
+def check_finite(value, source):
+    """Raise ``FloatingPointError`` unless every entry of the array ``value``
+    is finite; ``source`` names it in the message."""
+    # any NaN/Inf entry poisons the sum, so one reduction checks them all
+    if not math.isfinite(value.sum()):
+        raise FloatingPointError(f"non-finite value in {source}")
+
+
 class Node:
     """One tape entry: a value plus what is needed to back-propagate through it."""
 
-    __slots__ = ("_tape_ref", "value", "op", "parents", "vjp", "grad", "is_param")
+    __slots__ = ("_tape_ref", "value", "op", "vjp", "grad")
 
-    def __init__(self, tape_ref, value, op, parents, vjp, is_param=False):
-        value = np.asarray(value, dtype=np.float64)
-        # any NaN/Inf entry poisons the sum, so one reduction checks them all
-        if not math.isfinite(value.sum()):
-            raise FloatingPointError(f"non-finite value produced by op '{op}'")
+    def __init__(self, tape_ref, value, op, vjp):
         self._tape_ref = tape_ref
         self.value = value
         self.op = op
-        self.parents = parents
         self.vjp = vjp
         self.grad = None
-        self.is_param = is_param
 
     @property
     def tape(self):
@@ -103,25 +123,30 @@ class Tape:
         self.nodes = []
         self._ref = weakref.ref(self)  # shared by every node: no cycle back to the tape
 
-    def _record(self, value, op, parents, vjp, is_param=False):
-        node = Node(self._ref, value, op, parents, vjp, is_param)
+    def _record(self, value, op, vjp=None, checked=True):
+        """Append a node; ``vjp(g)`` sends the adjoint ``g`` to its node operands."""
+        value = np.asarray(value, dtype=np.float64)
+        if checked:
+            check_finite(value, op)
+        node = Node(self._ref, value, op, vjp)
         self.nodes.append(node)
         return node
 
     def param(self, value):
         """Lift a value as a trainable leaf; its adjoint is a gradient."""
-        return self._record(value, "param", (), None, is_param=True)
+        return self._record(value, "param")
 
     def const(self, value):
-        """Lift a value as a constant leaf."""
-        return self._record(value, "const", (), None, is_param=False)
+        """Lift a value as a constant leaf (raw operands need no lifting)."""
+        return self._record(value, "const")
 
     def backward(self, root):
         """Reverse sweep from a scalar root.
 
         Afterwards every node reachable from the root holds its exact adjoint
-        in ``.grad``; unreachable nodes hold zeros.  Repeated calls on the
-        same tape give identical results (adjoints are reset first).
+        in ``.grad``.  Unreachable leaves hold zeros; unreachable interior
+        nodes hold None.  Repeated calls on the same tape give identical
+        results (adjoints are reset first).
         """
         if not isinstance(root, Node) or root.tape is not self:
             raise ValueError("backward root must be a node of this tape")
@@ -131,11 +156,10 @@ class Tape:
             node.grad = None
         root.grad = np.ones_like(root.value)
         for node in reversed(self.nodes):
-            if node.grad is None or node.vjp is None:
-                continue
-            node.vjp(node.grad)
+            if node.grad is not None and node.vjp is not None:
+                node.vjp(node.grad)
         for node in self.nodes:
-            if node.grad is None:
+            if node.grad is None and node.vjp is None:
                 node.grad = np.zeros_like(node.value)
 
 
@@ -168,89 +192,83 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _lift(tape, x):
-    return x if isinstance(x, Node) else tape.const(x)
-
-
 # ---------------------------------------------------------------------------
-# Primitives.  Each computes with numpy when no operand is a Node.
+# Primitives.  Each computes with numpy when no operand is a Node, and each
+# vjp sends adjoints to node operands only.
 # ---------------------------------------------------------------------------
 
 def add(a, b):
     tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
     if tape is None:
-        return _value(a) + _value(b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    out = tape._record(a.value + b.value, "add", (a, b), None)
+        return av + bv
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(g, b.value.shape))
+        if isinstance(a, Node):
+            _accumulate(a, _unbroadcast(g, av.shape))
+        if isinstance(b, Node):
+            _accumulate(b, _unbroadcast(g, bv.shape))
 
-    out.vjp = vjp
-    return out
+    return tape._record(av + bv, "add", vjp)
 
 
 def sub(a, b):
     tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
     if tape is None:
-        return _value(a) - _value(b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    out = tape._record(a.value - b.value, "sub", (a, b), None)
+        return av - bv
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(-g, b.value.shape))
+        if isinstance(a, Node):
+            _accumulate(a, _unbroadcast(g, av.shape))
+        if isinstance(b, Node):
+            _accumulate(b, _unbroadcast(-g, bv.shape))
 
-    out.vjp = vjp
-    return out
+    return tape._record(av - bv, "sub", vjp)
 
 
 def mul(a, b):
     """Elementwise product (numpy broadcasting rules)."""
     tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
     if tape is None:
-        return _value(a) * _value(b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    out = tape._record(a.value * b.value, "mul", (a, b), None)
+        return av * bv
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+        if isinstance(a, Node):
+            _accumulate(a, _unbroadcast(g * bv, av.shape))
+        if isinstance(b, Node):
+            _accumulate(b, _unbroadcast(g * av, bv.shape))
 
-    out.vjp = vjp
-    return out
+    return tape._record(av * bv, "mul", vjp)
 
 
 def div(a, b):
     """Elementwise quotient."""
     tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
+    y = av / bv
     if tape is None:
-        return _value(a) / _value(b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    out = tape._record(a.value / b.value, "div", (a, b), None)
-    y = out.value  # the closure keeps the output array, not the node: no cycle
+        return y
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g / b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(-g * y / b.value, b.value.shape))
+        if isinstance(a, Node):
+            _accumulate(a, _unbroadcast(g / bv, av.shape))
+        if isinstance(b, Node):
+            _accumulate(b, _unbroadcast(-g * y / bv, bv.shape))
 
-    out.vjp = vjp
-    return out
+    return tape._record(y, "div", vjp)
 
 
 def affine(x, scale, shift):
     """``scale * x + shift`` with python-float coefficients; one node."""
     if not isinstance(x, Node):
         return scale * _value(x) + shift
-    tape = x.tape
-    out = tape._record(scale * x.value + shift, "affine", (x,), None)
 
     def vjp(g):
         _accumulate(x, scale * g)
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(scale * x.value + shift, "affine", vjp)
 
 
 def scale(x, c):
@@ -263,62 +281,54 @@ def dense_tanh(w, b, x):
     shape (K, n) yields (K, m).
 
     One node that stores only its output: the backward pass needs no
-    pre-activation, since tanh' = 1 - tanh^2.
+    pre-activation, since tanh' = 1 - tanh^2.  The pre-activation is checked
+    for finiteness; the tanh output then needs no check.
     """
     tape = _tape_of(w, b, x)
-    wv, xv = _value(w), _value(x)
+    wv, bv, xv = _value(w), _value(b), _value(x)
     if wv.ndim != 2:
         raise ValueError(f"dense_tanh weight must be 2-D, got shape {wv.shape}")
     if xv.shape[-1] != wv.shape[1]:
         raise ValueError(f"dense_tanh shape mismatch: {wv.shape} @ {xv.shape}")
     batched = xv.ndim == 2
-    pre = (xv @ wv.T if batched else wv @ xv) + _value(b)
+    pre = (xv @ wv.T if batched else wv @ xv) + bv
     if tape is None:
         return np.tanh(pre)
-    if not math.isfinite(pre.sum()):
-        raise FloatingPointError("non-finite value produced by op 'dense_tanh'")
-    w, b, x = _lift(tape, w), _lift(tape, b), _lift(tape, x)
-    out = tape._record(np.tanh(pre), "dense_tanh", (w, b, x), None)
-    y = out.value
+    check_finite(pre, "dense_tanh")
+    y = np.tanh(pre)
 
     def vjp(g):
         gz = g * (1.0 - y * y)
-        _accumulate(b, _unbroadcast(gz, b.value.shape))
-        if batched:
-            _accumulate(w, gz.T @ x.value)
-            _accumulate(x, gz @ w.value)
-        else:
-            _accumulate(w, np.outer(gz, x.value))
-            _accumulate(x, w.value.T @ gz)
+        if isinstance(b, Node):
+            _accumulate(b, _unbroadcast(gz, bv.shape))
+        if isinstance(w, Node):
+            _accumulate(w, gz.T @ xv if batched else np.outer(gz, xv))
+        if isinstance(x, Node):
+            _accumulate(x, gz @ wv if batched else wv.T @ gz)
 
-    out.vjp = vjp
-    return out
+    return tape._record(y, "dense_tanh", vjp, checked=False)
 
 
 def tanh(x):
     if not isinstance(x, Node):
         return np.tanh(_value(x))
-    out = x.tape._record(np.tanh(x.value), "tanh", (x,), None)
-    y = out.value
+    y = np.tanh(x.value)
 
     def vjp(g):
         _accumulate(x, g * (1.0 - y * y))
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(y, "tanh", vjp, checked=False)
 
 
 def exp(x):
     if not isinstance(x, Node):
         return np.exp(_value(x))
-    out = x.tape._record(np.exp(x.value), "exp", (x,), None)
-    y = out.value
+    y = np.exp(x.value)
 
     def vjp(g):
         _accumulate(x, g * y)
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(y, "exp", vjp)
 
 
 def log(x):
@@ -327,46 +337,39 @@ def log(x):
         raise ValueError("log of non-positive value")
     if not isinstance(x, Node):
         return np.log(xv)
-    out = x.tape._record(np.log(x.value), "log", (x,), None)
 
     def vjp(g):
-        _accumulate(x, g / x.value)
+        _accumulate(x, g / xv)
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(np.log(xv), "log", vjp)
 
 
 def square(x):
     if not isinstance(x, Node):
         v = _value(x)
         return v * v
-    out = x.tape._record(x.value * x.value, "square", (x,), None)
 
     def vjp(g):
         _accumulate(x, 2.0 * x.value * g)
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(x.value * x.value, "square", vjp)
 
 
 def sqrt(x):
     if not isinstance(x, Node):
         return np.sqrt(_value(x))
-    out = x.tape._record(np.sqrt(x.value), "sqrt", (x,), None)
-    y = out.value
+    y = np.sqrt(x.value)
 
     def vjp(g):
         _accumulate(x, 0.5 * g / y)
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(y, "sqrt", vjp)
 
 
 def asum(x, axis=None):
     """Sum over all entries (``axis=None``) or along one axis."""
     if not isinstance(x, Node):
         return np.sum(_value(x), axis=axis)
-    out = x.tape._record(np.sum(x.value, axis=axis), "sum", (x,), None)
 
     def vjp(g):
         if axis is None:
@@ -374,8 +377,54 @@ def asum(x, axis=None):
         else:
             _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape).copy())
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(np.sum(x.value, axis=axis), "sum", vjp)
+
+
+def dot2(a, b):
+    """Dot product over a last axis of width 2, kept as (..., 1).
+
+    Computes ``a0*b0 + a1*b1``, the same expression, rounding and signed
+    zeros as two ``mul`` nodes of ``slice_last`` columns and an ``add``.
+    """
+    tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
+    val = av[..., 0:1] * bv[..., 0:1] + av[..., 1:2] * bv[..., 1:2]
+    if tape is None:
+        return val
+
+    def vjp(g):
+        if isinstance(a, Node):
+            _accumulate(a, _unbroadcast(g * bv, av.shape))
+        if isinstance(b, Node):
+            _accumulate(b, _unbroadcast(g * av, bv.shape))
+
+    return tape._record(val, "dot2", vjp)
+
+
+def _perp(v):
+    """(v1, -v0) over the last axis, so that cross2(a, b) = dot2(a, perp(b))."""
+    return np.concatenate([v[..., 1:2], -v[..., 0:1]], axis=-1)
+
+
+def cross2(a, b):
+    """Planar cross product over a last axis of width 2, kept as (..., 1).
+
+    Computes ``a0*b1 - a1*b0``, the same expression, rounding and signed
+    zeros as two ``mul`` nodes of ``slice_last`` columns and a ``sub``.
+    """
+    tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
+    val = av[..., 0:1] * bv[..., 1:2] - av[..., 1:2] * bv[..., 0:1]
+    if tape is None:
+        return val
+
+    def vjp(g):
+        if isinstance(a, Node):
+            _accumulate(a, _unbroadcast(g * _perp(bv), av.shape))
+        if isinstance(b, Node):
+            _accumulate(b, _unbroadcast(-g * _perp(av), bv.shape))
+
+    return tape._record(val, "cross2", vjp)
 
 
 def norm_eps(x, eps=NORM_EPS, keepdims=True):
@@ -387,9 +436,7 @@ def norm_eps(x, eps=NORM_EPS, keepdims=True):
     if not isinstance(x, Node):
         v = _value(x)
         return np.sqrt(np.sum(v * v, axis=-1, keepdims=keepdims) + eps)
-    val = np.sqrt(np.sum(x.value * x.value, axis=-1, keepdims=keepdims) + eps)
-    out = x.tape._record(val, "norm_eps", (x,), None)
-    y = out.value
+    y = np.sqrt(np.sum(x.value * x.value, axis=-1, keepdims=keepdims) + eps)
 
     def vjp(g):
         gn = g / y
@@ -397,8 +444,7 @@ def norm_eps(x, eps=NORM_EPS, keepdims=True):
             gn = gn[..., None]
         _accumulate(x, gn * x.value)
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(y, "norm_eps", vjp)
 
 
 def smooth_abs(x, eps=NORM_EPS):
@@ -406,15 +452,12 @@ def smooth_abs(x, eps=NORM_EPS):
     if not isinstance(x, Node):
         v = _value(x)
         return np.sqrt(v * v + eps)
-    val = np.sqrt(x.value * x.value + eps)
-    out = x.tape._record(val, "smooth_abs", (x,), None)
-    y = out.value
+    y = np.sqrt(x.value * x.value + eps)
 
     def vjp(g):
         _accumulate(x, g * x.value / y)
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(y, "smooth_abs", vjp)
 
 
 def atan2(y, x):
@@ -424,44 +467,40 @@ def atan2(y, x):
     defined (arbitrary but finite) when both arguments vanish.
     """
     tape = _tape_of(y, x)
+    yv, xv = _value(y), _value(x)
     if tape is None:
-        return np.arctan2(_value(y), _value(x))
-    y, x = _lift(tape, y), _lift(tape, x)
-    out = tape._record(np.arctan2(y.value, x.value), "atan2", (y, x), None)
+        return np.arctan2(yv, xv)
 
     def vjp(g):
-        denom = x.value * x.value + y.value * y.value + 1e-12
-        _accumulate(y, g * x.value / denom)
-        _accumulate(x, -g * y.value / denom)
+        denom = xv * xv + yv * yv + 1e-12
+        if isinstance(y, Node):
+            _accumulate(y, g * xv / denom)
+        if isinstance(x, Node):
+            _accumulate(x, -g * yv / denom)
 
-    out.vjp = vjp
-    return out
+    return tape._record(np.arctan2(yv, xv), "atan2", vjp, checked=False)
 
 
 def relu(x):
     """Elementwise positive-part hinge max(x, 0)."""
     if not isinstance(x, Node):
         return np.maximum(_value(x), 0.0)
-    out = x.tape._record(np.maximum(x.value, 0.0), "relu", (x,), None)
 
     def vjp(g):
         _accumulate(x, g * (x.value > 0.0))
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(np.maximum(x.value, 0.0), "relu", vjp, checked=False)
 
 
 def softplus(x):
     """Numerically stable log(1 + e^x)."""
     if not isinstance(x, Node):
         return np.logaddexp(0.0, _value(x))
-    out = x.tape._record(np.logaddexp(0.0, x.value), "softplus", (x,), None)
 
     def vjp(g):
         _accumulate(x, g * _sigmoid(x.value))
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(np.logaddexp(0.0, x.value), "softplus", vjp, checked=False)
 
 
 def _sigmoid(v):
@@ -481,13 +520,11 @@ def smooth_clamp(x, lo, hi):
     if not isinstance(x, Node):
         return lo + (hi - lo) * _sigmoid(k * (_value(x) - mid))
     s = _sigmoid(k * (x.value - mid))
-    out = x.tape._record(lo + (hi - lo) * s, "smooth_clamp", (x,), None)
 
     def vjp(g):
         _accumulate(x, g * 4.0 * s * (1.0 - s))
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(lo + (hi - lo) * s, "smooth_clamp", vjp, checked=False)
 
 
 def gauss_reparam(mu, sigma, eps):
@@ -503,98 +540,59 @@ def gauss_reparam(mu, sigma, eps):
         return add(mu, mul(sigma, eps))
     tape = _tape_of(mu, sigma)
     eps = np.asarray(eps, dtype=np.float64)
+    mv, sv = _value(mu), _value(sigma)
     if tape is None:
-        return _value(mu) + _value(sigma) * eps
-    mu, sigma = _lift(tape, mu), _lift(tape, sigma)
-    out = tape._record(mu.value + sigma.value * eps, "gauss_reparam", (mu, sigma), None)
+        return mv + sv * eps
 
     def vjp(g):
-        _accumulate(mu, _unbroadcast(g, mu.value.shape))
-        _accumulate(sigma, _unbroadcast(g * eps, sigma.value.shape))
+        if isinstance(mu, Node):
+            _accumulate(mu, _unbroadcast(g, mv.shape))
+        if isinstance(sigma, Node):
+            _accumulate(sigma, _unbroadcast(g * eps, sv.shape))
 
-    out.vjp = vjp
-    return out
+    return tape._record(mv + sv * eps, "gauss_reparam", vjp)
 
 
-def concat(parts, axis=-1):
-    """Concatenate along an axis (the inverse of ``slice_last``)."""
+def concat(parts):
+    """Concatenate along the last axis (the inverse of ``slice_last``)."""
     tape = _tape_of(*parts)
+    values = [_value(p) for p in parts]
     if tape is None:
-        return np.concatenate([_value(p) for p in parts], axis=axis)
-    parts = [_lift(tape, p) for p in parts]
-    out = tape._record(np.concatenate([p.value for p in parts], axis=axis), "concat", tuple(parts), None)
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+        return np.concatenate(values, axis=-1)
 
     def vjp(g):
-        g = np.moveaxis(g, axis, -1)
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, np.moveaxis(g[..., lo:hi], -1, axis).copy())
+        lo = 0
+        for p, v in zip(parts, values):
+            hi = lo + v.shape[-1]
+            if isinstance(p, Node):
+                _accumulate(p, g[..., lo:hi])
+            lo = hi
 
-    out.vjp = vjp
-    return out
+    return tape._record(np.concatenate(values, axis=-1), "concat", vjp, checked=False)
 
 
 def slice_last(x, lo, hi):
     """Select columns [lo:hi) of the last axis."""
     if not isinstance(x, Node):
         return _value(x)[..., lo:hi]
-    out = x.tape._record(x.value[..., lo:hi], "slice", (x,), None)
 
     def vjp(g):
         full = np.zeros_like(x.value)
         full[..., lo:hi] = g
         _accumulate(x, full)
 
-    out.vjp = vjp
-    return out
+    return x.tape._record(x.value[..., lo:hi], "slice", vjp, checked=False)
 
 
 def reshape(x, shape):
     """View the same entries under a new shape."""
     if not isinstance(x, Node):
         return _value(x).reshape(shape)
-    out = x.tape._record(x.value.reshape(shape), "reshape", (x,), None)
 
     def vjp(g):
         _accumulate(x, g.reshape(x.value.shape))
 
-    out.vjp = vjp
-    return out
-
-
-_PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "scale": scale,
-    "affine": affine,
-    "dense_tanh": dense_tanh,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "square": square,
-    "sqrt": sqrt,
-    "sum": asum,
-    "norm_eps": norm_eps,
-    "smooth_abs": smooth_abs,
-    "atan2": atan2,
-    "relu": relu,
-    "softplus": softplus,
-    "smooth_clamp": smooth_clamp,
-    "gauss_reparam": gauss_reparam,
-    "concat": concat,
-    "slice": slice_last,
-    "reshape": reshape,
-}
-
-
-def apply(op, *args, **kwargs):
-    """Apply a primitive by name (mostly for tests and introspection)."""
-    if op not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive '{op}'")
-    return _PRIMITIVES[op](*args, **kwargs)
+    return x.tape._record(x.value.reshape(shape), "reshape", vjp, checked=False)
 
 
 # ---------------------------------------------------------------------------

@@ -131,13 +131,16 @@ def bearing_to(pos_obs, vel_obs, pos_target):
     The heading is the velocity direction; atan2 of (cross, dot) gives the
     bearing in [-pi, pi] without any normalization, and its adjoint is
     regularized so zero velocity yields finite (arbitrary) gradients.
+
+    At rest (velocity exactly +0) the bearing follows IEEE signed zeros:
+    cross and dot are signed zeros, and atan2(+0, -0) = pi.  So a resting
+    observer sees a target in its third quadrant (both displacement
+    components negative) at bearing pi, a view-cone variance of about 11.8
+    with the default constants, and any other target at bearing 0, variance
+    ``sigma2_base``.
     """
     d = ag.sub(pos_target, pos_obs)
-    hx, hy = ag.slice_last(vel_obs, 0, 1), ag.slice_last(vel_obs, 1, 2)
-    dx, dy = ag.slice_last(d, 0, 1), ag.slice_last(d, 1, 2)
-    cross = ag.sub(ag.mul(hx, dy), ag.mul(hy, dx))
-    dot = ag.add(ag.mul(hx, dx), ag.mul(hy, dy))
-    return ag.atan2(cross, dot)
+    return ag.atan2(ag.cross2(vel_obs, d), ag.dot2(vel_obs, d))
 
 
 def fov_variance(bearing, fov, sigma2_base, c_scale):
@@ -181,8 +184,7 @@ def boundary_penalty(pos, radius, weight):
 def sq_dist(a, b):
     """Squared euclidean distance along the last axis, kept as (K, 1)."""
     d = ag.sub(a, b)
-    dx, dy = ag.slice_last(d, 0, 1), ag.slice_last(d, 1, 2)
-    return ag.add(ag.square(dx), ag.square(dy))
+    return ag.dot2(d, d)
 
 
 class PlanarGame(GameDef):

@@ -107,11 +107,10 @@ def action_block(theta, sequence, t_offset):
     return ag.slice_last(sequence, lo, lo + theta.action_dim)
 
 
-def lift_policy(tape, theta, trainable):
-    """Copy a policy onto a tape, as parameters or constants."""
-    lift = tape.param if trainable else tape.const
-    return replace(theta, weights=[lift(w) for w in theta.weights],
-                   biases=[lift(b) for b in theta.biases])
+def lift_policy(tape, theta):
+    """Copy a policy onto a tape as trainable parameters."""
+    return replace(theta, weights=[tape.param(w) for w in theta.weights],
+                   biases=[tape.param(b) for b in theta.biases])
 
 
 def policy_leaves(theta):

@@ -243,10 +243,7 @@ class HideSeekGame(TagGame):
         len2 = ag.add(sq_dist(b, a), 1e-9)
         acc = None
         for center, radius in self.obstacles:
-            ca = ag.sub(center, a)
-            bax, bay = ag.slice_last(ba, 0, 1), ag.slice_last(ba, 1, 2)
-            cax, cay = ag.slice_last(ca, 0, 1), ag.slice_last(ca, 1, 2)
-            t = ag.div(ag.add(ag.mul(bax, cax), ag.mul(bay, cay)), len2)
+            t = ag.div(ag.dot2(ba, ag.sub(center, a)), len2)
             t = ag.smooth_clamp(t, 0.0, 1.0)
             proj = ag.add(a, ag.mul(t, ba))
             clear = ag.affine(ag.norm_eps(ag.sub(center, proj)), 1.0, -radius)

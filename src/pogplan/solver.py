@@ -3,8 +3,9 @@
 ``expected_cost`` estimates one player's finite-horizon cost by rolling the
 game out from a weighted batch of belief particles, with observation noise
 drawn once per call and held fixed (pathwise reparameterization); the whole
-batch lives on one tape, so a single backward pass yields the exact gradient
-of the estimate with respect to that player's policy parameters.
+batch is rolled out on one tape, which records only what depends on that
+player's policy parameters, so a single backward pass yields the exact
+gradient of the estimate with respect to them.
 
 ``calc_eq`` runs gradient play: round-robin over players, one Adam step each
 on a freshly sampled batch, until every player's cost stops moving on a fixed
@@ -140,24 +141,35 @@ def _batch_inputs(game, pset, idx):
 
 def expected_cost(game, pset, thetas, player, k_batch, rng):
     """Mean rollout cost for ``player`` over a weighted particle batch and
-    its gradient with respect to that player's parameters (opponents' are
-    constants in this call)."""
+    its gradient with respect to that player's parameters.
+
+    Only that player's parameters go on the tape; batch rows, windows, noise
+    and the opponents' policies enter as plain arrays, so the tape records
+    only values a gradient can reach.  The tape checks only what it records,
+    so the raw inputs are checked for finiteness once here.  A cost that does
+    not depend on the parameters has zero gradients.
+    """
     idx = sample_batch(pset, k_batch, rng)
     eps = draw_noise(game, k_batch, rng)
-    state_np, hists_np = _batch_inputs(game, pset, idx)
+    state, hists = _batch_inputs(game, pset, idx)
+    opponents = [leaf for i, th in enumerate(thetas) if i != player
+                 for leaf in policy_leaves(th)]
+    for source, values in (("particle states", [c for block in state for c in block]),
+                           ("observation windows", hists),
+                           ("opponent policies", opponents)):
+        for value in values:
+            ag.check_finite(value, source)
 
     tape = Tape()
-    state = [tuple(tape.const(c) for c in block) for block in state_np]
-    hists = [tape.const(h) for h in hists_np]
-    lifted = [lift_policy(tape, th, trainable=(i == player))
-              for i, th in enumerate(thetas)]
+    lifted = list(thetas)
+    lifted[player] = lift_policy(tape, thetas[player])
     acc, _ = _run_rollout(game, state, hists, lifted, eps, [player])
-    if game.t_future == 0:
-        return 0.0, [np.zeros_like(a) for a in policy_leaves(thetas[player])]
-    cost = ag.affine(ag.asum(acc[player]), -1.0 / k_batch, 0.0)
+    cost = 0.0 if game.t_future == 0 else ag.affine(ag.asum(acc[player]), -1.0 / k_batch, 0.0)
+    if not isinstance(cost, ag.Node):
+        ag.check_finite(np.asarray(cost), "cost")
+        return float(cost), [np.zeros_like(a) for a in policy_leaves(thetas[player])]
     tape.backward(cost)
-    grads = [leaf.grad for leaf in policy_leaves(lifted[player])]
-    return float(cost.value), grads
+    return float(cost.value), [leaf.grad for leaf in policy_leaves(lifted[player])]
 
 
 def evaluation_batch(game, pset, k_batch, rng):
@@ -195,11 +207,15 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
 
     Round-robin over players: one Adam step on a fresh batch gradient, then a
     cost re-evaluation on the fixed evaluation batch; stop when every
-    player's |delta| drops below ``eps_tol`` or after ``max_iters``.  A
-    non-finite value on the tape or a non-finite evaluation cost aborts the
-    solve, returning the last finite parameters.  A finite rollout whose
-    gradient is non-finite skips that player's Adam update; ``adam_skips``
-    counts these, and an iteration with a skip never counts as converged.
+    player's |delta| drops below ``eps_tol`` or after ``max_iters``.  The
+    solve aborts, returning the last finite parameters, when
+    ``expected_cost`` raises ``FloatingPointError``: a non-finite particle
+    state, window or opponent weight, a non-finite value recorded on the
+    tape (see :mod:`pogplan.adgraph` for which ops check), or a non-finite
+    cost.  It also aborts on a non-finite evaluation cost.  A finite rollout
+    whose gradient is non-finite skips that player's Adam update;
+    ``adam_skips`` counts these, and an iteration with a skip never counts
+    as converged.
     Warm starts: pass the previous round's thetas/adam_states.
     """
     n = game.n_players

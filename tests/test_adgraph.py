@@ -7,7 +7,8 @@ import pytest
 
 from pogplan import adgraph as ag
 from pogplan import beliefs, solver
-from pogplan.adgraph import Tape, apply, grad_check
+from pogplan.adgraph import Tape, grad_check
+from pogplan.gamedef import bearing_to
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.scenarios import ScenarioConfig, make_game
 
@@ -49,7 +50,7 @@ def test_mul_product_rule():
     tape = Tape()
     x = tape.param(3.0)
     y = tape.param(4.0)
-    out = apply("mul", x, y)
+    out = ag.mul(x, y)
     assert out.value == 12.0
     tape.backward(out)
     assert x.grad == 4.0
@@ -59,7 +60,7 @@ def test_mul_product_rule():
 def test_tanh_at_zero():
     tape = Tape()
     x = tape.param(0.0)
-    out = apply("tanh", x)
+    out = ag.tanh(x)
     assert out.value == 0.0
     tape.backward(out)
     assert x.grad == 1.0
@@ -149,6 +150,42 @@ def test_expected_cost_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_expected_cost_tapes_no_constants(monkeypatch):
+    """Batch rows, windows and the opponent's network stay off the tape."""
+    game = make_game(ScenarioConfig(name="tag"))
+    thetas = [init_policy(game, i, mode, seed=i, hidden=(64, 64))
+              for i, mode in enumerate([PASSIVE, ACTIVE])]
+    pset = beliefs.init_particles(game, 100, 1, np.random.default_rng(0))
+    ops = []
+    record = Tape._record
+
+    def counting(self, value, op, *args, **kwargs):
+        ops.append(op)
+        return record(self, value, op, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "_record", counting)
+    for player in range(game.n_players):
+        ops.clear()
+        solver.expected_cost(game, pset, thetas, player, 10, np.random.default_rng(1))
+        assert "const" not in ops
+        assert len(ops) <= 210, f"player {player} taped {len(ops)} nodes"
+
+
+def test_overflow_raises_before_unchecked_ops():
+    """tanh, smooth_clamp and atan2 skip the finiteness check: an overflow
+    raises in the checked op that produces it, before saturation hides it."""
+    saturating = (ag.tanh, lambda v: ag.smooth_clamp(v, -1.0, 1.0),
+                  lambda v: ag.atan2(v, 1.0))
+    with np.errstate(over="ignore"):
+        for saturate in saturating:
+            tape = Tape()
+            x = tape.param([400.0])
+            with pytest.raises(FloatingPointError):
+                saturate(ag.exp(ag.scale(x, 2.0)))
+            with pytest.raises(FloatingPointError):
+                saturate(ag.mul(x, 1e307))
 
 
 def test_gauss_reparam_exact_partials():
@@ -263,6 +300,71 @@ def test_fd_norm_abs_atan2_relu_softplus_clamp():
     _fd_check(lambda x: ag.asum(ag.relu(x)), 3, seed=4)  # kinks at 0 are measure-zero
     _fd_check(lambda x: ag.asum(ag.softplus(x)), 3)
     _fd_check(lambda x: ag.asum(ag.smooth_clamp(x, -0.4, 0.9)), 3)
+
+
+def _composite_dot2(a, b):
+    """dot2 as one slice_last per coordinate, then mul and add nodes."""
+    ax, ay = ag.slice_last(a, 0, 1), ag.slice_last(a, 1, 2)
+    bx, by = ag.slice_last(b, 0, 1), ag.slice_last(b, 1, 2)
+    return ag.add(ag.mul(ax, bx), ag.mul(ay, by))
+
+
+def _composite_cross2(a, b):
+    ax, ay = ag.slice_last(a, 0, 1), ag.slice_last(a, 1, 2)
+    bx, by = ag.slice_last(b, 0, 1), ag.slice_last(b, 1, 2)
+    return ag.sub(ag.mul(ax, by), ag.mul(ay, bx))
+
+
+def _assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+def test_fd_dot2_cross2():
+    for op in (ag.dot2, ag.cross2):
+        _fd_check(lambda x: ag.asum(ag.square(op(ag.slice_last(x, 0, 2),
+                                                 ag.slice_last(x, 2, 4)))), 4)
+        # batched rows, against a raw operand that gets no adjoint
+        other = np.random.default_rng(6).normal(size=(3, 2))
+        _fd_check(lambda x: ag.asum(ag.tanh(op(ag.reshape(x, (3, 2)), other))), 6, points=20)
+        _fd_check(lambda x: ag.asum(ag.tanh(op(other, ag.reshape(x, (3, 2))))), 6, points=20)
+    _fd_check(lambda x: ag.asum(ag.dot2(ag.reshape(x, (3, 2)), ag.reshape(x, (3, 2)))), 6)
+
+
+def test_dot2_cross2_match_slice_composite_bitwise():
+    rng = np.random.default_rng(12)
+    upstream = rng.normal(size=(7, 1))
+    for fused, composite in ((ag.dot2, _composite_dot2), (ag.cross2, _composite_cross2)):
+        for _ in range(20):
+            a, b = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
+            _assert_bitwise(fused(a, b), composite(a, b))  # raw path
+            results = []
+            for op in (fused, composite):
+                tape = Tape()
+                an, bn = tape.param(a), tape.param(b)
+                out = op(an, bn)
+                tape.backward(ag.asum(ag.mul(out, upstream)))
+                results.append((out.value, an.grad, bn.grad))
+            for got, want in zip(*results):
+                _assert_bitwise(got, want)
+
+
+def test_bearing_at_rest_follows_signed_zeros():
+    """Zero velocity against displacements of every sign: the fused bearing
+    equals the slice composite bit for bit, and is pi exactly when the target
+    lies in the observer's third quadrant."""
+    pos = np.array([[0.4, -0.2]])
+    vel = np.zeros((1, 2))
+    for sx in (-1.0, 1.0):
+        for sy in (-1.0, 1.0):
+            target = pos + np.array([[sx * 1.3, sy * 0.7]])
+            d = target - pos
+            want = ag.atan2(_composite_cross2(vel, d), _composite_dot2(vel, d))
+            _assert_bitwise(bearing_to(pos, vel, target), want)
+            tape = Tape()
+            _assert_bitwise(bearing_to(pos, tape.param(vel), target).value, want)
+            assert want.item() == (np.pi if sx < 0 and sy < 0 else 0.0)
 
 
 def test_fd_concat_slice_sum_axis():

@@ -120,7 +120,7 @@ def test_first_layer_gradient_hand_chain_rule():
     x = np.array([0.3, -0.7, 1.1] * 4)  # input width 12
 
     tape = Tape()
-    lifted = lift_policy(tape, theta, trainable=True)
+    lifted = lift_policy(tape, theta)
     hist = tape.const(x)
     action = policy_forward(lifted, hist)
     tape.backward(ag.asum(ag.slice_last(action, 0, 1)))

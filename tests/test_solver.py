@@ -102,7 +102,7 @@ def test_passive_sequence_computed_once_equals_per_step_forward():
 
     tape = ag.Tape()
     taped_state = [tuple(tape.const(c) for c in block) for block in state]
-    lifted = [lift_policy(tape, th, trainable=True) for th in thetas]
+    lifted = [lift_policy(tape, th) for th in thetas]
     _, raw = _run_rollout(game, state, hists, thetas, eps, [0], record=True)
     _, taped = _run_rollout(game, taped_state, [tape.const(h) for h in hists],
                             lifted, eps, [0], record=True)
@@ -124,6 +124,48 @@ def test_expected_cost_constant_reward():
     assert cost == 6.0
     for g in grads:
         np.testing.assert_array_equal(g, 0.0)  # reward ignores the action
+
+    # a reward that never touches the tape: zero gradients, finiteness checked
+    from conftest import QuadraticGame
+
+    def raw_game(value):
+        return QuadraticGame([lambda state: np.full((state[0][0].shape[0], 1), value)],
+                             t_future=6)
+
+    cost, grads = expected_cost(raw_game(-1.0), pset, _policies(game), 0, k_batch=3,
+                                rng=np.random.default_rng(8))
+    assert cost == 6.0
+    for g in grads:
+        np.testing.assert_array_equal(g, 0.0)
+    with pytest.raises(FloatingPointError):
+        expected_cost(raw_game(-np.inf), pset, _policies(game), 0, k_batch=3,
+                      rng=np.random.default_rng(8))
+
+
+@pytest.mark.parametrize("where", ["state_inf", "state_nan", "window", "opponent_weight"])
+def test_nonfinite_inputs_abort(where):
+    """Raw inputs never reach the tape's own checks, so expected_cost checks
+    them, and calc_eq aborts.  A saturated opponent weight would otherwise
+    yield a finite action (tanh(inf) = 1)."""
+    game = make_game(ScenarioConfig(name="tag"))
+    thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(8,)),
+              init_policy(game, 1, ACTIVE, seed=2, hidden=(8,))]
+    pset = init_particles(game, 4, 1, np.random.default_rng(23))
+    for h in pset.hists:
+        h[:] = 0.5
+    if where == "state_inf":
+        pset.states[:, 0] = np.inf
+    elif where == "state_nan":
+        pset.states[:, 5] = np.nan
+    elif where == "window":
+        pset.hists[0][:, -1] = np.inf
+    else:
+        thetas[0].weights[0][0, 0] = np.inf
+    with pytest.raises(FloatingPointError):
+        expected_cost(game, pset, thetas, 1, 2, np.random.default_rng(24))
+    res = calc_eq(game, pset, thetas, np.random.default_rng(25), max_iters=3, k_batch=2)
+    assert res.aborted
+    assert not res.converged
 
 
 def test_expected_cost_gradient_matches_finite_differences():
