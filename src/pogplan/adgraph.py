@@ -16,10 +16,9 @@ evaluation.
 What gets recorded: a primitive records a node only when at least one of its
 operands is a node, and otherwise computes with numpy and returns an array.
 Raw operands are never lifted onto the tape, and no adjoint is computed for
-them.  So the tape holds exactly the leaves lifted with ``Tape.param`` (or
-``Tape.const``) and the values that depend on them; everything else in a
-rollout (batch rows, windows, noise, opponents' networks, game constants)
-stays raw.
+them.  So the tape holds exactly the leaves lifted with ``Tape.param`` and the
+values that depend on them; everything else in a rollout (batch rows,
+windows, noise, opponents' networks, game constants) stays raw.
 
 Finiteness: every leaf is checked, and so is the output of every op that can
 turn finite inputs into a non-finite value (arithmetic, exp, log, sqrt, sums,
@@ -58,8 +57,9 @@ NORM_EPS = 1e-9  # default regularizer for norms/abs so v=0 keeps finite gradien
 def check_finite(value, source):
     """Raise ``FloatingPointError`` unless every entry of the array ``value``
     is finite; ``source`` names it in the message."""
-    # any NaN/Inf entry poisons the sum, so one reduction checks them all
-    if not math.isfinite(value.sum()):
+    # any NaN/Inf entry poisons the sum, so one reduction clears the common
+    # case; a sum can also overflow on finite entries, so confirm before raising
+    if not math.isfinite(value.sum()) and not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite value in {source}")
 
 
@@ -135,10 +135,6 @@ class Tape:
     def param(self, value):
         """Lift a value as a trainable leaf; its adjoint is a gradient."""
         return self._record(value, "param")
-
-    def const(self, value):
-        """Lift a value as a constant leaf (raw operands need no lifting)."""
-        return self._record(value, "const")
 
     def backward(self, root):
         """Reverse sweep from a scalar root.

@@ -28,8 +28,7 @@ from .experiments import (
     run_matrix,
     write_sweep,
 )
-
-SCENARIOS = ("tag", "tagchain", "hideseek", "warehouse")
+from .scenarios import SCENARIOS
 
 
 def _load_config(path):

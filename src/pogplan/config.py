@@ -8,9 +8,8 @@ outputs, and ``parse_config(write_config(cfg))`` reproduces ``cfg`` exactly.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from .scenarios import ScenarioConfig
 
@@ -20,15 +19,12 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class ExperimentConfig:
-    """Harness settings plus every scenario constant (flattened)."""
+class _HarnessConfig:
+    """Harness settings; :data:`ExperimentConfig` adds the scenario constants."""
 
-    # experiment shape
     scenario: str = "tag"
     brain: str = "shared"
     gathering: tuple = ("active", "active")  # per mode group, see run_matrix
-    t_past: int = 6
-    t_future: int = 6
     k_all: int = 1000
     k_batch: int = 10
     gamma: float = 0.1
@@ -46,31 +42,6 @@ class ExperimentConfig:
     dump_particles: bool = False
     resample_ess_fraction: float = 0.0  # 0 disables the resampling extension
 
-    # scenario constants (mirroring ScenarioConfig)
-    play_radius: float = 5.0
-    boundary_weight: float = 10.0
-    fov: float = math.pi / 2
-    sigma2_base: float = 0.01
-    c_scale: float = 5.0
-    v_max_pursuer: float = 0.3
-    v_max_evader: float = 0.375
-    accel_ratio: float = 2.0
-    init_pos_std: float = 2.0
-    spawn_mode: bool = False
-    spawn_east: tuple = (2.5, 0.0)
-    spawn_west: tuple = (-2.5, 0.0)
-    evader_start: tuple = (0.0, 0.0)
-    chain_players: int = 4
-    obstacles: tuple = ((1.8, 1.2, 0.7), (-1.8, -1.2, 0.7))
-    wh_alpha: float = 4.0
-    wh_beta: float = 20.0
-    wh_eta1: float = 4.0
-    wh_eta2: float = 4.0
-    wh_station: tuple = (0.5, 1.0)
-    wh_tasks: tuple = ((0.25, 0.25), (0.75, 0.6))
-    wh_v_max_p1: float = 0.1
-    wh_v_max_p2: float = 0.15
-
     def scenario_config(self, tasks=None):
         kwargs = {f.name: getattr(self, f.name) for f in fields(ScenarioConfig)
                   if f.name != "name"}
@@ -78,6 +49,17 @@ class ExperimentConfig:
             kwargs["wh_tasks"] = tasks
         return ScenarioConfig(name=self.scenario, **kwargs)
 
+
+# Every ScenarioConfig constant becomes a flat key with the same default; the
+# scenario's ``name`` is the ``scenario`` key.  ``__module__`` lets process-pool
+# workers unpickle the class by name.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(f.name, f.type, field(default=f.default)) for f in fields(ScenarioConfig)
+     if f.name != "name"],
+    bases=(_HarnessConfig,),
+    namespace={"__module__": __name__,
+               "__doc__": "Harness settings plus every scenario constant (flattened)."})
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 _DEFAULTS = ExperimentConfig()

@@ -263,14 +263,15 @@ def _neq_episode(packed):
 
 def neq_grid(cfg, values):
     """Pairwise candidate-count grid for separate-brain two-player play."""
+    game = trial_game(cfg, cfg.seed)
     rows = []
     for pair in product([int(v) for v in values], repeat=2):
         records = map_trials(_neq_episode,
                              [(cfg, pair, cfg.seed + t) for t in range(cfg.trials)])
         dists, surp0, surp1 = [], [], []
         for r in records:
-            per_step = [np.linalg.norm(s.state[0, 0:2] - s.state[0, 4:6])
-                        for s in r.steps]
+            states = [game.unpack_state(s.state) for s in r.steps]
+            per_step = [np.linalg.norm(st[0][0] - st[1][0]) for st in states]
             dists.append(float(np.mean(per_step)))
             surp0.append(float(np.mean([s.surprisal[(0, 1)] for s in r.steps])))
             surp1.append(float(np.mean([s.surprisal[(1, 0)] for s in r.steps])))
@@ -444,7 +445,7 @@ def write_trial_record(record, game, cfg, label, path):
         fh.write(f"seed = {record.seed}\n")
         fh.write(f"brain = {record.brain}\n")
         fh.write(f"modes = {','.join(record.modes)}\n")
-        fh.write(f"n_eq = {','.join(str(x) for x in cfg.n_eq)}\n")
+        fh.write(f"n_eq = {','.join(str(x) for x in record.n_eq)}\n")
         fh.write(f"aborted = {str(record.aborted).lower()}\n")
         fh.write(f"players = {n}\n")
         fh.write("[steps]\n")
@@ -489,8 +490,8 @@ def write_trial_record(record, game, cfg, label, path):
 
 
 def read_trial_record(path):
-    """Parse a record file back into a TrialRecord (observations and raw
-    gradient times are summarized, not stored)."""
+    """Parse a record file back into a TrialRecord (observations and
+    gradient times are not read back)."""
     meta = {}
     sections = {}
     current = None
@@ -515,14 +516,12 @@ def read_trial_record(path):
         step, p = int(row[0]), int(row[1])
         entry = steps.setdefault(step, {
             "players": {}, "surprisal": {}, "belief": {},
-            "iters": {}, "conv": {}, "grad": (0, 0.0, 0.0)})
+            "iters": {}, "conv": {}})
         entry["players"][p] = [float(v) for v in row[2:]]
     for row in sections.get("solves", []):
         step, ai, ci = int(row[0]), int(row[1]), int(row[2])
         steps[step]["iters"].setdefault(ai, {})[ci] = int(row[3])
         steps[step]["conv"].setdefault(ai, {})[ci] = row[4] == "true"
-    for row in sections.get("gradtimes", []):
-        steps[int(row[0])]["grad"] = (int(row[1]), float(row[2]), float(row[3]))
     for row in sections.get("surprisal", []):
         steps[int(row[0])]["surprisal"][(int(row[1]), int(row[2]))] = float(row[3])
     for row in sections.get("belief", []):
@@ -531,8 +530,8 @@ def read_trial_record(path):
 
     record = TrialRecord(seed=int(meta["seed"]), brain=meta["brain"],
                          modes=meta["modes"].split(","),
+                         n_eq=[int(x) for x in meta["n_eq"].split(",")],
                          aborted=meta["aborted"] == "true")
-    record.meta = meta
     for step in sorted(steps):
         entry = steps[step]
         state = np.concatenate([np.asarray(entry["players"][p][0:4])
@@ -549,7 +548,6 @@ def read_trial_record(path):
             solve_iterations=iters, solve_converged=convs,
             grad_seconds=[], surprisal=entry["surprisal"],
             belief_means=entry["belief"]))
-        record.steps[-1].grad_summary = entry["grad"]
 
     traces = {}
     for row in sections.get("trace", []):
@@ -603,14 +601,12 @@ def emit_plot_data(records, kind, path, player=None):
         opp = 1 - player
         groups = {}
         for r in records:
-            n_eq = getattr(r, "meta", {}).get("n_eq", "1")
-            key = int(str(n_eq).split(",")[player])
             values = [s.surprisal[(player, opp)] for s in r.steps
                       if (player, opp) in s.surprisal]
             if not values:
                 raise ValueError("records carry no surprisal entries for the "
                                  f"requested agent {player}")
-            groups.setdefault(key, []).append(float(np.mean(values)))
+            groups.setdefault(r.n_eq[player], []).append(float(np.mean(values)))
         with open(path, "w") as fh:
             fh.write("# n_eq mean_surprisal stderr\n")
             for key in sorted(groups):

@@ -155,21 +155,6 @@ def fov_variance(bearing, fov, sigma2_base, c_scale):
     return ag.affine(excess, c_scale, sigma2_base)
 
 
-def fov_observe(state, observer, target, eps, *, fov, sigma2_base, c_scale, play_radius):
-    """Noisy field-of-view observation of another player's position.
-
-    The target position receives Gaussian noise whose variance follows
-    ``fov_variance`` of the bearing; the sample is then smoothly trimmed to
-    the play area box.  ``eps`` is a fixed (K, 2) standard-normal draw.
-    """
-    pos_o, vel_o = state[observer][0], state[observer][1]
-    pos_t = state[target][0]
-    bearing = bearing_to(pos_o, vel_o, pos_t)
-    var = fov_variance(bearing, fov, sigma2_base, c_scale)
-    z = ag.gauss_reparam(pos_t, ag.sqrt(var), eps)
-    return ag.smooth_clamp(z, -play_radius, play_radius)
-
-
 def boundary_penalty(pos, radius, weight):
     """Soft penalty for leaving a circular play area.
 

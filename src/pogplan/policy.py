@@ -16,8 +16,6 @@ see :mod:`pogplan.adgraph`.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +24,6 @@ from . import adgraph as ag
 
 ACTIVE = "active"
 PASSIVE = "passive"
-
-SAVE_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -177,43 +173,3 @@ def adam_step(theta, grads, state):
     new_theta = replace(theta, weights=new_leaves[0::2][:n_layers], biases=new_leaves[1::2][:n_layers])
     new_state = replace(state, m=new_m, v=new_v, step=t)
     return new_theta, new_state, False
-
-
-# ---------------------------------------------------------------------------
-# Serialization: version + shape manifest header (JSON), then raw float64.
-# ---------------------------------------------------------------------------
-
-def save_policy(theta, path):
-    """Write a policy as a JSON shape manifest followed by flat float64 data."""
-    manifest = {
-        "version": SAVE_FORMAT_VERSION,
-        "mode": theta.mode,
-        "input_width": theta.input_width,
-        "action_dim": theta.action_dim,
-        "horizon": theta.horizon,
-        "action_scale": theta.action_scale,
-        "shapes": [list(a.shape) for a in policy_leaves(theta)],
-    }
-    header = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for a in policy_leaves(theta):
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_policy(path):
-    with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(hlen).decode("utf-8"))
-        if manifest["version"] != SAVE_FORMAT_VERSION:
-            raise ValueError(f"unsupported policy file version {manifest['version']}")
-        leaves = []
-        for shape in manifest["shapes"]:
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
-            leaves.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    return PolicyParams(weights=leaves[0::2], biases=leaves[1::2],
-                        mode=manifest["mode"], input_width=manifest["input_width"],
-                        action_dim=manifest["action_dim"], horizon=manifest["horizon"],
-                        action_scale=manifest["action_scale"])

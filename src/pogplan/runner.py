@@ -126,6 +126,7 @@ class TrialRecord:
     seed: int
     brain: str
     modes: list
+    n_eq: list                   # per agent: candidate equilibria
     steps: list = field(default_factory=list)
     first_traces: list = field(default_factory=list)  # step-0 cost traces per agent/candidate
     aborted: bool = False
@@ -219,7 +220,7 @@ def run_episode(game, opts, seed, agent_seeds=None):
     world = WorldSim(state=game.pack_state(game.sample_initial(world_rng, 1)),
                      rng=world_rng)
     windows = [np.zeros((1, game.t_past * game.obs_dim(i))) for i in range(n)]
-    record = TrialRecord(seed=seed, brain=opts.brain, modes=list(modes))
+    record = TrialRecord(seed=seed, brain=opts.brain, modes=list(modes), n_eq=list(n_eq))
     dump = open(opts.particle_dump, "w") if opts.particle_dump else nullcontext()
     with dump as dump_fh:
         if dump_fh:

@@ -80,15 +80,9 @@ class ScenarioConfig:
 def make_game(config):
     """Instantiate the configured scenario."""
     config.validate()
-    builders = {
-        "tag": TagGame,
-        "tagchain": TagChainGame,
-        "hideseek": HideSeekGame,
-        "warehouse": WarehouseGame,
-    }
-    if config.name not in builders:
+    if config.name not in SCENARIOS:
         raise ValueError(f"unknown scenario '{config.name}'")
-    return builders[config.name](config)
+    return SCENARIOS[config.name](config)
 
 
 def _gaussian_logdensity(obs_block, mean, var):
@@ -336,6 +330,15 @@ class WarehouseGame(PlanarGame):
     def sample_initial(self, rng, k):
         return [(rng.uniform(0.0, 1.0, size=(k, 2)), np.zeros((k, 2)))
                 for _ in range(self.n_players)]
+
+
+# Scenario name -> game class: the names ``make_game`` and the CLI accept.
+SCENARIOS = {
+    "tag": TagGame,
+    "tagchain": TagChainGame,
+    "hideseek": HideSeekGame,
+    "warehouse": WarehouseGame,
+}
 
 
 def sample_tasks(rng, n_tasks=2):

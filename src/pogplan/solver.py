@@ -41,17 +41,6 @@ from .policy import (
 
 
 @dataclass
-class RolloutSample:
-    """One recorded rollout: full trajectory plus the noise that made it."""
-
-    states: list      # per step (incl. start): packed state arrays
-    observations: list  # per step: per player observation arrays
-    actions: list     # per step: per player action arrays
-    costs: np.ndarray  # per player: minus the summed rewards over the window
-    eps: list         # the noise draws consumed, eps[t][player]
-
-
-@dataclass
 class EquilibriumResult:
     """Outcome of one gradient-play solve."""
 
@@ -115,21 +104,6 @@ def _run_rollout(game, state, hists, thetas, eps, cost_players, record=False):
             traj["observations"].append(step_obs)
             traj["actions"].append(actions)
     return acc, traj
-
-
-def rollout(game, particle, thetas, eps):
-    """Simulate one particle forward under the joint policy, recording the
-    trajectory; (particle, thetas, eps) fully determine the sample."""
-    state_row, hist_rows = particle
-    state = game.unpack_state(np.asarray(state_row, dtype=float).reshape(1, -1))
-    hists = [np.asarray(h, dtype=float).reshape(1, -1) for h in hist_rows]
-    players = list(range(game.n_players))
-    acc, traj = _run_rollout(game, state, hists, thetas, eps, players, record=True)
-    costs = np.array([0.0 if game.t_future == 0 else -float(np.sum(acc[i]))
-                      for i in players])
-    return RolloutSample(states=[game.pack_state(s) for s in traj["states"]],
-                         observations=traj["observations"],
-                         actions=traj["actions"], costs=costs, eps=eps)
 
 
 def _batch_inputs(game, pset, idx):

@@ -1,8 +1,8 @@
 """Configuration parsing: defaults, diagnostics, round trip."""
 
-import math
+import os
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from pogplan.config import (
@@ -12,6 +12,9 @@ from pogplan.config import (
     parse_config_text,
     write_config,
 )
+from pogplan.scenarios import ScenarioConfig
+
+DEFAULTS_FILE = os.path.join(os.path.dirname(__file__), "data", "config_defaults.cfg")
 
 
 def test_empty_file_gives_experiment_defaults(tmp_path):
@@ -95,3 +98,13 @@ def test_scenario_config_carries_constants():
     assert sc.t_future == 4
     sc2 = cfg.scenario_config(tasks=((0.1, 0.1), (0.9, 0.9)))
     assert sc2.wh_tasks == ((0.1, 0.1), (0.9, 0.9))
+    assert ExperimentConfig().scenario_config() == ScenarioConfig()
+
+
+def test_committed_default_echo_still_parses_to_defaults():
+    """An echo of the defaults written by an earlier version parses to the
+    current defaults and names exactly the current keys."""
+    assert parse_config(DEFAULTS_FILE) == ExperimentConfig()
+    with open(DEFAULTS_FILE) as fh:
+        keys = [line.partition("=")[0].strip() for line in fh if line.strip()]
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))

@@ -122,9 +122,12 @@ def test_emit_plot_data_schemas(tmp_path):
     surp = tmp_path / "surp.txt"
     loaded = [read_trial_record(os.path.join(cfg.outdir, f))
               for f in sorted(os.listdir(cfg.outdir)) if f.startswith("record_")]
-    # shared-brain records carry surprisal for every player under agent -1;
-    # separate-brain runs would group by own candidate count
+    # shared-brain records carry surprisal for every player under agent -1,
+    # none under a player's own agent
     shared = [r for r in loaded if r.brain == "shared"]
+    assert shared and all(r.n_eq == [1] for r in shared)
+    with pytest.raises(ValueError, match="no surprisal entries"):
+        emit_plot_data(shared, "surprisal", surp)
     with pytest.raises(ValueError):
         emit_plot_data([], "trajectory", surp)
 
@@ -196,6 +199,26 @@ def test_cli_run_and_emit(tmp_path, capsys):
     conv = str(tmp_path / "conv.txt")
     assert main(["emit", "--records", cfg.outdir, "--kind", "convergence",
                  "--out", conv]) == 0
+
+    capsys.readouterr()
+    surp = str(tmp_path / "surp.txt")
+    assert main(["emit", "--records", cfg.outdir, "--kind", "surprisal",
+                 "--out", surp]) == 1
+    assert "no surprisal entries" in capsys.readouterr().err
+
+
+def test_cli_emit_surprisal_by_candidate_count(tmp_path):
+    # separate brains: each record is keyed by its agent's own n_eq
+    path, cfg = _write_cfg(tmp_path, brain="separate", n_eq=(2,), trials=1)
+    assert main(["run", "--config", path]) == 0
+    records = [read_trial_record(os.path.join(cfg.outdir, f))
+               for f in os.listdir(cfg.outdir) if f.startswith("record_")]
+    assert records and all(r.n_eq == [2, 2] for r in records)
+    surp = tmp_path / "surp.txt"
+    assert main(["emit", "--records", cfg.outdir, "--kind", "surprisal",
+                 "--out", str(surp)]) == 0
+    rows = [l.split() for l in surp.read_text().splitlines() if not l.startswith("#")]
+    assert [r[0] for r in rows] == ["2"]
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -1,4 +1,8 @@
-"""Shared game building blocks: dynamics, view-cone noise, boundary penalty."""
+"""Shared game building blocks: dynamics, view-cone noise, boundary penalty.
+
+The view-cone observation model itself lives in the scenarios; its tests here
+run it through ``TagGame`` (player 0 observes player 1).
+"""
 
 import math
 
@@ -8,11 +12,10 @@ from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
 from pogplan.gamedef import (
     boundary_penalty,
-    bearing_to,
     double_integrator_step,
-    fov_observe,
     fov_variance,
 )
+from pogplan.scenarios import ScenarioConfig, TagGame
 
 
 def _arr(*rows):
@@ -75,32 +78,33 @@ def _two_player_state(p0, v0, p1, v1):
     return [(_arr(p0), _arr(v0)), (_arr(p1), _arr(v1))]
 
 
-FOV_KW = dict(fov=math.pi / 2, sigma2_base=0.01, c_scale=5.0, play_radius=5.0)
+# fov = pi/2, sigma2_base = 0.01, c_scale = 5.0, play_radius = 5.0
+TAG = TagGame(ScenarioConfig(name="tag"))
 
 
 def test_fov_observe_dead_ahead_zero_noise():
     # observer at origin heading +x, target straight ahead near the center:
     # zero noise gives the exact position (trim residual is negligible there)
     state = _two_player_state([0, 0], [0.3, 0], [0.02, 0.0], [0, 0])
-    z = fov_observe(state, 0, 1, np.zeros((1, 2)), **FOV_KW)
-    np.testing.assert_allclose(z, [[0.02, 0.0]], atol=1e-6)
+    z = TAG.observe(state, 0, np.zeros((1, 2)))
+    np.testing.assert_allclose(z[:, 4:6], [[0.02, 0.0]], atol=1e-6)
 
 
 def test_fov_observe_behind_has_eq4_variance():
-    # target directly behind: |bearing| = pi, f = pi/2 -> base + c*(pi - pi/4)
+    # target directly behind: |bearing| = pi, f = pi/2 -> base + c*(pi - pi/4);
+    # the density at the exact position is -log(2 pi var)
     state = _two_player_state([0, 0], [0.3, 0], [-1.0, 0.0], [0, 0])
-    pos_o, vel_o = state[0]
-    bearing = bearing_to(pos_o, vel_o, state[1][0])
-    var = fov_variance(bearing, math.pi / 2, 0.01, 5.0)
-    np.testing.assert_allclose(var, [[0.01 + 5.0 * (math.pi - math.pi / 4)]], rtol=1e-5)
+    exact = np.concatenate([state[0][0], state[0][1], state[1][0]], axis=1)
+    var = np.exp(-TAG.obs_logdensity(state, 0, exact)) / (2 * math.pi)
+    np.testing.assert_allclose(var, [0.01 + 5.0 * (math.pi - math.pi / 4)], rtol=1e-5)
 
 
 def test_fov_observe_trimmed_to_play_area():
     state = _two_player_state([0, 0], [0.3, 0], [4.9, 0.0], [0, 0])
     rng = np.random.default_rng(0)
     for _ in range(200):
-        z = fov_observe(state, 0, 1, rng.normal(size=(1, 2)) * 3, **FOV_KW)
-        assert np.all(np.abs(z) <= 5.0)
+        z = TAG.observe(state, 0, rng.normal(size=(1, 2)) * 3)
+        assert np.all(np.abs(z[:, 4:6]) <= 5.0)
 
 
 def test_boundary_penalty_values_and_monotonicity():
@@ -136,7 +140,7 @@ def test_blocks_pass_grad_check():
         state = [(ag.slice_last(x, 0, 2), ag.slice_last(x, 2, 4)),
                  (ag.slice_last(x, 4, 6), ag.slice_last(x, 6, 8))]
         eps = ag.slice_last(x, 8, 10)
-        z = fov_observe(state, 0, 1, eps, **FOV_KW)
+        z = TAG.observe(state, 0, eps)
         return ag.asum(ag.square(z))
 
     def f_pen(x):

@@ -12,10 +12,8 @@ from pogplan.policy import (
     adam_step,
     init_policy,
     lift_policy,
-    load_policy,
     policy_forward,
     policy_leaves,
-    save_policy,
 )
 from pogplan.scenarios import ScenarioConfig, make_game
 
@@ -121,8 +119,7 @@ def test_first_layer_gradient_hand_chain_rule():
 
     tape = Tape()
     lifted = lift_policy(tape, theta)
-    hist = tape.const(x)
-    action = policy_forward(lifted, hist)
+    action = policy_forward(lifted, x)
     tape.backward(ag.asum(ag.slice_last(action, 0, 1)))
 
     grad_w1 = lifted.weights[0].grad
@@ -182,20 +179,3 @@ def test_adam_nonfinite_gradient_skipped():
     assert state1.step == 0
     for a, b in zip(policy_leaves(theta), policy_leaves(theta1)):
         np.testing.assert_array_equal(a, b)
-
-
-def test_save_load_round_trip(tmp_path):
-    g = StubGame()
-    theta = init_policy(g, 1, PASSIVE, seed=11)
-    path = tmp_path / "policy.bin"
-    save_policy(theta, path)
-    back = load_policy(path)
-    assert back.mode == PASSIVE
-    assert back.input_width == theta.input_width
-    assert back.output_width == theta.output_width
-    assert back.action_scale == theta.action_scale
-    for a, b in zip(policy_leaves(theta), policy_leaves(back)):
-        np.testing.assert_array_equal(a, b)
-    hist = np.random.default_rng(4).normal(size=theta.input_width)
-    np.testing.assert_array_equal(policy_forward(theta, hist, 2),
-                                  policy_forward(back, hist, 2))

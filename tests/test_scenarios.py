@@ -1,6 +1,7 @@
 """Scenario contracts: rewards, observation models, initial distributions."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -274,6 +275,24 @@ def test_warehouse_initials_inside_unit_box():
     tasks = sample_tasks(np.random.default_rng(11))
     assert len(tasks) == 2
     assert all(0.0 <= c <= 1.0 for t in tasks for c in t)
+
+
+@pytest.mark.parametrize("name", ["tag", "tagchain", "hideseek", "warehouse"])
+def test_observations_match_recorded_values(name):
+    """``observe`` and ``obs_logdensity`` reproduce, bit for bit, values
+    recorded from the observation models for K = 5 states (the last at rest)
+    and every player; the file stores the states and noise with them."""
+    path = os.path.join(os.path.dirname(__file__), "data", "observations.npz")
+    game = make_game(ScenarioConfig(name=name))
+    with np.load(path) as rec:
+        state = game.unpack_state(rec[f"{name}/state"])
+        for p in range(game.n_players):
+            obs = np.asarray(game.observe(state, p, rec[f"{name}/eps{p}"]))
+            logd = np.asarray(game.obs_logdensity(state, p, obs))
+            for got, key in ((obs, f"{name}/obs{p}"), (logd, f"{name}/logd{p}")):
+                want = rec[key]
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_mode_groups():

@@ -22,7 +22,7 @@ from pogplan.solver import (
     eval_cost,
     evaluation_batch,
     expected_cost,
-    rollout,
+    run_batch,
 )
 
 
@@ -31,10 +31,9 @@ def _policies(game, mode=ACTIVE, seed=0, hidden=(8,)):
             for i in range(game.n_players)]
 
 
-def _particle(game, rng):
-    state = game.pack_state(game.sample_initial(rng, 1))[0]
-    hists = [np.zeros(game.t_past * game.obs_dim(i)) for i in range(game.n_players)]
-    return state, hists
+def _record_one(game, pset, thetas, eps):
+    """Recorded rollout of a one-particle set: (costs, trajectory)."""
+    return run_batch(game, pset, thetas, ([0], eps), record=True)
 
 
 # ---------------------------------------------------------------------------
@@ -43,30 +42,30 @@ def _particle(game, rng):
 
 def test_rollout_zero_horizon_and_zero_rewards():
     game = single_quadratic(t_future=0)
-    sample = rollout(game, _particle(game, np.random.default_rng(0)),
-                     _policies(game), eps=[])
-    np.testing.assert_array_equal(sample.costs, 0.0)
+    pset = init_particles(game, 1, 1, np.random.default_rng(0))
+    costs, _ = _record_one(game, pset, _policies(game), eps=[])
+    assert costs == {0: 0.0}
 
     flat = constant_reward_game(value=0.0, t_future=4)
     eps = draw_noise(flat, 1, np.random.default_rng(1))
-    sample = rollout(flat, _particle(flat, np.random.default_rng(2)),
-                     _policies(flat), eps)
-    np.testing.assert_array_equal(sample.costs, 0.0)
-    assert len(sample.states) == 4
+    pset = init_particles(flat, 1, 1, np.random.default_rng(2))
+    costs, traj = _record_one(flat, pset, _policies(flat), eps)
+    np.testing.assert_array_equal(list(costs.values()), 0.0)
+    assert len(traj["states"]) == 4
 
 
 def test_rollout_replay_is_bit_for_bit():
     game = make_game(ScenarioConfig(name="tag"))
     rng = np.random.default_rng(3)
     thetas = _policies(game)
-    particle = _particle(game, rng)
+    pset = init_particles(game, 1, 1, rng)
     eps = draw_noise(game, 1, rng)
-    a = rollout(game, particle, thetas, eps)
-    b = rollout(game, particle, thetas, eps)
-    np.testing.assert_array_equal(a.costs, b.costs)
-    for sa, sb in zip(a.states, b.states):
-        np.testing.assert_array_equal(sa, sb)
-    for ta, tb in zip(a.actions, b.actions):
+    costs_a, a = _record_one(game, pset, thetas, eps)
+    costs_b, b = _record_one(game, pset, thetas, eps)
+    assert costs_a == costs_b
+    for sa, sb in zip(a["states"], b["states"]):
+        np.testing.assert_array_equal(game.pack_state(sa), game.pack_state(sb))
+    for ta, tb in zip(a["actions"], b["actions"]):
         for xa, xb in zip(ta, tb):
             np.testing.assert_array_equal(xa, xb)
 
@@ -75,16 +74,16 @@ def test_rollout_passive_actions_ignore_noise():
     game = make_game(ScenarioConfig(name="tag"))
     rng = np.random.default_rng(4)
     thetas = _policies(game, mode=PASSIVE)
-    particle = _particle(game, rng)
+    pset = init_particles(game, 1, 1, rng)
     eps1 = draw_noise(game, 1, np.random.default_rng(5))
     eps2 = draw_noise(game, 1, np.random.default_rng(6))
-    a = rollout(game, particle, thetas, eps1)
-    b = rollout(game, particle, thetas, eps2)
-    for ta, tb in zip(a.actions, b.actions):
+    _, a = _record_one(game, pset, thetas, eps1)
+    _, b = _record_one(game, pset, thetas, eps2)
+    for ta, tb in zip(a["actions"], b["actions"]):
         for xa, xb in zip(ta, tb):
             np.testing.assert_array_equal(xa, xb)  # plans are frozen
     changed = any(not np.array_equal(xa, xb)
-                  for oa, ob in zip(a.observations, b.observations)
+                  for oa, ob in zip(a["observations"], b["observations"])
                   for xa, xb in zip(oa, ob))
     assert changed  # the sampled observations themselves still vary
 
@@ -101,11 +100,9 @@ def test_passive_sequence_computed_once_equals_per_step_forward():
     eps = draw_noise(game, 3, rng)
 
     tape = ag.Tape()
-    taped_state = [tuple(tape.const(c) for c in block) for block in state]
     lifted = [lift_policy(tape, th) for th in thetas]
     _, raw = _run_rollout(game, state, hists, thetas, eps, [0], record=True)
-    _, taped = _run_rollout(game, taped_state, [tape.const(h) for h in hists],
-                            lifted, eps, [0], record=True)
+    _, taped = _run_rollout(game, state, hists, lifted, eps, [0], record=True)
     for t in range(game.t_future):
         want = policy_forward(thetas[0], hists[0], t_offset=t)
         np.testing.assert_array_equal(raw["actions"][t][0], want)
