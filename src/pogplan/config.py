@@ -31,7 +31,7 @@ class _HarnessConfig:
     n_eq: tuple = (1,)
     max_iters: int = 100
     first_step_iters: int = 0      # 0: same as max_iters
-    eps_tol: float = 1e-3
+    eps_tol: float = 1e-3          # stop when every gradient L2 norm is below this
     lr: float = 1e-3
     hidden: tuple = (64, 64)
     episode_steps: int = 20

@@ -181,9 +181,12 @@ def run_matrix(cfg):
 # ---------------------------------------------------------------------------
 
 def first_step_stats(cfg, trial_seed):
-    """Solve just the first planning round and report the focal player's
-    converged cost, total solve seconds, min planned distance to the
-    warehouse station, and the full cost trace."""
+    """Solve just the first planning round and report, for the focal player:
+    the cost of the solved policies on a large frozen batch, total solve
+    seconds, min planned distance to the warehouse station, and the cost
+    trace.  The solve stops when every player's gradient norm is below
+    ``eps_tol`` or after ``max_iters``; its trace holds the cost of each
+    iteration's fresh gradient batch, before that iteration's step."""
     game = trial_game(cfg, trial_seed)
     focal = game.n_players - 1
     combo = tuple((list(cfg.gathering) + [ACTIVE] * 8)[: len(mode_groups(game))])
@@ -200,7 +203,7 @@ def first_step_stats(cfg, trial_seed):
                   k_batch=cfg.k_batch, lr=cfg.lr)
     seconds = time.perf_counter() - t0
 
-    # the converged policies are scored on a large frozen batch so the
+    # the solved policies are scored on a large frozen batch so the
     # reported cost reflects the policy, not evaluation sampling noise
     batch = evaluation_batch(game, pset, max(cfg.k_batch, 256),
                              np.random.default_rng(eval_ss))
@@ -459,11 +462,13 @@ def write_trial_record(record, game, cfg, label, path):
                          f"{_fmt(vel[1])} {_fmt(a[0])} {_fmt(a[1])} "
                          f"{_fmt(s.rewards_report[p])} {_fmt(s.rewards_full[p])}\n")
         fh.write("[solves]\n")
-        fh.write("# step agent candidate iterations converged\n")
+        fh.write("# step agent candidate iterations converged grad_norm per player\n")
         for s in record.steps:
-            for ai, (iters, convs) in enumerate(zip(s.solve_iterations, s.solve_converged)):
-                for ci, (it, cv) in enumerate(zip(iters, convs)):
-                    fh.write(f"{s.step} {ai} {ci} {it} {str(cv).lower()}\n")
+            for ai, (iters, convs, norms) in enumerate(zip(
+                    s.solve_iterations, s.solve_converged, s.solve_grad_norms)):
+                for ci, (it, cv, gn) in enumerate(zip(iters, convs, norms)):
+                    fh.write(f"{s.step} {ai} {ci} {it} {str(cv).lower()} "
+                             f"{' '.join(_fmt(g) for g in gn)}\n")
         fh.write("[gradtimes]\n")
         fh.write("# step count mean std\n")
         for s in record.steps:
@@ -516,12 +521,14 @@ def read_trial_record(path):
         step, p = int(row[0]), int(row[1])
         entry = steps.setdefault(step, {
             "players": {}, "surprisal": {}, "belief": {},
-            "iters": {}, "conv": {}})
+            "iters": {}, "conv": {}, "norms": {}})
         entry["players"][p] = [float(v) for v in row[2:]]
     for row in sections.get("solves", []):
         step, ai, ci = int(row[0]), int(row[1]), int(row[2])
         steps[step]["iters"].setdefault(ai, {})[ci] = int(row[3])
         steps[step]["conv"].setdefault(ai, {})[ci] = row[4] == "true"
+        if len(row) > 5:  # records before gradient norms end at the flag
+            steps[step]["norms"].setdefault(ai, {})[ci] = [float(v) for v in row[5:]]
     for row in sections.get("surprisal", []):
         steps[int(row[0])]["surprisal"][(int(row[1]), int(row[2]))] = float(row[3])
     for row in sections.get("belief", []):
@@ -541,11 +548,13 @@ def read_trial_record(path):
                  for ai in sorted(entry["iters"])]
         convs = [[entry["conv"][ai][ci] for ci in sorted(entry["conv"][ai])]
                  for ai in sorted(entry["conv"])]
+        norms = [[entry["norms"][ai][ci] for ci in sorted(entry["norms"][ai])]
+                 for ai in sorted(entry["norms"])] or None
         record.steps.append(StepRecord(
             step=step, state=state, observations=None, actions=actions,
             rewards_report=[entry["players"][p][6] for p in range(n)],
             rewards_full=[entry["players"][p][7] for p in range(n)],
-            solve_iterations=iters, solve_converged=convs,
+            solve_iterations=iters, solve_converged=convs, solve_grad_norms=norms,
             grad_seconds=[], surprisal=entry["surprisal"],
             belief_means=entry["belief"]))
 

@@ -114,6 +114,8 @@ class StepRecord:
     rewards_full: list
     solve_iterations: list       # per agent: per candidate iteration count
     solve_converged: list        # per agent: per candidate flag
+    solve_grad_norms: list       # per agent: per candidate: last gradient norm per
+                                 # player; None when read from an older record
     grad_seconds: list           # all gradient-step wall times this round
     surprisal: dict              # (agent, opponent) -> nats
     belief_means: dict           # (agent, player) -> position mean
@@ -276,6 +278,8 @@ def run_episode(game, opts, seed, agent_seeds=None):
                                   for results in all_results],
                 solve_converged=[[r.converged for r in results]
                                  for results in all_results],
+                solve_grad_norms=[[r.grad_norms for r in results]
+                                  for results in all_results],
                 grad_seconds=[t for results in all_results
                               for r in results for t in r.grad_step_seconds],
                 surprisal=surp,

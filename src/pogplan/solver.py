@@ -8,9 +8,10 @@ player's policy parameters, so a single backward pass yields the exact
 gradient of the estimate with respect to them.
 
 ``calc_eq`` runs gradient play: round-robin over players, one Adam step each
-on a freshly sampled batch, until every player's cost stops moving on a fixed
-common-random-numbers evaluation batch (fresh batches would make the stopping
-test fire on noise).
+on a freshly sampled batch, until every player's gradient norm is small in
+the same iteration (the first-order Nash condition, tested on the gradients
+the steps already compute).  The solved policies are then scored once on a
+common-random-numbers evaluation batch frozen at the start of the solve.
 
 Window convention, shared with the particle update and the real world: at
 every step a fresh observation of the *current* state is pushed into each
@@ -21,6 +22,7 @@ any not-yet-realized observation.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -46,13 +48,13 @@ class EquilibriumResult:
 
     thetas: list
     adam_states: list
-    costs: list           # last evaluation-batch cost per player
-    deltas: list          # last cost change per player
+    costs: list           # evaluation-batch cost per player; nan after an abort
+    grad_norms: list      # last gradient L2 norm per player
     iterations: int
     converged: bool
     aborted: bool = False
     adam_skips: int = 0   # Adam updates skipped for a non-finite gradient
-    cost_trace: list = field(default_factory=list)   # per player: per-iteration costs
+    cost_trace: list = field(default_factory=list)   # per player: per-iteration batch costs
     grad_step_seconds: list = field(default_factory=list)
 
 
@@ -177,19 +179,28 @@ def eval_cost(game, pset, thetas, player, batch):
 
 def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
             k_batch=10, lr=1e-3, adam_states=None):
-    """Gradient play over particles until the cost deltas settle.
+    """Gradient play over particles until every player's gradient is small.
 
-    Round-robin over players: one Adam step on a fresh batch gradient, then a
-    cost re-evaluation on the fixed evaluation batch; stop when every
-    player's |delta| drops below ``eps_tol`` or after ``max_iters``.  The
-    solve aborts, returning the last finite parameters, when
-    ``expected_cost`` raises ``FloatingPointError``: a non-finite particle
-    state, window or opponent weight, a non-finite value recorded on the
-    tape (see :mod:`pogplan.adgraph` for which ops check), or a non-finite
-    cost.  It also aborts on a non-finite evaluation cost.  A finite rollout
-    whose gradient is non-finite skips that player's Adam update;
-    ``adam_skips`` counts these, and an iteration with a skip never counts
-    as converged.
+    Round-robin over players: one Adam step each on a fresh batch gradient.
+    A player passes when the L2 norm of that gradient, over all of its
+    parameters, is below ``eps_tol``; the solve stops when every player
+    passes in the same iteration, or after ``max_iters``.  An iteration in
+    which any Adam update was skipped never counts as converged.  After the
+    loop, each player's cost is evaluated once on an evaluation batch drawn
+    at the start of the solve; ``cost_trace`` holds the per-iteration costs
+    of the fresh gradient batches.
+
+    The solve aborts, keeping the parameters it has, when ``expected_cost``
+    raises ``FloatingPointError``: a non-finite particle state, window or
+    opponent weight, a non-finite value recorded on the tape (see
+    :mod:`pogplan.adgraph` for which ops check), or a non-finite cost.  A
+    non-finite final evaluation cost also marks the solve aborted.  A finite
+    rollout whose gradient is non-finite skips that player's Adam update;
+    ``adam_skips`` counts these.
+
+    The cyclic garbage collector is paused for the solve, since its tapes
+    hold no reference cycles and are freed by reference counting; the
+    caller's collector state is restored on every exit, raising included.
     Warm starts: pass the previous round's thetas/adam_states.
     """
     n = game.n_players
@@ -200,8 +211,8 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
         adam_states = [st.copy() for st in adam_states]
     batch = evaluation_batch(game, pset, k_batch, rng)
 
-    prev = [np.inf] * n
-    deltas = [np.inf] * n
+    costs = [np.nan] * n
+    grad_norms = [np.inf] * n
     trace = [[] for _ in range(n)]
     times = []
     converged = False
@@ -209,39 +220,41 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     adam_skips = 0
     iterations = 0
 
-    for _ in range(max_iters):
-        iterations += 1
-        skips_before = adam_skips
-        for i in range(n):
-            backup = thetas[i]
-            t0 = time.perf_counter()
-            try:
-                _, grads = expected_cost(game, pset, thetas, i, k_batch, rng)
-            except FloatingPointError:
-                thetas[i] = backup
-                aborted = True
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(max_iters):
+            iterations += 1
+            for i in range(n):
+                t0 = time.perf_counter()
+                try:
+                    cost, grads = expected_cost(game, pset, thetas, i, k_batch, rng)
+                except FloatingPointError:
+                    aborted = True
+                    break
+                thetas[i], adam_states[i], skipped = adam_step(thetas[i], grads, adam_states[i])
+                adam_skips += skipped
+                times.append(time.perf_counter() - t0)
+                # a skipped update's gradient is non-finite, so its norm never
+                # passes: an iteration with a skip cannot converge
+                grad_norms[i] = float(np.sqrt(sum(np.vdot(g, g) for g in grads)))
+                trace[i].append(cost)
+            if aborted:
                 break
-            thetas[i], adam_states[i], skipped = adam_step(thetas[i], grads, adam_states[i])
-            adam_skips += skipped
-            times.append(time.perf_counter() - t0)
-            c = eval_cost(game, pset, thetas, i, batch)
-            if not np.isfinite(c):
-                thetas[i] = backup
-                aborted = True
+            if all(g < eps_tol for g in grad_norms):
+                converged = True
                 break
-            deltas[i] = c - prev[i]
-            prev[i] = c
-            trace[i].append(c)
-        if aborted:
-            break
-        # A skipped update leaves its parameters unchanged, so its delta is
-        # zero by construction and says nothing about convergence.
-        if adam_skips == skips_before and all(abs(d) < eps_tol for d in deltas):
-            converged = True
-            break
+        if not aborted:
+            costs = [eval_cost(game, pset, thetas, i, batch) for i in range(n)]
+            if not np.all(np.isfinite(costs)):
+                aborted = True
+                converged = False
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     return EquilibriumResult(thetas=thetas, adam_states=adam_states,
-                             costs=list(prev), deltas=list(deltas),
+                             costs=costs, grad_norms=grad_norms,
                              iterations=iterations, converged=converged,
                              aborted=aborted, adam_skips=adam_skips, cost_trace=trace,
                              grad_step_seconds=times)

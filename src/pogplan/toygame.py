@@ -10,8 +10,9 @@ update runs on it unchanged.  Not differentiable; never used with the tape.
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy.stats import norm
 
 from .gamedef import GameDef
 
@@ -27,7 +28,7 @@ class ToyFilterGame(GameDef):
         self.t_future = 1
         self.flip_prob = flip_prob
         self.prior_one = prior_one
-        self._flip_quantile = norm.ppf(1.0 - flip_prob / 2.0)
+        self._flip_quantile = NormalDist().inv_cdf(1.0 - flip_prob / 2.0)
 
     def state_comps(self, player):
         return (1,)

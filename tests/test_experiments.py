@@ -10,6 +10,7 @@ from pogplan.config import ExperimentConfig, parse_config_text
 from pogplan.experiments import (
     belief_bayes_check,
     emit_plot_data,
+    episode_options,
     first_step_stats,
     mean_stderr,
     read_summary,
@@ -17,7 +18,10 @@ from pogplan.experiments import (
     rollout_gradcheck,
     run_matrix,
     sweep,
+    trial_game,
+    write_trial_record,
 )
+from pogplan.runner import run_episode
 
 
 def _tiny_cfg(tmp_path, **kw):
@@ -101,6 +105,38 @@ def test_record_round_trip(tmp_path):
     for ta, tb in zip(loaded.first_traces[0][0], fresh.first_traces[0][0]):
         assert ta == tb
     assert loaded.episode_cost(1) == pytest.approx(fresh.episode_cost(1))
+
+
+def test_record_grad_norms_round_trip_and_older_records_parse(tmp_path):
+    """Each ``[solves]`` row carries the solve's last gradient norm per
+    player after the flag; a record from before those columns still parses,
+    with the norms absent."""
+    cfg = _tiny_cfg(tmp_path, brain="separate", n_eq=(2,))
+    game = trial_game(cfg, 5)
+    record = run_episode(game, episode_options(cfg, ("active", "passive")), 5)
+    path = tmp_path / "record.txt"
+    write_trial_record(record, game, cfg, "label", path)
+    loaded = read_trial_record(path)
+    assert [s.solve_grad_norms for s in loaded.steps] == \
+        [s.solve_grad_norms for s in record.steps]
+    norms = record.steps[0].solve_grad_norms
+    assert len(norms) == 2 and all(len(c) == 2 for c in norms)  # agents, candidates
+    assert all(len(p) == game.n_players and all(g > 0 for g in p) for c in norms for p in c)
+
+    lines, section = [], None
+    for line in path.read_text().splitlines():
+        if line.startswith("["):
+            section = line
+        elif section == "[solves]" and not line.startswith("#"):
+            line = " ".join(line.split()[:5])
+        lines.append(line)
+    older = tmp_path / "older.txt"
+    older.write_text("\n".join(lines) + "\n")
+    old = read_trial_record(older)
+    assert all(s.solve_grad_norms is None for s in old.steps)
+    for a, b in zip(old.steps, loaded.steps):
+        assert a.solve_iterations == b.solve_iterations
+        assert a.solve_converged == b.solve_converged
 
 
 def test_emit_plot_data_schemas(tmp_path):

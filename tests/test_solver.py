@@ -1,10 +1,14 @@
 """Objective estimation and gradient play: oracles with known answers."""
 
+import gc
+import os
+
 import numpy as np
 import pytest
 from conftest import constant_reward_game, single_quadratic, two_player_quadratic
 
 from pogplan import adgraph as ag
+from pogplan import solver
 from pogplan.beliefs import init_particles
 from pogplan.policy import (
     ACTIVE,
@@ -14,6 +18,7 @@ from pogplan.policy import (
     policy_forward,
     policy_leaves,
 )
+from pogplan.runner import EpisodeOptions, run_episode
 from pogplan.scenarios import ScenarioConfig, make_game
 from pogplan.solver import (
     _run_rollout,
@@ -290,15 +295,16 @@ def test_calc_eq_converged_flag_and_warm_start():
     assert abs(_final_action(game, res2.thetas[0]) - 2.0) < 0.05
 
 
-def test_calc_eq_survives_nonfinite_costs():
-    def exploding(state):
-        with np.errstate(divide="ignore"):
-            return ag.div(ag.affine(state[0][0], 0.0, 1.0),
-                          ag.affine(state[0][0], 0.0, 0.0))  # 1 / 0
+def _exploding(state):
+    with np.errstate(divide="ignore"):
+        return ag.div(ag.affine(state[0][0], 0.0, 1.0),
+                      ag.affine(state[0][0], 0.0, 0.0))  # 1 / 0
 
+
+def test_calc_eq_survives_nonfinite_costs():
     from conftest import QuadraticGame
 
-    game = QuadraticGame([exploding])
+    game = QuadraticGame([_exploding])
     rng = np.random.default_rng(21)
     pset = init_particles(game, 2, 1, rng)
     thetas = _policies(game, hidden=(4,))
@@ -329,3 +335,97 @@ def test_calc_eq_counts_skipped_adam_steps():
 
     clean = calc_eq(single_quadratic(), pset, thetas, rng, max_iters=5, k_batch=1)
     assert clean.adam_skips == 0
+
+
+class _Broken(Exception):
+    pass
+
+
+def _raising(state):
+    raise _Broken
+
+
+@pytest.mark.parametrize("gc_on", [True, False])
+@pytest.mark.parametrize("ending", ["returns", "aborts", "raises"])
+def test_calc_eq_restores_collector_state(gc_on, ending):
+    """The collector is paused inside a solve and left as the caller had it,
+    whether the solve returns, aborts or raises."""
+    from conftest import QuadraticGame
+
+    game = {"returns": single_quadratic(), "aborts": QuadraticGame([_exploding]),
+            "raises": QuadraticGame([_raising])}[ending]
+    rng = np.random.default_rng(26)
+    pset = init_particles(game, 2, 1, rng)
+    thetas = _policies(game, hidden=(4,))
+    seen = []
+    real = solver.expected_cost
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    was = gc.isenabled()
+    (gc.enable if gc_on else gc.disable)()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "expected_cost", spy)
+            if ending == "raises":
+                with pytest.raises(_Broken):
+                    calc_eq(game, pset, thetas, rng, max_iters=3, k_batch=1)
+            else:
+                res = calc_eq(game, pset, thetas, rng, max_iters=3, k_batch=1)
+                assert res.aborted == (ending == "aborts")
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
+    assert after == gc_on
+
+
+# ---------------------------------------------------------------------------
+# recorded behaviour
+# ---------------------------------------------------------------------------
+
+CALC_EQ_TAG = os.path.join(os.path.dirname(__file__), "data", "calc_eq_tag.npz")
+
+
+def _calc_eq_tag_arrays():
+    """A seeded 20-iteration tag solve and a 2-step episode at the same
+    setting (passive pursuer, active evader, hidden (8, 8), k_batch 10), as
+    named arrays: final parameters, Adam moments and iteration count of the
+    solve; per-step states, actions and iteration counts of the episode."""
+    game = make_game(ScenarioConfig(name="tag"))
+    modes = [PASSIVE, ACTIVE]
+    thetas = [init_policy(game, i, modes[i], seed=30 + i, hidden=(8, 8)) for i in range(2)]
+    pset = init_particles(game, 200, 1, np.random.default_rng(31))
+    res = calc_eq(game, pset, thetas, np.random.default_rng(32), max_iters=20, k_batch=10)
+    out = {"solve/iterations": np.array(res.iterations)}
+    for i in range(2):
+        for j, leaf in enumerate(policy_leaves(res.thetas[i])):
+            out[f"solve/theta{i}/{j}"] = leaf
+        for j, (m, v) in enumerate(zip(res.adam_states[i].m, res.adam_states[i].v)):
+            out[f"solve/m{i}/{j}"] = m
+            out[f"solve/v{i}/{j}"] = v
+
+    opts = EpisodeOptions(modes=modes, episode_steps=2, k_all=200, k_batch=10,
+                          max_iters=20, hidden=(8, 8))
+    record = run_episode(game, opts, seed=33)
+    for s in record.steps:
+        out[f"episode/{s.step}/state"] = s.state
+        for i, a in enumerate(s.actions):
+            out[f"episode/{s.step}/action{i}"] = a
+        out[f"episode/{s.step}/iterations"] = np.array(s.solve_iterations)
+    return out
+
+
+def test_calc_eq_and_episode_match_recorded_values():
+    """Parameters, Adam moments, iteration counts, states and actions are
+    bit for bit those recorded in ``tests/data/calc_eq_tag.npz`` (written by
+    ``np.savez(CALC_EQ_TAG, **_calc_eq_tag_arrays())``)."""
+    got = _calc_eq_tag_arrays()
+    with np.load(CALC_EQ_TAG) as rec:
+        assert sorted(rec.files) == sorted(got)
+        for key, value in got.items():
+            want = rec[key]
+            assert value.shape == want.shape, key
+            assert value.tobytes() == want.tobytes(), key
