@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import ACTIVE, policy_forward
+from .policy import ACTIVE, policy_forward, shift_window
 
 DEGENERACY_FLOOR = 1e-300
 # Rows per policy forward in the belief update: a 1024 x 64 float64 layer
@@ -40,7 +40,7 @@ class ParticleSet:
     states: np.ndarray          # (K, D) packed joint states
     hists: list                 # per player: (K, t_past * obs_dim_i)
     weights: np.ndarray         # (K,) nonnegative, summing to one
-    blocks: list                # disjoint index arrays covering range(K)
+    blocks: list                # disjoint index arrays covering range(K); read-only, shared
     degenerate: bool = False    # set when a weight collapse forced a reset
 
     @property
@@ -143,10 +143,7 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
             new_weights[mask] = new_weights[mask] * np.exp(logd)
 
     # Shift every window by one observation.
-    new_hists = []
-    for i in range(game.n_players):
-        zdim = game.obs_dim(i)
-        new_hists.append(np.concatenate([pset.hists[i][:, zdim:], obs[i]], axis=1))
+    new_hists = [shift_window(h, z) for h, z in zip(pset.hists, obs)]
 
     # Advance each block's particles under its own candidate policy.
     new_states = np.empty_like(pset.states)
@@ -165,7 +162,7 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
             new_weights = new_weights / total
 
     out = ParticleSet(states=new_states, hists=new_hists, weights=new_weights,
-                      blocks=[b.copy() for b in pset.blocks], degenerate=degenerate)
+                      blocks=pset.blocks, degenerate=degenerate)
     if resample_threshold is not None and effective_sample_size(out) < resample_threshold:
         out = systematic_resample(out, rng)
     return out
@@ -191,7 +188,7 @@ def systematic_resample(pset, rng):
     return ParticleSet(states=pset.states[idx].copy(),
                        hists=[h[idx].copy() for h in pset.hists],
                        weights=np.full(k, 1.0 / k),
-                       blocks=[b.copy() for b in pset.blocks],
+                       blocks=pset.blocks,
                        degenerate=pset.degenerate)
 
 

@@ -21,7 +21,7 @@ from . import adgraph as ag
 from .adgraph import grad_check
 from .beliefs import init_particles, update_particles
 from .config import write_config
-from .policy import ACTIVE, PASSIVE, init_policy, policy_leaves
+from .policy import ACTIVE, PASSIVE, init_policy, with_flat
 from .runner import EpisodeOptions, StepRecord, TrialRecord, run_episode
 from .scenarios import group_names, make_game, mode_groups, report_groups, sample_tasks
 from .solver import calc_eq, evaluation_batch, run_batch, _run_rollout
@@ -291,24 +291,6 @@ def neq_grid(cfg, values):
 # Oracle suites (also exposed as CLI subcommands)
 # ---------------------------------------------------------------------------
 
-def _flat_to_policy(theta, flat):
-    """Rebuild a policy whose leaves are views into one flat vector."""
-    weights, biases = [], []
-    off = 0
-    for w, b in zip(theta.weights, theta.biases):
-        n = w.size
-        weights.append(ag.reshape(ag.slice_last(flat, off, off + n), w.shape))
-        off += n
-        n = b.size
-        biases.append(ag.reshape(ag.slice_last(flat, off, off + n), b.shape))
-        off += n
-    return replace(theta, weights=weights, biases=biases)
-
-
-def _flatten_policy(theta):
-    return np.concatenate([np.asarray(a).ravel() for a in policy_leaves(theta)])
-
-
 def rollout_gradcheck(scenario, programs=100, seed=0, h=1e-4, t_past=2,
                       t_future=2, hidden=(4,)):
     """Worst relative error of the tape gradient of random rollout programs
@@ -336,11 +318,11 @@ def rollout_gradcheck(scenario, programs=100, seed=0, h=1e-4, t_past=2,
 
         def program(flat):
             trial = list(thetas)
-            trial[focal] = _flat_to_policy(thetas[focal], flat)
+            trial[focal] = with_flat(thetas[focal], flat)
             acc, _ = _run_rollout(game, state, hists, trial, eps, [focal])
             return ag.affine(ag.asum(acc[focal]), -1.0, 0.0)
 
-        worst = max(worst, grad_check(program, _flatten_policy(thetas[focal]), h=h))
+        worst = max(worst, grad_check(program, thetas[focal].flat, h=h))
     return worst
 
 

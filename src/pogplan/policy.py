@@ -9,9 +9,13 @@ Two information-gathering modes exist:
 * ``passive`` -- the network emits the entire future action sequence from the
   frozen planning-time window; future observations cannot influence it.
 
-Policies are plain containers of weight arrays.  The same forward code runs
-on raw numpy arrays (fast evaluation) or on tape nodes (differentiation);
-see :mod:`pogplan.adgraph`.
+All of a policy's parameters live in one contiguous float64 vector,
+``PolicyParams.flat``: layer by layer, the weights in row-major order, then
+the bias.  On a raw policy the per-layer ``weights`` and ``biases`` are numpy
+views into it; Adam, gradients and gradient checks work on ``flat`` alone,
+and only this module knows the layout.  The same forward code runs on raw
+numpy arrays (fast evaluation) or on tape nodes (differentiation); see
+:mod:`pogplan.adgraph`.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ PASSIVE = "passive"
 
 @dataclass
 class PolicyParams:
-    """One player's policy: layer weights/biases plus mode metadata."""
+    """One player's policy: its parameter vector, layer views and mode metadata."""
 
-    weights: list  # per layer, shape (out, in); arrays or tape nodes
-    biases: list   # per layer, shape (out,)
+    flat: np.ndarray  # every parameter; per layer: weights row-major, then bias
+    weights: list     # per layer, shape (out, in): views into ``flat``, or tape nodes
+    biases: list      # per layer, shape (out,)
     mode: str
     input_width: int
     action_dim: int
@@ -43,8 +48,27 @@ class PolicyParams:
         return self.action_dim * (self.horizon if self.mode == PASSIVE else 1)
 
     def copy(self):
-        return replace(self, weights=[w.copy() for w in self.weights],
-                       biases=[b.copy() for b in self.biases])
+        return with_flat(self, self.flat.copy())
+
+
+def _layer_views(flat, shapes):
+    """Per-layer weights and biases of ``flat`` for weight ``shapes``:
+    numpy views of an array, or slice/reshape nodes of a tape node."""
+    weights, biases = [], []
+    lo = 0
+    for n_out, n_in in shapes:
+        hi = lo + n_out * n_in
+        weights.append(ag.reshape(ag.slice_last(flat, lo, hi), (n_out, n_in)))
+        biases.append(ag.slice_last(flat, hi, hi + n_out))
+        lo = hi + n_out
+    return weights, biases
+
+
+def with_flat(theta, flat):
+    """``theta`` with its parameters taken from ``flat`` (an array or a tape
+    node laid out like ``theta.flat``)."""
+    weights, biases = _layer_views(flat, [w.shape for w in theta.weights])
+    return replace(theta, flat=flat, weights=weights, biases=biases)
 
 
 def init_policy(game, player, mode, seed, hidden=(64, 64)):
@@ -62,12 +86,14 @@ def init_policy(game, player, mode, seed, hidden=(64, 64)):
     out_width = action_dim * (game.t_future if mode == PASSIVE else 1)
     rng = np.random.default_rng(seed)
     sizes = [input_width, *hidden, out_width]
-    weights, biases = [], []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+    shapes = list(zip(sizes[1:], sizes[:-1]))
+    flat = np.zeros(sum(n_out * (n_in + 1) for n_out, n_in in shapes))
+    weights, biases = _layer_views(flat, shapes)
+    for w in weights:
+        n_out, n_in = w.shape
         bound = np.sqrt(6.0 / (n_in + n_out))
-        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
-        biases.append(np.zeros(n_out))
-    return PolicyParams(weights=weights, biases=biases, mode=mode,
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return PolicyParams(flat=flat, weights=weights, biases=biases, mode=mode,
                         input_width=input_width, action_dim=action_dim,
                         horizon=game.t_future,
                         action_scale=game.action_scale(player))
@@ -103,19 +129,27 @@ def action_block(theta, sequence, t_offset):
     return ag.slice_last(sequence, lo, lo + theta.action_dim)
 
 
+def shift_window(window, obs):
+    """Drop the oldest observation of a flattened window (last axis) and
+    append ``obs``; arrays or tape nodes."""
+    return ag.concat([ag.slice_last(window, obs.shape[-1], window.shape[-1]), obs])
+
+
 def lift_policy(tape, theta):
-    """Copy a policy onto a tape as trainable parameters."""
+    """Copy a policy onto a tape as trainable parameters, one leaf per layer
+    array; ``flat`` keeps the raw values."""
     return replace(theta, weights=[tape.param(w) for w in theta.weights],
                    biases=[tape.param(b) for b in theta.biases])
 
 
-def policy_leaves(theta):
-    """Flat list of the policy's arrays (or nodes), weights then biases per layer."""
-    leaves = []
-    for w, b in zip(theta.weights, theta.biases):
-        leaves.append(w)
-        leaves.append(b)
-    return leaves
+def flat_grad(lifted):
+    """The adjoints of a lifted policy's leaves, after ``Tape.backward``, as
+    one array in ``flat`` order."""
+    grad = np.empty_like(lifted.flat)
+    views = with_flat(lifted, grad)
+    for dst, leaf in zip(views.weights + views.biases, lifted.weights + lifted.biases):
+        dst[...] = leaf.grad
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +158,11 @@ def policy_leaves(theta):
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators matching one policy's leaves."""
+    """First/second-moment accumulators of one policy, each one array in
+    ``PolicyParams.flat`` order."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     step: int
     lr: float
     beta1: float
@@ -135,41 +170,29 @@ class AdamState:
     eps: float
 
     def copy(self):
-        return replace(self, m=[a.copy() for a in self.m], v=[a.copy() for a in self.v])
+        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
 def adam_init(theta, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    leaves = policy_leaves(theta)
-    return AdamState(m=[np.zeros_like(a) for a in leaves],
-                     v=[np.zeros_like(a) for a in leaves],
+    return AdamState(m=np.zeros_like(theta.flat), v=np.zeros_like(theta.flat),
                      step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(theta, grads, state):
-    """One bias-corrected Adam update.
+def adam_step(theta, grad, state):
+    """One bias-corrected Adam update of ``theta.flat``.
 
-    ``grads`` aligns with ``policy_leaves(theta)``.  A non-finite gradient
-    skips the update entirely: returns ``(theta, state, True)`` unchanged.
+    ``grad`` is one array in ``flat`` order; any other shape raises
+    ``ValueError``.  A non-finite gradient skips the update entirely:
+    returns ``(theta, state, True)`` unchanged.
     """
-    if any(not np.all(np.isfinite(g)) for g in grads):
+    if np.shape(grad) != theta.flat.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} != parameter shape {theta.flat.shape}")
+    if not np.all(np.isfinite(grad)):
         return theta, state, True
-    leaves = policy_leaves(theta)
-    if len(grads) != len(leaves):
-        raise ValueError("gradient count does not match parameter count")
     t = state.step + 1
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    new_leaves, new_m, new_v = [], [], []
-    for a, g, m, v in zip(leaves, grads, state.m, state.v):
-        if g.shape != a.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {a.shape}")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        new_leaves.append(a - step)
-        new_m.append(m)
-        new_v.append(v)
-    n_layers = len(theta.weights)
-    new_theta = replace(theta, weights=new_leaves[0::2][:n_layers], biases=new_leaves[1::2][:n_layers])
-    new_state = replace(state, m=new_m, v=new_v, step=t)
-    return new_theta, new_state, False
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
+    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    return with_flat(theta, theta.flat - step), replace(state, m=m, v=v, step=t), False

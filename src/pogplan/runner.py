@@ -34,7 +34,7 @@ from .beliefs import (
     surprisal,
     update_particles,
 )
-from .policy import ACTIVE, adam_init, init_policy, policy_forward
+from .policy import ACTIVE, adam_init, init_policy, policy_forward, shift_window
 from .solver import calc_eq
 
 SHARED = "shared"
@@ -186,8 +186,7 @@ def act(world, game, policies, windows):
         eps = world.rng.standard_normal((1, game.noise_dim(i)))
         z = np.asarray(game.observe(state, i, eps))
         obs.append(z)
-        zdim = game.obs_dim(i)
-        pushed.append(np.concatenate([windows[i][:, zdim:], z], axis=1))
+        pushed.append(shift_window(windows[i], z))
     actions = []
     for i in range(game.n_players):
         source = pushed[i] if policies[i].mode == ACTIVE else windows[i]

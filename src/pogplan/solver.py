@@ -36,9 +36,10 @@ from .policy import (
     action_block,
     adam_init,
     adam_step,
+    flat_grad,
     lift_policy,
     policy_forward,
-    policy_leaves,
+    shift_window,
 )
 
 
@@ -65,10 +66,6 @@ def draw_noise(game, k, rng):
             for _ in range(game.t_future)]
 
 
-def _shift_window(hist, obs, obs_dim):
-    return ag.concat([ag.slice_last(hist, obs_dim, hist.shape[-1]), obs])
-
-
 def _run_rollout(game, state, hists, thetas, eps, cost_players, record=False):
     """Shared rollout engine over Node or ndarray inputs.
 
@@ -90,7 +87,7 @@ def _run_rollout(game, state, hists, thetas, eps, cost_players, record=False):
             if thetas[i].mode == ACTIVE or record:
                 z = game.observe(state, i, eps[t][i])
                 step_obs[i] = z
-                hists[i] = _shift_window(hists[i], z, game.obs_dim(i))
+                hists[i] = shift_window(hists[i], z)
         actions = []
         for i in range(n):
             if thetas[i].mode == ACTIVE:
@@ -117,7 +114,8 @@ def _batch_inputs(game, pset, idx):
 
 def expected_cost(game, pset, thetas, player, k_batch, rng):
     """Mean rollout cost for ``player`` over a weighted particle batch and
-    its gradient with respect to that player's parameters.
+    its gradient with respect to that player's parameters: ``(cost, grad)``,
+    ``grad`` one array in ``PolicyParams.flat`` order.
 
     Only that player's parameters go on the tape; batch rows, windows, noise
     and the opponents' policies enter as plain arrays, so the tape records
@@ -128,8 +126,7 @@ def expected_cost(game, pset, thetas, player, k_batch, rng):
     idx = sample_batch(pset, k_batch, rng)
     eps = draw_noise(game, k_batch, rng)
     state, hists = _batch_inputs(game, pset, idx)
-    opponents = [leaf for i, th in enumerate(thetas) if i != player
-                 for leaf in policy_leaves(th)]
+    opponents = [th.flat for i, th in enumerate(thetas) if i != player]
     for source, values in (("particle states", [c for block in state for c in block]),
                            ("observation windows", hists),
                            ("opponent policies", opponents)):
@@ -143,13 +140,13 @@ def expected_cost(game, pset, thetas, player, k_batch, rng):
     cost = 0.0 if game.t_future == 0 else ag.affine(ag.asum(acc[player]), -1.0 / k_batch, 0.0)
     if not isinstance(cost, ag.Node):
         ag.check_finite(np.asarray(cost), "cost")
-        return float(cost), [np.zeros_like(a) for a in policy_leaves(thetas[player])]
+        return float(cost), np.zeros_like(thetas[player].flat)
     tape.backward(cost)
-    return float(cost.value), [leaf.grad for leaf in policy_leaves(lifted[player])]
+    return float(cost.value), flat_grad(lifted[player])
 
 
 def evaluation_batch(game, pset, k_batch, rng):
-    """Freeze a common-random-numbers batch for convergence tests."""
+    """Freeze a common-random-numbers batch for scoring a solve's final costs."""
     idx = sample_batch(pset, k_batch, rng)
     eps = draw_noise(game, k_batch, rng)
     return idx, eps
@@ -228,16 +225,16 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
             for i in range(n):
                 t0 = time.perf_counter()
                 try:
-                    cost, grads = expected_cost(game, pset, thetas, i, k_batch, rng)
+                    cost, grad = expected_cost(game, pset, thetas, i, k_batch, rng)
                 except FloatingPointError:
                     aborted = True
                     break
-                thetas[i], adam_states[i], skipped = adam_step(thetas[i], grads, adam_states[i])
+                thetas[i], adam_states[i], skipped = adam_step(thetas[i], grad, adam_states[i])
                 adam_skips += skipped
                 times.append(time.perf_counter() - t0)
                 # a skipped update's gradient is non-finite, so its norm never
                 # passes: an iteration with a skip cannot converge
-                grad_norms[i] = float(np.sqrt(sum(np.vdot(g, g) for g in grads)))
+                grad_norms[i] = float(np.sqrt(np.vdot(grad, grad)))
                 trace[i].append(cost)
             if aborted:
                 break

@@ -1,5 +1,7 @@
 """Policy networks and Adam: shapes, determinism, squash bound, gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from pogplan.policy import (
     init_policy,
     lift_policy,
     policy_forward,
-    policy_leaves,
 )
 from pogplan.scenarios import ScenarioConfig, make_game
 
@@ -37,11 +38,9 @@ def test_init_deterministic_given_seed():
     g = StubGame()
     a = init_policy(g, 0, ACTIVE, seed=42)
     b = init_policy(g, 0, ACTIVE, seed=42)
-    for x, y in zip(policy_leaves(a), policy_leaves(b)):
-        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.flat, b.flat)
     c = init_policy(g, 0, ACTIVE, seed=43)
-    assert any(not np.array_equal(x, y)
-               for x, y in zip(policy_leaves(a), policy_leaves(c)))
+    assert not np.array_equal(a.flat, c.flat)
 
 
 def test_tag_widths_match_window_and_action():
@@ -95,12 +94,8 @@ def test_passive_blocks_cover_distinct_slices():
     theta = init_policy(g, 0, PASSIVE, seed=9)
     hist = np.random.default_rng(2).normal(size=theta.input_width)
     blocks = [policy_forward(theta, hist, t_offset=t) for t in range(g.t_future)]
-    full_net = policy_forward(
-        # re-run as active to get the raw sequence: same weights, no slicing
-        type(theta)(weights=theta.weights, biases=theta.biases, mode=ACTIVE,
-                    input_width=theta.input_width, action_dim=theta.output_width,
-                    horizon=theta.horizon, action_scale=theta.action_scale),
-        hist)
+    # re-run as active to get the raw sequence: same weights, no slicing
+    full_net = policy_forward(replace(theta, mode=ACTIVE, action_dim=theta.output_width), hist)
     np.testing.assert_allclose(np.concatenate(blocks), full_net)
     np.testing.assert_array_equal(policy_forward(theta, hist, t_offset=None), full_net)
     with pytest.raises(ValueError):
@@ -140,21 +135,17 @@ def _toy_theta():
 def test_adam_zero_gradient_keeps_params_and_decays_moments():
     theta = _toy_theta()
     state = adam_init(theta, lr=0.01)
-    zero = [np.zeros_like(a) for a in policy_leaves(theta)]
+    zero = np.zeros_like(theta.flat)
     theta1, state1, skipped = adam_step(theta, zero, state)
     assert not skipped
-    for a, b in zip(policy_leaves(theta), policy_leaves(theta1)):
-        np.testing.assert_array_equal(a, b)  # no momentum yet, nothing moves
+    np.testing.assert_array_equal(theta.flat, theta1.flat)  # no momentum yet, nothing moves
     assert state1.step == 1
 
     # decay recursion with accumulated moments: m' = beta1 m, v' = beta2 v
-    grads = [np.full_like(a, 0.5) for a in policy_leaves(theta1)]
-    theta2, state2, _ = adam_step(theta1, grads, state1)
+    theta2, state2, _ = adam_step(theta1, np.full_like(zero, 0.5), state1)
     theta3, state3, _ = adam_step(theta2, zero, state2)
-    for m3, m2 in zip(state3.m, state2.m):
-        np.testing.assert_allclose(m3, state2.beta1 * m2, rtol=1e-12)
-    for v3, v2 in zip(state3.v, state2.v):
-        np.testing.assert_allclose(v3, state2.beta2 * v2, rtol=1e-12)
+    np.testing.assert_allclose(state3.m, state2.beta1 * state2.m, rtol=1e-12)
+    np.testing.assert_allclose(state3.v, state2.beta2 * state2.v, rtol=1e-12)
 
 
 def test_adam_first_step_magnitude_closed_form():
@@ -162,20 +153,43 @@ def test_adam_first_step_magnitude_closed_form():
     lr = 0.004
     state = adam_init(theta, lr=lr)
     g = 0.37
-    grads = [np.full_like(a, g) for a in policy_leaves(theta)]
-    theta1, state1, _ = adam_step(theta, grads, state)
+    theta1, state1, _ = adam_step(theta, np.full_like(theta.flat, g), state)
     # bias-corrected first step: lr * g / (|g| + eps) ~= lr
-    for before, after in zip(policy_leaves(theta), policy_leaves(theta1)):
-        np.testing.assert_allclose(np.abs(before - after), lr, rtol=1e-6)
+    np.testing.assert_allclose(np.abs(theta.flat - theta1.flat), lr, rtol=1e-6)
     assert state1.step == 1
 
 
 def test_adam_nonfinite_gradient_skipped():
     theta = _toy_theta()
     state = adam_init(theta)
-    grads = [np.full_like(a, np.nan) for a in policy_leaves(theta)]
-    theta1, state1, skipped = adam_step(theta, grads, state)
+    theta1, state1, skipped = adam_step(theta, np.full_like(theta.flat, np.nan), state)
     assert skipped
     assert state1.step == 0
-    for a, b in zip(policy_leaves(theta), policy_leaves(theta1)):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(theta.flat, theta1.flat)
+
+
+def test_adam_wrong_gradient_shape_rejected_before_finiteness_skip():
+    """A gradient that does not match ``flat`` raises, NaN or not."""
+    theta = _toy_theta()
+    state = adam_init(theta)
+    n = theta.flat.size
+    for shape in [(n - 1,), (n + 1,), (1, n)]:
+        for fill in (np.nan, 0.0):
+            with pytest.raises(ValueError):
+                adam_step(theta, np.full(shape, fill), state)
+
+
+def test_layer_arrays_are_views_into_flat():
+    """After init, copy and an Adam step, the weights and biases are views
+    that tile ``flat`` layer by layer (weights row-major, then bias); a copy
+    shares nothing with its source."""
+    theta = init_policy(StubGame(), 0, PASSIVE, seed=4, hidden=(5, 3))
+    stepped, _, _ = adam_step(theta, np.linspace(-1.0, 1.0, theta.flat.size), adam_init(theta))
+    dup = theta.copy()
+    for th in (theta, dup, stepped):
+        arrays = [a for w, b in zip(th.weights, th.biases) for a in (w, b)]
+        assert all(np.shares_memory(a, th.flat) for a in arrays)
+        th.flat[:] = np.arange(th.flat.size)
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), th.flat)
+    for a in [dup.flat, *dup.weights, *dup.biases]:
+        assert not any(np.shares_memory(a, b) for b in [theta.flat, *theta.weights, *theta.biases])

@@ -16,7 +16,7 @@ from pogplan.policy import (
     init_policy,
     lift_policy,
     policy_forward,
-    policy_leaves,
+    with_flat,
 )
 from pogplan.runner import EpisodeOptions, run_episode
 from pogplan.scenarios import ScenarioConfig, make_game
@@ -121,11 +121,10 @@ def test_passive_sequence_computed_once_equals_per_step_forward():
 def test_expected_cost_constant_reward():
     game = constant_reward_game(value=-1.0, t_future=6)
     pset = init_particles(game, 1, 1, np.random.default_rng(7))
-    cost, grads = expected_cost(game, pset, _policies(game), 0, k_batch=3,
-                                rng=np.random.default_rng(8))
+    cost, grad = expected_cost(game, pset, _policies(game), 0, k_batch=3,
+                               rng=np.random.default_rng(8))
     assert cost == 6.0
-    for g in grads:
-        np.testing.assert_array_equal(g, 0.0)  # reward ignores the action
+    np.testing.assert_array_equal(grad, 0.0)  # reward ignores the action
 
     # a reward that never touches the tape: zero gradients, finiteness checked
     from conftest import QuadraticGame
@@ -134,11 +133,12 @@ def test_expected_cost_constant_reward():
         return QuadraticGame([lambda state: np.full((state[0][0].shape[0], 1), value)],
                              t_future=6)
 
-    cost, grads = expected_cost(raw_game(-1.0), pset, _policies(game), 0, k_batch=3,
-                                rng=np.random.default_rng(8))
+    thetas = _policies(game)
+    cost, grad = expected_cost(raw_game(-1.0), pset, thetas, 0, k_batch=3,
+                               rng=np.random.default_rng(8))
     assert cost == 6.0
-    for g in grads:
-        np.testing.assert_array_equal(g, 0.0)
+    assert grad.shape == thetas[0].flat.shape
+    np.testing.assert_array_equal(grad, 0.0)
     with pytest.raises(FloatingPointError):
         expected_cost(raw_game(-np.inf), pset, _policies(game), 0, k_batch=3,
                       rng=np.random.default_rng(8))
@@ -176,23 +176,20 @@ def test_expected_cost_gradient_matches_finite_differences():
     thetas = _policies(game, hidden=(4,))
     batch = evaluation_batch(game, pset, 1, np.random.default_rng(10))
 
-    cost, grads = expected_cost(game, pset, thetas, 0, k_batch=1,
-                                rng=np.random.default_rng(11))
-    leaves = policy_leaves(thetas[0])
+    cost, grad = expected_cost(game, pset, thetas, 0, k_batch=1,
+                               rng=np.random.default_rng(11))
+    flat = thetas[0].flat
     h = 1e-6
     worst = 0.0
-    for li, leaf in enumerate(leaves):
-        flat = leaf.ravel()
-        gflat = grads[li].ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = eval_cost(game, pset, thetas, 0, batch)
-            flat[j] = orig - h
-            dn = eval_cost(game, pset, thetas, 0, batch)
-            flat[j] = orig
-            num = (up - dn) / (2 * h)
-            worst = max(worst, abs(gflat[j] - num) / (abs(gflat[j]) + abs(num) + 1e-12))
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        up = eval_cost(game, pset, thetas, 0, batch)
+        flat[j] = orig - h
+        dn = eval_cost(game, pset, thetas, 0, batch)
+        flat[j] = orig
+        num = (up - dn) / (2 * h)
+        worst = max(worst, abs(grad[j] - num) / (abs(grad[j]) + abs(num) + 1e-12))
     assert worst < 1e-4
 
 
@@ -203,21 +200,19 @@ def test_expected_cost_deterministic_given_stream():
     c1, g1 = expected_cost(game, pset, thetas, 0, 4, np.random.default_rng(13))
     c2, g2 = expected_cost(game, pset, thetas, 0, 4, np.random.default_rng(13))
     assert c1 == c2
-    for a, b in zip(g1, g2):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(g1, g2)
 
 
 def test_expected_cost_touches_only_named_player():
     game = two_player_quadratic()
     pset = init_particles(game, 2, 1, np.random.default_rng(14))
     thetas = _policies(game, hidden=(4,))
-    before = [[leaf.copy() for leaf in policy_leaves(th)] for th in thetas]
-    _, grads = expected_cost(game, pset, thetas, 0, 2, np.random.default_rng(15))
+    before = [th.flat.copy() for th in thetas]
+    _, grad = expected_cost(game, pset, thetas, 0, 2, np.random.default_rng(15))
     # returned gradient aligns with player 0's parameters, and the call is pure
-    assert [g.shape for g in grads] == [a.shape for a in policy_leaves(thetas[0])]
+    assert grad.shape == thetas[0].flat.shape
     for th, saved in zip(thetas, before):
-        for leaf, keep in zip(policy_leaves(th), saved):
-            np.testing.assert_array_equal(leaf, keep)
+        np.testing.assert_array_equal(th.flat, saved)
 
 
 def test_cost_scaling_rescales_gradient_proportionally():
@@ -237,10 +232,9 @@ def test_cost_scaling_rescales_gradient_proportionally():
     g2 = QuadraticGame([scaled])
     pset = init_particles(g1, 1, 1, np.random.default_rng(16))
     thetas = _policies(g1, hidden=(4,))
-    _, grads1 = expected_cost(g1, pset, thetas, 0, 1, np.random.default_rng(17))
-    _, grads2 = expected_cost(g2, pset, thetas, 0, 1, np.random.default_rng(17))
-    for a, b in zip(grads1, grads2):
-        np.testing.assert_allclose(b, kappa * a, rtol=1e-9)
+    _, grad1 = expected_cost(g1, pset, thetas, 0, 1, np.random.default_rng(17))
+    _, grad2 = expected_cost(g2, pset, thetas, 0, 1, np.random.default_rng(17))
+    np.testing.assert_allclose(grad2, kappa * grad1, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +324,7 @@ def test_calc_eq_counts_skipped_adam_steps():
     assert not res.aborted
     assert not res.converged
     assert res.adam_skips == res.iterations > 0
-    for old, new in zip(policy_leaves(thetas[0]), policy_leaves(res.thetas[0])):
-        np.testing.assert_array_equal(old, new)
+    np.testing.assert_array_equal(thetas[0].flat, res.thetas[0].flat)
 
     clean = calc_eq(single_quadratic(), pset, thetas, rng, max_iters=5, k_batch=1)
     assert clean.adam_skips == 0
@@ -393,19 +386,22 @@ def _calc_eq_tag_arrays():
     """A seeded 20-iteration tag solve and a 2-step episode at the same
     setting (passive pursuer, active evader, hidden (8, 8), k_batch 10), as
     named arrays: final parameters, Adam moments and iteration count of the
-    solve; per-step states, actions and iteration counts of the episode."""
+    solve; per-step states, actions and iteration counts of the episode.
+    Parameters and moments are split into the per-layer keys recorded
+    before policies had one flat vector: weights then bias, layer by layer."""
     game = make_game(ScenarioConfig(name="tag"))
     modes = [PASSIVE, ACTIVE]
     thetas = [init_policy(game, i, modes[i], seed=30 + i, hidden=(8, 8)) for i in range(2)]
     pset = init_particles(game, 200, 1, np.random.default_rng(31))
     res = calc_eq(game, pset, thetas, np.random.default_rng(32), max_iters=20, k_batch=10)
     out = {"solve/iterations": np.array(res.iterations)}
-    for i in range(2):
-        for j, leaf in enumerate(policy_leaves(res.thetas[i])):
-            out[f"solve/theta{i}/{j}"] = leaf
-        for j, (m, v) in enumerate(zip(res.adam_states[i].m, res.adam_states[i].v)):
-            out[f"solve/m{i}/{j}"] = m
-            out[f"solve/v{i}/{j}"] = v
+    for i, theta in enumerate(res.thetas):
+        state = res.adam_states[i]
+        for key, flat in ((f"theta{i}", theta.flat), (f"m{i}", state.m), (f"v{i}", state.v)):
+            layers = with_flat(theta, flat)
+            leaves = [a for w, b in zip(layers.weights, layers.biases) for a in (w, b)]
+            for j, leaf in enumerate(leaves):
+                out[f"solve/{key}/{j}"] = leaf
 
     opts = EpisodeOptions(modes=modes, episode_steps=2, k_all=200, k_batch=10,
                           max_iters=20, hidden=(8, 8))
