@@ -3,8 +3,8 @@
 Trials are embarrassingly parallel across seeds; set POGPLAN_THREADS to fan
 them out over processes.  All aggregation happens in seed order, so results
 are bit-for-bit reproducible regardless of the pool size.  Every output file
-is plain columnar text with a one-line header; summary tables and trial
-records parse back exactly.
+is plain columnar text with a one-line header; trial records parse back
+exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .adgraph import grad_check
 from .beliefs import init_particles, update_particles
 from .config import write_config
 from .policy import ACTIVE, PASSIVE, init_policy, with_flat
-from .runner import EpisodeOptions, StepRecord, TrialRecord, run_episode
+from .runner import SEPARATE, EpisodeOptions, StepRecord, TrialRecord, run_episode
 from .scenarios import group_names, make_game, mode_groups, report_groups, sample_tasks
 from .solver import calc_eq, evaluation_batch, run_batch, _run_rollout
 from .toygame import ToyFilterGame, exact_posterior
@@ -71,23 +71,7 @@ def trial_game(cfg, trial_seed):
 
 
 def episode_options(cfg, modes, dump_path=None):
-    return EpisodeOptions(
-        brain=cfg.brain,
-        modes=list(modes),
-        episode_steps=cfg.episode_steps,
-        k_all=cfg.k_all,
-        k_batch=cfg.k_batch,
-        n_eq=list(cfg.n_eq) if len(cfg.n_eq) > 1 else int(cfg.n_eq[0]),
-        gamma=cfg.gamma,
-        max_iters=cfg.max_iters,
-        first_step_iters=cfg.first_step_iters or None,
-        eps_tol=cfg.eps_tol,
-        lr=cfg.lr,
-        hidden=tuple(cfg.hidden),
-        resample_threshold=(cfg.resample_ess_fraction * cfg.k_all
-                            if cfg.resample_ess_fraction > 0 else None),
-        particle_dump=dump_path,
-    )
+    return EpisodeOptions(config=cfg, modes=list(modes), particle_dump=dump_path)
 
 
 def modes_for_combo(game, combo):
@@ -253,24 +237,16 @@ def sweep(cfg, param, values):
     raise ValueError(f"parameter '{param}' is not sweepable")
 
 
-def _neq_episode(packed):
-    cfg, pair, seed = packed
-    game = trial_game(cfg, seed)
-    if game.n_players != 2:
-        raise ValueError("the n_eq grid needs a two-player scenario")
-    opts = episode_options(cfg, [ACTIVE, ACTIVE])
-    opts.brain = "separate"
-    opts.n_eq = [int(pair[0]), int(pair[1])]
-    return run_episode(game, opts, seed)
-
-
 def neq_grid(cfg, values):
     """Pairwise candidate-count grid for separate-brain two-player play."""
     game = trial_game(cfg, cfg.seed)
+    if game.n_players != 2:
+        raise ValueError("the n_eq grid needs a two-player scenario")
     rows = []
     for pair in product([int(v) for v in values], repeat=2):
-        records = map_trials(_neq_episode,
-                             [(cfg, pair, cfg.seed + t) for t in range(cfg.trials)])
+        sub = replace(cfg, brain=SEPARATE, n_eq=pair)
+        records = map_trials(_one_trial, [(sub, (ACTIVE, ACTIVE), cfg.seed + t, None)
+                                          for t in range(cfg.trials)])
         dists, surp0, surp1 = [], [], []
         for r in records:
             states = [game.unpack_state(s.state) for s in r.steps]
@@ -385,21 +361,6 @@ def write_summary(table, path):
         for r in table.rows:
             fh.write(f"{r.label} {r.group} {_fmt(r.mean_cost)} {_fmt(r.stderr)} "
                      f"{r.trials} {_fmt(r.grad_seconds)}\n")
-
-
-def read_summary(path):
-    table = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# scenario"):
-                table = SummaryTable(scenario=line.split()[-1])
-            elif line and not line.startswith("#"):
-                label, group, mean, err, trials, secs = line.split()
-                table.rows.append(SummaryRow(label=label, group=group,
-                                             mean_cost=float(mean), stderr=float(err),
-                                             trials=int(trials), grad_seconds=float(secs)))
-    return table
 
 
 def write_sweep(rows, param, path):

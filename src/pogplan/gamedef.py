@@ -83,9 +83,6 @@ class GameDef:
     def state_dim(self, player):
         return sum(self.state_comps(player))
 
-    def total_state_dim(self):
-        return sum(self.state_dim(i) for i in range(self.n_players))
-
     def state_offset(self, player):
         return sum(self.state_dim(i) for i in range(player))
 

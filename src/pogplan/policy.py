@@ -43,10 +43,6 @@ class PolicyParams:
     horizon: int          # number of future steps covered (passive emits all)
     action_scale: float
 
-    @property
-    def output_width(self):
-        return self.action_dim * (self.horizon if self.mode == PASSIVE else 1)
-
     def copy(self):
         return with_flat(self, self.flat.copy())
 

@@ -1,6 +1,6 @@
 """Receding-horizon game play: plan, act one step, update beliefs, repeat.
 
-Two deployments:
+Two deployments, chosen by the config's ``brain``:
 
 * ``shared`` brain -- one planner computes the joint equilibrium once per
   round and acts for every player; beliefs are pushed forward fully
@@ -16,8 +16,9 @@ Round structure (kept identical to the rollout and the particle update):
 fresh true observations of the current state complete the observation
 windows, the policies map the completed windows to the joint action (passive
 policies read the pre-push window), and the world advances one transition.
-Everything is driven by generators spawned from one seed, so an episode is
-a pure function of (config, seed).
+Every setting is read from one ``ExperimentConfig`` and everything is driven
+by generators spawned from one seed, so an episode is a pure function of
+(config, modes, seed).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .beliefs import (
     surprisal,
     update_particles,
 )
+from .config import ExperimentConfig
 from .policy import ACTIVE, adam_init, init_policy, policy_forward, shift_window
 from .solver import calc_eq
 
@@ -43,35 +45,26 @@ SEPARATE = "separate"
 
 @dataclass
 class EpisodeOptions:
-    """Everything a single episode needs beyond the game itself."""
+    """Everything a single episode needs beyond the game itself: the
+    experiment settings, each player's mode and the per-trial dump path."""
 
-    brain: str = SHARED
-    modes: list = None            # per player: "active" / "passive"
-    episode_steps: int = 20
-    k_all: int = 1000
-    k_batch: int = 10
-    n_eq: list = None             # candidate equilibria per agent
-    gamma: float = 0.1
-    max_iters: int = 100
-    first_step_iters: int = None  # heavier initial solve before warm starts
-    eps_tol: float = 1e-3
-    lr: float = 1e-3
-    hidden: tuple = (64, 64)
-    resample_threshold: float = None
+    config: ExperimentConfig      # every setting is read from here
+    modes: list = None            # per player: "active" / "passive"; default all active
     particle_dump: str = None     # path for per-step cloud dumps, if wanted
 
     def resolved(self, game):
+        """(per-player modes, per-agent candidate counts); a single ``n_eq``
+        entry applies to every agent."""
+        brain = self.config.brain
+        if brain not in (SHARED, SEPARATE):
+            raise ValueError(f"unknown brain mode '{brain}'")
         modes = self.modes or [ACTIVE] * game.n_players
-        n_agents = 1 if self.brain == SHARED else game.n_players
-        n_eq = self.n_eq
-        if n_eq is None:
-            n_eq = [1] * n_agents
-        elif isinstance(n_eq, int):
-            n_eq = [n_eq] * n_agents
+        n_agents = 1 if brain == SHARED else game.n_players
+        n_eq = [int(x) for x in self.config.n_eq]
+        if len(n_eq) == 1:
+            n_eq = n_eq * n_agents
         if len(n_eq) != n_agents:
             raise ValueError(f"need {n_agents} n_eq entries, got {len(n_eq)}")
-        if self.brain not in (SHARED, SEPARATE):
-            raise ValueError(f"unknown brain mode '{self.brain}'")
         return modes, n_eq
 
 
@@ -141,30 +134,36 @@ class TrialRecord:
         return [t for s in self.steps for t in s.grad_seconds]
 
 
-def make_agent(game, player, modes, k_all, n_eq, gamma, hidden, lr, seed_seq):
-    """Build one planning brain; candidates get distinct initial policies to
-    promote distinct equilibria."""
-    init_ss, solver_ss, update_ss, *cand_ss = seed_seq.spawn(3 + n_eq)
-    pset = init_particles(game, k_all, n_eq, np.random.default_rng(init_ss))
+def make_agent(game, player, opts, seed_seq):
+    """Build one planning brain for ``player`` (-1: the shared brain, which
+    never conditions, so its gamma is 0) from the episode options; its
+    candidates get distinct initial policies to promote distinct equilibria."""
+    cfg = opts.config
+    modes, n_eq = opts.resolved(game)
+    n_cand = n_eq[max(player, 0)]  # the shared brain is agent 0
+    init_ss, solver_ss, update_ss, *cand_ss = seed_seq.spawn(3 + n_cand)
+    pset = init_particles(game, cfg.k_all, n_cand, np.random.default_rng(init_ss))
     candidates = []
     for c_ss in cand_ss:
         seeds = c_ss.generate_state(game.n_players)
-        thetas = [init_policy(game, i, modes[i], int(seeds[i]), hidden=hidden)
+        thetas = [init_policy(game, i, modes[i], int(seeds[i]), hidden=cfg.hidden)
                   for i in range(game.n_players)]
         candidates.append(Candidate(thetas=thetas,
-                                    adam_states=[adam_init(t, lr=lr) for t in thetas]))
-    return AgentRuntime(player=player, pset=pset, candidates=candidates, gamma=gamma,
+                                    adam_states=[adam_init(t, lr=cfg.lr) for t in thetas]))
+    return AgentRuntime(player=player, pset=pset, candidates=candidates,
+                        gamma=0.0 if player < 0 else cfg.gamma,
                         solver_rng=np.random.default_rng(solver_ss),
                         update_rng=np.random.default_rng(update_ss))
 
 
 def plan(agent, game, opts, iters):
     """Solve every candidate equilibrium from its warm start."""
+    cfg = opts.config
     results = []
     for cand in agent.candidates:
         res = calc_eq(game, agent.pset, cand.thetas, agent.solver_rng,
-                      eps_tol=opts.eps_tol, max_iters=iters,
-                      k_batch=opts.k_batch, lr=opts.lr,
+                      eps_tol=cfg.eps_tol, max_iters=iters,
+                      k_batch=cfg.k_batch, lr=cfg.lr,
                       adam_states=cand.adam_states)
         cand.thetas = res.thetas
         cand.adam_states = res.adam_states
@@ -202,35 +201,30 @@ def run_episode(game, opts, seed, agent_seeds=None):
     ``agent_seeds`` optionally pins each agent's seed sequence (e.g. to give
     both separate brains identical streams in symmetry tests).
     """
+    cfg = opts.config
     modes, n_eq = opts.resolved(game)
     n = game.n_players
+    players = [-1] if cfg.brain == SHARED else list(range(n))
     root = np.random.SeedSequence(seed)
-    world_ss, *agent_ss = root.spawn(1 + (1 if opts.brain == SHARED else n))
+    world_ss, *agent_ss = root.spawn(1 + len(players))
     if agent_seeds is not None:
         agent_ss = [np.random.SeedSequence(s) for s in agent_seeds]
-
-    if opts.brain == SHARED:
-        agents = [make_agent(game, -1, modes, opts.k_all, n_eq[0], 0.0,
-                             opts.hidden, opts.lr, agent_ss[0])]
-    else:
-        agents = [make_agent(game, i, modes, opts.k_all, n_eq[i], opts.gamma,
-                             opts.hidden, opts.lr, agent_ss[i])
-                  for i in range(n)]
+    agents = [make_agent(game, p, opts, ss) for p, ss in zip(players, agent_ss)]
+    resample_threshold = (cfg.resample_ess_fraction * cfg.k_all
+                          if cfg.resample_ess_fraction > 0 else None)
 
     world_rng = np.random.default_rng(world_ss)
     world = WorldSim(state=game.pack_state(game.sample_initial(world_rng, 1)),
                      rng=world_rng)
     windows = [np.zeros((1, game.t_past * game.obs_dim(i))) for i in range(n)]
-    record = TrialRecord(seed=seed, brain=opts.brain, modes=list(modes), n_eq=list(n_eq))
+    record = TrialRecord(seed=seed, brain=cfg.brain, modes=list(modes), n_eq=list(n_eq))
     dump = open(opts.particle_dump, "w") if opts.particle_dump else nullcontext()
     with dump as dump_fh:
         if dump_fh:
             dump_fh.write("# step agent player particle x y weight\n")
 
-        for step in range(opts.episode_steps):
-            iters = opts.max_iters
-            if step == 0 and opts.first_step_iters is not None:
-                iters = opts.first_step_iters
+        for step in range(cfg.episode_steps):
+            iters = (cfg.first_step_iters or cfg.max_iters) if step == 0 else cfg.max_iters
             all_results = [plan(agent, game, opts, iters) for agent in agents]
             if any(r.aborted for results in all_results for r in results):
                 record.aborted = True
@@ -240,7 +234,7 @@ def run_episode(game, opts, seed, agent_seeds=None):
                                        for results in all_results]
 
             # the first candidate provides each player's real-world action
-            if opts.brain == SHARED:
+            if cfg.brain == SHARED:
                 policies = agents[0].candidates[0].thetas
             else:
                 policies = [agents[i].candidates[0].thetas[i] for i in range(n)]
@@ -255,7 +249,7 @@ def run_episode(game, opts, seed, agent_seeds=None):
                 agent.pset = update_particles(
                     agent.pset, game, block_policies, true_obs, agent.player,
                     agent.gamma, agent.update_rng,
-                    resample_threshold=opts.resample_threshold)
+                    resample_threshold=resample_threshold)
                 if dump_fh:
                     dump_particles(agent.pset, game, dump_fh, step, agent=agent.player)
                 for j in range(n):

@@ -66,6 +66,10 @@ class ScenarioConfig:
     wh_v_max_p2: float = 0.15
 
     def validate(self):
+        if self.t_past < 1:
+            raise ValueError(f"t_past must be at least 1, got {self.t_past}")
+        if self.t_future < 0:
+            raise ValueError(f"t_future must be non-negative, got {self.t_future}")
         if self.chain_players % 2 != 0:
             raise ValueError("chain_players must be even")
         for quantity in ("wh_alpha", "wh_beta", "wh_eta1", "wh_eta2"):

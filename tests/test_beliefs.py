@@ -38,7 +38,7 @@ def test_init_partition_and_weights():
     joined = np.sort(np.concatenate(pset.blocks))
     np.testing.assert_array_equal(joined, np.arange(10))  # disjoint, exhaustive
     np.testing.assert_array_equal(pset.weights, np.full(10, 0.1))
-    assert pset.states.shape == (10, game.total_state_dim())
+    assert pset.states.shape == (10, sum(game.state_dim(i) for i in range(game.n_players)))
     for i in range(game.n_players):
         assert pset.hists[i].shape == (10, game.t_past * game.obs_dim(i))
         np.testing.assert_array_equal(pset.hists[i], 0.0)

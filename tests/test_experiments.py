@@ -13,7 +13,7 @@ from pogplan.experiments import (
     episode_options,
     first_step_stats,
     mean_stderr,
-    read_summary,
+    modes_for_combo,
     read_trial_record,
     rollout_gradcheck,
     run_matrix,
@@ -75,16 +75,6 @@ def test_run_matrix_zero_trials(tmp_path, capsys):
     assert table.rows == []
     assert records == {}
     assert "0 trials" in capsys.readouterr().out
-
-
-def test_summary_round_trip(tmp_path):
-    cfg = _tiny_cfg(tmp_path)
-    table, _ = run_matrix(cfg)
-    back = read_summary(os.path.join(cfg.outdir, "summary.txt"))
-    assert back.scenario == table.scenario
-    assert len(back.rows) == len(table.rows)
-    for a, b in zip(back.rows, table.rows):
-        assert a == b  # float repr round-trips exactly
 
 
 def test_record_round_trip(tmp_path):
@@ -183,6 +173,61 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
         sweep(_tiny_cfg(tmp_path), "k_all", [1])
 
 
+EPISODE_SETTINGS = os.path.join(os.path.dirname(__file__), "data", "episode_settings.npz")
+
+
+def _episode_settings_arrays():
+    """Episodes driven through ``episode_options`` on the settings an episode
+    derives values from (per-agent candidate counts, first-solve iterations,
+    resampling threshold, gamma), plus ``neq_grid`` rows: per-step states,
+    actions, solve iterations and surprisals as named arrays."""
+    tiny = dict(episode_steps=3, max_iters=2, k_all=24, k_batch=2, hidden=(4,),
+                t_past=2, t_future=2, lr=0.01)
+    cases = {
+        "tag": (ExperimentConfig(scenario="tag", brain="separate", n_eq=(2,),
+                                 first_step_iters=5, resample_ess_fraction=0.9,
+                                 gamma=0.5, **tiny), ("active", "passive"), 5),
+        "tagchain": (ExperimentConfig(scenario="tagchain", brain="separate",
+                                      n_eq=(1, 2, 1, 2), **tiny),
+                     ("passive", "active"), 6),
+        "warehouse": (ExperimentConfig(scenario="warehouse", brain="shared", **tiny),
+                      ("active",), 7),
+    }
+    out = {}
+    for name, (cfg, combo, seed) in cases.items():
+        game = trial_game(cfg, seed)
+        record = run_episode(game, episode_options(cfg, modes_for_combo(game, combo)), seed)
+        out[f"{name}/n_eq"] = np.array(record.n_eq)
+        for s in record.steps:
+            out[f"{name}/{s.step}/state"] = s.state
+            for i, a in enumerate(s.actions):
+                out[f"{name}/{s.step}/action{i}"] = a
+            out[f"{name}/{s.step}/iterations"] = np.concatenate(
+                [np.array(iters) for iters in s.solve_iterations])
+            out[f"{name}/{s.step}/surprisal"] = np.array(
+                [[agent, opp, value] for (agent, opp), value in sorted(s.surprisal.items())])
+
+    grid_cfg = ExperimentConfig(scenario="tag", trials=2, **dict(tiny, episode_steps=2))
+    for r, row in enumerate(sweep(grid_cfg, "n_eq", [1, 2])):
+        for key, value in row.items():
+            out[f"neq_grid/{r}/{key}"] = np.array(value)
+    return out
+
+
+def test_episode_settings_match_recorded_values():
+    """Episodes and ``neq_grid`` rows built from an ``ExperimentConfig`` are
+    bit for bit those recorded in ``tests/data/episode_settings.npz``
+    (written by ``np.savez(EPISODE_SETTINGS, **_episode_settings_arrays())``)."""
+    got = _episode_settings_arrays()
+    with np.load(EPISODE_SETTINGS) as rec:
+        assert sorted(rec.files) == sorted(got)
+        for key, value in got.items():
+            want = rec[key]
+            assert value.shape == want.shape, key
+            assert value.dtype == want.dtype, key
+            assert value.tobytes() == want.tobytes(), key
+
+
 def test_neq_grid_shape(tmp_path):
     cfg = _tiny_cfg(tmp_path, trials=1, episode_steps=2, max_iters=1)
     rows = sweep(cfg, "n_eq", [1, 2])
@@ -276,6 +321,12 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     bad.write_text("gamma = banana\n")
     assert main(["run", "--config", str(bad)]) == 1
     assert "gamma" in capsys.readouterr().err
+
+
+def test_cli_zero_width_window_exits_nonzero(tmp_path, capsys):
+    path, _ = _write_cfg(tmp_path, t_past=0)
+    assert main(["run", "--config", path]) == 1
+    assert "t_past must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_missing_records_dir(tmp_path, capsys):

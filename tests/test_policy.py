@@ -47,9 +47,9 @@ def test_tag_widths_match_window_and_action():
     game = make_game(ScenarioConfig(name="tag", t_past=6, t_future=6))
     active = init_policy(game, 1, ACTIVE, seed=0)
     assert active.input_width == 6 * game.obs_dim(1) == 36
-    assert active.output_width == game.action_dim(1) == 2
+    assert active.biases[-1].size == game.action_dim(1) == 2
     passive = init_policy(game, 1, PASSIVE, seed=0)
-    assert passive.output_width == 6 * game.action_dim(1) == 12
+    assert passive.biases[-1].size == 6 * game.action_dim(1) == 12
 
 
 def test_zero_weights_give_zero_action():
@@ -95,7 +95,7 @@ def test_passive_blocks_cover_distinct_slices():
     hist = np.random.default_rng(2).normal(size=theta.input_width)
     blocks = [policy_forward(theta, hist, t_offset=t) for t in range(g.t_future)]
     # re-run as active to get the raw sequence: same weights, no slicing
-    full_net = policy_forward(replace(theta, mode=ACTIVE, action_dim=theta.output_width), hist)
+    full_net = policy_forward(replace(theta, mode=ACTIVE, action_dim=theta.biases[-1].size), hist)
     np.testing.assert_allclose(np.concatenate(blocks), full_net)
     np.testing.assert_array_equal(policy_forward(theta, hist, t_offset=None), full_net)
     with pytest.raises(ValueError):

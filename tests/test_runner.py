@@ -5,6 +5,7 @@ import pytest
 from conftest import QuadraticGame
 
 from pogplan import adgraph as ag
+from pogplan.config import ExperimentConfig
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.runner import (
     Candidate,
@@ -84,7 +85,18 @@ def _fast_opts(**kw):
     base = dict(brain="shared", episode_steps=4, k_all=40, k_batch=3,
                 max_iters=2, hidden=(4,), lr=0.01)
     base.update(kw)
-    return EpisodeOptions(**base)
+    return EpisodeOptions(config=ExperimentConfig(**base))
+
+
+def test_options_check_brain_before_counting_candidates():
+    game = make_game(ScenarioConfig(name="tag"))
+    with pytest.raises(ValueError, match="unknown brain mode 'Separate'"):
+        _fast_opts(brain="Separate", n_eq=(1, 2, 3)).resolved(game)
+    with pytest.raises(ValueError, match="need 2 n_eq entries, got 3"):
+        _fast_opts(brain="separate", n_eq=(1, 2, 3)).resolved(game)
+    # one entry applies to every agent
+    assert _fast_opts(brain="separate", n_eq=(2,)).resolved(game) == ([ACTIVE, ACTIVE], [2, 2])
+    assert _fast_opts(n_eq=(3,)).resolved(game) == ([ACTIVE, ACTIVE], [3])
 
 
 def test_episode_bookkeeping_and_cost_sign():
@@ -156,16 +168,16 @@ def test_plan_single_candidate_matches_calc_eq():
 
     game = make_game(ScenarioConfig(name="tag", t_past=2, t_future=2))
     ss = np.random.SeedSequence(17)
-    agent = make_agent(game, -1, [ACTIVE, ACTIVE], 30, 1, 0.0, (4,), 0.01, ss)
+    opts = _fast_opts(k_all=30, k_batch=3)
+    agent = make_agent(game, -1, opts, ss)
     thetas_before = [t.copy() for t in agent.candidates[0].thetas]
     states_before = [s.copy() for s in agent.candidates[0].adam_states]
-    opts = _fast_opts(k_batch=3)
 
     import copy
 
     clone = copy.deepcopy(agent.solver_rng)
     results = plan(agent, game, opts, iters=3)
-    direct = calc_eq(game, agent.pset, thetas_before, clone, eps_tol=opts.eps_tol,
+    direct = calc_eq(game, agent.pset, thetas_before, clone, eps_tol=opts.config.eps_tol,
                      max_iters=3, k_batch=3, lr=0.01, adam_states=states_before)
     assert results[0].costs == direct.costs
     for a, b in zip(results[0].thetas, direct.thetas):
@@ -182,12 +194,13 @@ def test_two_candidates_reach_distinct_stationary_points():
 
     game = QuadraticGame([double_well])
     ss = np.random.SeedSequence(23)
-    agent = make_agent(game, -1, [ACTIVE], 8, 2, 0.0, (4,), 0.05, ss)
+    opts = EpisodeOptions(config=ExperimentConfig(k_all=8, n_eq=(2,), hidden=(4,), lr=0.05,
+                                                  k_batch=2, eps_tol=0.0))
+    agent = make_agent(game, -1, opts, ss)
     # zero-width inputs start every net at the exact saddle a = 0; nudge the
     # output biases apart the way real observation inputs would
     agent.candidates[0].thetas[0].biases[-1][0] = 0.05
     agent.candidates[1].thetas[0].biases[-1][0] = -0.05
-    opts = EpisodeOptions(brain="shared", k_batch=2, lr=0.05, eps_tol=0.0)
     plan(agent, game, opts, iters=400)
 
     from pogplan.policy import policy_forward
@@ -211,8 +224,8 @@ def test_episode_abort_flag_on_nonfinite():
                           ag.affine(state[0][0], 0.0, 0.0))
 
     game = QuadraticGame([exploding])
-    opts = EpisodeOptions(brain="shared", episode_steps=3, k_all=8, k_batch=2,
-                          max_iters=2, hidden=(4,))
+    opts = EpisodeOptions(config=ExperimentConfig(brain="shared", episode_steps=3, k_all=8,
+                                                  k_batch=2, max_iters=2, hidden=(4,)))
     record = run_episode(game, opts, seed=29)
     assert record.aborted
     assert len(record.steps) < 3
@@ -229,8 +242,8 @@ def test_particle_dump_closed_when_episode_raises(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "dump_particles", failing_dump)
     game = make_game(ScenarioConfig(name="tag"))
-    opts = EpisodeOptions(brain="shared", episode_steps=2, k_all=8, k_batch=2,
-                          max_iters=1, hidden=(4,),
+    opts = EpisodeOptions(config=ExperimentConfig(brain="shared", episode_steps=2, k_all=8,
+                                                  k_batch=2, max_iters=1, hidden=(4,)),
                           particle_dump=str(tmp_path / "cloud.txt"))
     with pytest.raises(RuntimeError, match="dump failed"):
         run_episode(game, opts, seed=31)

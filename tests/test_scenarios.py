@@ -41,6 +41,12 @@ def test_make_game_dispatch_and_validation():
         make_game(ScenarioConfig(name="hideseek", obstacles=((4.9, 0.0, 0.5),)))
     with pytest.raises(ValueError):
         make_game(ScenarioConfig(name="warehouse", wh_alpha=-1.0))
+    # a zero-width window cannot shift; t_future = 0 stays a valid horizon
+    with pytest.raises(ValueError, match="t_past"):
+        make_game(ScenarioConfig(name="tag", t_past=0))
+    with pytest.raises(ValueError, match="t_future"):
+        make_game(ScenarioConfig(name="tag", t_future=-1))
+    assert make_game(ScenarioConfig(name="tag", t_past=1, t_future=0)).t_future == 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +312,7 @@ def test_mode_groups():
 # ---------------------------------------------------------------------------
 
 def _flat_widths(game):
-    d = game.total_state_dim()
+    d = sum(game.state_dim(i) for i in range(game.n_players))
     act = sum(game.action_dim(i) for i in range(game.n_players))
     noise = sum(game.noise_dim(i) for i in range(game.n_players))
     return d, act, noise

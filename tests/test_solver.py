@@ -10,6 +10,7 @@ from conftest import constant_reward_game, single_quadratic, two_player_quadrati
 from pogplan import adgraph as ag
 from pogplan import solver
 from pogplan.beliefs import init_particles
+from pogplan.config import ExperimentConfig
 from pogplan.policy import (
     ACTIVE,
     PASSIVE,
@@ -403,8 +404,8 @@ def _calc_eq_tag_arrays():
             for j, leaf in enumerate(leaves):
                 out[f"solve/{key}/{j}"] = leaf
 
-    opts = EpisodeOptions(modes=modes, episode_steps=2, k_all=200, k_batch=10,
-                          max_iters=20, hidden=(8, 8))
+    opts = EpisodeOptions(config=ExperimentConfig(episode_steps=2, k_all=200, k_batch=10,
+                                                  max_iters=20, hidden=(8, 8)), modes=modes)
     record = run_episode(game, opts, seed=33)
     for s in record.steps:
         out[f"episode/{s.step}/state"] = s.state
