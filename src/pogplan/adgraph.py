@@ -22,13 +22,31 @@ windows, noise, opponents' networks, game constants) stays raw.
 
 Finiteness: every leaf is checked, and so is the output of every op that can
 turn finite inputs into a non-finite value (arithmetic, exp, log, sqrt, sums,
-norms, the 2-vector products, and the pre-activation of ``dense_tanh``); a
-non-finite value raises ``FloatingPointError`` when it is recorded.  Ops that
-map finite inputs to finite outputs (slice, concat, reshape, tanh,
-smooth_clamp, atan2, relu, softplus and the output of ``dense_tanh``) skip the
-check.  Raw operands and raw results are not checked: a caller that feeds raw
-data into a taped computation checks it once itself (``check_finite``; see
-``solver.expected_cost``).
+norms and the 2-vector products); a non-finite value raises
+``FloatingPointError`` when it is recorded.  Ops that map finite inputs to
+finite outputs (slice, concat, reshape, tanh, smooth_clamp, atan2, relu,
+softplus) skip the check.  Raw operands and raw results are not checked: a
+caller that feeds raw data into a taped computation checks it once itself
+(``check_finite``; see ``solver.expected_cost``).
+
+Fused nodes: the rollout's hot chains are recorded as one node each, with a
+hand-written adjoint (Griewank & Walther, *Evaluating Derivatives*, 2008,
+ch. 4-5).  Each one computes, checks and differentiates exactly as the chain
+of primitives it replaces, so values, adjoints and errors are the chain's,
+bit for bit; an error names the op of the chain that would have raised it.
+The intermediates each one checks:
+
+* ``tanh_mlp`` (a tanh network and its output scale): every layer's
+  pre-activation (``"dense_tanh"``) and the scaled output (``"affine"``);
+* ``fov_variance`` (view-cone variance from observer pose and target): the
+  displacement (``"sub"``, when a position is a node), ``"cross2"``,
+  ``"dot2"``, ``"smooth_abs"`` and both ``"affine"`` steps;
+* ``trimmed_gauss`` (sqrt, reparameterized draw, smooth_clamp): the standard
+  deviation (``"sqrt"``, when the variance is a node) and the draw
+  (``"gauss_reparam"``; for a lifted noise node ``"mul"`` and ``"add"``);
+* ``soft_barrier`` (norm_eps, affine, softplus, square, affine):
+  ``"norm_eps"``, ``"affine"``, ``"square"`` and ``"affine"``;
+* ``clamped_add`` (add, smooth_clamp): the sum (``"add"``).
 
 All per-instance quantities carry a leading batch axis, so one recorded
 rollout covers a whole Monte Carlo batch.  Tapes are single-owner objects and
@@ -51,15 +69,25 @@ import weakref
 
 import numpy as np
 
+try:  # the ufunc behind np.clip, called without its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
+_add_reduce = np.add.reduce   # ``value.sum()`` without its Python wrapper
+SMALL = 32   # arrays up to this size are summed as Python floats in check_finite
+
 NORM_EPS = 1e-9  # default regularizer for norms/abs so v=0 keeps finite gradients
 
 
 def check_finite(value, source):
     """Raise ``FloatingPointError`` unless every entry of the array ``value``
     is finite; ``source`` names it in the message."""
-    # any NaN/Inf entry poisons the sum, so one reduction clears the common
-    # case; a sum can also overflow on finite entries, so confirm before raising
-    if not math.isfinite(value.sum()) and not np.isfinite(value).all():
+    # any NaN/Inf entry poisons the sum, so one sum clears the common case (in
+    # Python for a few entries, cheaper than a ufunc call); a sum can also
+    # overflow on finite entries, so confirm before raising
+    total = sum(value.ravel().tolist()) if value.size <= SMALL else _add_reduce(value, None)
+    if not math.isfinite(total) and not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite value in {source}")
 
 
@@ -125,7 +153,8 @@ class Tape:
 
     def _record(self, value, op, vjp=None, checked=True):
         """Append a node; ``vjp(g)`` sends the adjoint ``g`` to its node operands."""
-        value = np.asarray(value, dtype=np.float64)
+        if type(value) is not np.ndarray or value.dtype != np.float64:
+            value = np.asarray(value, dtype=np.float64)
         if checked:
             check_finite(value, op)
         node = Node(self._ref, value, op, vjp)
@@ -270,39 +299,6 @@ def affine(x, scale, shift):
 def scale(x, c):
     """Constant rescaling (special case of ``affine``)."""
     return affine(x, c, 0.0)
-
-
-def dense_tanh(w, b, x):
-    """One tanh network layer, ``tanh(w @ x + b)``; a row-batched ``x`` of
-    shape (K, n) yields (K, m).
-
-    One node that stores only its output: the backward pass needs no
-    pre-activation, since tanh' = 1 - tanh^2.  The pre-activation is checked
-    for finiteness; the tanh output then needs no check.
-    """
-    tape = _tape_of(w, b, x)
-    wv, bv, xv = _value(w), _value(b), _value(x)
-    if wv.ndim != 2:
-        raise ValueError(f"dense_tanh weight must be 2-D, got shape {wv.shape}")
-    if xv.shape[-1] != wv.shape[1]:
-        raise ValueError(f"dense_tanh shape mismatch: {wv.shape} @ {xv.shape}")
-    batched = xv.ndim == 2
-    pre = (xv @ wv.T if batched else wv @ xv) + bv
-    if tape is None:
-        return np.tanh(pre)
-    check_finite(pre, "dense_tanh")
-    y = np.tanh(pre)
-
-    def vjp(g):
-        gz = g * (1.0 - y * y)
-        if isinstance(b, Node):
-            _accumulate(b, _unbroadcast(gz, bv.shape))
-        if isinstance(w, Node):
-            _accumulate(w, gz.T @ xv if batched else np.outer(gz, xv))
-        if isinstance(x, Node):
-            _accumulate(x, gz @ wv if batched else wv.T @ gz)
-
-    return tape._record(y, "dense_tanh", vjp, checked=False)
 
 
 def tanh(x):
@@ -500,7 +496,15 @@ def softplus(x):
 
 
 def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-np.clip(v, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-_clip(v, -60.0, 60.0)))
+
+
+def _clamp_ramp(v, lo, hi):
+    """The sigmoid ramp ``s`` of ``smooth_clamp``, whose output is
+    ``lo + (hi - lo) * s`` and whose slope is ``4 * s * (1 - s)``."""
+    if hi <= lo:
+        raise ValueError(f"smooth_clamp requires lo < hi, got [{lo}, {hi}]")
+    return _sigmoid(4.0 / (hi - lo) * (v - 0.5 * (lo + hi)))
 
 
 def smooth_clamp(x, lo, hi):
@@ -509,13 +513,9 @@ def smooth_clamp(x, lo, hi):
     The ramp slope is 4/(hi-lo), which makes the response have unit slope at
     the interval midpoint and saturate smoothly at the ends.
     """
-    if hi <= lo:
-        raise ValueError(f"smooth_clamp requires lo < hi, got [{lo}, {hi}]")
-    k = 4.0 / (hi - lo)
-    mid = 0.5 * (lo + hi)
+    s = _clamp_ramp(_value(x), lo, hi)
     if not isinstance(x, Node):
-        return lo + (hi - lo) * _sigmoid(k * (_value(x) - mid))
-    s = _sigmoid(k * (x.value - mid))
+        return lo + (hi - lo) * s
 
     def vjp(g):
         _accumulate(x, g * 4.0 * s * (1.0 - s))
@@ -589,6 +589,229 @@ def reshape(x, shape):
         _accumulate(x, g.reshape(x.value.shape))
 
     return x.tape._record(x.value.reshape(shape), "reshape", vjp, checked=False)
+
+
+# ---------------------------------------------------------------------------
+# Fused primitives.  Each replaces a chain of the primitives above with one
+# node.  Its forward evaluates the chain's numpy expressions, it checks the
+# intermediates the chain checks under the chain's op names, and its vjp
+# applies the chain's adjoint expressions, sending contributions to its
+# operands in the chain's order.  So values, adjoints and raised errors are
+# those of the chain, bit for bit.
+# ---------------------------------------------------------------------------
+
+def tanh_mlp(weights, biases, x, out_scale):
+    """A tanh network with a scaled output,
+    ``out_scale * tanh(w_L @ ... tanh(w_1 @ x + b_1) ... + b_L)``; a
+    row-batched ``x`` of shape (K, n) yields (K, m).
+
+    Replaces one dense tanh node per layer and a ``scale``.  Each layer's
+    pre-activation is checked under ``"dense_tanh"`` and the output under
+    ``"affine"``; layers before the first one with a node operand stay raw
+    and unchecked, as they would in the chain.  Only layer outputs are
+    stored: the adjoint needs no pre-activation, since tanh' = 1 - tanh^2.
+    """
+    xv = _value(x)
+    batched = xv.ndim == 2
+    tape = _tape_of(x, *weights, *biases)
+    first = 0 if isinstance(x, Node) else None   # first taped layer
+    ins, outs = [], []
+    h = xv
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        wv = _value(w)
+        if wv.ndim != 2:
+            raise ValueError(f"tanh_mlp weight must be 2-D, got shape {wv.shape}")
+        if h.shape[-1] != wv.shape[1]:
+            raise ValueError(f"tanh_mlp shape mismatch: {wv.shape} @ {h.shape}")
+        pre = h @ wv.T if batched else wv @ h
+        pre += _value(b)
+        if first is None and (isinstance(w, Node) or isinstance(b, Node)):
+            first = i
+        if first is not None:
+            check_finite(pre, "dense_tanh")
+        np.tanh(pre, out=pre)
+        ins.append(h)
+        outs.append(pre)
+        h = pre
+    out = out_scale * h + 0.0
+    if tape is None:
+        return out
+    check_finite(out, "affine")
+
+    def vjp(g):
+        g = out_scale * g
+        for i in range(len(outs) - 1, first - 1, -1):
+            w, b, y = weights[i], biases[i], outs[i]
+            gz = y * y                       # g * (1 - y^2), in place
+            np.subtract(1.0, gz, out=gz)
+            gz *= g
+            if isinstance(b, Node):
+                _accumulate(b, _unbroadcast(gz, b.value.shape))
+            if isinstance(w, Node):
+                _accumulate(w, gz.T @ ins[i] if batched else np.outer(gz, ins[i]))
+            if i > first or isinstance(x, Node):
+                wv = _value(w)
+                g = gz @ wv if batched else wv.T @ gz
+        if isinstance(x, Node):
+            _accumulate(x, g)
+
+    return tape._record(out, "tanh_mlp", vjp, checked=False)
+
+
+def clamped_add(a, b, lo, hi):
+    """``smooth_clamp(a + b, lo, hi)``: a sum smoothly saturated onto (lo, hi).
+
+    Replaces add and smooth_clamp; the sum is checked under ``"add"``.
+    """
+    tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
+    total = av + bv
+    s = _clamp_ramp(total, lo, hi)
+    out = lo + (hi - lo) * s
+    if tape is None:
+        return out
+    check_finite(total, "add")
+
+    def vjp(g):
+        g_total = g * 4.0 * s * (1.0 - s)
+        if isinstance(a, Node):
+            _accumulate(a, _unbroadcast(g_total, av.shape))
+        if isinstance(b, Node):
+            _accumulate(b, _unbroadcast(g_total, bv.shape))
+
+    return tape._record(out, "clamped_add", vjp, checked=False)
+
+
+def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
+    """Variance (K, 1) of an observer's noisy view of a target.
+
+    The bearing is the signed angle between the observer's heading (its
+    velocity) and the target, atan2 of (cross, dot) in [-pi, pi].  The
+    variance is ``sigma2_base`` inside the view cone (|bearing| < fov/2) and
+    grows linearly at ``c_scale`` per radian outside; it is continuous at the
+    cone boundary, with |bearing| the smooth eps-regularized absolute value.
+    The atan2 adjoint is regularized, so zero velocity yields finite
+    (arbitrary) gradients.
+
+    At rest (velocity exactly +0) the bearing follows IEEE signed zeros:
+    cross and dot are signed zeros, and atan2(+0, -0) = pi.  So a resting
+    observer sees a target in its third quadrant (both displacement
+    components negative) at bearing pi, a variance of about 11.8 with the
+    default constants, and any other target at bearing 0, variance
+    ``sigma2_base``.
+
+    Replaces sub, cross2, dot2, atan2, smooth_abs, affine, relu and affine.
+    Checked: the displacement (``"sub"``, when a position is a node),
+    ``"cross2"``, ``"dot2"``, ``"smooth_abs"`` and both ``"affine"`` outputs.
+    """
+    tape = _tape_of(pos_obs, vel_obs, pos_target)
+    ov, vv, tv = _value(pos_obs), _value(vel_obs), _value(pos_target)
+    d = tv - ov
+    cross = vv[..., 0:1] * d[..., 1:2] - vv[..., 1:2] * d[..., 0:1]
+    dot = vv[..., 0:1] * d[..., 0:1] + vv[..., 1:2] * d[..., 1:2]
+    bearing = np.arctan2(cross, dot)
+    abs_bearing = np.sqrt(bearing * bearing + NORM_EPS)
+    excess = 1.0 * abs_bearing + -0.5 * fov
+    var = c_scale * np.maximum(excess, 0.0) + sigma2_base
+    if tape is None:
+        return var
+    d_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
+    if d_taped:
+        check_finite(d, "sub")
+    for value, op in ((cross, "cross2"), (dot, "dot2"), (abs_bearing, "smooth_abs"),
+                      (excess, "affine"), (var, "affine")):
+        check_finite(value, op)
+
+    def vjp(g):
+        g_bearing = 1.0 * (c_scale * g * (excess > 0.0)) * bearing / abs_bearing
+        denom = dot * dot + cross * cross + 1e-12
+        g_cross = g_bearing * dot / denom
+        g_dot = -g_bearing * cross / denom
+        # the chain's dot2 node was recorded after its cross2 node
+        if isinstance(vel_obs, Node):
+            _accumulate(vel_obs, _unbroadcast(g_dot * d, vv.shape))
+            _accumulate(vel_obs, _unbroadcast(g_cross * _perp(d), vv.shape))
+        if d_taped:
+            g_d = (_unbroadcast(g_dot * vv, d.shape)
+                   + _unbroadcast(-g_cross * _perp(vv), d.shape))
+            if isinstance(pos_target, Node):
+                _accumulate(pos_target, _unbroadcast(g_d, tv.shape))
+            if isinstance(pos_obs, Node):
+                _accumulate(pos_obs, _unbroadcast(-g_d, ov.shape))
+
+    return tape._record(var, "fov_variance", vjp, checked=False)
+
+
+def trimmed_gauss(mu, var, eps, lo, hi):
+    """Reparameterized Gaussian draw of variance ``var``, smoothly trimmed
+    onto (lo, hi): ``smooth_clamp(mu + sqrt(var) * eps, lo, hi)``.
+
+    Replaces sqrt, gauss_reparam and smooth_clamp.  Checked: the standard
+    deviation (``"sqrt"``, when ``var`` is a node) and the untrimmed draw
+    (``"gauss_reparam"``).  A lifted ``eps`` node makes the draw
+    differentiable in the noise too; the chain is then sqrt, mul, add and
+    smooth_clamp, and the product and the draw are checked under ``"mul"``
+    and ``"add"``.  ``var`` may broadcast against ``mu`` (e.g. shape (K, 1)
+    vs (K, 2)).
+    """
+    tape = _tape_of(mu, var, eps)
+    mv, vv, ev = _value(mu), _value(var), _value(eps)
+    sigma = np.sqrt(vv)
+    spread = sigma * ev
+    draw = mv + spread
+    s = _clamp_ramp(draw, lo, hi)
+    out = lo + (hi - lo) * s
+    if tape is None:
+        return out
+    lifted = isinstance(eps, Node)
+    if isinstance(var, Node):
+        check_finite(sigma, "sqrt")
+    if lifted:
+        check_finite(spread, "mul")
+        check_finite(draw, "add")
+    else:
+        check_finite(draw, "gauss_reparam")
+
+    def vjp(g):
+        g_draw = g * 4.0 * s * (1.0 - s)
+        if isinstance(mu, Node):
+            _accumulate(mu, _unbroadcast(g_draw, mv.shape))
+        if lifted:
+            g_spread = _unbroadcast(g_draw, spread.shape)
+            g_sigma = _unbroadcast(g_spread * ev, sigma.shape)
+            _accumulate(eps, _unbroadcast(g_spread * sigma, ev.shape))
+        else:
+            g_sigma = _unbroadcast(g_draw * ev, sigma.shape)
+        if isinstance(var, Node):
+            _accumulate(var, 0.5 * g_sigma / sigma)
+
+    return tape._record(out, "trimmed_gauss", vjp, checked=False)
+
+
+def soft_barrier(x, scale, shift, weight):
+    """``weight * softplus(scale * |x| + shift)^2``, with |x| the regularized
+    norm over the last axis (``norm_eps``), kept as (K, 1).
+
+    Replaces norm_eps, affine, softplus, square and affine.  Checked: the
+    norm (``"norm_eps"``), the softplus argument (``"affine"``), the square
+    (``"square"``) and the output (``"affine"``).
+    """
+    xv = _value(x)
+    norm = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True) + NORM_EPS)
+    arg = scale * norm + shift
+    soft = np.logaddexp(0.0, arg)
+    sq = soft * soft
+    out = weight * sq + 0.0
+    if not isinstance(x, Node):
+        return out
+    for value, op in ((norm, "norm_eps"), (arg, "affine"), (sq, "square"), (out, "affine")):
+        check_finite(value, op)
+
+    def vjp(g):
+        g_norm = scale * (2.0 * soft * (weight * g) * _sigmoid(arg))
+        _accumulate(x, g_norm / norm * xv)
+
+    return x.tape._record(out, "soft_barrier", vjp, checked=False)
 
 
 # ---------------------------------------------------------------------------

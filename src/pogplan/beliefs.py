@@ -21,6 +21,7 @@ memory on every layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,14 +74,27 @@ def init_particles(game, k_all, n_eq, rng):
                        blocks=round_robin_partition(k_all, n_eq))
 
 
-def sample_batch(pset, k_batch, rng):
-    """Indices of k_batch particles drawn i.i.d. proportional to weight,
-    with replacement."""
-    total = pset.weights.sum()
+def sampling_cdf(weights):
+    """Cumulative distribution of particle indices proportional to
+    ``weights``, for ``sample_batch``; built the way ``Generator.choice``
+    builds it from normalized probabilities."""
+    total = weights.sum()
+    if not math.isfinite(total) or (weights < 0.0).any():
+        raise ValueError("cannot sample a batch: particle weights must be finite "
+                         "and non-negative")
     if not total > 0.0:
         raise ValueError("cannot sample a batch: all particle weights are zero")
-    p = pset.weights / total
-    return rng.choice(pset.k_all, size=k_batch, replace=True, p=p)
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_batch(cdf, k_batch, rng):
+    """Indices of k_batch particles drawn i.i.d. from ``cdf`` (see
+    ``sampling_cdf``), with replacement.  The draw is
+    ``rng.choice(k_all, size=k_batch, replace=True, p=weights / total)``'s,
+    index for index and with the same use of ``rng``."""
+    return cdf.searchsorted(rng.random(k_batch), side="right")
 
 
 def _apply_policies(game, policies, new_hists, old_hists, idx):
@@ -214,10 +228,11 @@ def gaussian_summary(pset, game, player):
     return mean, cov
 
 
-def surprisal(pset, game, player, true_position):
-    """Negative log likelihood (nats) of the true position under the
-    Gaussian fit of the belief's position marginal for ``player``."""
-    mean, cov = gaussian_summary(pset, game, player)
+def surprisal(summary, true_position):
+    """Negative log likelihood (nats) of a player's true position under the
+    Gaussian fit ``summary``, the ``gaussian_summary`` (mean, covariance) of
+    the belief's position marginal for that player."""
+    mean, cov = summary
     diff = np.asarray(true_position, dtype=float).ravel() - mean
     dim = mean.size
     sign, logdet = np.linalg.slogdet(cov)

@@ -122,11 +122,12 @@ def run_matrix(cfg):
     Returns (SummaryTable, {label: [TrialRecord]}); also writes the config
     echo, per-trial records, and the summary under cfg.outdir.
     """
-    os.makedirs(cfg.outdir, exist_ok=True)
-    write_config(cfg, os.path.join(cfg.outdir, "config_echo.txt"))
-    probe = trial_game(cfg, cfg.seed)
+    probe = trial_game(cfg, cfg.seed)   # validate the settings before writing anything
     names = group_names(probe)
     combos = list(product((PASSIVE, ACTIVE), repeat=len(mode_groups(probe))))
+    episode_options(cfg, modes_for_combo(probe, combos[0])).resolved(probe)
+    os.makedirs(cfg.outdir, exist_ok=True)
+    write_config(cfg, os.path.join(cfg.outdir, "config_echo.txt"))
 
     table = SummaryTable(scenario=cfg.scenario)
     all_records = {}

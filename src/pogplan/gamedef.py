@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import adgraph as ag
-from .adgraph import NORM_EPS
 
 
 class GameDef:
@@ -117,39 +116,9 @@ def double_integrator_step(pos, vel, accel, v_max):
     smoothly at +-v_max per axis; the position then advances by the new
     velocity.  Deterministic: there is no process noise.
     """
-    new_vel = ag.smooth_clamp(ag.add(vel, accel), -v_max, v_max)
+    new_vel = ag.clamped_add(vel, accel, -v_max, v_max)
     new_pos = ag.add(pos, new_vel)
     return new_pos, new_vel
-
-
-def bearing_to(pos_obs, vel_obs, pos_target):
-    """Signed angle (K, 1) between the observer's heading and the target.
-
-    The heading is the velocity direction; atan2 of (cross, dot) gives the
-    bearing in [-pi, pi] without any normalization, and its adjoint is
-    regularized so zero velocity yields finite (arbitrary) gradients.
-
-    At rest (velocity exactly +0) the bearing follows IEEE signed zeros:
-    cross and dot are signed zeros, and atan2(+0, -0) = pi.  So a resting
-    observer sees a target in its third quadrant (both displacement
-    components negative) at bearing pi, a view-cone variance of about 11.8
-    with the default constants, and any other target at bearing 0, variance
-    ``sigma2_base``.
-    """
-    d = ag.sub(pos_target, pos_obs)
-    return ag.atan2(ag.cross2(vel_obs, d), ag.dot2(vel_obs, d))
-
-
-def fov_variance(bearing, fov, sigma2_base, c_scale):
-    """Observation variance as a function of bearing.
-
-    Constant at ``sigma2_base`` inside the view cone (|bearing| < fov/2) and
-    growing linearly at ``c_scale`` per radian outside; continuous at the
-    cone boundary.  |bearing| is the smooth eps-regularized absolute value.
-    """
-    b = ag.smooth_abs(bearing, NORM_EPS)
-    excess = ag.relu(ag.affine(b, 1.0, -0.5 * fov))
-    return ag.affine(excess, c_scale, sigma2_base)
 
 
 def boundary_penalty(pos, radius, weight):
@@ -159,8 +128,7 @@ def boundary_penalty(pos, radius, weight):
     circle, growing quadratically outside; monotone in distance from the
     origin.  Returns shape (K, 1).
     """
-    overshoot = ag.affine(ag.norm_eps(pos, NORM_EPS), 1.0, -radius)
-    return ag.affine(ag.square(ag.softplus(overshoot)), weight, 0.0)
+    return ag.soft_barrier(pos, 1.0, -radius, weight)
 
 
 def sq_dist(a, b):

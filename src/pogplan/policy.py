@@ -108,10 +108,7 @@ def policy_forward(theta, history, t_offset=0):
     width = history.shape[-1] if hasattr(history, "shape") else np.shape(history)[-1]
     if width != theta.input_width:
         raise ValueError(f"history width {width} != policy input width {theta.input_width}")
-    h = history
-    for w, b in zip(theta.weights, theta.biases):
-        h = ag.dense_tanh(w, b, h)
-    out = ag.scale(h, theta.action_scale)
+    out = ag.tanh_mlp(theta.weights, theta.biases, history, theta.action_scale)
     if theta.mode == PASSIVE and t_offset is not None:
         out = action_block(theta, out, t_offset)
     return out

@@ -253,10 +253,10 @@ def run_episode(game, opts, seed, agent_seeds=None):
                 if dump_fh:
                     dump_particles(agent.pset, game, dump_fh, step, agent=agent.player)
                 for j in range(n):
-                    pos = new_state[j][0][0]
-                    bmeans[(agent.player, j)] = gaussian_summary(agent.pset, game, j)[0]
+                    summary = gaussian_summary(agent.pset, game, j)
+                    bmeans[(agent.player, j)] = summary[0]
                     if j != agent.player:
-                        surp[(agent.player, j)] = surprisal(agent.pset, game, j, pos)
+                        surp[(agent.player, j)] = surprisal(summary, new_state[j][0][0])
 
             record.steps.append(StepRecord(
                 step=step,

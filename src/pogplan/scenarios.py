@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adgraph as ag
-from .gamedef import (
-    PlanarGame,
-    boundary_penalty,
-    bearing_to,
-    fov_variance,
-    sq_dist,
-)
+from .gamedef import PlanarGame, boundary_penalty, sq_dist
 
 SMOOTHMIN_TEMP = 10.0  # sharpness of the soft minimum over obstacles
 
@@ -111,9 +105,9 @@ class _FovGame(PlanarGame):
 
     def _pair_variance(self, state, observer, target):
         """(K, 1) observation variance for one observer/target pair."""
-        bearing = bearing_to(state[observer][0], state[observer][1], state[target][0])
-        return fov_variance(bearing, self.config.fov, self.config.sigma2_base,
-                            self.config.c_scale)
+        cfg = self.config
+        return ag.fov_variance(state[observer][0], state[observer][1], state[target][0],
+                               cfg.fov, cfg.sigma2_base, cfg.c_scale)
 
     def observe(self, state, player, eps):
         r = self.config.play_radius
@@ -123,9 +117,8 @@ class _FovGame(PlanarGame):
             if other == player:
                 continue
             var = self._pair_variance(state, player, other)
-            noisy = ag.gauss_reparam(state[other][0], ag.sqrt(var),
-                                     ag.slice_last(eps, col, col + 2))
-            parts.append(ag.smooth_clamp(noisy, -r, r))
+            parts.append(ag.trimmed_gauss(state[other][0], var,
+                                          ag.slice_last(eps, col, col + 2), -r, r))
             col += 2
         return ag.concat(parts)
 
@@ -263,8 +256,7 @@ class HideSeekGame(TagGame):
         pos = state[player][0]
         cfg = self.config
         for center, radius in self.obstacles:
-            inside = ag.affine(ag.norm_eps(ag.sub(pos, center)), -1.0, radius)
-            pen = ag.affine(ag.square(ag.softplus(inside)), cfg.boundary_weight, 0.0)
+            pen = ag.soft_barrier(ag.sub(pos, center), -1.0, radius, cfg.boundary_weight)
             r = ag.sub(r, pen)
         return r
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import adgraph as ag
 from .adgraph import Tape
-from .beliefs import sample_batch
+from .beliefs import sample_batch, sampling_cdf
 from .policy import (
     ACTIVE,
     action_block,
@@ -112,7 +112,7 @@ def _batch_inputs(game, pset, idx):
     return state, hists
 
 
-def expected_cost(game, pset, thetas, player, k_batch, rng):
+def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     """Mean rollout cost for ``player`` over a weighted particle batch and
     its gradient with respect to that player's parameters: ``(cost, grad)``,
     ``grad`` one array in ``PolicyParams.flat`` order.
@@ -121,9 +121,10 @@ def expected_cost(game, pset, thetas, player, k_batch, rng):
     and the opponents' policies enter as plain arrays, so the tape records
     only values a gradient can reach.  The tape checks only what it records,
     so the raw inputs are checked for finiteness once here.  A cost that does
-    not depend on the parameters has zero gradients.
+    not depend on the parameters has zero gradients.  ``cdf``, the
+    ``sampling_cdf`` of ``pset.weights``, saves rebuilding it per call.
     """
-    idx = sample_batch(pset, k_batch, rng)
+    idx = sample_batch(sampling_cdf(pset.weights) if cdf is None else cdf, k_batch, rng)
     eps = draw_noise(game, k_batch, rng)
     state, hists = _batch_inputs(game, pset, idx)
     opponents = [th.flat for i, th in enumerate(thetas) if i != player]
@@ -147,7 +148,7 @@ def expected_cost(game, pset, thetas, player, k_batch, rng):
 
 def evaluation_batch(game, pset, k_batch, rng):
     """Freeze a common-random-numbers batch for scoring a solve's final costs."""
-    idx = sample_batch(pset, k_batch, rng)
+    idx = sample_batch(sampling_cdf(pset.weights), k_batch, rng)
     eps = draw_noise(game, k_batch, rng)
     return idx, eps
 
@@ -207,6 +208,7 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     else:
         adam_states = [st.copy() for st in adam_states]
     batch = evaluation_batch(game, pset, k_batch, rng)
+    cdf = sampling_cdf(pset.weights)   # the weights are fixed for the solve
 
     costs = [np.nan] * n
     grad_norms = [np.inf] * n
@@ -225,7 +227,7 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
             for i in range(n):
                 t0 = time.perf_counter()
                 try:
-                    cost, grad = expected_cost(game, pset, thetas, i, k_batch, rng)
+                    cost, grad = expected_cost(game, pset, thetas, i, k_batch, rng, cdf)
                 except FloatingPointError:
                     aborted = True
                     break

@@ -7,8 +7,7 @@ import pytest
 
 from pogplan import adgraph as ag
 from pogplan import beliefs, solver
-from pogplan.adgraph import Tape, grad_check
-from pogplan.gamedef import bearing_to
+from pogplan.adgraph import NORM_EPS, Tape, grad_check
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.scenarios import ScenarioConfig, make_game
 
@@ -128,7 +127,7 @@ def test_dense_tanh_shape_mismatch_rejected():
     w = tape.param(np.ones((2, 3)))
     x = tape.param(np.ones(4))
     with pytest.raises(ValueError):
-        ag.dense_tanh(w, np.zeros(2), x)
+        ag.tanh_mlp([w], [np.zeros(2)], x, 1.0)
 
 
 def test_node_outliving_its_tape_raises():
@@ -160,7 +159,8 @@ def test_expected_cost_leaves_no_cyclic_garbage():
 
 
 def test_expected_cost_tapes_no_constants(monkeypatch):
-    """Batch rows, windows and the opponent's network stay off the tape."""
+    """Batch rows, windows and the opponent's network stay off the tape, and
+    one k = 10 gradient step records at most 110 nodes."""
     game = make_game(ScenarioConfig(name="tag"))
     thetas = [init_policy(game, i, mode, seed=i, hidden=(64, 64))
               for i, mode in enumerate([PASSIVE, ACTIVE])]
@@ -177,7 +177,8 @@ def test_expected_cost_tapes_no_constants(monkeypatch):
         ops.clear()
         solver.expected_cost(game, pset, thetas, player, 10, np.random.default_rng(1))
         assert "const" not in ops
-        assert len(ops) <= 210, f"player {player} taped {len(ops)} nodes"
+        # fused policy, view-cone, draw, barrier and velocity nodes: 101 and 79
+        assert len(ops) <= 110, f"player {player} taped {len(ops)} nodes"
 
 
 def test_overflow_raises_before_unchecked_ops():
@@ -249,8 +250,13 @@ def test_fd_affine_square_exp_log_sqrt():
     _fd_check(lambda x: ag.asum(ag.sqrt(ag.add(ag.square(x), 0.5))), 3)
 
 
+def _dense_tanh(w, b, x):
+    """One tanh layer, ``tanh(w @ x + b)``, as a one-layer ``tanh_mlp``."""
+    return ag.tanh_mlp([w], [b], x, 1.0)
+
+
 def _dense_args(x, m, n, batch=None):
-    """Split a flat vector into (w, b, x) operands of ``dense_tanh``."""
+    """Split a flat vector into (w, b, x) operands of one tanh layer."""
     w = ag.reshape(ag.slice_last(x, 0, m * n), (m, n))
     b = ag.slice_last(x, m * n, m * n + m)
     rest = ag.slice_last(x, m * n + m, x.shape[-1])
@@ -258,11 +264,11 @@ def _dense_args(x, m, n, batch=None):
 
 
 def test_fd_dense_tanh():
-    _fd_check(lambda x: ag.asum(ag.dense_tanh(*_dense_args(x, 2, 3))), 2 * 3 + 2 + 3)
+    _fd_check(lambda x: ag.asum(_dense_tanh(*_dense_args(x, 2, 3))), 2 * 3 + 2 + 3)
 
 
 def test_fd_batched_dense_tanh():
-    _fd_check(lambda x: ag.asum(ag.square(ag.dense_tanh(*_dense_args(x, 3, 4, batch=5)))),
+    _fd_check(lambda x: ag.asum(ag.square(_dense_tanh(*_dense_args(x, 3, 4, batch=5)))),
               3 * 4 + 3 + 5 * 4, points=20)
 
     # batched path must agree with the per-row path exactly
@@ -270,7 +276,7 @@ def test_fd_batched_dense_tanh():
     xb = np.random.default_rng(3).normal(size=(5, 4))
     tape = Tape()
     xn = tape.param(xb)
-    y = ag.asum(ag.dense_tanh(w0, np.zeros(3), xn))
+    y = ag.asum(_dense_tanh(w0, np.zeros(3), xn))
     tape.backward(y)
     grad_batched = xn.grad.copy()
     per_row = np.vstack([
@@ -289,7 +295,7 @@ def test_dense_tanh_matches_unfused_chain():
     rng = np.random.default_rng(9)
     values = (rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(6, 3)))
     results = []
-    for layer in (ag.dense_tanh, _unfused_dense_tanh):
+    for layer in (_dense_tanh, _unfused_dense_tanh):
         tape = Tape()
         w, b, x = (tape.param(v) for v in values)
         y = layer(w, b, x)
@@ -297,7 +303,7 @@ def test_dense_tanh_matches_unfused_chain():
         results.append([y.value, w.grad, b.grad, x.grad])
     for fused, chain in zip(*results):
         np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(results[0][0], ag.dense_tanh(*values), rtol=0)  # raw path
+    np.testing.assert_allclose(results[0][0], _dense_tanh(*values), rtol=0)  # raw path
 
 
 def test_fd_norm_abs_atan2_relu_softplus_clamp():
@@ -357,21 +363,256 @@ def test_dot2_cross2_match_slice_composite_bitwise():
                 _assert_bitwise(got, want)
 
 
-def test_bearing_at_rest_follows_signed_zeros():
-    """Zero velocity against displacements of every sign: the fused bearing
-    equals the slice composite bit for bit, and is pi exactly when the target
-    lies in the observer's third quadrant."""
-    pos = np.array([[0.4, -0.2]])
-    vel = np.zeros((1, 2))
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            target = pos + np.array([[sx * 1.3, sy * 0.7]])
-            d = target - pos
-            want = ag.atan2(_composite_cross2(vel, d), _composite_dot2(vel, d))
-            _assert_bitwise(bearing_to(pos, vel, target), want)
+# ---------------------------------------------------------------------------
+# Fused nodes against the chains of primitives they replace, byte for byte.
+# ---------------------------------------------------------------------------
+
+def _reference_dense_tanh(w, b, x):
+    """The one-layer node the policy network used to record per layer:
+    ``tanh(w @ x + b)``, its pre-activation checked under "dense_tanh"."""
+    tape = ag._tape_of(w, b, x)
+    wv, bv, xv = ag._value(w), ag._value(b), ag._value(x)
+    batched = xv.ndim == 2
+    pre = (xv @ wv.T if batched else wv @ xv) + bv
+    if tape is None:
+        return np.tanh(pre)
+    ag.check_finite(pre, "dense_tanh")
+    y = np.tanh(pre)
+
+    def vjp(g):
+        gz = g * (1.0 - y * y)
+        if isinstance(b, ag.Node):
+            ag._accumulate(b, ag._unbroadcast(gz, bv.shape))
+        if isinstance(w, ag.Node):
+            ag._accumulate(w, gz.T @ xv if batched else np.outer(gz, xv))
+        if isinstance(x, ag.Node):
+            ag._accumulate(x, gz @ wv if batched else wv.T @ gz)
+
+    return tape._record(y, "dense_tanh", vjp, checked=False)
+
+
+def _chain_mlp(w1, b1, w2, b2, w3, b3, x, out_scale=0.7):
+    h = x
+    for w, b in ((w1, b1), (w2, b2), (w3, b3)):
+        h = _reference_dense_tanh(w, b, h)
+    return ag.scale(h, out_scale)
+
+
+def _fused_mlp(w1, b1, w2, b2, w3, b3, x, out_scale=0.7):
+    return ag.tanh_mlp([w1, w2, w3], [b1, b2, b3], x, out_scale)
+
+
+def _chain_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_scale=5.0):
+    d = ag.sub(pos_target, pos_obs)
+    bearing = ag.atan2(ag.cross2(vel_obs, d), ag.dot2(vel_obs, d))
+    excess = ag.relu(ag.affine(ag.smooth_abs(bearing, NORM_EPS), 1.0, -0.5 * fov))
+    return ag.affine(excess, c_scale, sigma2_base)
+
+
+def _fused_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_scale=5.0):
+    return ag.fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale)
+
+
+def _chain_trimmed(mu, var, eps, lo=-5.0, hi=5.0):
+    return ag.smooth_clamp(ag.gauss_reparam(mu, ag.sqrt(var), eps), lo, hi)
+
+
+def _fused_trimmed(mu, var, eps, lo=-5.0, hi=5.0):
+    return ag.trimmed_gauss(mu, var, eps, lo, hi)
+
+
+def _chain_barrier(x, scale=1.0, shift=-5.0, weight=10.0):
+    arg = ag.affine(ag.norm_eps(x, NORM_EPS), scale, shift)
+    return ag.affine(ag.square(ag.softplus(arg)), weight, 0.0)
+
+
+def _fused_barrier(x, scale=1.0, shift=-5.0, weight=10.0):
+    return ag.soft_barrier(x, scale, shift, weight)
+
+
+def _chain_clamped_add(a, b, lo=-0.3, hi=0.3):
+    return ag.smooth_clamp(ag.add(a, b), lo, hi)
+
+
+def _fused_clamped_add(a, b, lo=-0.3, hi=0.3):
+    return ag.clamped_add(a, b, lo, hi)
+
+
+def _taped_run(op, values, lifted, seed):
+    """``op`` on a tape whose operands at positions ``lifted`` are interior
+    nodes (a leaf times 1.0, signed zeros kept) that a later node also reads,
+    so the op's adjoints add to ones already there.  Returns the value and
+    the leaves' adjoints."""
+    tape = Tape()
+    leaves = {i: tape.param(values[i]) for i in lifted}
+    args = [ag.mul(leaves[i], 1.0) if i in leaves else v for i, v in enumerate(values)]
+    out = op(*args)
+    rng = np.random.default_rng(seed)
+    root = ag.asum(ag.mul(out, rng.normal(size=out.shape)))
+    for i in lifted:
+        root = ag.add(root, ag.asum(ag.mul(args[i], rng.normal(size=args[i].shape))))
+    tape.backward(root)
+    return [out.value] + [leaves[i].grad for i in lifted]
+
+
+def _assert_fused_matches_chain(fused, chain, values, lifted_sets, seed=0):
+    """Equal bytes for the raw value, and for the taped value and adjoints
+    with each set of operand positions lifted."""
+    _assert_bitwise(fused(*values), chain(*values))
+    for lifted in lifted_sets:
+        for got, want in zip(_taped_run(fused, values, lifted, seed),
+                             _taped_run(chain, values, lifted, seed)):
+            _assert_bitwise(got, want)
+
+
+def _nonempty_subsets(n):
+    return [[i for i in range(n) if mask >> i & 1] for mask in range(1, 2 ** n)]
+
+
+def _assert_same_failure(fused, chain, values, lifted, op):
+    """Both raise FloatingPointError naming ``op``."""
+    for fn in (fused, chain):
+        with np.errstate(all="ignore"):
             tape = Tape()
-            _assert_bitwise(bearing_to(pos, tape.param(vel), target).value, want)
-            assert want.item() == (np.pi if sx < 0 and sy < 0 else 0.0)
+            args = [tape.param(v) if i in lifted else v for i, v in enumerate(values)]
+            with pytest.raises(FloatingPointError, match=f"in {op}$"):
+                fn(*args)
+
+
+def test_tanh_mlp_matches_layer_chain_bitwise():
+    rng = np.random.default_rng(20)
+    sizes = (5, 7, 6, 3)
+    params = []
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        params += [rng.normal(size=(n_out, n_in)), rng.normal(size=n_out)]
+    weights = list(range(6))
+    for x in (rng.normal(size=(4, 5)), rng.normal(size=5)):   # batched and one row
+        values = params + [x]
+        _assert_fused_matches_chain(_fused_mlp, _chain_mlp, values,
+                                    [[6], weights, weights + [6], [2, 3, 4, 5], [4, 6]])
+
+
+def test_fov_variance_matches_chain_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        values = [rng.normal(size=(6, 2)) for _ in range(3)]
+        _assert_fused_matches_chain(_fused_fov, _chain_fov, values, _nonempty_subsets(3))
+
+
+def test_bearing_at_rest_follows_signed_zeros():
+    """A resting observer against displacements of every sign: the fused
+    variance equals the chain bit for bit, raw and taped, and is the
+    variance at bearing pi exactly when the target lies in the observer's
+    third quadrant (atan2(+0, -0) = pi)."""
+    pos = np.array([[0.4, -0.2]])
+    behind = _chain_fov(pos, np.array([[1.0, 0.0]]), pos - np.array([[1.0, 0.0]]))
+    for vel in (np.zeros((1, 2)), np.array([[-0.0, 0.0]])):
+        for sx in (-1.0, 1.0):
+            for sy in (-1.0, 1.0):
+                target = pos + np.array([[sx * 1.3, sy * 0.7]])
+                values = [pos, vel, target]
+                _assert_fused_matches_chain(_fused_fov, _chain_fov, values,
+                                            _nonempty_subsets(3))
+                if vel[0, 0] == 0.0 and not np.signbit(vel[0, 0]):
+                    third = sx < 0 and sy < 0
+                    want = behind.item() if third else 0.01
+                    assert _fused_fov(*values).item() == pytest.approx(want, rel=1e-12)
+
+
+def test_trimmed_gauss_matches_chain_bitwise():
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        mu = rng.normal(size=(6, 2)) * 3.0
+        var = rng.uniform(0.01, 12.0, size=(6, 1))
+        eps = rng.normal(size=(6, 2))
+        # every subset of (mu, var, eps) lifted; a lifted eps is the mul/add chain
+        _assert_fused_matches_chain(_fused_trimmed, _chain_trimmed, [mu, var, eps],
+                                    _nonempty_subsets(3))
+
+
+def test_soft_barrier_matches_chain_bitwise():
+    rng = np.random.default_rng(23)
+    for scale, shift in ((1.0, -5.0), (-1.0, 0.7)):
+        def fused(x):
+            return _fused_barrier(x, scale, shift)
+
+        def chain(x):
+            return _chain_barrier(x, scale, shift)
+
+        for _ in range(10):
+            _assert_fused_matches_chain(fused, chain, [rng.normal(size=(6, 2)) * 4.0], [[0]])
+        _assert_fused_matches_chain(fused, chain, [np.zeros((2, 2))], [[0]])
+
+
+def test_clamped_add_matches_chain_bitwise():
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        values = [rng.normal(size=(6, 2)) * 0.3, rng.normal(size=(6, 2)) * 0.6]
+        _assert_fused_matches_chain(_fused_clamped_add, _chain_clamped_add, values,
+                                    _nonempty_subsets(2))
+
+
+def test_fused_nodes_raise_where_their_chains_raise():
+    """A planted non-finite intermediate raises FloatingPointError naming the
+    same op in the fused node as in its chain."""
+    rng = np.random.default_rng(25)
+    w = [rng.normal(size=(3, 2)), rng.normal(size=3), rng.normal(size=(3, 3)),
+         rng.normal(size=3), rng.normal(size=(2, 3)), rng.normal(size=2)]
+    x = rng.normal(size=(4, 2))
+    huge = list(w)
+    huge[2] = np.full((3, 3), 1e308)         # the second pre-activation overflows
+    _assert_same_failure(_fused_mlp, _chain_mlp, huge + [x], [6], "dense_tanh")
+    _assert_same_failure(_fused_mlp, _chain_mlp, huge + [x], [2], "dense_tanh")
+
+    def mlp_inf_scale(*v):
+        return _fused_mlp(*v, out_scale=np.inf)
+
+    def chain_inf_scale(*v):
+        return _chain_mlp(*v, out_scale=np.inf)
+
+    _assert_same_failure(mlp_inf_scale, chain_inf_scale, w + [x], [6], "affine")
+
+    pos, vel = np.array([[-1e308, 0.0]]), np.array([[0.3, 0.1]])
+    far = np.array([[1e308, 0.0]])
+    _assert_same_failure(_fused_fov, _chain_fov, [pos, vel, far], [0], "sub")
+    big = [np.zeros((1, 2)), np.array([[1e200, 1e200]]), np.array([[1e200, -1e200]])]
+    _assert_same_failure(_fused_fov, _chain_fov, big, [1], "cross2")
+    big[1:] = np.array([[1e200, 1e-200]]), np.array([[1e200, 1e-200]])  # cross = 0
+    _assert_same_failure(_fused_fov, _chain_fov, big, [1], "dot2")
+
+    def fov_inf(*v):
+        return _fused_fov(*v, fov=np.inf)
+
+    def chain_fov_inf(*v):
+        return _chain_fov(*v, fov=np.inf)
+
+    _assert_same_failure(fov_inf, chain_fov_inf, [pos * 0, vel, far * 0 + 1], [1], "affine")
+
+    mu, eps = np.zeros((1, 2)), np.array([[1e200, 0.5]])
+    _assert_same_failure(_fused_trimmed, _chain_trimmed, [mu, np.array([[-1.0]]), eps],
+                         [1], "sqrt")
+    _assert_same_failure(_fused_trimmed, _chain_trimmed, [mu, np.array([[1e300]]), eps],
+                         [0], "gauss_reparam")
+    _assert_same_failure(_fused_trimmed, _chain_trimmed, [mu, np.array([[1e300]]), eps],
+                         [2], "mul")
+    _assert_same_failure(_fused_trimmed, _chain_trimmed,
+                         [np.array([[1e308, 0.0]]), np.array([[1.0]]), np.array([[1e308, 0.0]])],
+                         [2], "add")
+
+    _assert_same_failure(_fused_barrier, _chain_barrier, [np.array([[1e200, 0.0]])], [0],
+                         "norm_eps")
+
+    def barrier_shift(v, shift):
+        return _fused_barrier(v, shift=shift)
+
+    def chain_shift(v, shift):
+        return _chain_barrier(v, shift=shift)
+
+    _assert_same_failure(barrier_shift, chain_shift, [np.array([[1e154, 0.0]]), 1e154], [0],
+                         "square")
+    _assert_same_failure(barrier_shift, chain_shift, [np.ones((1, 2)), -np.inf], [0], "affine")
+    _assert_same_failure(_fused_clamped_add, _chain_clamped_add,
+                         [np.array([[1e308]]), np.array([[1e308]])], [0], "add")
 
 
 def test_fd_concat_slice_sum_axis():
@@ -418,9 +659,7 @@ def test_fd_synthetic_depth6_rollout_with_network():
         state = ag.slice_last(x, 0, 2) if isinstance(x, ag.Node) else x[0:2]
         total = None
         for t in range(6):
-            h = ag.dense_tanh(w1, b1, state)
-            h = ag.dense_tanh(w2, b2, h)
-            act = ag.scale(ag.dense_tanh(w3, b3, h), 0.3)
+            act = ag.tanh_mlp([w1, w2, w3], [b1, b2, b3], state, 0.3)
             state = ag.add(state, ag.smooth_clamp(act, -0.25, 0.25))
             state = ag.gauss_reparam(state, ag.smooth_abs(ag.norm_eps(state, keepdims=False)), eps[t])
             step_cost = ag.asum(ag.square(state))

@@ -13,6 +13,7 @@ from pogplan.beliefs import (
     init_particles,
     round_robin_partition,
     sample_batch,
+    sampling_cdf,
     surprisal,
     systematic_resample,
     update_particles,
@@ -54,29 +55,55 @@ def test_init_two_spawn_split():
     assert abs(east - 0.5) < 0.02
 
 
+def _sample(pset, k, rng):
+    return sample_batch(sampling_cdf(pset.weights), k, rng)
+
+
 def test_sample_batch_degenerate_and_uniform():
     game = _tag()
     pset = init_particles(game, 10, 1, np.random.default_rng(2))
 
     pset.weights[:] = 0.0
     pset.weights[7] = 1.0
-    idx = sample_batch(pset, 50, np.random.default_rng(3))
+    idx = _sample(pset, 50, np.random.default_rng(3))
     np.testing.assert_array_equal(idx, 7)
 
     pset.weights[:] = 0.1
-    draws = sample_batch(pset, 100_000, np.random.default_rng(4))
+    draws = _sample(pset, 100_000, np.random.default_rng(4))
     counts = np.bincount(draws, minlength=10)
     freqs = counts / 100_000
     assert np.all(np.abs(freqs - 0.1) < 0.005)
     assert chisquare(counts).pvalue > 0.01
 
     pset.weights[3] = 0.0
-    draws = sample_batch(pset, 100_000, np.random.default_rng(5))
+    draws = _sample(pset, 100_000, np.random.default_rng(5))
     assert np.all(draws != 3)
 
     pset.weights[:] = 0.0
-    with pytest.raises(ValueError):
-        sample_batch(pset, 5, np.random.default_rng(6))
+    with pytest.raises(ValueError, match="all particle weights are zero"):
+        _sample(pset, 5, np.random.default_rng(6))
+    for bad in (-0.1, np.nan, np.inf):
+        pset.weights[:] = 0.1
+        pset.weights[2] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            _sample(pset, 5, np.random.default_rng(6))
+
+
+def test_sample_batch_draws_what_rng_choice_draws():
+    """Index for index, and leaving the generator in the same state."""
+    weights = [np.full(7, 1.0), np.arange(1.0, 40.0), np.array([0.0, 3.0, 0.0, 1e-9, 2.0])]
+    weights.append(np.random.default_rng(30).dirichlet(np.ones(1000)))
+    weights.append(np.random.default_rng(31).exponential(size=333) ** 4)
+    for w in weights:
+        cdf = sampling_cdf(w)
+        for seed in range(8):
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in (1, 10, 257):
+                want = theirs.choice(w.size, size=k, replace=True, p=w / w.sum())
+                got = sample_batch(cdf, k, mine)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert mine.random() == theirs.random()
 
 
 def test_update_gamma_zero_weights_fixed_point():
@@ -242,10 +269,10 @@ def test_surprisal_gaussian_values():
     pset.states[:, 0:2] = [[r, 0.0], [-r, 0.0], [0.0, r], [0.0, -r]]
     pset.weights[:] = 0.25  # unit covariance by construction
 
-    at_mean = surprisal(pset, game, 0, [0.0, 0.0])
+    at_mean = surprisal(gaussian_summary(pset, game, 0), [0.0, 0.0])
     np.testing.assert_allclose(at_mean, np.log(2 * np.pi), atol=1e-5)
 
-    one_sigma = surprisal(pset, game, 0, [1.0, 0.0])
+    one_sigma = surprisal(gaussian_summary(pset, game, 0), [1.0, 0.0])
     np.testing.assert_allclose(one_sigma - at_mean, 0.5, atol=1e-5)
 
 
@@ -257,7 +284,7 @@ def test_surprisal_decreases_as_cloud_concentrates():
     for spread in (2.0, 1.0, 0.5, 0.25):
         pset = init_particles(game, 400, 1, rng)
         pset.states[:, 0:2] = truth + rng.normal(scale=spread, size=(400, 2))
-        values.append(surprisal(pset, game, 0, truth))
+        values.append(surprisal(gaussian_summary(pset, game, 0), truth))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 

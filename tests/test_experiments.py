@@ -77,6 +77,15 @@ def test_run_matrix_zero_trials(tmp_path, capsys):
     assert "0 trials" in capsys.readouterr().out
 
 
+def test_run_matrix_validates_before_writing(tmp_path):
+    for bad, message in (({"t_past": 0}, "t_past must be at least 1"),
+                         ({"brain": "Separate"}, "unknown brain mode")):
+        cfg = _tiny_cfg(tmp_path, **bad)
+        with pytest.raises(ValueError, match=message):
+            run_matrix(cfg)
+        assert not os.path.exists(cfg.outdir)
+
+
 def test_record_round_trip(tmp_path):
     cfg = _tiny_cfg(tmp_path)
     table, records = run_matrix(cfg)

@@ -10,11 +10,8 @@ import numpy as np
 
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
-from pogplan.gamedef import (
-    boundary_penalty,
-    double_integrator_step,
-    fov_variance,
-)
+from pogplan.adgraph import NORM_EPS
+from pogplan.gamedef import boundary_penalty, double_integrator_step
 from pogplan.scenarios import ScenarioConfig, TagGame
 
 
@@ -51,6 +48,15 @@ def test_double_integrator_accel_gradient_near_one():
         lo[axis] -= h
         slope = (float(np.asarray(f(hi[None]))) - float(np.asarray(f(lo[None])))) / (2 * h)
         assert abs(slope - 1.0) < 0.02
+
+
+def fov_variance(bearing, fov, sigma2_base, c_scale):
+    """The view-cone variance at the given bearings (K, 1): an observer at
+    the origin heading along +x, targets on the unit circle."""
+    k = bearing.shape[0]
+    target = np.concatenate([np.cos(bearing), np.sin(bearing)], axis=-1)
+    return ag.fov_variance(np.zeros((k, 2)), np.tile([[0.3, 0.0]], (k, 1)), target,
+                           fov, sigma2_base, c_scale)
 
 
 def test_fov_variance_branches():
@@ -105,6 +111,57 @@ def test_fov_observe_trimmed_to_play_area():
     for _ in range(200):
         z = TAG.observe(state, 0, rng.normal(size=(1, 2)) * 3)
         assert np.all(np.abs(z[:, 4:6]) <= 5.0)
+
+
+def _chain_observe(game, state, player, eps):
+    """``_FovGame.observe`` as the chain of primitives it records as fused
+    nodes: bearing, view-cone variance, then the trimmed reparameterized draw."""
+    cfg, r = game.config, game.config.play_radius
+    parts = [state[player][0], state[player][1]]
+    col = 0
+    for other in range(game.n_players):
+        if other == player:
+            continue
+        pos, vel = state[player][0], state[player][1]
+        d = ag.sub(state[other][0], pos)
+        bearing = ag.atan2(ag.cross2(vel, d), ag.dot2(vel, d))
+        excess = ag.relu(ag.affine(ag.smooth_abs(bearing, NORM_EPS), 1.0, -0.5 * cfg.fov))
+        var = ag.affine(excess, cfg.c_scale, cfg.sigma2_base)
+        noisy = ag.gauss_reparam(state[other][0], ag.sqrt(var), ag.slice_last(eps, col, col + 2))
+        parts.append(ag.smooth_clamp(noisy, -r, r))
+        col += 2
+    return ag.concat(parts)
+
+
+def _observe_flat(observe, x):
+    state = [(ag.slice_last(x, 0, 2), ag.slice_last(x, 2, 4)),
+             (ag.slice_last(x, 4, 6), ag.slice_last(x, 6, 8))]
+    return observe(state, 0, ag.slice_last(x, 8, 10))
+
+
+def test_fov_observe_matches_chain_bitwise():
+    """Observation and adjoints equal the unfused chain byte for byte: every
+    input on the tape, the noise included (a lifted eps), and a resting
+    observer whose bearing rests on signed zeros."""
+    rng = np.random.default_rng(3)
+    points = [rng.normal(size=10) * 2.0 for _ in range(10)]
+    for sx in (-1.0, 1.0):
+        for sy in (-1.0, 1.0):   # observer at rest, target in each quadrant
+            points.append(np.array([0.4, -0.2, 0.0, 0.0, 0.4 + sx, -0.2 + sy, 0.1, 0.0,
+                                    0.3, -0.8]))
+    upstream = rng.normal(size=(1, 6))
+    observers = (TAG.observe, lambda *args: _chain_observe(TAG, *args))
+    for x in points:
+        raw = [_observe_flat(fn, x[None]) for fn in observers]
+        assert raw[0].tobytes() == raw[1].tobytes()
+        taped = []
+        for fn in observers:
+            tape = Tape()
+            leaf = tape.param(x[None])
+            z = _observe_flat(fn, leaf)
+            tape.backward(ag.asum(ag.mul(z, upstream)))
+            taped.append((z.value.tobytes(), leaf.grad.tobytes()))
+        assert taped[0] == taped[1]
 
 
 def test_boundary_penalty_values_and_monotonicity():

@@ -20,7 +20,7 @@ from pogplan.policy import (
     with_flat,
 )
 from pogplan.runner import EpisodeOptions, run_episode
-from pogplan.scenarios import ScenarioConfig, make_game
+from pogplan.scenarios import ScenarioConfig, WarehouseGame, make_game
 from pogplan.solver import (
     _run_rollout,
     calc_eq,
@@ -192,6 +192,59 @@ def test_expected_cost_gradient_matches_finite_differences():
         num = (up - dn) / (2 * h)
         worst = max(worst, abs(grad[j] - num) / (abs(grad[j]) + abs(num) + 1e-12))
     assert worst < 1e-4
+
+
+def _rollout_program(game, seed, k=3):
+    """A whole-rollout cost as a function of one focal player's flat
+    parameters: random reachable states, windows, noise and small policies,
+    a mix of active and passive modes.  Yields (cost function, point)."""
+    rng = np.random.default_rng(seed)
+    modes = [ACTIVE if (i + seed) % 3 else PASSIVE for i in range(game.n_players)]
+    thetas = [init_policy(game, i, modes[i], seed=10 * seed + i, hidden=(6,))
+              for i in range(game.n_players)]
+    scale = 0.4 if isinstance(game, WarehouseGame) else 1.5
+    state = [(rng.normal(size=(k, 2)) * scale, rng.uniform(-0.9, 0.9, size=(k, 2)) * v)
+             for v in game.v_max]
+    hists = [rng.normal(scale=0.5, size=(k, game.t_past * game.obs_dim(i)))
+             for i in range(game.n_players)]
+    eps = draw_noise(game, k, rng)
+    for focal in range(game.n_players):
+        def cost(flat, focal=focal):
+            trial = list(thetas)
+            trial[focal] = with_flat(thetas[focal], flat)
+            acc, _ = _run_rollout(game, state, hists, trial, eps, [focal])
+            return ag.asum(acc[focal])
+
+        yield cost, thetas[focal].flat
+
+
+@pytest.mark.parametrize("name", ["tag", "tagchain", "hideseek", "warehouse"])
+def test_rollout_gradient_taylor_remainder(name):
+    """The tape gradient g of a whole rollout's cost is its derivative: along
+    random unit directions v, the first-order Taylor remainder
+    ``|f(x + h v) - f(x) - h g.v|`` falls as O(h^2) (Farrell, Ham, Funke &
+    Rognes, SIAM J. Sci. Comput. 2013): over h halving from 1e-3, its rate
+    over the two finest halvings exceeds 1.9.  A wrong adjoint leaves an
+    O(h) term, and the rate drops towards 1.  Unlike a per-coordinate
+    finite-difference score, the test does not judge near-zero coordinates
+    on rounding."""
+    game = make_game(ScenarioConfig(name=name, t_past=2, t_future=4))
+    steps = 1e-3 * 0.5 ** np.arange(6)
+    rng = np.random.default_rng(40)
+    for seed in range(2):
+        for cost, x in _rollout_program(game, seed):
+            tape = ag.Tape()
+            leaf = tape.param(x)
+            root = cost(leaf)
+            tape.backward(root)
+            for _ in range(2):
+                v = rng.normal(size=x.shape)
+                v /= np.linalg.norm(v)
+                slope = leaf.grad @ v
+                rem = np.array([abs(float(cost(x + h * v)) - float(root.value) - h * slope)
+                                for h in steps])
+                rates = np.log2(rem[:-1] / rem[1:])
+                assert rates[-2:].min() > 1.9, f"convergence rates {np.round(rates, 2)}"
 
 
 def test_expected_cost_deterministic_given_stream():
