@@ -24,8 +24,8 @@ Finiteness: every leaf is checked, and so is the output of every op that can
 turn finite inputs into a non-finite value (arithmetic, exp, log, sqrt, sums,
 norms and the 2-vector products); a non-finite value raises
 ``FloatingPointError`` when it is recorded.  Ops that map finite inputs to
-finite outputs (slice, concat, reshape, tanh, smooth_clamp, atan2, relu,
-softplus) skip the check.  Raw operands and raw results are not checked: a
+finite outputs (slice, concat, shift, reshape, tanh, smooth_clamp, atan2,
+relu, softplus) skip the check.  Raw operands and raw results are not checked: a
 caller that feeds raw data into a taped computation checks it once itself
 (``check_finite``; see ``solver.expected_cost``).
 
@@ -46,7 +46,26 @@ The intermediates each one checks:
   (``"gauss_reparam"``; for a lifted noise node ``"mul"`` and ``"add"``);
 * ``soft_barrier`` (norm_eps, affine, softplus, square, affine):
   ``"norm_eps"``, ``"affine"``, ``"square"`` and ``"affine"``;
-* ``clamped_add`` (add, smooth_clamp): the sum (``"add"``).
+* ``obstacle_penalty`` (per obstacle: sub, soft_barrier, sub from the
+  reward): per obstacle, when the position is a node, the offset
+  (``"sub"``) and the barrier's four checks, then the reduced reward
+  (``"sub"``);
+* ``occluded_variance`` (the soft minimum of a sight line's clearances from
+  the obstacles, its softplus and the add to the view-cone variance): when a
+  position is a node, the sight line (``"sub"``), its squared length
+  (``"dot2"``, ``"add"``), per obstacle the offset from the observer
+  (``"sub"``, when the observer is a node), ``"dot2"``, ``"div"``,
+  ``"mul"``, ``"add"``, ``"sub"``, ``"norm_eps"``, two ``"affine"``,
+  ``"exp"`` and the running sum (``"add"``), then ``"log"`` and four
+  ``"affine"``; always the final sum (``"add"``);
+* ``clamped_add`` (add, smooth_clamp): the sum (``"add"``);
+* ``shift_last`` (slice_last, concat: a window slid by one observation):
+  none.
+
+Planar kernels compute on the two coordinate columns of a (K, 2) array, not
+on its rows, wherever that gives the chain's bits: a ufunc that loops over K
+rows of width 2, or broadcasts (K, 1) against (K, 2), costs several times
+one that loops once over a column of K entries.
 
 All per-instance quantities carry a leading batch axis, so one recorded
 rollout covers a whole Monte Carlo batch.  Tapes are single-owner objects and
@@ -89,6 +108,15 @@ def check_finite(value, source):
     total = sum(value.ravel().tolist()) if value.size <= SMALL else _add_reduce(value, None)
     if not math.isfinite(total) and not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite value in {source}")
+
+
+def _finite(value):
+    """Whether every entry of ``value`` is finite: ``check_finite`` as a test."""
+    try:
+        check_finite(value, "")
+    except FloatingPointError:
+        return False
+    return True
 
 
 class Node:
@@ -215,6 +243,45 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _columns(v):
+    """The two coordinate columns of planar vectors (a last axis of width
+    2), as views."""
+    return v[..., 0], v[..., 1]
+
+
+def _join(cols):
+    """The planar vectors whose coordinate columns are ``cols``."""
+    x, y = cols
+    out = np.empty(np.shape(x) + (2,))
+    out[..., 0] = x
+    out[..., 1] = y
+    return out
+
+
+def _pair_sum(x, y):
+    """The bits of ``np.sum`` over a last axis of width 2 holding ``(x, y)``:
+    ``x + y``, except that numpy sums (-0, -0) to +0."""
+    total = x + y
+    total += 0.0
+    return total
+
+
+def _fold(parts, start=None):
+    """Sum lists of columns left to right, onto ``start`` when given."""
+    total = parts[0] if start is None else [a + b for a, b in zip(start, parts[0])]
+    for part in parts[1:]:
+        total = [a + b for a, b in zip(total, part)]
+    return total
+
+
+def _accumulate_columns(node, contributions):
+    """``_accumulate`` each contribution, a list of columns, into ``node`` in
+    turn: the bits of accumulating the joined arrays one by one, with one
+    array built at the end."""
+    start = None if node.grad is None else _columns(node.grad)
+    node.grad = _join(_fold(contributions, start))
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +487,28 @@ def cross2(a, b):
 
 
 def norm_eps(x, eps=NORM_EPS, keepdims=True):
-    """Regularized euclidean norm along the last axis: sqrt(sum x^2 + eps).
+    """Regularized euclidean norm of planar vectors (a last axis of width 2):
+    sqrt(x0^2 + x1^2 + eps), the bits of summing the squares with ``np.sum``
+    (no square is -0).
 
     The epsilon keeps the gradient finite at x = 0 (headings are computed
     from velocities that may vanish).
     """
+    v = _value(x)
+    if v.shape[-1] != 2:
+        raise ValueError(f"norm_eps needs planar vectors, got shape {v.shape}")
+    v0, v1 = _columns(v)
+    y = np.sqrt(v0 * v0 + v1 * v1 + eps)
+    if keepdims:
+        y = y[..., None]
     if not isinstance(x, Node):
-        v = _value(x)
-        return np.sqrt(np.sum(v * v, axis=-1, keepdims=keepdims) + eps)
-    y = np.sqrt(np.sum(x.value * x.value, axis=-1, keepdims=keepdims) + eps)
+        return y
 
     def vjp(g):
         gn = g / y
         if not keepdims:
             gn = gn[..., None]
-        _accumulate(x, gn * x.value)
+        _accumulate(x, gn * v)
 
     return x.tape._record(y, "norm_eps", vjp)
 
@@ -578,6 +652,32 @@ def slice_last(x, lo, hi):
         _accumulate(x, full)
 
     return x.tape._record(x.value[..., lo:hi], "slice", vjp, checked=False)
+
+
+def shift_last(x, new):
+    """Drop the first ``new.shape[-1]`` columns of ``x``'s last axis and
+    append ``new``: a window slid by one observation.
+
+    Replaces a ``slice_last`` of ``x`` and a ``concat``: the same value, and
+    the same adjoint arrays sent to ``x`` (zeros in the dropped columns) and
+    to ``new``.
+    """
+    xv, nv = _value(x), _value(new)
+    lo, width = nv.shape[-1], xv.shape[-1]
+    out = np.concatenate([xv[..., lo:], nv], axis=-1)
+    tape = _tape_of(x, new)
+    if tape is None:
+        return out
+
+    def vjp(g):
+        if isinstance(new, Node):
+            _accumulate(new, g[..., width - lo:])
+        if isinstance(x, Node):
+            full = np.zeros_like(xv)
+            full[..., lo:] = g[..., :width - lo]
+            _accumulate(x, full)
+
+    return tape._record(out, "shift", vjp, checked=False)
 
 
 def reshape(x, shape):
@@ -788,30 +888,206 @@ def trimmed_gauss(mu, var, eps, lo, hi):
     return tape._record(out, "trimmed_gauss", vjp, checked=False)
 
 
+def _barrier(x0, x1, scale, shift, weight):
+    """``soft_barrier``'s intermediates from the columns of ``x``: the norm,
+    the softplus argument, the softplus, its square and the output."""
+    norm = np.sqrt(x0 * x0 + x1 * x1 + NORM_EPS)
+    arg = scale * norm + shift
+    soft = np.logaddexp(0.0, arg)
+    sq = soft * soft
+    return norm, arg, soft, sq, weight * sq + 0.0
+
+
+def _barrier_slope(g, scale, weight, norm, arg, soft):
+    """The factor that turns a barrier's adjoint ``g`` into ``x``'s: ``x``'s
+    adjoint is this times ``x``."""
+    return scale * (2.0 * soft * (weight * g) * _sigmoid(arg)) / norm
+
+
 def soft_barrier(x, scale, shift, weight):
     """``weight * softplus(scale * |x| + shift)^2``, with |x| the regularized
-    norm over the last axis (``norm_eps``), kept as (K, 1).
+    norm over a last axis of width 2 (``norm_eps``), kept as (K, 1).
 
     Replaces norm_eps, affine, softplus, square and affine.  Checked: the
     norm (``"norm_eps"``), the softplus argument (``"affine"``), the square
     (``"square"``) and the output (``"affine"``).
     """
     xv = _value(x)
-    norm = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True) + NORM_EPS)
-    arg = scale * norm + shift
-    soft = np.logaddexp(0.0, arg)
-    sq = soft * soft
-    out = weight * sq + 0.0
+    x0, x1 = _columns(xv)
+    norm, arg, soft, sq, out = _barrier(x0, x1, scale, shift, weight)
     if not isinstance(x, Node):
-        return out
+        return out[..., None]
     for value, op in ((norm, "norm_eps"), (arg, "affine"), (sq, "square"), (out, "affine")):
         check_finite(value, op)
 
     def vjp(g):
-        g_norm = scale * (2.0 * soft * (weight * g) * _sigmoid(arg))
-        _accumulate(x, g_norm / norm * xv)
+        q = _barrier_slope(g[..., 0], scale, weight, norm, arg, soft)
+        _accumulate(x, q[..., None] * xv)
 
-    return x.tape._record(out, "soft_barrier", vjp, checked=False)
+    return x.tape._record(out[..., None], "soft_barrier", vjp, checked=False)
+
+
+def obstacle_penalty(r, pos, obstacles, weight):
+    """A reward ``r`` (K, 1) less one collision penalty per circular
+    obstacle, ``weight * softplus(radius - |pos - centre|)^2``, subtracted
+    obstacle by obstacle.  ``obstacles`` is a (J, 3) array of rows
+    (cx, cy, radius); ``pos`` is (K, 2).
+
+    Replaces, per obstacle, sub (pos - centre), ``soft_barrier`` (scale -1,
+    shift radius) and sub (r - penalty).  Checked per obstacle, when ``pos``
+    is a node: the offset (``"sub"``) and the barrier's ``"norm_eps"``,
+    ``"affine"``, ``"square"`` and ``"affine"``; then the reduced reward
+    (``"sub"``).
+    """
+    tape = _tape_of(r, pos)
+    rv, pv = _value(r), _value(pos)
+    p0, p1 = _columns(pv)
+    shape = (-1,) + (1,) * p0.ndim          # obstacles along a new leading axis
+    cx, cy, radius = (obstacles[:, i].reshape(shape) for i in range(3))
+    d0, d1 = p0 - cx, p1 - cy
+    norm, arg, soft, sq, pen = _barrier(d0, d1, -1.0, radius, weight)
+    rewards = [rv]
+    for j in range(len(obstacles)):
+        rewards.append(rewards[-1] - pen[j][..., None])
+    if tape is None:
+        return rewards[-1]
+    pos_taped = isinstance(pos, Node)
+    if pos_taped:
+        stacked = (d0, d1, norm, arg, sq, pen)
+        if not all(_finite(v) for v in stacked + tuple(rewards[1:])):
+            for j in range(len(obstacles)):
+                for value, op in ((d0[j], "sub"), (d1[j], "sub"), (norm[j], "norm_eps"),
+                                  (arg[j], "affine"), (sq[j], "square"), (pen[j], "affine"),
+                                  (rewards[j + 1], "sub")):
+                    check_finite(value, op)
+    else:
+        for value in rewards[1:]:
+            check_finite(value, "sub")
+
+    def vjp(g):
+        # the chain passes g down its subs to r and -g to each penalty, the
+        # last obstacle's first
+        if isinstance(r, Node):
+            _accumulate(r, _unbroadcast(g, rv.shape))
+        if pos_taped:
+            q = _barrier_slope(-g[..., 0], -1.0, weight, norm, arg, soft)
+            _accumulate_columns(pos, [[q[j] * d0[j], q[j] * d1[j]]
+                                      for j in reversed(range(len(obstacles)))])
+
+    return tape._record(rewards[-1], "obstacle_penalty", vjp, checked=False)
+
+
+def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
+    """An observation variance ``var`` (K, 1) raised by the occlusion of the
+    sight line from ``pos_obs`` to ``pos_target`` (both (K, 2)).
+
+    ``obstacles`` is a (J, 3) array of circular obstacles (cx, cy, radius).
+    An obstacle's clearance is the distance from its centre to the nearest
+    point of the sight line, less its radius; the nearest point's position
+    along the line is smoothly clamped onto the segment.  The clearances
+    are combined by a soft minimum at temperature ``temp``,
+    ``c = -log(sum exp(-temp * clearance)) / temp``, and the variance grows
+    by ``c_scale * softplus(-temp * c) / temp``: about ``c_scale`` per unit
+    of depth into an obstacle, nothing for a clear line.
+
+    Replaces sub and sq_dist (sub, dot2) of the sight line, add (its squared
+    length plus 1e-9); per obstacle sub (centre - observer), dot2, div,
+    smooth_clamp, mul, add, sub, norm_eps, affine, affine, exp and the add
+    into the sum; then log, affine, affine, softplus, affine, affine and the
+    add to ``var``.  It checks the intermediates the module docstring lists,
+    in the chain's order.  A soft-min sum that is not positive raises
+    ``log``'s ``ValueError``, taped or raw.
+    """
+    tape = _tape_of(var, pos_obs, pos_target)
+    vv, av, bv = _value(var), _value(pos_obs), _value(pos_target)
+    if av.shape != bv.shape:
+        raise ValueError(f"occluded_variance needs positions of one shape, "
+                         f"got {av.shape} and {bv.shape}")
+    a0, a1 = _columns(av)
+    b0, b1 = _columns(bv)
+    shape = (-1,) + (1,) * a0.ndim          # obstacles along a new leading axis
+    cx, cy, radius = (obstacles[:, i].reshape(shape) for i in range(3))
+    ba0, ba1 = b0 - a0, b1 - a1
+    len_sq = ba0 * ba0 + ba1 * ba1
+    len2 = len_sq + 1e-9
+    ca0, ca1 = cx - a0, cy - a1
+    num = ba0 * ca0 + ba1 * ca1
+    along = num / len2
+    s = _clamp_ramp(along, 0.0, 1.0)
+    t = 0.0 + 1.0 * s
+    tb0, tb1 = t * ba0, t * ba1
+    p0, p1 = a0 + tb0, a1 + tb1
+    cp0, cp1 = cx - p0, cy - p1
+    dist = np.sqrt(cp0 * cp0 + cp1 * cp1 + NORM_EPS)
+    clear = 1.0 * dist - radius
+    expo = -temp * clear + 0.0
+    term = np.exp(expo)
+    sums = [term[0]]
+    for j in range(1, len(obstacles)):
+        sums.append(sums[-1] + term[j])
+    total = sums[-1]
+    line_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
+    if line_taped:
+        head = ((ba0, "sub"), (ba1, "sub"), (len_sq, "dot2"), (len2, "add"))
+        per = [(v, "sub") for v in ((ca0, ca1) if isinstance(pos_obs, Node) else ())]
+        per += [(num, "dot2"), (along, "div"), (tb0, "mul"), (tb1, "mul"), (p0, "add"),
+                (p1, "add"), (cp0, "sub"), (cp1, "sub"), (dist, "norm_eps"),
+                (clear, "affine"), (expo, "affine"), (term, "exp")]
+        if not all(_finite(v) for v, _ in head + tuple(per)) or \
+                not all(_finite(v) for v in sums[1:]):
+            for value, op in head:
+                check_finite(value, op)
+            for j in range(len(obstacles)):
+                for value, op in per:
+                    check_finite(value[j], op)
+                if j:
+                    check_finite(sums[j], "add")
+    if np.any(total <= 0.0):
+        raise ValueError("log of non-positive value")
+    log_total = np.log(total)
+    clearance = (-1.0 / temp) * log_total + 0.0
+    neg_clear = -temp * clearance + 0.0
+    soft = np.logaddexp(0.0, neg_clear)
+    occlusion = (1.0 / temp) * soft + 0.0
+    extra = c_scale * occlusion + 0.0
+    out = vv + extra[..., None]
+    if tape is None:
+        return out
+    if line_taped:
+        for value, op in ((log_total, "log"), (clearance, "affine"), (neg_clear, "affine"),
+                          (occlusion, "affine"), (extra, "affine")):
+            check_finite(value, op)
+    check_finite(out, "add")
+
+    def vjp(g):
+        if isinstance(var, Node):
+            _accumulate(var, _unbroadcast(g, vv.shape))
+        if not line_taped:
+            return
+        g_total = (-1.0 / temp) * (-temp * (
+            (1.0 / temp) * (c_scale * g[..., 0]) * _sigmoid(neg_clear))) / total
+        g_dist = 1.0 * (-temp * (g_total * term))
+        gn = g_dist / dist
+        gp0, gp1 = -(gn * cp0), -(gn * cp1)         # to the nearest point
+        g_s = _pair_sum(gp0 * ba0, gp1 * ba1) * 4.0 * s * (1.0 - s)
+        g_num = g_s / len2
+        g_len2 = -g_s * along / len2
+        backwards = range(len(obstacles) - 1, -1, -1)   # the chain's last obstacle first
+        (g_len,) = _fold([[g_len2[j]] for j in backwards])
+        # sq_dist's dot2 sends its adjoint twice to one displacement node
+        g_d0, g_d1 = g_len * ba0, g_len * ba1
+        g_d0, g_d1 = g_d0 + g_d0, g_d1 + g_d1
+        # the sight line's consumers in reverse: per obstacle the mul, then the dot2
+        g_ba0, g_ba1 = _fold([part for j in backwards for part in (
+            [gp0[j] * t[j], gp1[j] * t[j]], [g_num[j] * ca0[j], g_num[j] * ca1[j]])])
+        if isinstance(pos_obs, Node):
+            parts = [part for j in backwards for part in (
+                [gp0[j], gp1[j]], [-(g_num[j] * ba0), -(g_num[j] * ba1)])]
+            _accumulate_columns(pos_obs, parts + [[-g_d0, -g_d1], [-g_ba0, -g_ba1]])
+        if isinstance(pos_target, Node):
+            _accumulate_columns(pos_target, [[g_d0, g_d1], [g_ba0, g_ba1]])
+
+    return tape._record(out, "occluded_variance", vjp, checked=False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -25,7 +24,6 @@ from .policy import ACTIVE, PASSIVE, init_policy, with_flat
 from .runner import SEPARATE, EpisodeOptions, StepRecord, TrialRecord, run_episode
 from .scenarios import group_names, make_game, mode_groups, report_groups, sample_tasks
 from .solver import calc_eq, evaluation_batch, run_batch, _run_rollout
-from .toygame import ToyFilterGame, exact_posterior
 
 THREADS_ENV = "POGPLAN_THREADS"
 
@@ -45,6 +43,8 @@ def map_trials(fn, args):
     n = min(_n_threads(), len(args))
     if n <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor   # only a pool run pays its import
+
     with ProcessPoolExecutor(max_workers=n) as pool:
         return list(pool.map(_call, [(fn, a) for a in args]))
 
@@ -325,6 +325,8 @@ def _random_reachable_state(game, rng):
 def belief_bayes_check(k_particles=10_000, steps=5, seed=0, flip_prob=0.2):
     """Total-variation gap between the conditioned particle marginal and the
     exact enumerated posterior on the two-state toy game."""
+    from .toygame import ToyFilterGame, exact_posterior   # only this check uses it
+
     game = ToyFilterGame(flip_prob=flip_prob, t_past=3)
     ss = np.random.SeedSequence(seed)
     init_ss, obs_ss, upd_ss = ss.spawn(3)
@@ -429,6 +431,11 @@ def write_trial_record(record, game, cfg, label, path):
         for s in record.steps:
             for (agent, p), mean in sorted(s.belief_means.items()):
                 fh.write(f"{s.step} {agent} {p} {_fmt(mean[0])} {_fmt(mean[1])}\n")
+        fh.write("[belief_health]\n")
+        fh.write("# step agent ess_frac reset\n")
+        for s in record.steps:
+            for agent, frac in sorted(s.belief_ess.items()):
+                fh.write(f"{s.step} {agent} {_fmt(frac)} {str(s.belief_reset[agent]).lower()}\n")
         fh.write("[trace]\n")
         fh.write("# agent candidate player iteration cost\n")
         for ai, cands in enumerate(record.first_traces):
@@ -465,7 +472,7 @@ def read_trial_record(path):
         step, p = int(row[0]), int(row[1])
         entry = steps.setdefault(step, {
             "players": {}, "surprisal": {}, "belief": {},
-            "iters": {}, "conv": {}, "norms": {}})
+            "iters": {}, "conv": {}, "norms": {}, "ess": None, "reset": None})
         entry["players"][p] = [float(v) for v in row[2:]]
     for row in sections.get("solves", []):
         step, ai, ci = int(row[0]), int(row[1]), int(row[2])
@@ -478,6 +485,12 @@ def read_trial_record(path):
     for row in sections.get("belief", []):
         steps[int(row[0])]["belief"][(int(row[1]), int(row[2]))] = np.array(
             [float(row[3]), float(row[4])])
+    for row in sections.get("belief_health", []):   # absent from older records
+        entry = steps[int(row[0])]
+        if entry["ess"] is None:
+            entry["ess"], entry["reset"] = {}, {}
+        entry["ess"][int(row[1])] = float(row[2])
+        entry["reset"][int(row[1])] = row[3] == "true"
 
     record = TrialRecord(seed=int(meta["seed"]), brain=meta["brain"],
                          modes=meta["modes"].split(","),
@@ -500,7 +513,8 @@ def read_trial_record(path):
             rewards_full=[entry["players"][p][7] for p in range(n)],
             solve_iterations=iters, solve_converged=convs, solve_grad_norms=norms,
             grad_seconds=[], surprisal=entry["surprisal"],
-            belief_means=entry["belief"]))
+            belief_means=entry["belief"], belief_ess=entry["ess"],
+            belief_reset=entry["reset"]))
 
     traces = {}
     for row in sections.get("trace", []):

@@ -125,7 +125,7 @@ def action_block(theta, sequence, t_offset):
 def shift_window(window, obs):
     """Drop the oldest observation of a flattened window (last axis) and
     append ``obs``; arrays or tape nodes."""
-    return ag.concat([ag.slice_last(window, obs.shape[-1], window.shape[-1]), obs])
+    return ag.shift_last(window, obs)
 
 
 def lift_policy(tape, theta):

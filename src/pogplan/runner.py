@@ -30,6 +30,7 @@ import numpy as np
 
 from .beliefs import (
     dump_particles,
+    effective_sample_size,
     gaussian_summary,
     init_particles,
     surprisal,
@@ -112,6 +113,10 @@ class StepRecord:
     grad_seconds: list           # all gradient-step wall times this round
     surprisal: dict              # (agent, opponent) -> nats
     belief_means: dict           # (agent, player) -> position mean
+    belief_ess: dict             # agent -> effective sample size / cloud size after the
+                                 # update; None when read from an older record
+    belief_reset: dict           # agent -> the update reset collapsed weights to
+                                 # uniform; None when read from an older record
 
 
 @dataclass
@@ -242,7 +247,7 @@ def run_episode(game, opts, seed, agent_seeds=None):
 
             # each brain updates its own cloud with its own observation only
             new_state = game.unpack_state(world.state)
-            surp, bmeans = {}, {}
+            surp, bmeans, ess, reset = {}, {}, {}, {}
             for agent in agents:
                 block_policies = [cand.thetas for cand in agent.candidates]
                 true_obs = None if agent.player < 0 else obs[agent.player][0]
@@ -250,6 +255,8 @@ def run_episode(game, opts, seed, agent_seeds=None):
                     agent.pset, game, block_policies, true_obs, agent.player,
                     agent.gamma, agent.update_rng,
                     resample_threshold=resample_threshold)
+                ess[agent.player] = float(effective_sample_size(agent.pset)) / agent.pset.k_all
+                reset[agent.player] = agent.pset.degenerate
                 if dump_fh:
                     dump_particles(agent.pset, game, dump_fh, step, agent=agent.player)
                 for j in range(n):
@@ -277,5 +284,7 @@ def run_episode(game, opts, seed, agent_seeds=None):
                               for r in results for t in r.grad_step_seconds],
                 surprisal=surp,
                 belief_means=bmeans,
+                belief_ess=ess,
+                belief_reset=reset,
             ))
     return record

@@ -223,42 +223,19 @@ class HideSeekGame(TagGame):
         super().__init__(config)
         if not config.obstacles:
             raise ValueError("HideSeek requires at least one obstacle")
-        self.obstacles = [(np.asarray(c[:2], dtype=float), float(c[2]))
-                          for c in config.obstacles]
-
-    def _clearance(self, state, observer, target):
-        """Soft minimum over obstacles of (sight-line distance - radius)."""
-        a = state[observer][0]
-        b = state[target][0]
-        ba = ag.sub(b, a)
-        len2 = ag.add(sq_dist(b, a), 1e-9)
-        acc = None
-        for center, radius in self.obstacles:
-            t = ag.div(ag.dot2(ba, ag.sub(center, a)), len2)
-            t = ag.smooth_clamp(t, 0.0, 1.0)
-            proj = ag.add(a, ag.mul(t, ba))
-            clear = ag.affine(ag.norm_eps(ag.sub(center, proj)), 1.0, -radius)
-            term = ag.exp(ag.scale(clear, -SMOOTHMIN_TEMP))
-            acc = term if acc is None else ag.add(acc, term)
-        return ag.scale(ag.log(acc), -1.0 / SMOOTHMIN_TEMP)
+        self.obstacles = np.asarray(config.obstacles, dtype=float)   # rows (cx, cy, r)
 
     def _pair_variance(self, state, observer, target):
         # Occlusion raises the variance like leaving the view cone does.  The
         # softplus is sharpened (temperature matching the obstacle smooth-min)
         # so a clear sight line a couple of units away adds nothing.
-        var = super()._pair_variance(state, observer, target)
-        neg_clear = ag.scale(self._clearance(state, observer, target), -SMOOTHMIN_TEMP)
-        occlusion = ag.scale(ag.softplus(neg_clear), 1.0 / SMOOTHMIN_TEMP)
-        return ag.add(var, ag.affine(occlusion, self.config.c_scale, 0.0))
+        return ag.occluded_variance(super()._pair_variance(state, observer, target),
+                                    state[observer][0], state[target][0], self.obstacles,
+                                    SMOOTHMIN_TEMP, self.config.c_scale)
 
     def reward(self, state, player):
-        r = super().reward(state, player)
-        pos = state[player][0]
-        cfg = self.config
-        for center, radius in self.obstacles:
-            pen = ag.soft_barrier(ag.sub(pos, center), -1.0, radius, cfg.boundary_weight)
-            r = ag.sub(r, pen)
-        return r
+        return ag.obstacle_penalty(super().reward(state, player), state[player][0],
+                                   self.obstacles, self.config.boundary_weight)
 
 
 class WarehouseGame(PlanarGame):

@@ -170,9 +170,11 @@ def run_batch(game, pset, thetas, batch, players=None, record=False):
     return costs, traj
 
 
-def eval_cost(game, pset, thetas, player, batch):
-    """Forward-only cost of ``player`` on a frozen evaluation batch."""
-    return run_batch(game, pset, thetas, batch, [player])[0][player]
+def eval_cost(game, pset, thetas, players, batch):
+    """Forward-only costs of ``players`` on a frozen evaluation batch, from
+    one rollout: a list aligned with ``players``."""
+    costs = run_batch(game, pset, thetas, batch, players)[0]
+    return [costs[i] for i in players]
 
 
 def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
@@ -184,9 +186,9 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     parameters, is below ``eps_tol``; the solve stops when every player
     passes in the same iteration, or after ``max_iters``.  An iteration in
     which any Adam update was skipped never counts as converged.  After the
-    loop, each player's cost is evaluated once on an evaluation batch drawn
-    at the start of the solve; ``cost_trace`` holds the per-iteration costs
-    of the fresh gradient batches.
+    loop, every player's cost is evaluated by one rollout of an evaluation
+    batch drawn at the start of the solve; ``cost_trace`` holds the
+    per-iteration costs of the fresh gradient batches.
 
     The solve aborts, keeping the parameters it has, when ``expected_cost``
     raises ``FloatingPointError``: a non-finite particle state, window or
@@ -244,7 +246,7 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
                 converged = True
                 break
         if not aborted:
-            costs = [eval_cost(game, pset, thetas, i, batch) for i in range(n)]
+            costs = eval_cost(game, pset, thetas, list(range(n)), batch)
             if not np.all(np.isfinite(costs)):
                 aborted = True
                 converged = False

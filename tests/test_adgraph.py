@@ -79,6 +79,8 @@ def test_norm_eps_unit_vector():
     assert float(out.value) == 5.0
     tape.backward(out)
     np.testing.assert_allclose(v.grad, [0.6, 0.8])
+    with pytest.raises(ValueError, match="planar"):
+        ag.norm_eps(np.ones(3))
 
 
 def test_backward_sum_of_squares():
@@ -158,12 +160,11 @@ def test_expected_cost_leaves_no_cyclic_garbage():
     assert unreachable == 0
 
 
-def test_expected_cost_tapes_no_constants(monkeypatch):
-    """Batch rows, windows and the opponent's network stay off the tape, and
-    one k = 10 gradient step records at most 110 nodes."""
-    game = make_game(ScenarioConfig(name="tag"))
+def _step_ops(monkeypatch, name, modes):
+    """Per player, the ops one k = 10 gradient step records."""
+    game = make_game(ScenarioConfig(name=name))
     thetas = [init_policy(game, i, mode, seed=i, hidden=(64, 64))
-              for i, mode in enumerate([PASSIVE, ACTIVE])]
+              for i, mode in enumerate(modes)]
     pset = beliefs.init_particles(game, 100, 1, np.random.default_rng(0))
     ops = []
     record = Tape._record
@@ -173,12 +174,31 @@ def test_expected_cost_tapes_no_constants(monkeypatch):
         return record(self, value, op, *args, **kwargs)
 
     monkeypatch.setattr(Tape, "_record", counting)
+    steps = []
     for player in range(game.n_players):
         ops.clear()
         solver.expected_cost(game, pset, thetas, player, 10, np.random.default_rng(1))
+        steps.append(list(ops))
+    return steps
+
+
+def test_expected_cost_tapes_no_constants(monkeypatch):
+    """Batch rows, windows and the opponent's network stay off the tape, and
+    one k = 10 gradient step records at most 110 nodes."""
+    for player, ops in enumerate(_step_ops(monkeypatch, "tag", [PASSIVE, ACTIVE])):
         assert "const" not in ops
-        # fused policy, view-cone, draw, barrier and velocity nodes: 101 and 79
+        # fused policy, view-cone, draw, barrier, velocity and shift nodes: 97 and 75
         assert len(ops) <= 110, f"player {player} taped {len(ops)} nodes"
+
+
+def test_hideseek_step_node_count(monkeypatch):
+    """One hideseek gradient step, both players active, records at most 140
+    nodes: each taped observation's sight line is one node, and so are a
+    reward's obstacle penalties."""
+    for player, ops in enumerate(_step_ops(monkeypatch, "hideseek", [ACTIVE, ACTIVE])):
+        assert {"log", "exp", "dot2", "slice"}.isdisjoint(ops)
+        # 132 and 126
+        assert len(ops) <= 140, f"player {player} taped {len(ops)} nodes"
 
 
 def test_overflow_raises_before_unchecked_ops():
@@ -307,7 +327,7 @@ def test_dense_tanh_matches_unfused_chain():
 
 
 def test_fd_norm_abs_atan2_relu_softplus_clamp():
-    _fd_check(lambda x: ag.asum(ag.norm_eps(x, 1e-9, keepdims=False)), 3)
+    _fd_check(lambda x: ag.asum(ag.norm_eps(ag.reshape(x, (3, 2)), 1e-9, keepdims=False)), 6)
     _fd_check(lambda x: ag.asum(ag.smooth_abs(x, 1e-9)), 3)
     _fd_check(lambda x: ag.asum(ag.atan2(ag.slice_last(x, 0, 1), ag.slice_last(x, 1, 2))), 2)
     _fd_check(lambda x: ag.asum(ag.relu(x)), 3, seed=4)  # kinks at 0 are measure-zero
@@ -438,6 +458,46 @@ def _fused_clamped_add(a, b, lo=-0.3, hi=0.3):
     return ag.clamped_add(a, b, lo, hi)
 
 
+OBSTACLES = np.array([[1.8, 1.2, 0.7], [-1.8, -1.2, 0.7], [0.3, -0.4, 0.5]])
+
+
+def _chain_occlusion(var, pos_obs, pos_target, obstacles=OBSTACLES, temp=10.0, c_scale=5.0):
+    """The sight-line occlusion as HideSeek recorded it before its fused node."""
+    a, b = pos_obs, pos_target
+    ba = ag.sub(b, a)
+    d = ag.sub(b, a)
+    len2 = ag.add(ag.dot2(d, d), 1e-9)
+    acc = None
+    for cx, cy, radius in obstacles:
+        center = np.array([cx, cy])
+        t = ag.smooth_clamp(ag.div(ag.dot2(ba, ag.sub(center, a)), len2), 0.0, 1.0)
+        proj = ag.add(a, ag.mul(t, ba))
+        clear = ag.affine(ag.norm_eps(ag.sub(center, proj)), 1.0, -radius)
+        term = ag.exp(ag.scale(clear, -temp))
+        acc = term if acc is None else ag.add(acc, term)
+    clearance = ag.scale(ag.log(acc), -1.0 / temp)
+    occlusion = ag.scale(ag.softplus(ag.scale(clearance, -temp)), 1.0 / temp)
+    return ag.add(var, ag.affine(occlusion, c_scale, 0.0))
+
+
+def _fused_occlusion(var, pos_obs, pos_target, obstacles=OBSTACLES, temp=10.0, c_scale=5.0):
+    return ag.occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale)
+
+
+def _chain_obstacle_penalty(r, pos, obstacles=OBSTACLES, weight=10.0):
+    for cx, cy, radius in obstacles:
+        r = ag.sub(r, _chain_barrier(ag.sub(pos, np.array([cx, cy])), -1.0, radius, weight))
+    return r
+
+
+def _fused_obstacle_penalty(r, pos, obstacles=OBSTACLES, weight=10.0):
+    return ag.obstacle_penalty(r, pos, obstacles, weight)
+
+
+def _chain_shift(window, obs):
+    return ag.concat([ag.slice_last(window, obs.shape[-1], window.shape[-1]), obs])
+
+
 def _taped_run(op, values, lifted, seed):
     """``op`` on a tape whose operands at positions ``lifted`` are interior
     nodes (a leaf times 1.0, signed zeros kept) that a later node also reads,
@@ -544,6 +604,118 @@ def test_soft_barrier_matches_chain_bitwise():
         _assert_fused_matches_chain(fused, chain, [np.zeros((2, 2))], [[0]])
 
 
+def _sight_lines(rng, k):
+    """Observer and target positions: random rows, then coincident players
+    (squared length 1e-9), a target and an observer on obstacle centres, and
+    coincident players on signed zeros."""
+    a, b = rng.normal(size=(k, 2)) * 2.0, rng.normal(size=(k, 2)) * 2.0
+    special_a = [a[0], a[1], OBSTACLES[2, :2], [0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]]
+    special_b = [a[0], OBSTACLES[0, :2], b[2], [-0.0, -0.0], [0.0, 0.0], [0.0, -0.0]]
+    return np.vstack([a, special_a]), np.vstack([b, special_b])
+
+
+def test_occluded_variance_matches_chain_bitwise():
+    rng = np.random.default_rng(26)
+    for obstacles in (OBSTACLES, OBSTACLES[:1]):
+        def fused(var, a, b):
+            return _fused_occlusion(var, a, b, obstacles)
+
+        def chain(var, a, b):
+            return _chain_occlusion(var, a, b, obstacles)
+
+        for _ in range(6):
+            a, b = _sight_lines(rng, 6)
+            var = rng.uniform(0.01, 12.0, size=(len(a), 1))
+            _assert_fused_matches_chain(fused, chain, [var, a, b], _nonempty_subsets(3))
+
+
+def test_occluded_variance_signed_zero_adjoints_match_chain():
+    """With a zero adjoint arriving, every adjoint the node sends is a signed
+    zero, and on axis-aligned sight lines the sign of the projection's row
+    sum (numpy sums (-0, -0) to +0) reaches the positions' adjoints."""
+    var = np.array([[0.5]])
+    cases = [([[-0.0, 0.5]], [[0.5, 0.5]], [[0.0, 0.0, 0.5]], 5.0, 0.0, [1, 2]),
+             ([[0.0, -0.5]], [[0.0, 1.0]], [[-0.3, 0.0, 0.5]], 5.0, 0.0, [2]),
+             ([[1.0, 0.0]], [[1.0, 1.0]], [[0.3, 0.0, 0.5]], -0.0, -0.0, [1, 2]),
+             ([[-0.5, 1.0]], [[1.0, 1.0]], [[-0.3, 0.0, 0.5]], 0.0, 1.0, [2])]
+    for a, b, obstacles, c_scale, upstream, lifted in cases:
+        grads = []
+        for op in (_fused_occlusion, _chain_occlusion):
+            tape = Tape()
+            values = [var, np.array(a), np.array(b)]
+            args = [tape.param(v) if i in lifted else v for i, v in enumerate(values)]
+            out = op(*args, obstacles=np.array(obstacles), c_scale=c_scale)
+            tape.backward(ag.asum(ag.mul(out, upstream)))
+            grads.append([args[i].grad for i in lifted])
+        for got, want in zip(*grads):
+            _assert_bitwise(got, want)
+
+
+def test_obstacle_penalty_matches_chain_bitwise():
+    rng = np.random.default_rng(27)
+    for obstacles in (OBSTACLES, OBSTACLES[1:2]):
+        def fused(r, pos):
+            return _fused_obstacle_penalty(r, pos, obstacles)
+
+        def chain(r, pos):
+            return _chain_obstacle_penalty(r, pos, obstacles)
+
+        for _ in range(6):
+            pos = np.vstack([rng.normal(size=(6, 2)) * 2.0, obstacles[:, :2],
+                             [[-0.0, -0.0], [0.0, -0.0]]])
+            r = rng.normal(size=(len(pos), 1))
+            _assert_fused_matches_chain(fused, chain, [r, pos], _nonempty_subsets(2))
+
+
+def test_shift_matches_slice_concat_bitwise():
+    rng = np.random.default_rng(28)
+    for window, obs in ((rng.normal(size=(5, 12)), rng.normal(size=(5, 4))),
+                        (rng.normal(size=12), rng.normal(size=4)),
+                        (rng.normal(size=(3, 0)), rng.normal(size=(3, 0)))):
+        _assert_fused_matches_chain(ag.shift_last, _chain_shift, [window, obs], _nonempty_subsets(2))
+
+
+def _reference_norm_eps(x, eps=NORM_EPS, keepdims=True):
+    """``norm_eps`` as it summed the squares of rows with ``np.sum``."""
+    tape = ag._tape_of(x)
+    v = ag._value(x)
+    y = np.sqrt(np.sum(v * v, axis=-1, keepdims=keepdims) + eps)
+    if tape is None:
+        return y
+
+    def vjp(g):
+        gn = g / y
+        if not keepdims:
+            gn = gn[..., None]
+        ag._accumulate(x, gn * v)
+
+    return tape._record(y, "norm_eps", vjp)
+
+
+def test_norm_eps_and_soft_barrier_match_row_sums_bitwise():
+    """On coordinate columns, the norm of planar rows and the barrier built
+    on it keep the bits of their row-sum forms."""
+    rng = np.random.default_rng(29)
+    rows = [rng.normal(size=(8, 2)) * 3.0, np.array([[0.0, -0.0], [-0.0, -0.0], [1e-160, 0.0]]),
+            rng.normal(size=2)]
+    for x in rows:
+        for keepdims in (True, False):
+            def fused(v):
+                return ag.norm_eps(v, keepdims=keepdims)
+
+            def reference(v):
+                return _reference_norm_eps(v, keepdims=keepdims)
+
+            _assert_fused_matches_chain(fused, reference, [x], [[0]])
+        if x.ndim == 2:
+            def barrier_reference(v):
+                arg = ag.affine(_reference_norm_eps(v), -1.0, 0.7)
+                return ag.affine(ag.square(ag.softplus(arg)), 10.0, 0.0)
+
+            _assert_fused_matches_chain(lambda v: _fused_barrier(v, -1.0, 0.7),
+                                        barrier_reference, [x], [[0]])
+
+
 def test_clamped_add_matches_chain_bitwise():
     rng = np.random.default_rng(24)
     for _ in range(10):
@@ -613,6 +785,75 @@ def test_fused_nodes_raise_where_their_chains_raise():
     _assert_same_failure(barrier_shift, chain_shift, [np.ones((1, 2)), -np.inf], [0], "affine")
     _assert_same_failure(_fused_clamped_add, _chain_clamped_add,
                          [np.array([[1e308]]), np.array([[1e308]])], [0], "add")
+
+
+def test_sight_line_and_obstacle_nodes_raise_where_their_chains_raise():
+    """A planted overflow or NaN raises FloatingPointError naming the op of
+    the chain that would have raised, in the chain's order across obstacles."""
+    zero, one = np.zeros((1, 2)), np.array([[1.0, 0.0]])
+    var = np.array([[0.5]])
+
+    def occlusion(obstacles, **kw):
+        return (lambda *v: _fused_occlusion(*v, obstacles=obstacles, **kw),
+                lambda *v: _chain_occlusion(*v, obstacles=obstacles, **kw))
+
+    near = [0.3, 0.2, 0.5]
+    cases = [
+        (occlusion(OBSTACLES), [var, np.array([[-1e308, 0.0]]), np.array([[1e308, 0.0]])],
+         [2], "sub"),
+        (occlusion(OBSTACLES), [var, zero, np.array([[1e200, 0.0]])], [2], "dot2"),
+        (occlusion(np.array([[1e308, 0.0, 1.0]])),
+         [var, np.array([[-1e308, 0.0]]), np.array([[-1e308, 0.0]])], [1], "sub"),
+        (occlusion(np.array([[1e155, 0.0, 1.0]])), [var, zero, np.array([[1e154, 0.0]])],
+         [2], "dot2"),
+        (occlusion(np.array([[1e305, 0.0, 1.0]])), [var, zero, np.array([[1e-5, 0.0]])],
+         [1], "div"),
+        (occlusion(np.array([[1e200, 0.0, 1.0]])), [var, zero, one], [2], "norm_eps"),
+        (occlusion(np.array([[0.5, 0.0, np.inf]])), [var, zero, one], [1], "affine"),
+        # the first obstacle's exp overflows before the second's dot2 does
+        (occlusion(np.array([[0.5, 0.0, 1e300], [1e155, 0.0, 1.0]])),
+         [var, zero, np.array([[1e154, 0.0]])], [2], "exp"),
+        (occlusion(np.array([near]), c_scale=np.inf), [var, zero, one], [1], "affine"),
+        (occlusion(np.array([near]), c_scale=1e308), [np.array([[1.7e308]]), zero, one], [0],
+         "add"),
+        # raw NaN operands against a taped one
+        (occlusion(OBSTACLES), [var, zero, np.array([[np.nan, 0.0]])], [1], "sub"),
+        (occlusion(OBSTACLES), [np.array([[np.nan]]), zero, one], [2], "add"),
+    ]
+
+    def penalty(obstacles, weight=10.0):
+        return (lambda *v: _fused_obstacle_penalty(*v, obstacles=obstacles, weight=weight),
+                lambda *v: _chain_obstacle_penalty(*v, obstacles=obstacles, weight=weight))
+
+    r = np.array([[0.5]])
+    cases += [
+        (penalty(np.array([[-1e308, 0.0, 1.0]])), [r, np.array([[1e308, 0.0]])], [1], "sub"),
+        (penalty(np.array([[1e200, 0.0, 1.0]])), [r, zero], [1], "norm_eps"),
+        (penalty(np.array([[0.0, 0.0, np.inf]])), [r, zero], [1], "affine"),
+        # the first obstacle's square overflows before the second's norm does
+        (penalty(np.array([[0.0, 0.0, 1e155], [-1e200, 0.0, 1.0]])), [r, zero], [1], "square"),
+        (penalty(np.array([[0.3, 0.2, 2.0]]), weight=1e308), [r, zero], [1], "affine"),
+        (penalty(np.array([[0.3, 0.2, 2.0]]), weight=1e307), [np.array([[-1.7e308]]), zero], [0],
+         "sub"),
+        (penalty(OBSTACLES), [np.array([[np.nan]]), zero], [1], "sub"),
+    ]
+    for (fused, chain), values, lifted, op in cases:
+        _assert_same_failure(fused, chain, values, lifted, op)
+
+
+def test_sight_line_soft_min_underflow_raises_like_log():
+    """Obstacles far off every sight line underflow the soft-min sum to 0:
+    ``log``'s ValueError, on the raw and on the taped path."""
+    far = np.array([[1000.0, 1000.0, 1.0], [-1000.0, 1000.0, 1.0]])
+    values = [np.array([[0.5]]), np.zeros((1, 2)), np.array([[1.0, 0.0]])]
+    for fn in (_fused_occlusion, _chain_occlusion):
+        with pytest.raises(ValueError, match="log of non-positive value"):
+            fn(*values, obstacles=far)
+        for lifted in _nonempty_subsets(3):
+            tape = Tape()
+            args = [tape.param(v) if i in lifted else v for i, v in enumerate(values)]
+            with pytest.raises(ValueError, match="log of non-positive value"):
+                fn(*args, obstacles=far)
 
 
 def test_fd_concat_slice_sum_axis():

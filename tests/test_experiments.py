@@ -138,6 +138,49 @@ def test_record_grad_norms_round_trip_and_older_records_parse(tmp_path):
         assert a.solve_converged == b.solve_converged
 
 
+def test_belief_resets_and_ess_recorded_and_round_trip(tmp_path, monkeypatch):
+    """Every update's reset flag and ESS fraction land in the step record,
+    per agent, and survive a write/read round trip; a record without the
+    ``[belief_health]`` section reads them back as None.  At gamma = 1 with a
+    sharp view cone, agent 1's weights collapse in the second update."""
+    from pogplan import beliefs, runner
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        pset = beliefs.update_particles(*args, **kwargs)
+        seen.append((args[4], beliefs.effective_sample_size(pset) / pset.k_all,
+                     pset.degenerate))
+        return pset
+
+    monkeypatch.setattr(runner, "update_particles", spy)
+    cfg = _tiny_cfg(tmp_path, brain="separate", gamma=1.0, sigma2_base=1e-6, episode_steps=2)
+    game = trial_game(cfg, 2)
+    record = run_episode(game, episode_options(cfg, ("active", "active")), 2)
+    got = [(agent, s.belief_ess[agent], s.belief_reset[agent])
+           for s in record.steps for agent in sorted(s.belief_ess)]
+    assert got == seen
+    assert [r for _, _, r in got] == [False, False, False, True]
+
+    path = tmp_path / "record.txt"
+    write_trial_record(record, game, cfg, "label", path)
+    loaded = read_trial_record(path)
+    for a, b in zip(loaded.steps, record.steps):
+        assert a.belief_ess == b.belief_ess
+        assert a.belief_reset == b.belief_reset
+
+    text = path.read_text()
+    head, _, rest = text.partition("[belief_health]\n")
+    older = tmp_path / "older.txt"
+    older.write_text(head + rest[rest.index("[trace]"):])
+    old = read_trial_record(older)
+    assert all(s.belief_ess is None and s.belief_reset is None for s in old.steps)
+    for a, b in zip(old.steps, loaded.steps):   # the [belief] rows still parse
+        assert a.belief_means.keys() == b.belief_means.keys()
+        for key, mean in a.belief_means.items():
+            np.testing.assert_array_equal(mean, b.belief_means[key])
+
+
 def test_emit_plot_data_schemas(tmp_path):
     cfg = _tiny_cfg(tmp_path)
     _, records = run_matrix(cfg)

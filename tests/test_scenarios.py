@@ -9,6 +9,7 @@ import pytest
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
 from pogplan.scenarios import (
+    SMOOTHMIN_TEMP,
     HideSeekGame,
     ScenarioConfig,
     TagChainGame,
@@ -173,11 +174,13 @@ def test_hideseek_through_center_occlusion_scale():
     game = make_game(cfg)
     state = [(np.array([[-3.0, 0.0]]), np.array([[0.2, 0.0]])),
              (np.array([[3.0, 0.0]]), np.array([[0.0, 0.0]]))]
-    clear = game._clearance(state, 0, 1).item()
-    np.testing.assert_allclose(clear, -r, atol=1e-3)
     v_occ = game._pair_variance(state, 0, 1).item()
     v_base = make_game(ScenarioConfig(name="tag"))._pair_variance(state, 0, 1).item()
     np.testing.assert_allclose(v_occ - v_base, cfg.c_scale * r, rtol=0.01)
+    # the occlusion is softplus(-temp * clearance) / temp: invert it
+    temp = SMOOTHMIN_TEMP
+    clear = -math.log(math.expm1(temp * (v_occ - v_base) / cfg.c_scale)) / temp
+    np.testing.assert_allclose(clear, -r, atol=1e-3)
 
 
 def test_hideseek_variance_continuous_when_grazing():

@@ -185,9 +185,9 @@ def test_expected_cost_gradient_matches_finite_differences():
     for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + h
-        up = eval_cost(game, pset, thetas, 0, batch)
+        up = eval_cost(game, pset, thetas, [0], batch)[0]
         flat[j] = orig - h
-        dn = eval_cost(game, pset, thetas, 0, batch)
+        dn = eval_cost(game, pset, thetas, [0], batch)[0]
         flat[j] = orig
         num = (up - dn) / (2 * h)
         worst = max(worst, abs(grad[j] - num) / (abs(grad[j]) + abs(num) + 1e-12))
@@ -474,6 +474,52 @@ def test_calc_eq_and_episode_match_recorded_values():
     ``np.savez(CALC_EQ_TAG, **_calc_eq_tag_arrays())``)."""
     got = _calc_eq_tag_arrays()
     with np.load(CALC_EQ_TAG) as rec:
+        assert sorted(rec.files) == sorted(got)
+        for key, value in got.items():
+            want = rec[key]
+            assert value.shape == want.shape, key
+            assert value.tobytes() == want.tobytes(), key
+
+
+HIDESEEK_STEPS = os.path.join(os.path.dirname(__file__), "data", "hideseek_steps.npz")
+
+
+def _hideseek_step_arrays():
+    """Costs and gradients of seeded hideseek ``expected_cost`` calls, as
+    named arrays: for each mode pair (both active, either one passive) and
+    each player, three calls on one stream.  The 300-particle cloud has
+    random velocities and windows; a few rows put the two players on one
+    spot or a player on an obstacle centre."""
+    game = make_game(ScenarioConfig(name="hideseek"))
+    rng = np.random.default_rng(40)
+    pset = init_particles(game, 300, 1, rng)
+    state = game.unpack_state(pset.states)
+    for pos, vel in state:
+        vel[...] = rng.normal(scale=0.2, size=vel.shape)
+    state[1][0][:5] = state[0][0][:5]                          # coincident players
+    state[0][0][5:8] = np.asarray(game.config.obstacles[0][:2])  # on an obstacle centre
+    state[1][0][8:10] = np.asarray(game.config.obstacles[1][:2])
+    for h in pset.hists:
+        h[...] = rng.normal(scale=1.5, size=h.shape)
+    out = {}
+    for modes in ((ACTIVE, ACTIVE), (PASSIVE, ACTIVE), (ACTIVE, PASSIVE)):
+        thetas = [init_policy(game, i, modes[i], seed=41 + i, hidden=(8, 8)) for i in range(2)]
+        tag = "".join(m[0] for m in modes)
+        for player in range(2):
+            stream = np.random.default_rng(42 + player)
+            for call in range(3):
+                cost, grad = expected_cost(game, pset, thetas, player, 40, stream)
+                out[f"{tag}/{player}/{call}/cost"] = np.array(cost)
+                out[f"{tag}/{player}/{call}/grad"] = grad
+    return out
+
+
+def test_hideseek_steps_match_recorded_values():
+    """HideSeek costs and gradients are bit for bit those recorded in
+    ``tests/data/hideseek_steps.npz`` (written by
+    ``np.savez(HIDESEEK_STEPS, **_hideseek_step_arrays())``)."""
+    got = _hideseek_step_arrays()
+    with np.load(HIDESEEK_STEPS) as rec:
         assert sorted(rec.files) == sorted(got)
         for key, value in got.items():
             want = rec[key]
