@@ -21,46 +21,20 @@ values that depend on them; everything else in a rollout (batch rows,
 windows, noise, opponents' networks, game constants) stays raw.
 
 Finiteness: every leaf is checked, and so is the output of every op that can
-turn finite inputs into a non-finite value (arithmetic, exp, log, sqrt, sums,
-norms and the 2-vector products); a non-finite value raises
-``FloatingPointError`` when it is recorded.  Ops that map finite inputs to
-finite outputs (slice, concat, shift, reshape, tanh, smooth_clamp, atan2,
-relu, softplus) skip the check.  Raw operands and raw results are not checked: a
-caller that feeds raw data into a taped computation checks it once itself
-(``check_finite``; see ``solver.expected_cost``).
+turn finite inputs into a non-finite value (arithmetic, exp, sums, norms, dot2
+and the Gaussian draw); a non-finite value raises ``FloatingPointError`` when
+it is recorded.  Ops that map finite inputs to finite outputs (slice, concat,
+shift, reshape) skip the check.  Raw operands and raw results are not
+checked: a caller that feeds raw data into a taped computation checks it once
+itself (``check_finite``; see ``solver.expected_cost``).
 
 Fused nodes: the rollout's hot chains are recorded as one node each, with a
 hand-written adjoint (Griewank & Walther, *Evaluating Derivatives*, 2008,
 ch. 4-5).  Each one computes, checks and differentiates exactly as the chain
 of primitives it replaces, so values, adjoints and errors are the chain's,
 bit for bit; an error names the op of the chain that would have raised it.
-The intermediates each one checks:
-
-* ``tanh_mlp`` (a tanh network and its output scale): every layer's
-  pre-activation (``"dense_tanh"``) and the scaled output (``"affine"``);
-* ``fov_variance`` (view-cone variance from observer pose and target): the
-  displacement (``"sub"``, when a position is a node), ``"cross2"``,
-  ``"dot2"``, ``"smooth_abs"`` and both ``"affine"`` steps;
-* ``trimmed_gauss`` (sqrt, reparameterized draw, smooth_clamp): the standard
-  deviation (``"sqrt"``, when the variance is a node) and the draw
-  (``"gauss_reparam"``; for a lifted noise node ``"mul"`` and ``"add"``);
-* ``soft_barrier`` (norm_eps, affine, softplus, square, affine):
-  ``"norm_eps"``, ``"affine"``, ``"square"`` and ``"affine"``;
-* ``obstacle_penalty`` (per obstacle: sub, soft_barrier, sub from the
-  reward): per obstacle, when the position is a node, the offset
-  (``"sub"``) and the barrier's four checks, then the reduced reward
-  (``"sub"``);
-* ``occluded_variance`` (the soft minimum of a sight line's clearances from
-  the obstacles, its softplus and the add to the view-cone variance): when a
-  position is a node, the sight line (``"sub"``), its squared length
-  (``"dot2"``, ``"add"``), per obstacle the offset from the observer
-  (``"sub"``, when the observer is a node), ``"dot2"``, ``"div"``,
-  ``"mul"``, ``"add"``, ``"sub"``, ``"norm_eps"``, two ``"affine"``,
-  ``"exp"`` and the running sum (``"add"``), then ``"log"`` and four
-  ``"affine"``; always the final sum (``"add"``);
-* ``clamped_add`` (add, smooth_clamp): the sum (``"add"``);
-* ``shift_last`` (slice_last, concat: a window slid by one observation):
-  none.
+Each fused node's docstring names its chain and the intermediates it checks;
+the chains themselves are built in ``tests/refchain.py``.
 
 Planar kernels compute on the two coordinate columns of a (K, 2) array, not
 on its rows, wherever that gives the chain's bits: a ufunc that loops over K
@@ -144,28 +118,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
-
-    # Arithmetic sugar so game code reads like plain numpy.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return affine(self, -1.0, 0.0)
 
 
 class Tape:
@@ -319,39 +271,6 @@ def sub(a, b):
     return tape._record(av - bv, "sub", vjp)
 
 
-def mul(a, b):
-    """Elementwise product (numpy broadcasting rules)."""
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    if tape is None:
-        return av * bv
-
-    def vjp(g):
-        if isinstance(a, Node):
-            _accumulate(a, _unbroadcast(g * bv, av.shape))
-        if isinstance(b, Node):
-            _accumulate(b, _unbroadcast(g * av, bv.shape))
-
-    return tape._record(av * bv, "mul", vjp)
-
-
-def div(a, b):
-    """Elementwise quotient."""
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    y = av / bv
-    if tape is None:
-        return y
-
-    def vjp(g):
-        if isinstance(a, Node):
-            _accumulate(a, _unbroadcast(g / bv, av.shape))
-        if isinstance(b, Node):
-            _accumulate(b, _unbroadcast(-g * y / bv, bv.shape))
-
-    return tape._record(y, "div", vjp)
-
-
 def affine(x, scale, shift):
     """``scale * x + shift`` with python-float coefficients; one node."""
     if not isinstance(x, Node):
@@ -368,17 +287,6 @@ def scale(x, c):
     return affine(x, c, 0.0)
 
 
-def tanh(x):
-    if not isinstance(x, Node):
-        return np.tanh(_value(x))
-    y = np.tanh(x.value)
-
-    def vjp(g):
-        _accumulate(x, g * (1.0 - y * y))
-
-    return x.tape._record(y, "tanh", vjp, checked=False)
-
-
 def exp(x):
     if not isinstance(x, Node):
         return np.exp(_value(x))
@@ -388,41 +296,6 @@ def exp(x):
         _accumulate(x, g * y)
 
     return x.tape._record(y, "exp", vjp)
-
-
-def log(x):
-    xv = _value(x)
-    if np.any(xv <= 0.0):
-        raise ValueError("log of non-positive value")
-    if not isinstance(x, Node):
-        return np.log(xv)
-
-    def vjp(g):
-        _accumulate(x, g / xv)
-
-    return x.tape._record(np.log(xv), "log", vjp)
-
-
-def square(x):
-    if not isinstance(x, Node):
-        v = _value(x)
-        return v * v
-
-    def vjp(g):
-        _accumulate(x, 2.0 * x.value * g)
-
-    return x.tape._record(x.value * x.value, "square", vjp)
-
-
-def sqrt(x):
-    if not isinstance(x, Node):
-        return np.sqrt(_value(x))
-    y = np.sqrt(x.value)
-
-    def vjp(g):
-        _accumulate(x, 0.5 * g / y)
-
-    return x.tape._record(y, "sqrt", vjp)
 
 
 def asum(x, axis=None):
@@ -461,35 +334,15 @@ def dot2(a, b):
 
 
 def _perp(v):
-    """(v1, -v0) over the last axis, so that cross2(a, b) = dot2(a, perp(b))."""
+    """(v1, -v0) over the last axis: the planar cross product a0*v1 - a1*v0
+    is dot2(a, perp(v))."""
     return np.concatenate([v[..., 1:2], -v[..., 0:1]], axis=-1)
 
 
-def cross2(a, b):
-    """Planar cross product over a last axis of width 2, kept as (..., 1).
-
-    Computes ``a0*b1 - a1*b0``, the same expression, rounding and signed
-    zeros as two ``mul`` nodes of ``slice_last`` columns and a ``sub``.
-    """
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    val = av[..., 0:1] * bv[..., 1:2] - av[..., 1:2] * bv[..., 0:1]
-    if tape is None:
-        return val
-
-    def vjp(g):
-        if isinstance(a, Node):
-            _accumulate(a, _unbroadcast(g * _perp(bv), av.shape))
-        if isinstance(b, Node):
-            _accumulate(b, _unbroadcast(-g * _perp(av), bv.shape))
-
-    return tape._record(val, "cross2", vjp)
-
-
-def norm_eps(x, eps=NORM_EPS, keepdims=True):
-    """Regularized euclidean norm of planar vectors (a last axis of width 2):
-    sqrt(x0^2 + x1^2 + eps), the bits of summing the squares with ``np.sum``
-    (no square is -0).
+def norm_eps(x, eps=NORM_EPS):
+    """Regularized euclidean norm of planar vectors (a last axis of width 2),
+    kept as (..., 1): sqrt(x0^2 + x1^2 + eps), the bits of summing the
+    squares with ``np.sum`` (no square is -0).
 
     The epsilon keeps the gradient finite at x = 0 (headings are computed
     from velocities that may vanish).
@@ -498,75 +351,14 @@ def norm_eps(x, eps=NORM_EPS, keepdims=True):
     if v.shape[-1] != 2:
         raise ValueError(f"norm_eps needs planar vectors, got shape {v.shape}")
     v0, v1 = _columns(v)
-    y = np.sqrt(v0 * v0 + v1 * v1 + eps)
-    if keepdims:
-        y = y[..., None]
+    y = np.sqrt(v0 * v0 + v1 * v1 + eps)[..., None]
     if not isinstance(x, Node):
         return y
 
     def vjp(g):
-        gn = g / y
-        if not keepdims:
-            gn = gn[..., None]
-        _accumulate(x, gn * v)
+        _accumulate(x, g / y * v)
 
     return x.tape._record(y, "norm_eps", vjp)
-
-
-def smooth_abs(x, eps=NORM_EPS):
-    """Elementwise sqrt(x^2 + eps); a smooth |x|."""
-    if not isinstance(x, Node):
-        v = _value(x)
-        return np.sqrt(v * v + eps)
-    y = np.sqrt(x.value * x.value + eps)
-
-    def vjp(g):
-        _accumulate(x, g * x.value / y)
-
-    return x.tape._record(y, "smooth_abs", vjp)
-
-
-def atan2(y, x):
-    """Elementwise two-argument arctangent.
-
-    The adjoint denominator carries a 1e-12 floor so the gradient stays
-    defined (arbitrary but finite) when both arguments vanish.
-    """
-    tape = _tape_of(y, x)
-    yv, xv = _value(y), _value(x)
-    if tape is None:
-        return np.arctan2(yv, xv)
-
-    def vjp(g):
-        denom = xv * xv + yv * yv + 1e-12
-        if isinstance(y, Node):
-            _accumulate(y, g * xv / denom)
-        if isinstance(x, Node):
-            _accumulate(x, -g * yv / denom)
-
-    return tape._record(np.arctan2(yv, xv), "atan2", vjp, checked=False)
-
-
-def relu(x):
-    """Elementwise positive-part hinge max(x, 0)."""
-    if not isinstance(x, Node):
-        return np.maximum(_value(x), 0.0)
-
-    def vjp(g):
-        _accumulate(x, g * (x.value > 0.0))
-
-    return x.tape._record(np.maximum(x.value, 0.0), "relu", vjp, checked=False)
-
-
-def softplus(x):
-    """Numerically stable log(1 + e^x)."""
-    if not isinstance(x, Node):
-        return np.logaddexp(0.0, _value(x))
-
-    def vjp(g):
-        _accumulate(x, g * _sigmoid(x.value))
-
-    return x.tape._record(np.logaddexp(0.0, x.value), "softplus", vjp, checked=False)
 
 
 def _sigmoid(v):
@@ -581,33 +373,14 @@ def _clamp_ramp(v, lo, hi):
     return _sigmoid(4.0 / (hi - lo) * (v - 0.5 * (lo + hi)))
 
 
-def smooth_clamp(x, lo, hi):
-    """Smooth saturation onto (lo, hi): lo + (hi-lo) * sigmoid ramp.
-
-    The ramp slope is 4/(hi-lo), which makes the response have unit slope at
-    the interval midpoint and saturate smoothly at the ends.
-    """
-    s = _clamp_ramp(_value(x), lo, hi)
-    if not isinstance(x, Node):
-        return lo + (hi - lo) * s
-
-    def vjp(g):
-        _accumulate(x, g * 4.0 * s * (1.0 - s))
-
-    return x.tape._record(lo + (hi - lo) * s, "smooth_clamp", vjp, checked=False)
-
-
 def gauss_reparam(mu, sigma, eps):
     """Pathwise-reparameterized Gaussian draw: mu + sigma * eps.
 
-    ``eps`` is usually a fixed standard-normal array sampled outside the
-    tape; the node is then exactly differentiable in mu and sigma
-    (d/dmu = 1, d/dsigma = eps).  A lifted ``eps`` node also works, in
-    which case the draw is differentiable in the noise too.  ``sigma`` may
-    broadcast against ``mu`` (e.g. shape (K, 1) vs (K, 2)).
+    ``eps`` is raw standard-normal noise, sampled outside the tape and held
+    fixed, so the node is exactly differentiable in mu and sigma (d/dmu = 1,
+    d/dsigma = eps).  ``sigma`` may broadcast against ``mu`` (e.g. shape
+    (K, 1) vs (K, 2)).
     """
-    if isinstance(eps, Node):
-        return add(mu, mul(sigma, eps))
     tape = _tape_of(mu, sigma)
     eps = np.asarray(eps, dtype=np.float64)
     mv, sv = _value(mu), _value(sigma)
@@ -692,18 +465,18 @@ def reshape(x, shape):
 
 
 # ---------------------------------------------------------------------------
-# Fused primitives.  Each replaces a chain of the primitives above with one
-# node.  Its forward evaluates the chain's numpy expressions, it checks the
-# intermediates the chain checks under the chain's op names, and its vjp
-# applies the chain's adjoint expressions, sending contributions to its
-# operands in the chain's order.  So values, adjoints and raised errors are
-# those of the chain, bit for bit.
+# Fused primitives.  Each replaces a chain of primitives with one node (the
+# chains are built in tests/refchain.py).  Its forward evaluates the chain's
+# numpy expressions, it checks the intermediates the chain checks under the
+# chain's op names, and its vjp applies the chain's adjoint expressions,
+# sending contributions to its operands in the chain's order.  So values,
+# adjoints and raised errors are those of the chain, bit for bit.
 # ---------------------------------------------------------------------------
 
 def tanh_mlp(weights, biases, x, out_scale):
     """A tanh network with a scaled output,
-    ``out_scale * tanh(w_L @ ... tanh(w_1 @ x + b_1) ... + b_L)``; a
-    row-batched ``x`` of shape (K, n) yields (K, m).
+    ``out_scale * tanh(w_L @ ... tanh(w_1 @ x + b_1) ... + b_L)``, on rows:
+    ``x`` of shape (K, n) yields (K, m).
 
     Replaces one dense tanh node per layer and a ``scale``.  Each layer's
     pre-activation is checked under ``"dense_tanh"`` and the output under
@@ -712,7 +485,8 @@ def tanh_mlp(weights, biases, x, out_scale):
     stored: the adjoint needs no pre-activation, since tanh' = 1 - tanh^2.
     """
     xv = _value(x)
-    batched = xv.ndim == 2
+    if xv.ndim != 2:
+        raise ValueError(f"tanh_mlp needs rows of shape (K, n), got shape {xv.shape}")
     tape = _tape_of(x, *weights, *biases)
     first = 0 if isinstance(x, Node) else None   # first taped layer
     ins, outs = [], []
@@ -723,7 +497,7 @@ def tanh_mlp(weights, biases, x, out_scale):
             raise ValueError(f"tanh_mlp weight must be 2-D, got shape {wv.shape}")
         if h.shape[-1] != wv.shape[1]:
             raise ValueError(f"tanh_mlp shape mismatch: {wv.shape} @ {h.shape}")
-        pre = h @ wv.T if batched else wv @ h
+        pre = h @ wv.T
         pre += _value(b)
         if first is None and (isinstance(w, Node) or isinstance(b, Node)):
             first = i
@@ -748,10 +522,10 @@ def tanh_mlp(weights, biases, x, out_scale):
             if isinstance(b, Node):
                 _accumulate(b, _unbroadcast(gz, b.value.shape))
             if isinstance(w, Node):
-                _accumulate(w, gz.T @ ins[i] if batched else np.outer(gz, ins[i]))
+                _accumulate(w, gz.T @ ins[i])
             if i > first or isinstance(x, Node):
                 wv = _value(w)
-                g = gz @ wv if batched else wv.T @ gz
+                g = gz @ wv
         if isinstance(x, Node):
             _accumulate(x, g)
 
@@ -846,44 +620,29 @@ def trimmed_gauss(mu, var, eps, lo, hi):
     """Reparameterized Gaussian draw of variance ``var``, smoothly trimmed
     onto (lo, hi): ``smooth_clamp(mu + sqrt(var) * eps, lo, hi)``.
 
-    Replaces sqrt, gauss_reparam and smooth_clamp.  Checked: the standard
-    deviation (``"sqrt"``, when ``var`` is a node) and the untrimmed draw
-    (``"gauss_reparam"``).  A lifted ``eps`` node makes the draw
-    differentiable in the noise too; the chain is then sqrt, mul, add and
-    smooth_clamp, and the product and the draw are checked under ``"mul"``
-    and ``"add"``.  ``var`` may broadcast against ``mu`` (e.g. shape (K, 1)
-    vs (K, 2)).
+    Replaces sqrt, gauss_reparam and smooth_clamp.  ``eps`` is raw noise, as
+    in ``gauss_reparam``.  Checked: the standard deviation (``"sqrt"``, when
+    ``var`` is a node) and the untrimmed draw (``"gauss_reparam"``).  ``var``
+    may broadcast against ``mu`` (e.g. shape (K, 1) vs (K, 2)).
     """
-    tape = _tape_of(mu, var, eps)
-    mv, vv, ev = _value(mu), _value(var), _value(eps)
+    tape = _tape_of(mu, var)
+    mv, vv, ev = _value(mu), _value(var), np.asarray(eps, dtype=np.float64)
     sigma = np.sqrt(vv)
-    spread = sigma * ev
-    draw = mv + spread
+    draw = mv + sigma * ev
     s = _clamp_ramp(draw, lo, hi)
     out = lo + (hi - lo) * s
     if tape is None:
         return out
-    lifted = isinstance(eps, Node)
     if isinstance(var, Node):
         check_finite(sigma, "sqrt")
-    if lifted:
-        check_finite(spread, "mul")
-        check_finite(draw, "add")
-    else:
-        check_finite(draw, "gauss_reparam")
+    check_finite(draw, "gauss_reparam")
 
     def vjp(g):
         g_draw = g * 4.0 * s * (1.0 - s)
         if isinstance(mu, Node):
             _accumulate(mu, _unbroadcast(g_draw, mv.shape))
-        if lifted:
-            g_spread = _unbroadcast(g_draw, spread.shape)
-            g_sigma = _unbroadcast(g_spread * ev, sigma.shape)
-            _accumulate(eps, _unbroadcast(g_spread * sigma, ev.shape))
-        else:
-            g_sigma = _unbroadcast(g_draw * ev, sigma.shape)
         if isinstance(var, Node):
-            _accumulate(var, 0.5 * g_sigma / sigma)
+            _accumulate(var, 0.5 * _unbroadcast(g_draw * ev, sigma.shape) / sigma)
 
     return tape._record(out, "trimmed_gauss", vjp, checked=False)
 
@@ -994,9 +753,14 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
     length plus 1e-9); per obstacle sub (centre - observer), dot2, div,
     smooth_clamp, mul, add, sub, norm_eps, affine, affine, exp and the add
     into the sum; then log, affine, affine, softplus, affine, affine and the
-    add to ``var``.  It checks the intermediates the module docstring lists,
-    in the chain's order.  A soft-min sum that is not positive raises
-    ``log``'s ``ValueError``, taped or raw.
+    add to ``var``.  Checked, in the chain's order, when a position is a
+    node: the sight line (``"sub"``), its squared length (``"dot2"``,
+    ``"add"``), per obstacle the offset from the observer (``"sub"``, when
+    the observer is a node), ``"dot2"``, ``"div"``, ``"mul"``, ``"add"``,
+    ``"sub"``, ``"norm_eps"``, two ``"affine"``, ``"exp"`` and the running
+    sum (``"add"``), then ``"log"`` and four ``"affine"``; always the final
+    sum (``"add"``).  A soft-min sum that is not positive raises ``log``'s
+    ``ValueError``, taped or raw.
     """
     tape = _tape_of(var, pos_obs, pos_target)
     vv, av, bv = _value(var), _value(pos_obs), _value(pos_target)

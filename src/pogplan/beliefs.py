@@ -48,13 +48,6 @@ class ParticleSet:
     def k_all(self):
         return self.states.shape[0]
 
-    def copy(self):
-        return ParticleSet(states=self.states.copy(),
-                           hists=[h.copy() for h in self.hists],
-                           weights=self.weights.copy(),
-                           blocks=[b.copy() for b in self.blocks],
-                           degenerate=self.degenerate)
-
 
 def round_robin_partition(k_all, n_eq):
     """n_eq disjoint, exhaustive index sets with sizes differing by <= 1."""

@@ -22,7 +22,8 @@ from .beliefs import init_particles, update_particles
 from .config import write_config
 from .policy import ACTIVE, PASSIVE, init_policy, with_flat
 from .runner import SEPARATE, EpisodeOptions, StepRecord, TrialRecord, run_episode
-from .scenarios import group_names, make_game, mode_groups, report_groups, sample_tasks
+from .scenarios import (ScenarioConfig, group_names, make_game, mode_groups, report_groups,
+                        sample_tasks)
 from .solver import calc_eq, evaluation_batch, run_batch, _run_rollout
 
 THREADS_ENV = "POGPLAN_THREADS"
@@ -146,8 +147,7 @@ def run_matrix(cfg):
             args.append((cfg, combo, s, dump))
         records = map_trials(_one_trial, args)
         all_records[label] = records
-        game = trial_game(cfg, cfg.seed)
-        for gname, players in report_groups(game):
+        for gname, players in report_groups(probe):
             costs = [np.mean([r.episode_cost(p) for p in players]) for r in records]
             mean, err = mean_stderr(costs)
             times = [t for r in records for t in r.grad_step_times()]
@@ -277,8 +277,7 @@ def rollout_gradcheck(scenario, programs=100, seed=0, h=1e-4, t_past=2,
     random small policies, one focal player; the whole rollout cost is
     differentiated with respect to that player's parameters.
     """
-    cfg = _small_scenario(scenario, t_past, t_future)
-    game = make_game(cfg)
+    game = make_game(ScenarioConfig(name=scenario, t_past=t_past, t_future=t_future))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(programs):
@@ -301,12 +300,6 @@ def rollout_gradcheck(scenario, programs=100, seed=0, h=1e-4, t_past=2,
 
         worst = max(worst, grad_check(program, thetas[focal].flat, h=h))
     return worst
-
-
-def _small_scenario(name, t_past, t_future):
-    from .scenarios import ScenarioConfig
-
-    return ScenarioConfig(name=name, t_past=t_past, t_future=t_future)
 
 
 def _random_reachable_state(game, rng):

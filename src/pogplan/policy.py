@@ -98,12 +98,11 @@ def init_policy(game, player, mode, seed, hidden=(64, 64)):
 def policy_forward(theta, history, t_offset=0):
     """Evaluate the policy on a flattened observation window.
 
-    ``history`` is (input_width,) or batched (K, input_width), most recent
-    observation last, zero-filled prehistory.  Active mode ignores
-    ``t_offset``; passive mode selects the ``t_offset``-th action block of
-    the emitted sequence, or returns the whole sequence when ``t_offset`` is
-    None.  The output satisfies ``|action| <= action_scale`` per coordinate
-    via a tanh squash.
+    ``history`` is (K, input_width) rows, most recent observation last,
+    zero-filled prehistory.  Active mode ignores ``t_offset``; passive mode
+    selects the ``t_offset``-th action block of the emitted sequence, or
+    returns the whole sequence when ``t_offset`` is None.  The output
+    satisfies ``|action| <= action_scale`` per coordinate via a tanh squash.
     """
     width = history.shape[-1] if hasattr(history, "shape") else np.shape(history)[-1]
     if width != theta.input_width:

@@ -1,6 +1,7 @@
 """Shared test scaffolding: tiny fully-observable games with known equilibria."""
 
 import numpy as np
+import refchain as rc
 
 from pogplan import adgraph as ag
 from pogplan.gamedef import GameDef
@@ -58,7 +59,7 @@ class QuadraticGame(GameDef):
 def single_quadratic(t_future=1):
     """One player, cost (a - 2)^2; optimum a* = 2."""
     def r(state):
-        return ag.scale(ag.square(ag.affine(state[0][0], 1.0, -2.0)), -1.0)
+        return ag.scale(rc.square(ag.affine(state[0][0], 1.0, -2.0)), -1.0)
 
     return QuadraticGame([r], t_future=t_future)
 
@@ -70,12 +71,12 @@ def two_player_quadratic():
     so the unique Nash point is (a1, a2) = (1/1.1, 1).
     """
     def r1(state):
-        gap = ag.square(ag.sub(state[0][0], state[1][0]))
-        own = ag.scale(ag.square(state[0][0]), 0.1)
+        gap = rc.square(ag.sub(state[0][0], state[1][0]))
+        own = ag.scale(rc.square(state[0][0]), 0.1)
         return ag.scale(ag.add(gap, own), -1.0)
 
     def r2(state):
-        return ag.scale(ag.square(ag.affine(state[1][0], 1.0, -1.0)), -1.0)
+        return ag.scale(rc.square(ag.affine(state[1][0], 1.0, -1.0)), -1.0)
 
     return QuadraticGame([r1, r2])
 

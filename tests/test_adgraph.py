@@ -1,13 +1,16 @@
 """Tape autodiff: exactness against analytic gradients and finite differences."""
 
+import ast
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import refchain as rc
 
 from pogplan import adgraph as ag
 from pogplan import beliefs, solver
-from pogplan.adgraph import NORM_EPS, Tape, grad_check
+from pogplan.adgraph import Tape, grad_check
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.scenarios import ScenarioConfig, make_game
 
@@ -32,7 +35,7 @@ def test_lift_readback_and_unreachable_adjoint():
     stray = tape.param(0.0)
     v = tape.param([1.0, 2.0])
     np.testing.assert_array_equal(v.value, [1.0, 2.0])
-    root = ag.asum(ag.square(v))
+    root = ag.asum(rc.square(v))
     tape.backward(root)
     assert stray.grad == 0.0  # not on the root path
 
@@ -56,7 +59,7 @@ def test_mul_product_rule():
     tape = Tape()
     x = tape.param(3.0)
     y = tape.param(4.0)
-    out = ag.mul(x, y)
+    out = rc.mul(x, y)
     assert out.value == 12.0
     tape.backward(out)
     assert x.grad == 4.0
@@ -66,7 +69,7 @@ def test_mul_product_rule():
 def test_tanh_at_zero():
     tape = Tape()
     x = tape.param(0.0)
-    out = ag.tanh(x)
+    out = rc.tanh(x)
     assert out.value == 0.0
     tape.backward(out)
     assert x.grad == 1.0
@@ -74,11 +77,11 @@ def test_tanh_at_zero():
 
 def test_norm_eps_unit_vector():
     tape = Tape()
-    v = tape.param([3.0, 4.0])
-    out = ag.norm_eps(v, eps=0.0, keepdims=False)
-    assert float(out.value) == 5.0
+    v = tape.param([[3.0, 4.0]])
+    out = ag.norm_eps(v, eps=0.0)
+    assert out.value.item() == 5.0
     tape.backward(out)
-    np.testing.assert_allclose(v.grad, [0.6, 0.8])
+    np.testing.assert_allclose(v.grad, [[0.6, 0.8]])
     with pytest.raises(ValueError, match="planar"):
         ag.norm_eps(np.ones(3))
 
@@ -86,7 +89,7 @@ def test_norm_eps_unit_vector():
 def test_backward_sum_of_squares():
     tape = Tape()
     v = tape.param([1.0, 2.0, 3.0])
-    root = ag.asum(ag.square(v))
+    root = ag.asum(rc.square(v))
     tape.backward(root)
     np.testing.assert_allclose(v.grad, [2.0, 4.0, 6.0])
 
@@ -103,14 +106,14 @@ def test_backward_requires_scalar_root():
     tape = Tape()
     v = tape.param([1.0, 2.0])
     with pytest.raises(ValueError):
-        tape.backward(ag.square(v))
+        tape.backward(rc.square(v))
 
 
 def test_backward_deterministic():
     rng = np.random.default_rng(0)
     tape = Tape()
     x = tape.param(rng.normal(size=5))
-    y = ag.asum(ag.mul(ag.tanh(x), ag.exp(ag.scale(x, 0.3))))
+    y = ag.asum(rc.mul(rc.tanh(x), ag.exp(ag.scale(x, 0.3))))
     tape.backward(y)
     first = x.grad.copy()
     tape.backward(y)
@@ -121,15 +124,17 @@ def test_log_nonpositive_rejected():
     tape = Tape()
     x = tape.param([-1.0])
     with pytest.raises(ValueError):
-        ag.log(x)
+        rc.log(x)
 
 
 def test_dense_tanh_shape_mismatch_rejected():
     tape = Tape()
     w = tape.param(np.ones((2, 3)))
-    x = tape.param(np.ones(4))
+    x = tape.param(np.ones((1, 4)))
     with pytest.raises(ValueError):
         ag.tanh_mlp([w], [np.zeros(2)], x, 1.0)
+    with pytest.raises(ValueError, match="rows"):   # one unbatched input
+        ag.tanh_mlp([w], [np.zeros(2)], np.ones(3), 1.0)
 
 
 def test_node_outliving_its_tape_raises():
@@ -138,7 +143,28 @@ def test_node_outliving_its_tape_raises():
     with pytest.raises(ReferenceError):
         x.tape
     with pytest.raises(ReferenceError):
-        ag.tanh(x)
+        ag.exp(x)
+
+
+def test_every_public_adgraph_function_has_a_src_caller():
+    """``src`` holds no adgraph function that only the tests use: each public
+    function is named as ``ag.X`` or ``adgraph.X``, imported with ``from
+    .adgraph import X``, or named inside ``adgraph`` itself."""
+    module = Path(ag.__file__)
+    public = {node.name for node in ast.parse(module.read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in module.parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("ag", "adgraph"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "adgraph":
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and path == module:
+                used.add(node.id)
+    unused = sorted(public - used)
+    assert not unused, f"adgraph functions with no caller in src: {unused}"
 
 
 def test_expected_cost_leaves_no_cyclic_garbage():
@@ -204,8 +230,8 @@ def test_hideseek_step_node_count(monkeypatch):
 def test_overflow_raises_before_unchecked_ops():
     """tanh, smooth_clamp and atan2 skip the finiteness check: an overflow
     raises in the checked op that produces it, before saturation hides it."""
-    saturating = (ag.tanh, lambda v: ag.smooth_clamp(v, -1.0, 1.0),
-                  lambda v: ag.atan2(v, 1.0))
+    saturating = (rc.tanh, lambda v: rc.smooth_clamp(v, -1.0, 1.0),
+                  lambda v: rc.atan2(v, 1.0))
     with np.errstate(over="ignore"):
         for saturate in saturating:
             tape = Tape()
@@ -213,7 +239,7 @@ def test_overflow_raises_before_unchecked_ops():
             with pytest.raises(FloatingPointError):
                 saturate(ag.exp(ag.scale(x, 2.0)))
             with pytest.raises(FloatingPointError):
-                saturate(ag.mul(x, 1e307))
+                saturate(rc.mul(x, 1e307))
 
 
 def test_gauss_reparam_exact_partials():
@@ -229,17 +255,17 @@ def test_gauss_reparam_exact_partials():
 
 
 def test_grad_check_square():
-    err = grad_check(lambda x: ag.asum(ag.square(x)), np.array([1.0]), h=1e-5)
+    err = grad_check(lambda x: ag.asum(rc.square(x)), np.array([1.0]), h=1e-5)
     assert err < 1e-8
 
 
 def test_grad_check_tanh():
-    err = grad_check(lambda x: ag.asum(ag.tanh(x)), np.array([0.5]))
+    err = grad_check(lambda x: ag.asum(rc.tanh(x)), np.array([0.5]))
     assert err < 1e-6
     # and the analytic value agrees: d tanh = 1 - tanh^2
     tape = Tape()
     x = tape.param([0.5])
-    tape.backward(ag.asum(ag.tanh(x)))
+    tape.backward(ag.asum(rc.tanh(x)))
     np.testing.assert_allclose(x.grad, 1.0 - np.tanh(0.5) ** 2, rtol=1e-12)
 
 
@@ -257,38 +283,34 @@ def _fd_check(build, n_in, points=100, tol=1e-4, seed=0):
 
 
 def test_fd_add_sub_mul_div():
-    _fd_check(lambda x: ag.asum(ag.mul(ag.add(ag.slice_last(x, 0, 2), ag.slice_last(x, 2, 4)),
+    _fd_check(lambda x: ag.asum(rc.mul(ag.add(ag.slice_last(x, 0, 2), ag.slice_last(x, 2, 4)),
                                        ag.sub(ag.slice_last(x, 0, 2), ag.slice_last(x, 2, 4)))), 4)
-    _fd_check(lambda x: ag.asum(ag.div(ag.slice_last(x, 0, 2),
-                                       ag.add(ag.square(ag.slice_last(x, 2, 4)), 1.0))), 4)
+    _fd_check(lambda x: ag.asum(rc.div(ag.slice_last(x, 0, 2),
+                                       ag.add(rc.square(ag.slice_last(x, 2, 4)), 1.0))), 4)
 
 
 def test_fd_affine_square_exp_log_sqrt():
-    _fd_check(lambda x: ag.asum(ag.affine(ag.square(x), 0.7, 0.2)), 3)
+    _fd_check(lambda x: ag.asum(ag.affine(rc.square(x), 0.7, 0.2)), 3)
     _fd_check(lambda x: ag.asum(ag.exp(ag.scale(x, 0.5))), 3)
-    _fd_check(lambda x: ag.asum(ag.log(ag.add(ag.square(x), 1.0))), 3)
-    _fd_check(lambda x: ag.asum(ag.sqrt(ag.add(ag.square(x), 0.5))), 3)
+    _fd_check(lambda x: ag.asum(rc.log(ag.add(rc.square(x), 1.0))), 3)
+    _fd_check(lambda x: ag.asum(rc.sqrt(ag.add(rc.square(x), 0.5))), 3)
 
 
-def _dense_tanh(w, b, x):
-    """One tanh layer, ``tanh(w @ x + b)``, as a one-layer ``tanh_mlp``."""
-    return ag.tanh_mlp([w], [b], x, 1.0)
-
-
-def _dense_args(x, m, n, batch=None):
-    """Split a flat vector into (w, b, x) operands of one tanh layer."""
+def _dense_layer(x, m, n, batch):
+    """One tanh layer (a one-layer ``tanh_mlp``) on the (w, b, rows) operands
+    that a flat vector splits into."""
     w = ag.reshape(ag.slice_last(x, 0, m * n), (m, n))
     b = ag.slice_last(x, m * n, m * n + m)
-    rest = ag.slice_last(x, m * n + m, x.shape[-1])
-    return w, b, (rest if batch is None else ag.reshape(rest, (batch, n)))
+    rows = ag.reshape(ag.slice_last(x, m * n + m, x.shape[-1]), (batch, n))
+    return ag.tanh_mlp([w], [b], rows, 1.0)
 
 
 def test_fd_dense_tanh():
-    _fd_check(lambda x: ag.asum(_dense_tanh(*_dense_args(x, 2, 3))), 2 * 3 + 2 + 3)
+    _fd_check(lambda x: ag.asum(_dense_layer(x, 2, 3, batch=1)), 2 * 3 + 2 + 3)
 
 
 def test_fd_batched_dense_tanh():
-    _fd_check(lambda x: ag.asum(ag.square(_dense_tanh(*_dense_args(x, 3, 4, batch=5)))),
+    _fd_check(lambda x: ag.asum(rc.square(_dense_layer(x, 3, 4, batch=5))),
               3 * 4 + 3 + 5 * 4, points=20)
 
     # batched path must agree with the per-row path exactly
@@ -296,7 +318,7 @@ def test_fd_batched_dense_tanh():
     xb = np.random.default_rng(3).normal(size=(5, 4))
     tape = Tape()
     xn = tape.param(xb)
-    y = ag.asum(_dense_tanh(w0, np.zeros(3), xn))
+    y = ag.asum(ag.tanh_mlp([w0], [np.zeros(3)], xn, 1.0))
     tape.backward(y)
     grad_batched = xn.grad.copy()
     per_row = np.vstack([
@@ -305,47 +327,50 @@ def test_fd_batched_dense_tanh():
     np.testing.assert_allclose(grad_batched, per_row, rtol=1e-12)
 
 
-def _unfused_dense_tanh(w, b, x):
-    """tanh(w @ x + b) from elementwise primitives, one node per step."""
-    rows = ag.reshape(x, (x.shape[0], 1, x.shape[1]))  # (K, 1, n) against (m, n)
-    return ag.tanh(ag.add(ag.asum(ag.mul(rows, w), axis=-1), b))
-
-
 def test_dense_tanh_matches_unfused_chain():
+    """A one-layer ``tanh_mlp`` against tanh(w @ x + b) from elementwise
+    primitives, one node per step."""
+    def fused(w, b, x):
+        return ag.tanh_mlp([w], [b], x, 1.0)
+
+    def unfused(w, b, x):
+        rows = ag.reshape(x, (x.shape[0], 1, x.shape[1]))  # (K, 1, n) against (m, n)
+        return rc.tanh(ag.add(ag.asum(rc.mul(rows, w), axis=-1), b))
+
     rng = np.random.default_rng(9)
     values = (rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(6, 3)))
     results = []
-    for layer in (_dense_tanh, _unfused_dense_tanh):
+    for layer in (fused, unfused):
         tape = Tape()
         w, b, x = (tape.param(v) for v in values)
         y = layer(w, b, x)
-        tape.backward(ag.asum(ag.mul(y, np.arange(24.0).reshape(6, 4))))
+        tape.backward(ag.asum(rc.mul(y, np.arange(24.0).reshape(6, 4))))
         results.append([y.value, w.grad, b.grad, x.grad])
-    for fused, chain in zip(*results):
-        np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(results[0][0], _dense_tanh(*values), rtol=0)  # raw path
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(results[0][0], fused(*values), rtol=0)  # raw path
 
 
 def test_fd_norm_abs_atan2_relu_softplus_clamp():
-    _fd_check(lambda x: ag.asum(ag.norm_eps(ag.reshape(x, (3, 2)), 1e-9, keepdims=False)), 6)
-    _fd_check(lambda x: ag.asum(ag.smooth_abs(x, 1e-9)), 3)
-    _fd_check(lambda x: ag.asum(ag.atan2(ag.slice_last(x, 0, 1), ag.slice_last(x, 1, 2))), 2)
-    _fd_check(lambda x: ag.asum(ag.relu(x)), 3, seed=4)  # kinks at 0 are measure-zero
-    _fd_check(lambda x: ag.asum(ag.softplus(x)), 3)
-    _fd_check(lambda x: ag.asum(ag.smooth_clamp(x, -0.4, 0.9)), 3)
+    _fd_check(lambda x: ag.asum(ag.norm_eps(ag.reshape(x, (3, 2)), 1e-9)), 6)
+    _fd_check(lambda x: ag.asum(rc.smooth_abs(x, 1e-9)), 3)
+    _fd_check(lambda x: ag.asum(rc.atan2(ag.slice_last(x, 0, 1), ag.slice_last(x, 1, 2))), 2)
+    _fd_check(lambda x: ag.asum(rc.relu(x)), 3, seed=4)  # kinks at 0 are measure-zero
+    _fd_check(lambda x: ag.asum(rc.softplus(x)), 3)
+    _fd_check(lambda x: ag.asum(rc.smooth_clamp(x, -0.4, 0.9)), 3)
 
 
 def _composite_dot2(a, b):
     """dot2 as one slice_last per coordinate, then mul and add nodes."""
     ax, ay = ag.slice_last(a, 0, 1), ag.slice_last(a, 1, 2)
     bx, by = ag.slice_last(b, 0, 1), ag.slice_last(b, 1, 2)
-    return ag.add(ag.mul(ax, bx), ag.mul(ay, by))
+    return ag.add(rc.mul(ax, bx), rc.mul(ay, by))
 
 
 def _composite_cross2(a, b):
     ax, ay = ag.slice_last(a, 0, 1), ag.slice_last(a, 1, 2)
     bx, by = ag.slice_last(b, 0, 1), ag.slice_last(b, 1, 2)
-    return ag.sub(ag.mul(ax, by), ag.mul(ay, bx))
+    return ag.sub(rc.mul(ax, by), rc.mul(ay, bx))
 
 
 def _assert_bitwise(got, want):
@@ -355,20 +380,20 @@ def _assert_bitwise(got, want):
 
 
 def test_fd_dot2_cross2():
-    for op in (ag.dot2, ag.cross2):
-        _fd_check(lambda x: ag.asum(ag.square(op(ag.slice_last(x, 0, 2),
+    for op in (ag.dot2, rc.cross2):
+        _fd_check(lambda x: ag.asum(rc.square(op(ag.slice_last(x, 0, 2),
                                                  ag.slice_last(x, 2, 4)))), 4)
         # batched rows, against a raw operand that gets no adjoint
         other = np.random.default_rng(6).normal(size=(3, 2))
-        _fd_check(lambda x: ag.asum(ag.tanh(op(ag.reshape(x, (3, 2)), other))), 6, points=20)
-        _fd_check(lambda x: ag.asum(ag.tanh(op(other, ag.reshape(x, (3, 2))))), 6, points=20)
+        _fd_check(lambda x: ag.asum(rc.tanh(op(ag.reshape(x, (3, 2)), other))), 6, points=20)
+        _fd_check(lambda x: ag.asum(rc.tanh(op(other, ag.reshape(x, (3, 2))))), 6, points=20)
     _fd_check(lambda x: ag.asum(ag.dot2(ag.reshape(x, (3, 2)), ag.reshape(x, (3, 2)))), 6)
 
 
 def test_dot2_cross2_match_slice_composite_bitwise():
     rng = np.random.default_rng(12)
     upstream = rng.normal(size=(7, 1))
-    for fused, composite in ((ag.dot2, _composite_dot2), (ag.cross2, _composite_cross2)):
+    for fused, composite in ((ag.dot2, _composite_dot2), (rc.cross2, _composite_cross2)):
         for _ in range(20):
             a, b = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
             _assert_bitwise(fused(a, b), composite(a, b))  # raw path
@@ -377,7 +402,7 @@ def test_dot2_cross2_match_slice_composite_bitwise():
                 tape = Tape()
                 an, bn = tape.param(a), tape.param(b)
                 out = op(an, bn)
-                tape.backward(ag.asum(ag.mul(out, upstream)))
+                tape.backward(ag.asum(rc.mul(out, upstream)))
                 results.append((out.value, an.grad, bn.grad))
             for got, want in zip(*results):
                 _assert_bitwise(got, want)
@@ -387,71 +412,20 @@ def test_dot2_cross2_match_slice_composite_bitwise():
 # Fused nodes against the chains of primitives they replace, byte for byte.
 # ---------------------------------------------------------------------------
 
-def _reference_dense_tanh(w, b, x):
-    """The one-layer node the policy network used to record per layer:
-    ``tanh(w @ x + b)``, its pre-activation checked under "dense_tanh"."""
-    tape = ag._tape_of(w, b, x)
-    wv, bv, xv = ag._value(w), ag._value(b), ag._value(x)
-    batched = xv.ndim == 2
-    pre = (xv @ wv.T if batched else wv @ xv) + bv
-    if tape is None:
-        return np.tanh(pre)
-    ag.check_finite(pre, "dense_tanh")
-    y = np.tanh(pre)
-
-    def vjp(g):
-        gz = g * (1.0 - y * y)
-        if isinstance(b, ag.Node):
-            ag._accumulate(b, ag._unbroadcast(gz, bv.shape))
-        if isinstance(w, ag.Node):
-            ag._accumulate(w, gz.T @ xv if batched else np.outer(gz, xv))
-        if isinstance(x, ag.Node):
-            ag._accumulate(x, gz @ wv if batched else wv.T @ gz)
-
-    return tape._record(y, "dense_tanh", vjp, checked=False)
-
-
-def _chain_mlp(w1, b1, w2, b2, w3, b3, x, out_scale=0.7):
-    h = x
-    for w, b in ((w1, b1), (w2, b2), (w3, b3)):
-        h = _reference_dense_tanh(w, b, h)
-    return ag.scale(h, out_scale)
-
-
 def _fused_mlp(w1, b1, w2, b2, w3, b3, x, out_scale=0.7):
     return ag.tanh_mlp([w1, w2, w3], [b1, b2, b3], x, out_scale)
-
-
-def _chain_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_scale=5.0):
-    d = ag.sub(pos_target, pos_obs)
-    bearing = ag.atan2(ag.cross2(vel_obs, d), ag.dot2(vel_obs, d))
-    excess = ag.relu(ag.affine(ag.smooth_abs(bearing, NORM_EPS), 1.0, -0.5 * fov))
-    return ag.affine(excess, c_scale, sigma2_base)
 
 
 def _fused_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_scale=5.0):
     return ag.fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale)
 
 
-def _chain_trimmed(mu, var, eps, lo=-5.0, hi=5.0):
-    return ag.smooth_clamp(ag.gauss_reparam(mu, ag.sqrt(var), eps), lo, hi)
-
-
 def _fused_trimmed(mu, var, eps, lo=-5.0, hi=5.0):
     return ag.trimmed_gauss(mu, var, eps, lo, hi)
 
 
-def _chain_barrier(x, scale=1.0, shift=-5.0, weight=10.0):
-    arg = ag.affine(ag.norm_eps(x, NORM_EPS), scale, shift)
-    return ag.affine(ag.square(ag.softplus(arg)), weight, 0.0)
-
-
 def _fused_barrier(x, scale=1.0, shift=-5.0, weight=10.0):
     return ag.soft_barrier(x, scale, shift, weight)
-
-
-def _chain_clamped_add(a, b, lo=-0.3, hi=0.3):
-    return ag.smooth_clamp(ag.add(a, b), lo, hi)
 
 
 def _fused_clamped_add(a, b, lo=-0.3, hi=0.3):
@@ -461,41 +435,12 @@ def _fused_clamped_add(a, b, lo=-0.3, hi=0.3):
 OBSTACLES = np.array([[1.8, 1.2, 0.7], [-1.8, -1.2, 0.7], [0.3, -0.4, 0.5]])
 
 
-def _chain_occlusion(var, pos_obs, pos_target, obstacles=OBSTACLES, temp=10.0, c_scale=5.0):
-    """The sight-line occlusion as HideSeek recorded it before its fused node."""
-    a, b = pos_obs, pos_target
-    ba = ag.sub(b, a)
-    d = ag.sub(b, a)
-    len2 = ag.add(ag.dot2(d, d), 1e-9)
-    acc = None
-    for cx, cy, radius in obstacles:
-        center = np.array([cx, cy])
-        t = ag.smooth_clamp(ag.div(ag.dot2(ba, ag.sub(center, a)), len2), 0.0, 1.0)
-        proj = ag.add(a, ag.mul(t, ba))
-        clear = ag.affine(ag.norm_eps(ag.sub(center, proj)), 1.0, -radius)
-        term = ag.exp(ag.scale(clear, -temp))
-        acc = term if acc is None else ag.add(acc, term)
-    clearance = ag.scale(ag.log(acc), -1.0 / temp)
-    occlusion = ag.scale(ag.softplus(ag.scale(clearance, -temp)), 1.0 / temp)
-    return ag.add(var, ag.affine(occlusion, c_scale, 0.0))
-
-
-def _fused_occlusion(var, pos_obs, pos_target, obstacles=OBSTACLES, temp=10.0, c_scale=5.0):
+def _fused_occlusion(var, pos_obs, pos_target, obstacles, temp=10.0, c_scale=5.0):
     return ag.occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale)
 
 
-def _chain_obstacle_penalty(r, pos, obstacles=OBSTACLES, weight=10.0):
-    for cx, cy, radius in obstacles:
-        r = ag.sub(r, _chain_barrier(ag.sub(pos, np.array([cx, cy])), -1.0, radius, weight))
-    return r
-
-
-def _fused_obstacle_penalty(r, pos, obstacles=OBSTACLES, weight=10.0):
+def _fused_obstacle_penalty(r, pos, obstacles, weight=10.0):
     return ag.obstacle_penalty(r, pos, obstacles, weight)
-
-
-def _chain_shift(window, obs):
-    return ag.concat([ag.slice_last(window, obs.shape[-1], window.shape[-1]), obs])
 
 
 def _taped_run(op, values, lifted, seed):
@@ -505,12 +450,12 @@ def _taped_run(op, values, lifted, seed):
     the leaves' adjoints."""
     tape = Tape()
     leaves = {i: tape.param(values[i]) for i in lifted}
-    args = [ag.mul(leaves[i], 1.0) if i in leaves else v for i, v in enumerate(values)]
+    args = [rc.mul(leaves[i], 1.0) if i in leaves else v for i, v in enumerate(values)]
     out = op(*args)
     rng = np.random.default_rng(seed)
-    root = ag.asum(ag.mul(out, rng.normal(size=out.shape)))
+    root = ag.asum(rc.mul(out, rng.normal(size=out.shape)))
     for i in lifted:
-        root = ag.add(root, ag.asum(ag.mul(args[i], rng.normal(size=args[i].shape))))
+        root = ag.add(root, ag.asum(rc.mul(args[i], rng.normal(size=args[i].shape))))
     tape.backward(root)
     return [out.value] + [leaves[i].grad for i in lifted]
 
@@ -546,9 +491,9 @@ def test_tanh_mlp_matches_layer_chain_bitwise():
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
         params += [rng.normal(size=(n_out, n_in)), rng.normal(size=n_out)]
     weights = list(range(6))
-    for x in (rng.normal(size=(4, 5)), rng.normal(size=5)):   # batched and one row
+    for x in (rng.normal(size=(4, 5)), rng.normal(size=(1, 5))):   # batched and one row
         values = params + [x]
-        _assert_fused_matches_chain(_fused_mlp, _chain_mlp, values,
+        _assert_fused_matches_chain(_fused_mlp, rc.chain_mlp, values,
                                     [[6], weights, weights + [6], [2, 3, 4, 5], [4, 6]])
 
 
@@ -556,7 +501,7 @@ def test_fov_variance_matches_chain_bitwise():
     rng = np.random.default_rng(21)
     for _ in range(10):
         values = [rng.normal(size=(6, 2)) for _ in range(3)]
-        _assert_fused_matches_chain(_fused_fov, _chain_fov, values, _nonempty_subsets(3))
+        _assert_fused_matches_chain(_fused_fov, rc.chain_fov, values, _nonempty_subsets(3))
 
 
 def test_bearing_at_rest_follows_signed_zeros():
@@ -565,13 +510,13 @@ def test_bearing_at_rest_follows_signed_zeros():
     variance at bearing pi exactly when the target lies in the observer's
     third quadrant (atan2(+0, -0) = pi)."""
     pos = np.array([[0.4, -0.2]])
-    behind = _chain_fov(pos, np.array([[1.0, 0.0]]), pos - np.array([[1.0, 0.0]]))
+    behind = rc.chain_fov(pos, np.array([[1.0, 0.0]]), pos - np.array([[1.0, 0.0]]))
     for vel in (np.zeros((1, 2)), np.array([[-0.0, 0.0]])):
         for sx in (-1.0, 1.0):
             for sy in (-1.0, 1.0):
                 target = pos + np.array([[sx * 1.3, sy * 0.7]])
                 values = [pos, vel, target]
-                _assert_fused_matches_chain(_fused_fov, _chain_fov, values,
+                _assert_fused_matches_chain(_fused_fov, rc.chain_fov, values,
                                             _nonempty_subsets(3))
                 if vel[0, 0] == 0.0 and not np.signbit(vel[0, 0]):
                     third = sx < 0 and sy < 0
@@ -585,9 +530,12 @@ def test_trimmed_gauss_matches_chain_bitwise():
         mu = rng.normal(size=(6, 2)) * 3.0
         var = rng.uniform(0.01, 12.0, size=(6, 1))
         eps = rng.normal(size=(6, 2))
-        # every subset of (mu, var, eps) lifted; a lifted eps is the mul/add chain
-        _assert_fused_matches_chain(_fused_trimmed, _chain_trimmed, [mu, var, eps],
-                                    _nonempty_subsets(3))
+        # every subset of (mu, var) lifted; the noise is raw
+        _assert_fused_matches_chain(_fused_trimmed, rc.chain_trimmed, [mu, var, eps],
+                                    _nonempty_subsets(2))
+    tape = Tape()
+    with pytest.raises(TypeError):   # noise on the tape is not a draw's operand
+        _fused_trimmed(tape.param(mu), var, tape.param(eps))
 
 
 def test_soft_barrier_matches_chain_bitwise():
@@ -597,7 +545,7 @@ def test_soft_barrier_matches_chain_bitwise():
             return _fused_barrier(x, scale, shift)
 
         def chain(x):
-            return _chain_barrier(x, scale, shift)
+            return rc.chain_barrier(x, scale, shift)
 
         for _ in range(10):
             _assert_fused_matches_chain(fused, chain, [rng.normal(size=(6, 2)) * 4.0], [[0]])
@@ -621,7 +569,7 @@ def test_occluded_variance_matches_chain_bitwise():
             return _fused_occlusion(var, a, b, obstacles)
 
         def chain(var, a, b):
-            return _chain_occlusion(var, a, b, obstacles)
+            return rc.chain_occlusion(var, a, b, obstacles)
 
         for _ in range(6):
             a, b = _sight_lines(rng, 6)
@@ -640,12 +588,12 @@ def test_occluded_variance_signed_zero_adjoints_match_chain():
              ([[-0.5, 1.0]], [[1.0, 1.0]], [[-0.3, 0.0, 0.5]], 0.0, 1.0, [2])]
     for a, b, obstacles, c_scale, upstream, lifted in cases:
         grads = []
-        for op in (_fused_occlusion, _chain_occlusion):
+        for op in (_fused_occlusion, rc.chain_occlusion):
             tape = Tape()
             values = [var, np.array(a), np.array(b)]
             args = [tape.param(v) if i in lifted else v for i, v in enumerate(values)]
             out = op(*args, obstacles=np.array(obstacles), c_scale=c_scale)
-            tape.backward(ag.asum(ag.mul(out, upstream)))
+            tape.backward(ag.asum(rc.mul(out, upstream)))
             grads.append([args[i].grad for i in lifted])
         for got, want in zip(*grads):
             _assert_bitwise(got, want)
@@ -658,7 +606,7 @@ def test_obstacle_penalty_matches_chain_bitwise():
             return _fused_obstacle_penalty(r, pos, obstacles)
 
         def chain(r, pos):
-            return _chain_obstacle_penalty(r, pos, obstacles)
+            return rc.chain_obstacle_penalty(r, pos, obstacles)
 
         for _ in range(6):
             pos = np.vstack([rng.normal(size=(6, 2)) * 2.0, obstacles[:, :2],
@@ -672,24 +620,8 @@ def test_shift_matches_slice_concat_bitwise():
     for window, obs in ((rng.normal(size=(5, 12)), rng.normal(size=(5, 4))),
                         (rng.normal(size=12), rng.normal(size=4)),
                         (rng.normal(size=(3, 0)), rng.normal(size=(3, 0)))):
-        _assert_fused_matches_chain(ag.shift_last, _chain_shift, [window, obs], _nonempty_subsets(2))
-
-
-def _reference_norm_eps(x, eps=NORM_EPS, keepdims=True):
-    """``norm_eps`` as it summed the squares of rows with ``np.sum``."""
-    tape = ag._tape_of(x)
-    v = ag._value(x)
-    y = np.sqrt(np.sum(v * v, axis=-1, keepdims=keepdims) + eps)
-    if tape is None:
-        return y
-
-    def vjp(g):
-        gn = g / y
-        if not keepdims:
-            gn = gn[..., None]
-        ag._accumulate(x, gn * v)
-
-    return tape._record(y, "norm_eps", vjp)
+        _assert_fused_matches_chain(ag.shift_last, rc.chain_shift, [window, obs],
+                                    _nonempty_subsets(2))
 
 
 def test_norm_eps_and_soft_barrier_match_row_sums_bitwise():
@@ -699,28 +631,18 @@ def test_norm_eps_and_soft_barrier_match_row_sums_bitwise():
     rows = [rng.normal(size=(8, 2)) * 3.0, np.array([[0.0, -0.0], [-0.0, -0.0], [1e-160, 0.0]]),
             rng.normal(size=2)]
     for x in rows:
-        for keepdims in (True, False):
-            def fused(v):
-                return ag.norm_eps(v, keepdims=keepdims)
-
-            def reference(v):
-                return _reference_norm_eps(v, keepdims=keepdims)
-
-            _assert_fused_matches_chain(fused, reference, [x], [[0]])
+        _assert_fused_matches_chain(ag.norm_eps, rc.row_sum_norm_eps, [x], [[0]])
         if x.ndim == 2:
-            def barrier_reference(v):
-                arg = ag.affine(_reference_norm_eps(v), -1.0, 0.7)
-                return ag.affine(ag.square(ag.softplus(arg)), 10.0, 0.0)
-
-            _assert_fused_matches_chain(lambda v: _fused_barrier(v, -1.0, 0.7),
-                                        barrier_reference, [x], [[0]])
+            _assert_fused_matches_chain(
+                lambda v: _fused_barrier(v, -1.0, 0.7),
+                lambda v: rc.chain_barrier(v, -1.0, 0.7, norm=rc.row_sum_norm_eps), [x], [[0]])
 
 
 def test_clamped_add_matches_chain_bitwise():
     rng = np.random.default_rng(24)
     for _ in range(10):
         values = [rng.normal(size=(6, 2)) * 0.3, rng.normal(size=(6, 2)) * 0.6]
-        _assert_fused_matches_chain(_fused_clamped_add, _chain_clamped_add, values,
+        _assert_fused_matches_chain(_fused_clamped_add, rc.chain_clamped_add, values,
                                     _nonempty_subsets(2))
 
 
@@ -733,57 +655,57 @@ def test_fused_nodes_raise_where_their_chains_raise():
     x = rng.normal(size=(4, 2))
     huge = list(w)
     huge[2] = np.full((3, 3), 1e308)         # the second pre-activation overflows
-    _assert_same_failure(_fused_mlp, _chain_mlp, huge + [x], [6], "dense_tanh")
-    _assert_same_failure(_fused_mlp, _chain_mlp, huge + [x], [2], "dense_tanh")
+    _assert_same_failure(_fused_mlp, rc.chain_mlp, huge + [x], [6], "dense_tanh")
+    _assert_same_failure(_fused_mlp, rc.chain_mlp, huge + [x], [2], "dense_tanh")
 
     def mlp_inf_scale(*v):
         return _fused_mlp(*v, out_scale=np.inf)
 
     def chain_inf_scale(*v):
-        return _chain_mlp(*v, out_scale=np.inf)
+        return rc.chain_mlp(*v, out_scale=np.inf)
 
     _assert_same_failure(mlp_inf_scale, chain_inf_scale, w + [x], [6], "affine")
 
     pos, vel = np.array([[-1e308, 0.0]]), np.array([[0.3, 0.1]])
     far = np.array([[1e308, 0.0]])
-    _assert_same_failure(_fused_fov, _chain_fov, [pos, vel, far], [0], "sub")
+    _assert_same_failure(_fused_fov, rc.chain_fov, [pos, vel, far], [0], "sub")
     big = [np.zeros((1, 2)), np.array([[1e200, 1e200]]), np.array([[1e200, -1e200]])]
-    _assert_same_failure(_fused_fov, _chain_fov, big, [1], "cross2")
+    _assert_same_failure(_fused_fov, rc.chain_fov, big, [1], "cross2")
     big[1:] = np.array([[1e200, 1e-200]]), np.array([[1e200, 1e-200]])  # cross = 0
-    _assert_same_failure(_fused_fov, _chain_fov, big, [1], "dot2")
+    _assert_same_failure(_fused_fov, rc.chain_fov, big, [1], "dot2")
 
     def fov_inf(*v):
         return _fused_fov(*v, fov=np.inf)
 
     def chain_fov_inf(*v):
-        return _chain_fov(*v, fov=np.inf)
+        return rc.chain_fov(*v, fov=np.inf)
 
     _assert_same_failure(fov_inf, chain_fov_inf, [pos * 0, vel, far * 0 + 1], [1], "affine")
 
     mu, eps = np.zeros((1, 2)), np.array([[1e200, 0.5]])
-    _assert_same_failure(_fused_trimmed, _chain_trimmed, [mu, np.array([[-1.0]]), eps],
+    _assert_same_failure(_fused_trimmed, rc.chain_trimmed, [mu, np.array([[-1.0]]), eps],
                          [1], "sqrt")
-    _assert_same_failure(_fused_trimmed, _chain_trimmed, [mu, np.array([[1e300]]), eps],
+    _assert_same_failure(_fused_trimmed, rc.chain_trimmed, [mu, np.array([[1e300]]), eps],
                          [0], "gauss_reparam")
-    _assert_same_failure(_fused_trimmed, _chain_trimmed, [mu, np.array([[1e300]]), eps],
-                         [2], "mul")
-    _assert_same_failure(_fused_trimmed, _chain_trimmed,
+    _assert_same_failure(_fused_trimmed, rc.chain_trimmed, [mu, np.array([[1e300]]), eps],
+                         [1], "gauss_reparam")
+    _assert_same_failure(_fused_trimmed, rc.chain_trimmed,
                          [np.array([[1e308, 0.0]]), np.array([[1.0]]), np.array([[1e308, 0.0]])],
-                         [2], "add")
+                         [0], "gauss_reparam")
 
-    _assert_same_failure(_fused_barrier, _chain_barrier, [np.array([[1e200, 0.0]])], [0],
+    _assert_same_failure(_fused_barrier, rc.chain_barrier, [np.array([[1e200, 0.0]])], [0],
                          "norm_eps")
 
     def barrier_shift(v, shift):
         return _fused_barrier(v, shift=shift)
 
     def chain_shift(v, shift):
-        return _chain_barrier(v, shift=shift)
+        return rc.chain_barrier(v, shift=shift)
 
     _assert_same_failure(barrier_shift, chain_shift, [np.array([[1e154, 0.0]]), 1e154], [0],
                          "square")
     _assert_same_failure(barrier_shift, chain_shift, [np.ones((1, 2)), -np.inf], [0], "affine")
-    _assert_same_failure(_fused_clamped_add, _chain_clamped_add,
+    _assert_same_failure(_fused_clamped_add, rc.chain_clamped_add,
                          [np.array([[1e308]]), np.array([[1e308]])], [0], "add")
 
 
@@ -795,7 +717,7 @@ def test_sight_line_and_obstacle_nodes_raise_where_their_chains_raise():
 
     def occlusion(obstacles, **kw):
         return (lambda *v: _fused_occlusion(*v, obstacles=obstacles, **kw),
-                lambda *v: _chain_occlusion(*v, obstacles=obstacles, **kw))
+                lambda *v: rc.chain_occlusion(*v, obstacles=obstacles, **kw))
 
     near = [0.3, 0.2, 0.5]
     cases = [
@@ -823,7 +745,7 @@ def test_sight_line_and_obstacle_nodes_raise_where_their_chains_raise():
 
     def penalty(obstacles, weight=10.0):
         return (lambda *v: _fused_obstacle_penalty(*v, obstacles=obstacles, weight=weight),
-                lambda *v: _chain_obstacle_penalty(*v, obstacles=obstacles, weight=weight))
+                lambda *v: rc.chain_obstacle_penalty(*v, obstacles=obstacles, weight=weight))
 
     r = np.array([[0.5]])
     cases += [
@@ -846,7 +768,7 @@ def test_sight_line_soft_min_underflow_raises_like_log():
     ``log``'s ValueError, on the raw and on the taped path."""
     far = np.array([[1000.0, 1000.0, 1.0], [-1000.0, 1000.0, 1.0]])
     values = [np.array([[0.5]]), np.zeros((1, 2)), np.array([[1.0, 0.0]])]
-    for fn in (_fused_occlusion, _chain_occlusion):
+    for fn in (_fused_occlusion, rc.chain_occlusion):
         with pytest.raises(ValueError, match="log of non-positive value"):
             fn(*values, obstacles=far)
         for lifted in _nonempty_subsets(3):
@@ -860,15 +782,15 @@ def test_fd_concat_slice_sum_axis():
     def f(x):
         a = ag.slice_last(x, 0, 2)
         b = ag.slice_last(x, 2, 5)
-        joined = ag.concat([ag.square(a), ag.tanh(b)])
-        return ag.asum(ag.mul(joined, joined))
+        joined = ag.concat([rc.square(a), rc.tanh(b)])
+        return ag.asum(rc.mul(joined, joined))
 
     _fd_check(f, 5)
 
     def f_axis(x):
         if isinstance(x, ag.Node):
             rows = ag.concat([ag.slice_last(x, 0, 3), ag.slice_last(x, 3, 6)])
-            return ag.asum(ag.square(ag.asum(ag.tanh(rows), axis=-1)))
+            return ag.asum(rc.square(ag.asum(rc.tanh(rows), axis=-1)))
         v = np.tanh(np.concatenate([x[0:3], x[3:6]]))
         return float(np.sum(v)) ** 2
 
@@ -880,9 +802,9 @@ def test_fd_gauss_reparam():
 
     def f(x):
         mu = ag.slice_last(x, 0, 2)
-        sigma = ag.softplus(ag.slice_last(x, 2, 3))
+        sigma = rc.softplus(ag.slice_last(x, 2, 3))
         z = ag.gauss_reparam(mu, sigma, eps[0])
-        return ag.asum(ag.square(z))
+        return ag.asum(rc.square(z))
 
     _fd_check(f, 3)
 
@@ -897,13 +819,13 @@ def test_fd_synthetic_depth6_rollout_with_network():
     eps = rng.normal(size=(6, 2))
 
     def f(x):
-        state = ag.slice_last(x, 0, 2) if isinstance(x, ag.Node) else x[0:2]
+        state = ag.reshape(x, (1, 2))   # one row
         total = None
         for t in range(6):
             act = ag.tanh_mlp([w1, w2, w3], [b1, b2, b3], state, 0.3)
-            state = ag.add(state, ag.smooth_clamp(act, -0.25, 0.25))
-            state = ag.gauss_reparam(state, ag.smooth_abs(ag.norm_eps(state, keepdims=False)), eps[t])
-            step_cost = ag.asum(ag.square(state))
+            state = ag.add(state, rc.smooth_clamp(act, -0.25, 0.25))
+            state = ag.gauss_reparam(state, rc.smooth_abs(ag.norm_eps(state)), eps[t])
+            step_cost = ag.asum(rc.square(state))
             total = step_cost if total is None else ag.add(total, step_cost)
         return total if isinstance(x, ag.Node) else float(np.asarray(total))
 

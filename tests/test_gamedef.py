@@ -7,10 +7,10 @@ run it through ``TagGame`` (player 0 observes player 1).
 import math
 
 import numpy as np
+import refchain as rc
 
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
-from pogplan.adgraph import NORM_EPS
 from pogplan.gamedef import boundary_penalty, double_integrator_step
 from pogplan.scenarios import ScenarioConfig, TagGame
 
@@ -114,35 +114,32 @@ def test_fov_observe_trimmed_to_play_area():
 
 
 def _chain_observe(game, state, player, eps):
-    """``_FovGame.observe`` as the chain of primitives it records as fused
-    nodes: bearing, view-cone variance, then the trimmed reparameterized draw."""
+    """``_FovGame.observe`` as the chains its fused nodes replace: the
+    view-cone variance, then the trimmed reparameterized draw."""
     cfg, r = game.config, game.config.play_radius
     parts = [state[player][0], state[player][1]]
     col = 0
     for other in range(game.n_players):
         if other == player:
             continue
-        pos, vel = state[player][0], state[player][1]
-        d = ag.sub(state[other][0], pos)
-        bearing = ag.atan2(ag.cross2(vel, d), ag.dot2(vel, d))
-        excess = ag.relu(ag.affine(ag.smooth_abs(bearing, NORM_EPS), 1.0, -0.5 * cfg.fov))
-        var = ag.affine(excess, cfg.c_scale, cfg.sigma2_base)
-        noisy = ag.gauss_reparam(state[other][0], ag.sqrt(var), ag.slice_last(eps, col, col + 2))
-        parts.append(ag.smooth_clamp(noisy, -r, r))
+        var = rc.chain_fov(state[player][0], state[player][1], state[other][0],
+                           cfg.fov, cfg.sigma2_base, cfg.c_scale)
+        parts.append(rc.chain_trimmed(state[other][0], var, ag.slice_last(eps, col, col + 2),
+                                      -r, r))
         col += 2
     return ag.concat(parts)
 
 
-def _observe_flat(observe, x):
+def _observe_flat(observe, x, eps):
     state = [(ag.slice_last(x, 0, 2), ag.slice_last(x, 2, 4)),
              (ag.slice_last(x, 4, 6), ag.slice_last(x, 6, 8))]
-    return observe(state, 0, ag.slice_last(x, 8, 10))
+    return observe(state, 0, eps)
 
 
 def test_fov_observe_matches_chain_bitwise():
     """Observation and adjoints equal the unfused chain byte for byte: every
-    input on the tape, the noise included (a lifted eps), and a resting
-    observer whose bearing rests on signed zeros."""
+    state input on the tape, the noise raw, and a resting observer whose
+    bearing rests on signed zeros."""
     rng = np.random.default_rng(3)
     points = [rng.normal(size=10) * 2.0 for _ in range(10)]
     for sx in (-1.0, 1.0):
@@ -152,14 +149,15 @@ def test_fov_observe_matches_chain_bitwise():
     upstream = rng.normal(size=(1, 6))
     observers = (TAG.observe, lambda *args: _chain_observe(TAG, *args))
     for x in points:
-        raw = [_observe_flat(fn, x[None]) for fn in observers]
+        state, eps = x[None, :8], x[None, 8:]
+        raw = [_observe_flat(fn, state, eps) for fn in observers]
         assert raw[0].tobytes() == raw[1].tobytes()
         taped = []
         for fn in observers:
             tape = Tape()
-            leaf = tape.param(x[None])
-            z = _observe_flat(fn, leaf)
-            tape.backward(ag.asum(ag.mul(z, upstream)))
+            leaf = tape.param(state)
+            z = _observe_flat(fn, leaf, eps)
+            tape.backward(ag.asum(rc.mul(z, upstream)))
             taped.append((z.value.tobytes(), leaf.grad.tobytes()))
         assert taped[0] == taped[1]
 
@@ -191,20 +189,17 @@ def test_blocks_pass_grad_check():
     def f_step(x):
         pos, vel, acc = ag.slice_last(x, 0, 2), ag.slice_last(x, 2, 4), ag.slice_last(x, 4, 6)
         p, v = double_integrator_step(pos, vel, acc, v_max=0.3)
-        return ag.add(ag.asum(ag.square(p)), ag.asum(ag.mul(v, v)))
+        return ag.add(ag.asum(rc.square(p)), ag.asum(rc.mul(v, v)))
 
-    def f_obs(x):
-        state = [(ag.slice_last(x, 0, 2), ag.slice_last(x, 2, 4)),
-                 (ag.slice_last(x, 4, 6), ag.slice_last(x, 6, 8))]
-        eps = ag.slice_last(x, 8, 10)
-        z = TAG.observe(state, 0, eps)
-        return ag.asum(ag.square(z))
+    def f_obs(x, eps):
+        return ag.asum(rc.square(_observe_flat(TAG.observe, x, eps)))
 
     def f_pen(x):
         return ag.asum(boundary_penalty(x, 5.0, 10.0))
 
     for _ in range(25):
         worst = max(worst, grad_check(f_step, rng.normal(size=6) * 0.5, h=1e-5))
-        worst = max(worst, grad_check(f_obs, rng.normal(size=10), h=1e-5))
+        point = rng.normal(size=10)   # state, then raw noise
+        worst = max(worst, grad_check(lambda x: f_obs(x, point[8:]), point[:8], h=1e-5))
         worst = max(worst, grad_check(f_pen, rng.normal(size=2) * 4, h=1e-5))
     assert worst < 1e-4

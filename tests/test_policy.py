@@ -57,8 +57,8 @@ def test_zero_weights_give_zero_action():
     theta = init_policy(g, 0, ACTIVE, seed=0)
     for w in theta.weights:
         w[:] = 0.0
-    act = policy_forward(theta, np.ones(theta.input_width))
-    np.testing.assert_array_equal(act, np.zeros(2))
+    act = policy_forward(theta, np.ones((1, theta.input_width)))
+    np.testing.assert_array_equal(act, np.zeros((1, 2)))
 
 
 def test_squash_bound_1000_random_samples():
@@ -68,7 +68,7 @@ def test_squash_bound_1000_random_samples():
         theta = init_policy(g, 0, ACTIVE, seed=trial % 17, hidden=(8, 8))
         for w in theta.weights:
             w *= rng.uniform(0.5, 40.0)  # exaggerate weights; bound must still hold
-        hist = rng.normal(scale=5.0, size=theta.input_width)
+        hist = rng.normal(scale=5.0, size=(1, theta.input_width))
         act = policy_forward(theta, hist)
         assert np.max(np.abs(act)) <= g.action_scale(0) + 1e-12
 
@@ -76,7 +76,7 @@ def test_squash_bound_1000_random_samples():
 def test_active_mode_is_pure_function():
     g = StubGame()
     theta = init_policy(g, 0, ACTIVE, seed=5)
-    hist = np.random.default_rng(1).normal(size=theta.input_width)
+    hist = np.random.default_rng(1).normal(size=(1, theta.input_width))
     a1 = policy_forward(theta, hist, t_offset=0)
     a2 = policy_forward(theta, hist, t_offset=3)  # active mode ignores the offset
     np.testing.assert_array_equal(a1, a2)
@@ -92,11 +92,11 @@ def test_wrong_history_width_rejected():
 def test_passive_blocks_cover_distinct_slices():
     g = StubGame()
     theta = init_policy(g, 0, PASSIVE, seed=9)
-    hist = np.random.default_rng(2).normal(size=theta.input_width)
+    hist = np.random.default_rng(2).normal(size=(1, theta.input_width))
     blocks = [policy_forward(theta, hist, t_offset=t) for t in range(g.t_future)]
     # re-run as active to get the raw sequence: same weights, no slicing
     full_net = policy_forward(replace(theta, mode=ACTIVE, action_dim=theta.biases[-1].size), hist)
-    np.testing.assert_allclose(np.concatenate(blocks), full_net)
+    np.testing.assert_allclose(np.concatenate(blocks, axis=-1), full_net)
     np.testing.assert_array_equal(policy_forward(theta, hist, t_offset=None), full_net)
     with pytest.raises(ValueError):
         policy_forward(theta, hist, t_offset=g.t_future)
@@ -110,7 +110,7 @@ def test_first_layer_gradient_hand_chain_rule():
     theta.weights[1][:] = np.eye(4)
     theta.weights[2][:] = 0.0
     theta.weights[2][0, 1] = 1.0
-    x = np.array([0.3, -0.7, 1.1] * 4)  # input width 12
+    x = np.array([[0.3, -0.7, 1.1] * 4])  # one row of input width 12
 
     tape = Tape()
     lifted = lift_policy(tape, theta)
@@ -119,7 +119,7 @@ def test_first_layer_gradient_hand_chain_rule():
 
     grad_w1 = lifted.weights[0].grad
     expected = np.zeros_like(grad_w1)
-    expected[1, :] = g.action_scale(0) * x  # tanh'(0) = 1 through every layer
+    expected[1, :] = g.action_scale(0) * x[0]  # tanh'(0) = 1 through every layer
     np.testing.assert_allclose(grad_w1, expected, atol=1e-12)
 
 

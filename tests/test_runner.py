@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import refchain as rc
 from conftest import QuadraticGame
 
 from pogplan import adgraph as ag
@@ -190,7 +191,7 @@ def test_two_candidates_reach_distinct_stationary_points():
     different optima, and both are stationary."""
 
     def double_well(state):
-        return ag.scale(ag.square(ag.affine(ag.square(state[0][0]), 1.0, -1.0)), -1.0)
+        return ag.scale(rc.square(ag.affine(rc.square(state[0][0]), 1.0, -1.0)), -1.0)
 
     game = QuadraticGame([double_well])
     ss = np.random.SeedSequence(23)
@@ -220,7 +221,7 @@ def test_two_candidates_reach_distinct_stationary_points():
 def test_episode_abort_flag_on_nonfinite():
     def exploding(state):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return ag.div(ag.affine(state[0][0], 0.0, 1.0),
+            return rc.div(ag.affine(state[0][0], 0.0, 1.0),
                           ag.affine(state[0][0], 0.0, 0.0))
 
     game = QuadraticGame([exploding])

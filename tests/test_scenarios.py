@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import refchain as rc
 
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
@@ -321,8 +322,8 @@ def _flat_widths(game):
     return d, act, noise
 
 
-def _unpack_flat(game, x, with_=None):
-    """Split a flat vector into (state, actions or eps) using slice nodes."""
+def _unpack_flat(game, x, with_actions=False):
+    """Split a flat vector into (state, actions) using slice nodes."""
     state, off = [], 0
     for i in range(game.n_players):
         comps = []
@@ -330,16 +331,12 @@ def _unpack_flat(game, x, with_=None):
             comps.append(ag.slice_last(x, off, off + width))
             off += width
         state.append(tuple(comps))
-    extras = []
-    if with_ == "actions":
+    actions = []
+    if with_actions:
         for i in range(game.n_players):
-            extras.append(ag.slice_last(x, off, off + game.action_dim(i)))
+            actions.append(ag.slice_last(x, off, off + game.action_dim(i)))
             off += game.action_dim(i)
-    elif with_ == "eps":
-        for i in range(game.n_players):
-            extras.append(ag.slice_last(x, off, off + game.noise_dim(i)))
-            off += game.noise_dim(i)
-    return state, extras
+    return state, actions
 
 
 @pytest.mark.parametrize("name", ["tag", "tagchain", "hideseek", "warehouse"])
@@ -350,20 +347,21 @@ def test_scenario_grad_checks(name):
     proj = rng.normal(size=64)
 
     def f_transition(x):
-        state, actions = _unpack_flat(game, x, "actions")
+        state, actions = _unpack_flat(game, x, with_actions=True)
         out = game.transition(state, actions)
         flat = ag.concat([c for block in out for c in block])
-        return ag.asum(ag.mul(flat, proj[: d]))
+        return ag.asum(rc.mul(flat, proj[: d]))
 
-    def f_observe(x):
-        state, eps = _unpack_flat(game, x, "eps")
+    def f_observe(x, noise):
+        state, _ = _unpack_flat(game, x)
+        eps = np.split(noise, np.cumsum([game.noise_dim(i) for i in range(game.n_players)])[:-1])
         parts = [game.observe(state, i, eps[i]) for i in range(game.n_players)]
         flat = ag.concat(parts)
         w = proj[: sum(game.obs_dim(i) for i in range(game.n_players))]
-        return ag.asum(ag.mul(flat, w))
+        return ag.asum(rc.mul(flat, w))
 
     def f_reward(x):
-        state, _ = _unpack_flat(game, x, None)
+        state, _ = _unpack_flat(game, x)
         total = None
         for i in range(game.n_players):
             r = game.reward(state, i)
@@ -388,7 +386,7 @@ def test_scenario_grad_checks(name):
     for _ in range(8):
         xt = np.concatenate([reachable_state(scale), reachable_actions()])
         worst = max(worst, grad_check(f_transition, xt, h=1e-5))
-        xo = np.concatenate([reachable_state(scale), rng.normal(size=noise)])
-        worst = max(worst, grad_check(f_observe, xo, h=1e-5))
+        xs, eps = reachable_state(scale), rng.normal(size=noise)   # the noise stays raw
+        worst = max(worst, grad_check(lambda x: f_observe(x, eps), xs, h=1e-5))
         worst = max(worst, grad_check(f_reward, reachable_state(scale), h=1e-5))
     assert worst < 1e-4

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import refchain as rc
 from conftest import constant_reward_game, single_quadratic, two_player_quadratic
 
 from pogplan import adgraph as ag
@@ -275,7 +276,7 @@ def test_cost_scaling_rescales_gradient_proportionally():
     kappa = 3.7
 
     def base(state):
-        return ag.scale(ag.square(ag.affine(state[0][0], 1.0, -2.0)), -1.0)
+        return ag.scale(rc.square(ag.affine(state[0][0], 1.0, -2.0)), -1.0)
 
     def scaled(state):
         return ag.scale(base(state), kappa)
@@ -345,7 +346,7 @@ def test_calc_eq_converged_flag_and_warm_start():
 
 def _exploding(state):
     with np.errstate(divide="ignore"):
-        return ag.div(ag.affine(state[0][0], 0.0, 1.0),
+        return rc.div(ag.affine(state[0][0], 0.0, 1.0),
                       ag.affine(state[0][0], 0.0, 0.0))  # 1 / 0
 
 
@@ -365,7 +366,7 @@ def test_calc_eq_counts_skipped_adam_steps():
     """A finite rollout with a non-finite gradient skips the update, without
     aborting, and every skip is counted."""
     def kinked(state):
-        return ag.sqrt(ag.affine(state[0][0], 0.0, 0.0))  # value 0, slope 1/0
+        return rc.sqrt(ag.affine(state[0][0], 0.0, 0.0))  # value 0, slope 1/0
 
     from conftest import QuadraticGame
 
