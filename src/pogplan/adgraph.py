@@ -24,7 +24,7 @@ Finiteness: every leaf is checked, and so is the output of every op that can
 turn finite inputs into a non-finite value (arithmetic, exp, sums, norms, dot2
 and the Gaussian draw); a non-finite value raises ``FloatingPointError`` when
 it is recorded.  Ops that map finite inputs to finite outputs (slice, concat,
-shift, reshape) skip the check.  Raw operands and raw results are not
+shift) skip the check.  Raw operands and raw results are not
 checked: a caller that feeds raw data into a taped computation checks it once
 itself (``check_finite``; see ``solver.expected_cost``).
 
@@ -70,7 +70,7 @@ except ImportError:  # numpy < 2
 _add_reduce = np.add.reduce   # ``value.sum()`` without its Python wrapper
 SMALL = 32   # arrays up to this size are summed as Python floats in check_finite
 
-NORM_EPS = 1e-9  # default regularizer for norms/abs so v=0 keeps finite gradients
+NORM_EPS = 1e-9  # regularizer for norms/abs so v=0 keeps finite gradients
 
 
 def check_finite(value, source):
@@ -298,18 +298,15 @@ def exp(x):
     return x.tape._record(y, "exp", vjp)
 
 
-def asum(x, axis=None):
-    """Sum over all entries (``axis=None``) or along one axis."""
+def asum(x):
+    """Sum over all entries."""
     if not isinstance(x, Node):
-        return np.sum(_value(x), axis=axis)
+        return np.sum(_value(x))
 
     def vjp(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.value.shape).copy())
-        else:
-            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape).copy())
+        _accumulate(x, np.broadcast_to(g, x.value.shape).copy())
 
-    return x.tape._record(np.sum(x.value, axis=axis), "sum", vjp)
+    return x.tape._record(np.sum(x.value), "sum", vjp)
 
 
 def dot2(a, b):
@@ -339,9 +336,9 @@ def _perp(v):
     return np.concatenate([v[..., 1:2], -v[..., 0:1]], axis=-1)
 
 
-def norm_eps(x, eps=NORM_EPS):
+def norm_eps(x):
     """Regularized euclidean norm of planar vectors (a last axis of width 2),
-    kept as (..., 1): sqrt(x0^2 + x1^2 + eps), the bits of summing the
+    kept as (..., 1): sqrt(x0^2 + x1^2 + NORM_EPS), the bits of summing the
     squares with ``np.sum`` (no square is -0).
 
     The epsilon keeps the gradient finite at x = 0 (headings are computed
@@ -351,7 +348,7 @@ def norm_eps(x, eps=NORM_EPS):
     if v.shape[-1] != 2:
         raise ValueError(f"norm_eps needs planar vectors, got shape {v.shape}")
     v0, v1 = _columns(v)
-    y = np.sqrt(v0 * v0 + v1 * v1 + eps)[..., None]
+    y = np.sqrt(v0 * v0 + v1 * v1 + NORM_EPS)[..., None]
     if not isinstance(x, Node):
         return y
 
@@ -453,17 +450,6 @@ def shift_last(x, new):
     return tape._record(out, "shift", vjp, checked=False)
 
 
-def reshape(x, shape):
-    """View the same entries under a new shape."""
-    if not isinstance(x, Node):
-        return _value(x).reshape(shape)
-
-    def vjp(g):
-        _accumulate(x, g.reshape(x.value.shape))
-
-    return x.tape._record(x.value.reshape(shape), "reshape", vjp, checked=False)
-
-
 # ---------------------------------------------------------------------------
 # Fused primitives.  Each replaces a chain of primitives with one node (the
 # chains are built in tests/refchain.py).  Its forward evaluates the chain's
@@ -473,35 +459,53 @@ def reshape(x, shape):
 # adjoints and raised errors are those of the chain, bit for bit.
 # ---------------------------------------------------------------------------
 
-def tanh_mlp(weights, biases, x, out_scale):
+def layer_views(flat, shapes):
+    """The per-layer weights and biases of a network's parameter vector
+    ``flat``, as numpy views into it.
+
+    ``shapes`` lists each layer's weight shape (n_out, n_in).  Layer by
+    layer, ``flat`` holds the weights in row-major order, then the n_out
+    biases; a ``flat`` of any other length raises ``ValueError``.
+    """
+    size = sum(n_out * (n_in + 1) for n_out, n_in in shapes)
+    if flat.shape != (size,):
+        raise ValueError(f"layer shapes {shapes} need {size} parameters, got shape {flat.shape}")
+    weights, biases = [], []
+    lo = 0
+    for n_out, n_in in shapes:
+        hi = lo + n_out * n_in
+        weights.append(flat[lo:hi].reshape(n_out, n_in))
+        biases.append(flat[hi:hi + n_out])
+        lo = hi + n_out
+    return weights, biases
+
+
+def tanh_mlp(flat, shapes, x, out_scale):
     """A tanh network with a scaled output,
     ``out_scale * tanh(w_L @ ... tanh(w_1 @ x + b_1) ... + b_L)``, on rows:
-    ``x`` of shape (K, n) yields (K, m).
+    ``x`` of shape (K, n) yields (K, m).  The weights and biases are the
+    ``layer_views`` of the one parameter vector ``flat`` for ``shapes``.
 
-    Replaces one dense tanh node per layer and a ``scale``.  Each layer's
-    pre-activation is checked under ``"dense_tanh"`` and the output under
-    ``"affine"``; layers before the first one with a node operand stay raw
-    and unchecked, as they would in the chain.  Only layer outputs are
-    stored: the adjoint needs no pre-activation, since tanh' = 1 - tanh^2.
+    Replaces one dense tanh node per layer and a ``scale``.  When ``flat`` or
+    ``x`` is a node, each layer's pre-activation is checked under
+    ``"dense_tanh"`` and the output under ``"affine"``.  Only layer outputs
+    are stored: the adjoint needs no pre-activation, since tanh' = 1 - tanh^2.
+    The adjoint of ``flat`` is one array, each layer's weight and bias
+    adjoints in their places.
     """
-    xv = _value(x)
+    xv, pv = _value(x), _value(flat)
     if xv.ndim != 2:
         raise ValueError(f"tanh_mlp needs rows of shape (K, n), got shape {xv.shape}")
-    tape = _tape_of(x, *weights, *biases)
-    first = 0 if isinstance(x, Node) else None   # first taped layer
+    tape = _tape_of(x, flat)
+    weights, biases = layer_views(pv, shapes)
     ins, outs = [], []
     h = xv
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        wv = _value(w)
-        if wv.ndim != 2:
-            raise ValueError(f"tanh_mlp weight must be 2-D, got shape {wv.shape}")
+    for wv, bv in zip(weights, biases):
         if h.shape[-1] != wv.shape[1]:
             raise ValueError(f"tanh_mlp shape mismatch: {wv.shape} @ {h.shape}")
         pre = h @ wv.T
-        pre += _value(b)
-        if first is None and (isinstance(w, Node) or isinstance(b, Node)):
-            first = i
-        if first is not None:
+        pre += bv
+        if tape is not None:
             check_finite(pre, "dense_tanh")
         np.tanh(pre, out=pre)
         ins.append(h)
@@ -514,18 +518,21 @@ def tanh_mlp(weights, biases, x, out_scale):
 
     def vjp(g):
         g = out_scale * g
-        for i in range(len(outs) - 1, first - 1, -1):
-            w, b, y = weights[i], biases[i], outs[i]
+        if isinstance(flat, Node):
+            g_flat = np.empty_like(pv)
+            g_weights, g_biases = layer_views(g_flat, shapes)
+        for i in range(len(outs) - 1, -1, -1):
+            y = outs[i]
             gz = y * y                       # g * (1 - y^2), in place
             np.subtract(1.0, gz, out=gz)
             gz *= g
-            if isinstance(b, Node):
-                _accumulate(b, _unbroadcast(gz, b.value.shape))
-            if isinstance(w, Node):
-                _accumulate(w, gz.T @ ins[i])
-            if i > first or isinstance(x, Node):
-                wv = _value(w)
-                g = gz @ wv
+            if isinstance(flat, Node):
+                g_biases[i][...] = gz.sum(axis=0)
+                g_weights[i][...] = gz.T @ ins[i]
+            if i > 0 or isinstance(x, Node):
+                g = gz @ weights[i]
+        if isinstance(flat, Node):
+            _accumulate(flat, g_flat)
         if isinstance(x, Node):
             _accumulate(x, g)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import ACTIVE, policy_forward, shift_window
+from .policy import ACTIVE, PolicyParams, policy_forward, shift_window
 
 DEGENERACY_FLOOR = 1e-300
 # Rows per policy forward in the belief update: a 1024 x 64 float64 layer
@@ -122,7 +122,7 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    per_block = not _is_policy_list(policies)
+    per_block = not (policies and isinstance(policies[0], PolicyParams))
     block_policies = policies if per_block else [policies] * len(pset.blocks)
     if per_block and len(policies) != len(pset.blocks):
         raise ValueError(f"{len(policies)} candidate policies for {len(pset.blocks)} blocks")
@@ -173,10 +173,6 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
     if resample_threshold is not None and effective_sample_size(out) < resample_threshold:
         out = systematic_resample(out, rng)
     return out
-
-
-def _is_policy_list(policies):
-    return len(policies) > 0 and hasattr(policies[0], "weights")
 
 
 def effective_sample_size(pset):

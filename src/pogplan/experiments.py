@@ -20,10 +20,9 @@ from . import adgraph as ag
 from .adgraph import grad_check
 from .beliefs import init_particles, update_particles
 from .config import write_config
-from .policy import ACTIVE, PASSIVE, init_policy, with_flat
-from .runner import SEPARATE, EpisodeOptions, StepRecord, TrialRecord, run_episode
-from .scenarios import (ScenarioConfig, group_names, make_game, mode_groups, report_groups,
-                        sample_tasks)
+from .policy import ACTIVE, PASSIVE, init_policy
+from .runner import SEPARATE, SHARED, EpisodeOptions, StepRecord, TrialRecord, run_episode
+from .scenarios import ScenarioConfig, group_names, make_game, mode_groups, sample_tasks
 from .solver import calc_eq, evaluation_batch, run_batch, _run_rollout
 
 THREADS_ENV = "POGPLAN_THREADS"
@@ -147,7 +146,7 @@ def run_matrix(cfg):
             args.append((cfg, combo, s, dump))
         records = map_trials(_one_trial, args)
         all_records[label] = records
-        for gname, players in report_groups(probe):
+        for gname, players in probe.player_groups():
             costs = [np.mean([r.episode_cost(p) for p in players]) for r in records]
             mean, err = mean_stderr(costs)
             times = [t for r in records for t in r.grad_step_times()]
@@ -294,7 +293,7 @@ def rollout_gradcheck(scenario, programs=100, seed=0, h=1e-4, t_past=2,
 
         def program(flat):
             trial = list(thetas)
-            trial[focal] = with_flat(thetas[focal], flat)
+            trial[focal] = replace(thetas[focal], flat=flat)
             acc, _ = _run_rollout(game, state, hists, trial, eps, [focal])
             return ag.affine(ag.asum(acc[focal]), -1.0, 0.0)
 
@@ -558,15 +557,16 @@ def emit_plot_data(records, kind, path, player=None):
         return path
     if kind == "surprisal":
         player = 1 if player is None else player
-        opp = 1 - player
         groups = {}
         for r in records:
-            values = [s.surprisal[(player, opp)] for s in r.steps
-                      if (player, opp) in s.surprisal]
+            # a shared brain (agent -1, the only entry of n_eq) holds every belief
+            agent, brain = (-1, 0) if r.brain == SHARED else (player, player)
+            key = (agent, 1 - player)
+            values = [s.surprisal[key] for s in r.steps if key in s.surprisal]
             if not values:
                 raise ValueError("records carry no surprisal entries for the "
                                  f"requested agent {player}")
-            groups.setdefault(r.n_eq[player], []).append(float(np.mean(values)))
+            groups.setdefault(r.n_eq[brain], []).append(float(np.mean(values)))
         with open(path, "w") as fh:
             fh.write("# n_eq mean_surprisal stderr\n")
             for key in sorted(groups):

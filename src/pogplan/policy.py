@@ -10,12 +10,10 @@ Two information-gathering modes exist:
   frozen planning-time window; future observations cannot influence it.
 
 All of a policy's parameters live in one contiguous float64 vector,
-``PolicyParams.flat``: layer by layer, the weights in row-major order, then
-the bias.  On a raw policy the per-layer ``weights`` and ``biases`` are numpy
-views into it; Adam, gradients and gradient checks work on ``flat`` alone,
-and only this module knows the layout.  The same forward code runs on raw
-numpy arrays (fast evaluation) or on tape nodes (differentiation); see
-:mod:`pogplan.adgraph`.
+``PolicyParams.flat``, laid out as :func:`pogplan.adgraph.layer_views` reads
+it.  Adam, gradients and gradient checks work on ``flat`` alone.  The same
+forward code runs on a raw ``flat`` (fast evaluation) or on ``flat`` lifted
+onto a tape as one leaf (differentiation); see :mod:`pogplan.adgraph`.
 """
 
 from __future__ import annotations
@@ -32,11 +30,10 @@ PASSIVE = "passive"
 
 @dataclass
 class PolicyParams:
-    """One player's policy: its parameter vector, layer views and mode metadata."""
+    """One player's policy: its parameter vector, layer shapes and mode metadata."""
 
-    flat: np.ndarray  # every parameter; per layer: weights row-major, then bias
-    weights: list     # per layer, shape (out, in): views into ``flat``, or tape nodes
-    biases: list      # per layer, shape (out,)
+    flat: np.ndarray      # every parameter (``adgraph.layer_views``); a tape leaf when lifted
+    shapes: tuple         # per layer, the weight shape (out, in)
     mode: str
     input_width: int
     action_dim: int
@@ -44,27 +41,7 @@ class PolicyParams:
     action_scale: float
 
     def copy(self):
-        return with_flat(self, self.flat.copy())
-
-
-def _layer_views(flat, shapes):
-    """Per-layer weights and biases of ``flat`` for weight ``shapes``:
-    numpy views of an array, or slice/reshape nodes of a tape node."""
-    weights, biases = [], []
-    lo = 0
-    for n_out, n_in in shapes:
-        hi = lo + n_out * n_in
-        weights.append(ag.reshape(ag.slice_last(flat, lo, hi), (n_out, n_in)))
-        biases.append(ag.slice_last(flat, hi, hi + n_out))
-        lo = hi + n_out
-    return weights, biases
-
-
-def with_flat(theta, flat):
-    """``theta`` with its parameters taken from ``flat`` (an array or a tape
-    node laid out like ``theta.flat``)."""
-    weights, biases = _layer_views(flat, [w.shape for w in theta.weights])
-    return replace(theta, flat=flat, weights=weights, biases=biases)
+        return replace(self, flat=self.flat.copy())
 
 
 def init_policy(game, player, mode, seed, hidden=(64, 64)):
@@ -82,14 +59,13 @@ def init_policy(game, player, mode, seed, hidden=(64, 64)):
     out_width = action_dim * (game.t_future if mode == PASSIVE else 1)
     rng = np.random.default_rng(seed)
     sizes = [input_width, *hidden, out_width]
-    shapes = list(zip(sizes[1:], sizes[:-1]))
+    shapes = tuple(zip(sizes[1:], sizes[:-1]))
     flat = np.zeros(sum(n_out * (n_in + 1) for n_out, n_in in shapes))
-    weights, biases = _layer_views(flat, shapes)
-    for w in weights:
+    for w in ag.layer_views(flat, shapes)[0]:
         n_out, n_in = w.shape
         bound = np.sqrt(6.0 / (n_in + n_out))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return PolicyParams(flat=flat, weights=weights, biases=biases, mode=mode,
+    return PolicyParams(flat=flat, shapes=shapes, mode=mode,
                         input_width=input_width, action_dim=action_dim,
                         horizon=game.t_future,
                         action_scale=game.action_scale(player))
@@ -107,7 +83,7 @@ def policy_forward(theta, history, t_offset=0):
     width = history.shape[-1] if hasattr(history, "shape") else np.shape(history)[-1]
     if width != theta.input_width:
         raise ValueError(f"history width {width} != policy input width {theta.input_width}")
-    out = ag.tanh_mlp(theta.weights, theta.biases, history, theta.action_scale)
+    out = ag.tanh_mlp(theta.flat, theta.shapes, history, theta.action_scale)
     if theta.mode == PASSIVE and t_offset is not None:
         out = action_block(theta, out, t_offset)
     return out
@@ -125,23 +101,6 @@ def shift_window(window, obs):
     """Drop the oldest observation of a flattened window (last axis) and
     append ``obs``; arrays or tape nodes."""
     return ag.shift_last(window, obs)
-
-
-def lift_policy(tape, theta):
-    """Copy a policy onto a tape as trainable parameters, one leaf per layer
-    array; ``flat`` keeps the raw values."""
-    return replace(theta, weights=[tape.param(w) for w in theta.weights],
-                   biases=[tape.param(b) for b in theta.biases])
-
-
-def flat_grad(lifted):
-    """The adjoints of a lifted policy's leaves, after ``Tape.backward``, as
-    one array in ``flat`` order."""
-    grad = np.empty_like(lifted.flat)
-    views = with_flat(lifted, grad)
-    for dst, leaf in zip(views.weights + views.biases, lifted.weights + lifted.biases):
-        dst[...] = leaf.grad
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -187,4 +146,4 @@ def adam_step(theta, grad, state):
     m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
     step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return with_flat(theta, theta.flat - step), replace(state, m=m, v=v, step=t), False
+    return replace(theta, flat=theta.flat - step), replace(state, m=m, v=v, step=t), False

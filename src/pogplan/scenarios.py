@@ -151,6 +151,10 @@ class TagGame(_FovGame):
     def __init__(self, config):
         super().__init__(config, 2, [config.v_max_pursuer, config.v_max_evader])
 
+    def player_groups(self):
+        """The players' named groups, (name, players), in player order."""
+        return [("pursuer", [0]), ("evader", [1])]
+
     def _distance(self, state):
         return ag.norm_eps(ag.sub(state[0][0], state[1][0]))
 
@@ -190,6 +194,12 @@ class TagChainGame(_FovGame):
         v_max = [config.v_max_pursuer] * half + [config.v_max_evader] * half
         super().__init__(config, n, v_max)
         self.half = half
+
+    def player_groups(self):
+        """Two teams: the chain reports team means and toggles each team's
+        information-gathering mode together."""
+        return [("pursuers", list(range(self.half))),
+                ("evaders", list(range(self.half, self.n_players)))]
 
     def reward_report(self, state, player):
         if player < self.half:  # pursuer i chases evader i
@@ -256,6 +266,9 @@ class WarehouseGame(PlanarGame):
         self.station = np.asarray(config.wh_station, dtype=float)
         self.tasks = [np.asarray(t, dtype=float) for t in config.wh_tasks]
 
+    def player_groups(self):
+        return [("p1", [0]), ("p2", [1])]
+
     def obs_dim(self, player):
         return 2 if player == 0 else 4
 
@@ -319,31 +332,18 @@ def sample_tasks(rng, n_tasks=2):
     return tuple(tuple(rng.uniform(0.0, 1.0, size=2)) for _ in range(n_tasks))
 
 
-def mode_groups(game):
-    """Groups of players that share one information-gathering mode.
+def _gathering_groups(game):
+    """The game's player groups whose players all observe with noise: only
+    they have an active/passive distinction."""
+    return [(name, players) for name, players in game.player_groups()
+            if all(game.noise_dim(p) > 0 for p in players)]
 
-    Players with noise-free observations have no active/passive distinction
-    and are excluded; the chain variant toggles its two teams together.
-    """
-    if isinstance(game, TagChainGame):
-        return [list(range(game.half)), list(range(game.half, game.n_players))]
-    return [[i] for i in range(game.n_players) if game.noise_dim(i) > 0]
+
+def mode_groups(game):
+    """Groups of players that share one information-gathering mode."""
+    return [players for _, players in _gathering_groups(game)]
 
 
 def group_names(game):
     """Human labels aligned with :func:`mode_groups`."""
-    if isinstance(game, TagChainGame):
-        return ["pursuers", "evaders"]
-    if isinstance(game, WarehouseGame):
-        return ["p2"]
-    return ["pursuer", "evader"]
-
-
-def report_groups(game):
-    """Cost-reporting groups: per player, except the chain reports team means."""
-    if isinstance(game, TagChainGame):
-        h = game.half
-        return [("pursuers", list(range(h))), ("evaders", list(range(h, game.n_players)))]
-    if isinstance(game, WarehouseGame):
-        return [("p1", [0]), ("p2", [1])]
-    return [("pursuer", [0]), ("evader", [1])]
+    return [name for name, _ in _gathering_groups(game)]

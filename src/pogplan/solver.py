@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .policy import (
     action_block,
     adam_init,
     adam_step,
-    flat_grad,
-    lift_policy,
     policy_forward,
     shift_window,
 )
@@ -117,11 +115,11 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     its gradient with respect to that player's parameters: ``(cost, grad)``,
     ``grad`` one array in ``PolicyParams.flat`` order.
 
-    Only that player's parameters go on the tape; batch rows, windows, noise
-    and the opponents' policies enter as plain arrays, so the tape records
-    only values a gradient can reach.  The tape checks only what it records,
-    so the raw inputs are checked for finiteness once here.  A cost that does
-    not depend on the parameters has zero gradients.  ``cdf``, the
+    Only that player's parameter vector goes on the tape, as one leaf; batch
+    rows, windows, noise and the opponents' policies enter as plain arrays,
+    so the tape records only values a gradient can reach.  The tape checks
+    only what it records, so the raw inputs are checked for finiteness once
+    here.  A cost that does not depend on the parameters has zero gradients.  ``cdf``, the
     ``sampling_cdf`` of ``pset.weights``, saves rebuilding it per call.
     """
     idx = sample_batch(sampling_cdf(pset.weights) if cdf is None else cdf, k_batch, rng)
@@ -136,14 +134,14 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
 
     tape = Tape()
     lifted = list(thetas)
-    lifted[player] = lift_policy(tape, thetas[player])
+    lifted[player] = replace(thetas[player], flat=tape.param(thetas[player].flat))
     acc, _ = _run_rollout(game, state, hists, lifted, eps, [player])
     cost = 0.0 if game.t_future == 0 else ag.affine(ag.asum(acc[player]), -1.0 / k_batch, 0.0)
     if not isinstance(cost, ag.Node):
         ag.check_finite(np.asarray(cost), "cost")
         return float(cost), np.zeros_like(thetas[player].flat)
     tape.backward(cost)
-    return float(cost.value), flat_grad(lifted[player])
+    return float(cost.value), lifted[player].flat.grad
 
 
 def evaluation_batch(game, pset, k_batch, rng):

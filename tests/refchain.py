@@ -4,9 +4,9 @@
 hand-written adjoint.  This module keeps what those chains were built from,
 so that the tests can compare each fused node with its chain, bit for bit:
 
-* the elementwise primitives (``mul`` ... ``smooth_clamp``), with the
-  expressions, op names and finiteness checks they had in ``adgraph``, each
-  recording through ``Tape._record``;
+* the primitives (``mul`` ... ``smooth_clamp``, ``sum_axis`` and
+  ``reshape``), with the expressions, op names and finiteness checks they
+  had in ``adgraph``, each recording through ``Tape._record``;
 * one reference chain per fused node (``dense_tanh`` and the ``chain_*``
   functions), built from these primitives and ``adgraph``'s own.
 """
@@ -195,6 +195,28 @@ def smooth_clamp(x, lo, hi):
     return x.tape._record(lo + (hi - lo) * s, "smooth_clamp", vjp, checked=False)
 
 
+def sum_axis(x, axis):
+    """Sum along one axis."""
+    if not isinstance(x, Node):
+        return np.sum(_value(x), axis=axis)
+
+    def vjp(g):
+        _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape).copy())
+
+    return x.tape._record(np.sum(x.value, axis=axis), "sum", vjp)
+
+
+def reshape(x, shape):
+    """View the same entries under a new shape."""
+    if not isinstance(x, Node):
+        return _value(x).reshape(shape)
+
+    def vjp(g):
+        _accumulate(x, g.reshape(x.value.shape))
+
+    return x.tape._record(x.value.reshape(shape), "reshape", vjp, checked=False)
+
+
 # ---------------------------------------------------------------------------
 # One reference chain per fused node, with the constants the tests use.
 # ---------------------------------------------------------------------------
@@ -223,9 +245,22 @@ def dense_tanh(w, b, x):
     return tape._record(y, "dense_tanh", vjp, checked=False)
 
 
-def chain_mlp(w1, b1, w2, b2, w3, b3, x, out_scale=0.7):
+def layer_nodes(flat, shapes):
+    """``adgraph.layer_views`` of a parameter vector that may be a node: one
+    slice, and for a weight a reshape, per layer array."""
+    weights, biases = [], []
+    lo = 0
+    for n_out, n_in in shapes:
+        hi = lo + n_out * n_in
+        weights.append(reshape(ag.slice_last(flat, lo, hi), (n_out, n_in)))
+        biases.append(ag.slice_last(flat, hi, hi + n_out))
+        lo = hi + n_out
+    return weights, biases
+
+
+def chain_mlp(flat, shapes, x, out_scale=0.7):
     h = x
-    for w, b in ((w1, b1), (w2, b2), (w3, b3)):
+    for w, b in zip(*layer_nodes(flat, shapes)):
         h = dense_tanh(w, b, h)
     return ag.scale(h, out_scale)
 
@@ -246,7 +281,7 @@ def chain_clamped_add(a, b, lo=-0.3, hi=0.3):
 
 
 def chain_barrier(x, scale=1.0, shift=-5.0, weight=10.0, norm=ag.norm_eps):
-    arg = ag.affine(norm(x, NORM_EPS), scale, shift)
+    arg = ag.affine(norm(x), scale, shift)
     return ag.affine(square(softplus(arg)), weight, 0.0)
 
 

@@ -76,12 +76,16 @@ def test_tanh_at_zero():
 
 
 def test_norm_eps_unit_vector():
+    """The norm of (3, 4) is 5 and its gradient the unit vector; the
+    regularizer moves both by about 2e-11 relative."""
     tape = Tape()
     v = tape.param([[3.0, 4.0]])
-    out = ag.norm_eps(v, eps=0.0)
-    assert out.value.item() == 5.0
+    out = ag.norm_eps(v)
+    np.testing.assert_allclose(out.value, [[5.0]], rtol=1e-10)
     tape.backward(out)
-    np.testing.assert_allclose(v.grad, [[0.6, 0.8]])
+    np.testing.assert_allclose(v.grad, [[0.6, 0.8]], rtol=1e-10)
+    exact = rc.row_sum_norm_eps(np.array([[3.0, 4.0]]), eps=0.0)
+    assert exact.item() == 5.0
     with pytest.raises(ValueError, match="planar"):
         ag.norm_eps(np.ones(3))
 
@@ -129,12 +133,15 @@ def test_log_nonpositive_rejected():
 
 def test_dense_tanh_shape_mismatch_rejected():
     tape = Tape()
-    w = tape.param(np.ones((2, 3)))
+    params = tape.param(np.ones(2 * 3 + 2))
     x = tape.param(np.ones((1, 4)))
-    with pytest.raises(ValueError):
-        ag.tanh_mlp([w], [np.zeros(2)], x, 1.0)
+    with pytest.raises(ValueError, match="mismatch"):
+        ag.tanh_mlp(params, ((2, 3),), x, 1.0)
     with pytest.raises(ValueError, match="rows"):   # one unbatched input
-        ag.tanh_mlp([w], [np.zeros(2)], np.ones(3), 1.0)
+        ag.tanh_mlp(params, ((2, 3),), np.ones(3), 1.0)
+    for size in (2 * 3 + 1, 2 * 3 + 3):   # a parameter vector too short or too long
+        with pytest.raises(ValueError, match="need 8 parameters"):
+            ag.tanh_mlp(tape.param(np.ones(size)), ((2, 3),), np.ones((1, 3)), 1.0)
 
 
 def test_node_outliving_its_tape_raises():
@@ -146,25 +153,64 @@ def test_node_outliving_its_tape_raises():
         ag.exp(x)
 
 
-def test_every_public_adgraph_function_has_a_src_caller():
-    """``src`` holds no adgraph function that only the tests use: each public
-    function is named as ``ag.X`` or ``adgraph.X``, imported with ``from
-    .adgraph import X``, or named inside ``adgraph`` itself."""
+def _adgraph_in_src():
+    """Scan ``src`` for references to ``adgraph``: a function is named as
+    ``ag.X`` or ``adgraph.X``, imported with ``from .adgraph import X``, or
+    named inside ``adgraph`` itself.  Returns the public functions (name to
+    definition), the names referenced and the calls through those names, as
+    (name, call) pairs."""
     module = Path(ag.__file__)
-    public = {node.name for node in ast.parse(module.read_text()).body
+    public = {node.name: node for node in ast.parse(module.read_text()).body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    used = set()
+    used, calls = set(), []
     for path in module.parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module == "adgraph" for alias in node.names}
+        used |= imported
+
+        def name_of(node):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id in ("ag", "adgraph"):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "adgraph":
-                used.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Name) and path == module:
-                used.add(node.id)
-    unused = sorted(public - used)
+                return node.attr
+            if isinstance(node, ast.Name) and (path == module or node.id in imported):
+                return node.id
+            return None
+
+        for node in ast.walk(tree):
+            if name_of(node) is not None:
+                used.add(name_of(node))
+            if isinstance(node, ast.Call) and name_of(node.func) is not None:
+                calls.append((name_of(node.func), node))
+    return public, used, calls
+
+
+def test_every_public_adgraph_function_has_a_src_caller():
+    """``src`` holds no adgraph function that only the tests use."""
+    public, used, _ = _adgraph_in_src()
+    unused = sorted(set(public) - used)
     assert not unused, f"adgraph functions with no caller in src: {unused}"
+
+
+def test_every_defaulted_adgraph_parameter_is_passed_in_src():
+    """``src`` holds no adgraph parameter that only the tests set: each
+    parameter with a default is passed, by position or by keyword, by at
+    least one call in ``src``."""
+    public, _, calls = _adgraph_in_src()
+    unpassed = []
+    for name, fn in sorted(public.items()):
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        defaulted = positional[len(positional) - len(fn.args.defaults):]
+        defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+        for param in defaulted:
+            if not any(any(k.arg in (param, None) for k in call.keywords)
+                       or any(isinstance(a, ast.Starred) for a in call.args)
+                       or (param in positional and len(call.args) > positional.index(param))
+                       for callee, call in calls if callee == name):
+                unpassed.append(f"{name}.{param}")
+    assert not unpassed, f"adgraph parameters no call in src passes: {unpassed}"
 
 
 def test_expected_cost_leaves_no_cyclic_garbage():
@@ -209,11 +255,13 @@ def _step_ops(monkeypatch, name, modes):
 
 
 def test_expected_cost_tapes_no_constants(monkeypatch):
-    """Batch rows, windows and the opponent's network stay off the tape, and
-    one k = 10 gradient step records at most 110 nodes."""
+    """Batch rows, windows and the opponent's network stay off the tape, the
+    player's parameter vector is its one leaf, and one k = 10 gradient step
+    records at most 110 nodes."""
     for player, ops in enumerate(_step_ops(monkeypatch, "tag", [PASSIVE, ACTIVE])):
         assert "const" not in ops
-        # fused policy, view-cone, draw, barrier, velocity and shift nodes: 97 and 75
+        assert ops.count("param") == 1
+        # fused policy, view-cone, draw, barrier, velocity and shift nodes: 92 and 70
         assert len(ops) <= 110, f"player {player} taped {len(ops)} nodes"
 
 
@@ -223,7 +271,8 @@ def test_hideseek_step_node_count(monkeypatch):
     reward's obstacle penalties."""
     for player, ops in enumerate(_step_ops(monkeypatch, "hideseek", [ACTIVE, ACTIVE])):
         assert {"log", "exp", "dot2", "slice"}.isdisjoint(ops)
-        # 132 and 126
+        assert ops.count("param") == 1
+        # 127 and 121
         assert len(ops) <= 140, f"player {player} taped {len(ops)} nodes"
 
 
@@ -297,12 +346,11 @@ def test_fd_affine_square_exp_log_sqrt():
 
 
 def _dense_layer(x, m, n, batch):
-    """One tanh layer (a one-layer ``tanh_mlp``) on the (w, b, rows) operands
+    """One tanh layer (a one-layer ``tanh_mlp``) on the parameters and rows
     that a flat vector splits into."""
-    w = ag.reshape(ag.slice_last(x, 0, m * n), (m, n))
-    b = ag.slice_last(x, m * n, m * n + m)
-    rows = ag.reshape(ag.slice_last(x, m * n + m, x.shape[-1]), (batch, n))
-    return ag.tanh_mlp([w], [b], rows, 1.0)
+    params = ag.slice_last(x, 0, m * n + m)
+    rows = rc.reshape(ag.slice_last(x, m * n + m, x.shape[-1]), (batch, n))
+    return ag.tanh_mlp(params, ((m, n),), rows, 1.0)
 
 
 def test_fd_dense_tanh():
@@ -318,7 +366,7 @@ def test_fd_batched_dense_tanh():
     xb = np.random.default_rng(3).normal(size=(5, 4))
     tape = Tape()
     xn = tape.param(xb)
-    y = ag.asum(ag.tanh_mlp([w0], [np.zeros(3)], xn, 1.0))
+    y = ag.asum(ag.tanh_mlp(np.concatenate([w0.ravel(), np.zeros(3)]), ((3, 4),), xn, 1.0))
     tape.backward(y)
     grad_batched = xn.grad.copy()
     per_row = np.vstack([
@@ -330,29 +378,31 @@ def test_fd_batched_dense_tanh():
 def test_dense_tanh_matches_unfused_chain():
     """A one-layer ``tanh_mlp`` against tanh(w @ x + b) from elementwise
     primitives, one node per step."""
-    def fused(w, b, x):
-        return ag.tanh_mlp([w], [b], x, 1.0)
+    def fused(params, x):
+        return ag.tanh_mlp(params, ((4, 3),), x, 1.0)
 
-    def unfused(w, b, x):
-        rows = ag.reshape(x, (x.shape[0], 1, x.shape[1]))  # (K, 1, n) against (m, n)
-        return rc.tanh(ag.add(ag.asum(rc.mul(rows, w), axis=-1), b))
+    def unfused(params, x):
+        (w,), (b,) = rc.layer_nodes(params, ((4, 3),))
+        rows = rc.reshape(x, (x.shape[0], 1, x.shape[1]))  # (K, 1, n) against (m, n)
+        return rc.tanh(ag.add(rc.sum_axis(rc.mul(rows, w), -1), b))
 
     rng = np.random.default_rng(9)
-    values = (rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(6, 3)))
+    w, b, x = rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(6, 3))
+    values = (np.concatenate([w.ravel(), b]), x)
     results = []
     for layer in (fused, unfused):
         tape = Tape()
-        w, b, x = (tape.param(v) for v in values)
-        y = layer(w, b, x)
+        params, x = (tape.param(v) for v in values)
+        y = layer(params, x)
         tape.backward(ag.asum(rc.mul(y, np.arange(24.0).reshape(6, 4))))
-        results.append([y.value, w.grad, b.grad, x.grad])
+        results.append([y.value, params.grad, x.grad])
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(results[0][0], fused(*values), rtol=0)  # raw path
 
 
 def test_fd_norm_abs_atan2_relu_softplus_clamp():
-    _fd_check(lambda x: ag.asum(ag.norm_eps(ag.reshape(x, (3, 2)), 1e-9)), 6)
+    _fd_check(lambda x: ag.asum(ag.norm_eps(rc.reshape(x, (3, 2)))), 6)
     _fd_check(lambda x: ag.asum(rc.smooth_abs(x, 1e-9)), 3)
     _fd_check(lambda x: ag.asum(rc.atan2(ag.slice_last(x, 0, 1), ag.slice_last(x, 1, 2))), 2)
     _fd_check(lambda x: ag.asum(rc.relu(x)), 3, seed=4)  # kinks at 0 are measure-zero
@@ -385,9 +435,9 @@ def test_fd_dot2_cross2():
                                                  ag.slice_last(x, 2, 4)))), 4)
         # batched rows, against a raw operand that gets no adjoint
         other = np.random.default_rng(6).normal(size=(3, 2))
-        _fd_check(lambda x: ag.asum(rc.tanh(op(ag.reshape(x, (3, 2)), other))), 6, points=20)
-        _fd_check(lambda x: ag.asum(rc.tanh(op(other, ag.reshape(x, (3, 2))))), 6, points=20)
-    _fd_check(lambda x: ag.asum(ag.dot2(ag.reshape(x, (3, 2)), ag.reshape(x, (3, 2)))), 6)
+        _fd_check(lambda x: ag.asum(rc.tanh(op(rc.reshape(x, (3, 2)), other))), 6, points=20)
+        _fd_check(lambda x: ag.asum(rc.tanh(op(other, rc.reshape(x, (3, 2))))), 6, points=20)
+    _fd_check(lambda x: ag.asum(ag.dot2(rc.reshape(x, (3, 2)), rc.reshape(x, (3, 2)))), 6)
 
 
 def test_dot2_cross2_match_slice_composite_bitwise():
@@ -412,8 +462,8 @@ def test_dot2_cross2_match_slice_composite_bitwise():
 # Fused nodes against the chains of primitives they replace, byte for byte.
 # ---------------------------------------------------------------------------
 
-def _fused_mlp(w1, b1, w2, b2, w3, b3, x, out_scale=0.7):
-    return ag.tanh_mlp([w1, w2, w3], [b1, b2, b3], x, out_scale)
+def _fused_mlp(flat, shapes, x, out_scale=0.7):
+    return ag.tanh_mlp(flat, shapes, x, out_scale)
 
 
 def _fused_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_scale=5.0):
@@ -485,16 +535,20 @@ def _assert_same_failure(fused, chain, values, lifted, op):
 
 
 def test_tanh_mlp_matches_layer_chain_bitwise():
+    """The fused network against per-layer slices of its parameter vector,
+    one dense tanh node per layer: with the rows, the parameters or both on
+    the tape."""
     rng = np.random.default_rng(20)
     sizes = (5, 7, 6, 3)
+    shapes = tuple(zip(sizes[1:], sizes[:-1]))
     params = []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        params += [rng.normal(size=(n_out, n_in)), rng.normal(size=n_out)]
-    weights = list(range(6))
+    for n_out, n_in in shapes:
+        params += [rng.normal(size=(n_out, n_in)).ravel(), rng.normal(size=n_out)]
+    flat = np.concatenate(params)
     for x in (rng.normal(size=(4, 5)), rng.normal(size=(1, 5))):   # batched and one row
-        values = params + [x]
-        _assert_fused_matches_chain(_fused_mlp, rc.chain_mlp, values,
-                                    [[6], weights, weights + [6], [2, 3, 4, 5], [4, 6]])
+        _assert_fused_matches_chain(lambda p, v: _fused_mlp(p, shapes, v),
+                                    lambda p, v: rc.chain_mlp(p, shapes, v),
+                                    [flat, x], _nonempty_subsets(2))
 
 
 def test_fov_variance_matches_chain_bitwise():
@@ -650,21 +704,24 @@ def test_fused_nodes_raise_where_their_chains_raise():
     """A planted non-finite intermediate raises FloatingPointError naming the
     same op in the fused node as in its chain."""
     rng = np.random.default_rng(25)
+    shapes = ((3, 2), (3, 3), (2, 3))
     w = [rng.normal(size=(3, 2)), rng.normal(size=3), rng.normal(size=(3, 3)),
          rng.normal(size=3), rng.normal(size=(2, 3)), rng.normal(size=2)]
     x = rng.normal(size=(4, 2))
     huge = list(w)
     huge[2] = np.full((3, 3), 1e308)         # the second pre-activation overflows
-    _assert_same_failure(_fused_mlp, rc.chain_mlp, huge + [x], [6], "dense_tanh")
-    _assert_same_failure(_fused_mlp, rc.chain_mlp, huge + [x], [2], "dense_tanh")
+    flat, flat_huge = (np.concatenate([a.ravel() for a in p]) for p in (w, huge))
 
-    def mlp_inf_scale(*v):
-        return _fused_mlp(*v, out_scale=np.inf)
+    def mlp(p, v, out_scale=0.7):
+        return _fused_mlp(p, shapes, v, out_scale)
 
-    def chain_inf_scale(*v):
-        return rc.chain_mlp(*v, out_scale=np.inf)
+    def chain(p, v, out_scale=0.7):
+        return rc.chain_mlp(p, shapes, v, out_scale)
 
-    _assert_same_failure(mlp_inf_scale, chain_inf_scale, w + [x], [6], "affine")
+    _assert_same_failure(mlp, chain, [flat_huge, x], [1], "dense_tanh")
+    _assert_same_failure(mlp, chain, [flat_huge, x], [0], "dense_tanh")
+    _assert_same_failure(lambda p, v: mlp(p, v, np.inf), lambda p, v: chain(p, v, np.inf),
+                         [flat, x], [1], "affine")
 
     pos, vel = np.array([[-1e308, 0.0]]), np.array([[0.3, 0.1]])
     far = np.array([[1e308, 0.0]])
@@ -790,7 +847,7 @@ def test_fd_concat_slice_sum_axis():
     def f_axis(x):
         if isinstance(x, ag.Node):
             rows = ag.concat([ag.slice_last(x, 0, 3), ag.slice_last(x, 3, 6)])
-            return ag.asum(rc.square(ag.asum(rc.tanh(rows), axis=-1)))
+            return ag.asum(rc.square(rc.sum_axis(rc.tanh(rows), -1)))
         v = np.tanh(np.concatenate([x[0:3], x[3:6]]))
         return float(np.sum(v)) ** 2
 
@@ -816,13 +873,14 @@ def test_fd_synthetic_depth6_rollout_with_network():
     w2 = rng.normal(size=(4, 4)) * 0.7
     w3 = rng.normal(size=(2, 4)) * 0.7
     b1, b2, b3 = rng.normal(size=4) * 0.1, rng.normal(size=4) * 0.1, rng.normal(size=2) * 0.1
+    params = np.concatenate([w1.ravel(), b1, w2.ravel(), b2, w3.ravel(), b3])
     eps = rng.normal(size=(6, 2))
 
     def f(x):
-        state = ag.reshape(x, (1, 2))   # one row
+        state = rc.reshape(x, (1, 2))   # one row
         total = None
         for t in range(6):
-            act = ag.tanh_mlp([w1, w2, w3], [b1, b2, b3], state, 0.3)
+            act = ag.tanh_mlp(params, ((4, 2), (4, 4), (2, 4)), state, 0.3)
             state = ag.add(state, rc.smooth_clamp(act, -0.25, 0.25))
             state = ag.gauss_reparam(state, rc.smooth_abs(ag.norm_eps(state)), eps[t])
             step_cost = ag.asum(rc.square(state))

@@ -201,11 +201,17 @@ def test_emit_plot_data_schemas(tmp_path):
     loaded = [read_trial_record(os.path.join(cfg.outdir, f))
               for f in sorted(os.listdir(cfg.outdir)) if f.startswith("record_")]
     # shared-brain records carry surprisal for every player under agent -1,
-    # none under a player's own agent
+    # none under a player's own agent: the shared brain's entries are read
     shared = [r for r in loaded if r.brain == "shared"]
     assert shared and all(r.n_eq == [1] for r in shared)
-    with pytest.raises(ValueError, match="no surprisal entries"):
-        emit_plot_data(shared, "surprisal", surp)
+    emit_plot_data(shared, "surprisal", surp)
+    rows = [l.split() for l in surp.read_text().splitlines() if not l.startswith("#")]
+    assert [r[0] for r in rows] == ["1"] and all(len(r) == 3 for r in rows)
+    # the brain's surprisal about player 0, the default agent's opponent
+    want = mean_stderr([np.mean([s.surprisal[(-1, 0)] for s in r.steps]) for r in shared])
+    assert [float(v) for v in rows[0][1:]] == list(want)
+    with pytest.raises(ValueError, match="no surprisal entries"):   # no opponent 2
+        emit_plot_data(shared, "surprisal", surp, player=-1)
     with pytest.raises(ValueError):
         emit_plot_data([], "trajectory", surp)
 
@@ -333,11 +339,11 @@ def test_cli_run_and_emit(tmp_path, capsys):
     assert main(["emit", "--records", cfg.outdir, "--kind", "convergence",
                  "--out", conv]) == 0
 
-    capsys.readouterr()
-    surp = str(tmp_path / "surp.txt")
+    surp = tmp_path / "surp.txt"
     assert main(["emit", "--records", cfg.outdir, "--kind", "surprisal",
-                 "--out", surp]) == 1
-    assert "no surprisal entries" in capsys.readouterr().err
+                 "--out", str(surp)]) == 0
+    rows = [l.split() for l in surp.read_text().splitlines() if not l.startswith("#")]
+    assert [r[0] for r in rows] == ["1"]   # the shared brain's one candidate
 
 
 def test_cli_emit_surprisal_by_candidate_count(tmp_path):

@@ -13,7 +13,6 @@ from pogplan.policy import (
     adam_init,
     adam_step,
     init_policy,
-    lift_policy,
     policy_forward,
 )
 from pogplan.scenarios import ScenarioConfig, make_game
@@ -47,15 +46,15 @@ def test_tag_widths_match_window_and_action():
     game = make_game(ScenarioConfig(name="tag", t_past=6, t_future=6))
     active = init_policy(game, 1, ACTIVE, seed=0)
     assert active.input_width == 6 * game.obs_dim(1) == 36
-    assert active.biases[-1].size == game.action_dim(1) == 2
+    assert active.shapes[-1][0] == game.action_dim(1) == 2
     passive = init_policy(game, 1, PASSIVE, seed=0)
-    assert passive.biases[-1].size == 6 * game.action_dim(1) == 12
+    assert passive.shapes[-1][0] == 6 * game.action_dim(1) == 12
 
 
 def test_zero_weights_give_zero_action():
     g = StubGame()
     theta = init_policy(g, 0, ACTIVE, seed=0)
-    for w in theta.weights:
+    for w in ag.layer_views(theta.flat, theta.shapes)[0]:
         w[:] = 0.0
     act = policy_forward(theta, np.ones((1, theta.input_width)))
     np.testing.assert_array_equal(act, np.zeros((1, 2)))
@@ -66,7 +65,7 @@ def test_squash_bound_1000_random_samples():
     rng = np.random.default_rng(0)
     for trial in range(1000):
         theta = init_policy(g, 0, ACTIVE, seed=trial % 17, hidden=(8, 8))
-        for w in theta.weights:
+        for w in ag.layer_views(theta.flat, theta.shapes)[0]:
             w *= rng.uniform(0.5, 40.0)  # exaggerate weights; bound must still hold
         hist = rng.normal(scale=5.0, size=(1, theta.input_width))
         act = policy_forward(theta, hist)
@@ -95,7 +94,7 @@ def test_passive_blocks_cover_distinct_slices():
     hist = np.random.default_rng(2).normal(size=(1, theta.input_width))
     blocks = [policy_forward(theta, hist, t_offset=t) for t in range(g.t_future)]
     # re-run as active to get the raw sequence: same weights, no slicing
-    full_net = policy_forward(replace(theta, mode=ACTIVE, action_dim=theta.biases[-1].size), hist)
+    full_net = policy_forward(replace(theta, mode=ACTIVE, action_dim=theta.shapes[-1][0]), hist)
     np.testing.assert_allclose(np.concatenate(blocks, axis=-1), full_net)
     np.testing.assert_array_equal(policy_forward(theta, hist, t_offset=None), full_net)
     with pytest.raises(ValueError):
@@ -106,18 +105,19 @@ def test_first_layer_gradient_hand_chain_rule():
     """Zero first layer, identity second, selector output: dA_0/dW1[1,m] = scale * x_m."""
     g = StubGame()
     theta = init_policy(g, 0, ACTIVE, seed=0, hidden=(4, 4))
-    theta.weights[0][:] = 0.0
-    theta.weights[1][:] = np.eye(4)
-    theta.weights[2][:] = 0.0
-    theta.weights[2][0, 1] = 1.0
+    weights = ag.layer_views(theta.flat, theta.shapes)[0]
+    weights[0][:] = 0.0
+    weights[1][:] = np.eye(4)
+    weights[2][:] = 0.0
+    weights[2][0, 1] = 1.0
     x = np.array([[0.3, -0.7, 1.1] * 4])  # one row of input width 12
 
     tape = Tape()
-    lifted = lift_policy(tape, theta)
+    lifted = replace(theta, flat=tape.param(theta.flat))
     action = policy_forward(lifted, x)
     tape.backward(ag.asum(ag.slice_last(action, 0, 1)))
 
-    grad_w1 = lifted.weights[0].grad
+    grad_w1 = ag.layer_views(lifted.flat.grad, theta.shapes)[0][0]
     expected = np.zeros_like(grad_w1)
     expected[1, :] = g.action_scale(0) * x[0]  # tanh'(0) = 1 through every layer
     np.testing.assert_allclose(grad_w1, expected, atol=1e-12)
@@ -180,16 +180,18 @@ def test_adam_wrong_gradient_shape_rejected_before_finiteness_skip():
 
 
 def test_layer_arrays_are_views_into_flat():
-    """After init, copy and an Adam step, the weights and biases are views
-    that tile ``flat`` layer by layer (weights row-major, then bias); a copy
-    shares nothing with its source."""
+    """After init, copy and an Adam step, the layer views of ``flat`` tile it
+    layer by layer (weights row-major, then bias), with the shapes init
+    built; a copy shares nothing with its source."""
     theta = init_policy(StubGame(), 0, PASSIVE, seed=4, hidden=(5, 3))
+    assert theta.shapes == ((5, 12), (3, 5), (10, 3))
     stepped, _, _ = adam_step(theta, np.linspace(-1.0, 1.0, theta.flat.size), adam_init(theta))
     dup = theta.copy()
     for th in (theta, dup, stepped):
-        arrays = [a for w, b in zip(th.weights, th.biases) for a in (w, b)]
+        weights, biases = ag.layer_views(th.flat, th.shapes)
+        assert [w.shape for w in weights] == list(th.shapes)
+        arrays = [a for w, b in zip(weights, biases) for a in (w, b)]
         assert all(np.shares_memory(a, th.flat) for a in arrays)
         th.flat[:] = np.arange(th.flat.size)
         np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), th.flat)
-    for a in [dup.flat, *dup.weights, *dup.biases]:
-        assert not any(np.shares_memory(a, b) for b in [theta.flat, *theta.weights, *theta.biases])
+    assert not np.shares_memory(dup.flat, theta.flat)

@@ -23,8 +23,7 @@ from pogplan.scenarios import ScenarioConfig, make_game
 def _zero_policies(game, mode=ACTIVE):
     thetas = [init_policy(game, i, mode, seed=i, hidden=(4,)) for i in range(game.n_players)]
     for th in thetas:
-        for w in th.weights:
-            w[:] = 0.0
+        th.flat[:] = 0.0
     return thetas
 
 
@@ -71,7 +70,7 @@ def test_act_passive_policy_reads_prepush_window():
     game = make_game(ScenarioConfig(name="tag"))
     thetas = _zero_policies(game, mode=PASSIVE)
     # bias the first action block via the output bias: action = scale*tanh(b)
-    thetas[0].biases[-1][0] = 0.5
+    ag.layer_views(thetas[0].flat, thetas[0].shapes)[1][-1][0] = 0.5
     world = _rest_world(game, seed=2)
     windows = _windows(game)
     windows[0][:] = 1.0  # pre-push content
@@ -182,8 +181,7 @@ def test_plan_single_candidate_matches_calc_eq():
                      max_iters=3, k_batch=3, lr=0.01, adam_states=states_before)
     assert results[0].costs == direct.costs
     for a, b in zip(results[0].thetas, direct.thetas):
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
 
 def test_two_candidates_reach_distinct_stationary_points():
@@ -200,8 +198,9 @@ def test_two_candidates_reach_distinct_stationary_points():
     agent = make_agent(game, -1, opts, ss)
     # zero-width inputs start every net at the exact saddle a = 0; nudge the
     # output biases apart the way real observation inputs would
-    agent.candidates[0].thetas[0].biases[-1][0] = 0.05
-    agent.candidates[1].thetas[0].biases[-1][0] = -0.05
+    for cand, nudge in zip(agent.candidates, (0.05, -0.05)):
+        theta = cand.thetas[0]
+        ag.layer_views(theta.flat, theta.shapes)[1][-1][0] = nudge
     plan(agent, game, opts, iters=400)
 
     from pogplan.policy import policy_forward

@@ -2,6 +2,7 @@
 
 import gc
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,7 @@ from pogplan.policy import (
     ACTIVE,
     PASSIVE,
     init_policy,
-    lift_policy,
     policy_forward,
-    with_flat,
 )
 from pogplan.runner import EpisodeOptions, run_episode
 from pogplan.scenarios import ScenarioConfig, WarehouseGame, make_game
@@ -107,7 +106,7 @@ def test_passive_sequence_computed_once_equals_per_step_forward():
     eps = draw_noise(game, 3, rng)
 
     tape = ag.Tape()
-    lifted = [lift_policy(tape, th) for th in thetas]
+    lifted = [replace(th, flat=tape.param(th.flat)) for th in thetas]
     _, raw = _run_rollout(game, state, hists, thetas, eps, [0], record=True)
     _, taped = _run_rollout(game, state, hists, lifted, eps, [0], record=True)
     for t in range(game.t_future):
@@ -164,7 +163,7 @@ def test_nonfinite_inputs_abort(where):
     elif where == "window":
         pset.hists[0][:, -1] = np.inf
     else:
-        thetas[0].weights[0][0, 0] = np.inf
+        thetas[0].flat[0] = np.inf   # the first layer's first weight
     with pytest.raises(FloatingPointError):
         expected_cost(game, pset, thetas, 1, 2, np.random.default_rng(24))
     res = calc_eq(game, pset, thetas, np.random.default_rng(25), max_iters=3, k_batch=2)
@@ -212,7 +211,7 @@ def _rollout_program(game, seed, k=3):
     for focal in range(game.n_players):
         def cost(flat, focal=focal):
             trial = list(thetas)
-            trial[focal] = with_flat(thetas[focal], flat)
+            trial[focal] = replace(thetas[focal], flat=flat)
             acc, _ = _run_rollout(game, state, hists, trial, eps, [focal])
             return ag.asum(acc[focal])
 
@@ -453,8 +452,8 @@ def _calc_eq_tag_arrays():
     for i, theta in enumerate(res.thetas):
         state = res.adam_states[i]
         for key, flat in ((f"theta{i}", theta.flat), (f"m{i}", state.m), (f"v{i}", state.v)):
-            layers = with_flat(theta, flat)
-            leaves = [a for w, b in zip(layers.weights, layers.biases) for a in (w, b)]
+            weights, biases = ag.layer_views(flat, theta.shapes)
+            leaves = [a for w, b in zip(weights, biases) for a in (w, b)]
             for j, leaf in enumerate(leaves):
                 out[f"solve/{key}/{j}"] = leaf
 
