@@ -96,9 +96,13 @@ def _parse_value(key, text, default):
         if kind is str:
             return text
         if kind is tuple:
-            if ";" in text:
+            # a key whose default holds groups always reads ';'-separated
+            # groups, one group included; any other tuple key reads one group
+            if default and isinstance(default[0], tuple):
                 return tuple(tuple(_parse_scalar(v) for v in group.split(","))
                              for group in text.split(";") if group.strip())
+            if ";" in text:
+                raise ValueError(text)
             if text == "":
                 return ()
             return tuple(_parse_scalar(v) for v in text.split(","))

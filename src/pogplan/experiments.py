@@ -23,7 +23,7 @@ from .config import write_config
 from .policy import ACTIVE, PASSIVE, init_policy
 from .runner import SEPARATE, SHARED, EpisodeOptions, StepRecord, TrialRecord, run_episode
 from .scenarios import ScenarioConfig, group_names, make_game, mode_groups, sample_tasks
-from .solver import calc_eq, evaluation_batch, run_batch, _run_rollout
+from .solver import calc_eq, eval_cost, evaluation_batch, _run_rollout
 
 THREADS_ENV = "POGPLAN_THREADS"
 
@@ -165,16 +165,13 @@ def run_matrix(cfg):
 # ---------------------------------------------------------------------------
 
 def first_step_stats(cfg, trial_seed):
-    """Solve just the first planning round and report, for the focal player:
-    the cost of the solved policies on a large frozen batch, total solve
-    seconds, min planned distance to the warehouse station, and the cost
-    trace.  The solve stops when every player's gradient norm is below
-    ``eps_tol`` or after ``max_iters``; its trace holds the cost of each
-    iteration's fresh gradient batch, before that iteration's step."""
+    """Solve just the first planning round and report, for the focal (last)
+    player, ``{cost, seconds}``: the cost of the solved policies on a large
+    frozen batch and the solve's wall time.  The solve stops when every
+    player's gradient norm is below ``eps_tol`` or after ``max_iters``."""
     game = trial_game(cfg, trial_seed)
     focal = game.n_players - 1
-    combo = tuple((list(cfg.gathering) + [ACTIVE] * 8)[: len(mode_groups(game))])
-    modes = modes_for_combo(game, combo)
+    modes = modes_for_combo(game, cfg.gathering)
     ss = np.random.SeedSequence(trial_seed)
     init_ss, theta_ss, solve_ss, eval_ss = ss.spawn(4)
     pset = init_particles(game, cfg.k_all, 1, np.random.default_rng(init_ss))
@@ -191,21 +188,8 @@ def first_step_stats(cfg, trial_seed):
     # reported cost reflects the policy, not evaluation sampling noise
     batch = evaluation_batch(game, pset, max(cfg.k_batch, 256),
                              np.random.default_rng(eval_ss))
-    costs, traj = run_batch(game, pset, res.thetas, batch,
-                            players=[focal], record=True)
-    min_station = float("nan")
-    if cfg.scenario == "warehouse":
-        station = np.asarray(cfg.wh_station)
-        dists = [np.linalg.norm(np.asarray(state[focal][0]) - station, axis=-1)
-                 for state in traj["states"]]
-        min_station = float(np.mean(np.min(np.stack(dists, axis=0), axis=0)))
-    return {
-        "cost": costs[focal],
-        "seconds": seconds,
-        "min_station_dist": min_station,
-        "trace": res.cost_trace[focal],
-        "iterations": res.iterations,
-    }
+    cost, = eval_cost(game, pset, res.thetas, [focal], batch)
+    return {"cost": cost, "seconds": seconds}
 
 
 def _sweep_point(packed):
@@ -267,16 +251,16 @@ def neq_grid(cfg, values):
 # Oracle suites (also exposed as CLI subcommands)
 # ---------------------------------------------------------------------------
 
-def rollout_gradcheck(scenario, programs=100, seed=0, h=1e-4, t_past=2,
-                      t_future=2, hidden=(4,)):
+def rollout_gradcheck(scenario, programs=100, seed=0):
     """Worst relative error of the tape gradient of random rollout programs
-    against central finite differences.
+    against central finite differences (step 1e-4).
 
-    Each program: a random reachable joint state, random windows and noise,
-    random small policies, one focal player; the whole rollout cost is
-    differentiated with respect to that player's parameters.
+    Each program: a two-step window and horizon, a random reachable joint
+    state, random windows and noise, random small (one hidden layer of 4)
+    policies, one focal player; the whole rollout cost is differentiated
+    with respect to that player's parameters.
     """
-    game = make_game(ScenarioConfig(name=scenario, t_past=t_past, t_future=t_future))
+    game = make_game(ScenarioConfig(name=scenario, t_past=2, t_future=2))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(programs):
@@ -284,7 +268,7 @@ def rollout_gradcheck(scenario, programs=100, seed=0, h=1e-4, t_past=2,
         modes = [ACTIVE if rng.random() < 0.8 else PASSIVE
                  for _ in range(game.n_players)]
         thetas = [init_policy(game, i, modes[i], int(rng.integers(2 ** 31)),
-                              hidden=hidden) for i in range(game.n_players)]
+                              hidden=(4,)) for i in range(game.n_players)]
         state = _random_reachable_state(game, rng)
         hists = [rng.normal(scale=0.5, size=(1, game.t_past * game.obs_dim(i)))
                  for i in range(game.n_players)]
@@ -294,10 +278,10 @@ def rollout_gradcheck(scenario, programs=100, seed=0, h=1e-4, t_past=2,
         def program(flat):
             trial = list(thetas)
             trial[focal] = replace(thetas[focal], flat=flat)
-            acc, _ = _run_rollout(game, state, hists, trial, eps, [focal])
+            acc = _run_rollout(game, state, hists, trial, eps, [focal])
             return ag.affine(ag.asum(acc[focal]), -1.0, 0.0)
 
-        worst = max(worst, grad_check(program, thetas[focal].flat, h=h))
+        worst = max(worst, grad_check(program, thetas[focal].flat, h=1e-4))
     return worst
 
 
@@ -314,12 +298,12 @@ def _random_reachable_state(game, rng):
     return state
 
 
-def belief_bayes_check(k_particles=10_000, steps=5, seed=0, flip_prob=0.2):
+def belief_bayes_check(k_particles=10_000, steps=5, seed=0):
     """Total-variation gap between the conditioned particle marginal and the
     exact enumerated posterior on the two-state toy game."""
     from .toygame import ToyFilterGame, exact_posterior   # only this check uses it
 
-    game = ToyFilterGame(flip_prob=flip_prob, t_past=3)
+    game = ToyFilterGame()
     ss = np.random.SeedSequence(seed)
     init_ss, obs_ss, upd_ss = ss.spawn(3)
     pset = init_particles(game, k_particles, 1, np.random.default_rng(init_ss))
@@ -438,8 +422,8 @@ def write_trial_record(record, game, cfg, label, path):
 
 
 def read_trial_record(path):
-    """Parse a record file back into a TrialRecord (observations and
-    gradient times are not read back)."""
+    """Parse a record file back into a TrialRecord (gradient times are not
+    read back)."""
     meta = {}
     sections = {}
     current = None
@@ -500,7 +484,7 @@ def read_trial_record(path):
         norms = [[entry["norms"][ai][ci] for ci in sorted(entry["norms"][ai])]
                  for ai in sorted(entry["norms"])] or None
         record.steps.append(StepRecord(
-            step=step, state=state, observations=None, actions=actions,
+            step=step, state=state, actions=actions,
             rewards_report=[entry["players"][p][6] for p in range(n)],
             rewards_full=[entry["players"][p][7] for p in range(n)],
             solve_iterations=iters, solve_converged=convs, solve_grad_norms=norms,
@@ -544,7 +528,10 @@ def emit_plot_data(records, kind, path, player=None):
                              f"{_fmt(s.rewards_report[p])}\n")
         return path
     if kind == "convergence":
-        player = len(records[0].modes) - 1 if player is None else player
+        n = len(records[0].modes)
+        player = n - 1 if player is None else player
+        if not 0 <= player < n:
+            raise ValueError(f"player {player} outside range({n})")
         traces = [r.first_traces[0][0][player] for r in records if r.first_traces]
         if not traces:
             raise ValueError("records carry no first-step cost traces")

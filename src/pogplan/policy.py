@@ -107,26 +107,29 @@ def shift_window(window, obs):
 # Adam.
 # ---------------------------------------------------------------------------
 
+BETA1 = 0.9     # Adam's first-moment decay
+BETA2 = 0.999   # Adam's second-moment decay
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second-moment accumulators of one policy, each one array in
-    ``PolicyParams.flat`` order."""
+    ``PolicyParams.flat`` order, with the step count and learning rate; the
+    decay rates and the denominator's epsilon are the module constants."""
 
     m: np.ndarray
     v: np.ndarray
     step: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
     def copy(self):
         return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
-def adam_init(theta, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_init(theta, lr=1e-3):
     return AdamState(m=np.zeros_like(theta.flat), v=np.zeros_like(theta.flat),
-                     step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                     step=0, lr=lr)
 
 
 def adam_step(theta, grad, state):
@@ -141,9 +144,9 @@ def adam_step(theta, grad, state):
     if not np.all(np.isfinite(grad)):
         return theta, state, True
     t = state.step + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
-    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    m = BETA1 * state.m + (1.0 - BETA1) * grad
+    v = BETA2 * state.v + (1.0 - BETA2) * (grad * grad)
+    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return replace(theta, flat=theta.flat - step), replace(state, m=m, v=v, step=t), False

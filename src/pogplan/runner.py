@@ -95,14 +95,15 @@ class WorldSim:
 
     state: np.ndarray            # packed (1, D)
     rng: np.random.Generator
-    step: int = 0
 
 
 @dataclass
 class StepRecord:
+    """One round of an episode: the true state and joint action, the
+    rewards, how each solve ended and each belief's health."""
+
     step: int
     state: np.ndarray            # packed true state after the transition
-    observations: list           # per player (1, obs_dim), pre-transition
     actions: list                # per player (1, action_dim)
     rewards_report: list         # per player, boundary-free reward at new state
     rewards_full: list
@@ -196,24 +197,17 @@ def act(world, game, policies, windows):
         source = pushed[i] if policies[i].mode == ACTIVE else windows[i]
         actions.append(np.asarray(policy_forward(policies[i], source, t_offset=0)))
     world.state = game.pack_state(game.transition(state, actions))
-    world.step += 1
     return obs, actions, pushed
 
 
-def run_episode(game, opts, seed, agent_seeds=None):
-    """Play one full episode; a pure function of (game, opts, seed).
-
-    ``agent_seeds`` optionally pins each agent's seed sequence (e.g. to give
-    both separate brains identical streams in symmetry tests).
-    """
+def run_episode(game, opts, seed):
+    """Play one full episode; a pure function of (game, opts, seed)."""
     cfg = opts.config
     modes, n_eq = opts.resolved(game)
     n = game.n_players
     players = [-1] if cfg.brain == SHARED else list(range(n))
     root = np.random.SeedSequence(seed)
     world_ss, *agent_ss = root.spawn(1 + len(players))
-    if agent_seeds is not None:
-        agent_ss = [np.random.SeedSequence(s) for s in agent_seeds]
     agents = [make_agent(game, p, opts, ss) for p, ss in zip(players, agent_ss)]
     resample_threshold = (cfg.resample_ess_fraction * cfg.k_all
                           if cfg.resample_ess_fraction > 0 else None)
@@ -268,7 +262,6 @@ def run_episode(game, opts, seed, agent_seeds=None):
             record.steps.append(StepRecord(
                 step=step,
                 state=world.state.copy(),
-                observations=obs,
                 actions=actions,
                 rewards_report=[np.asarray(game.reward_report(new_state, i)).item()
                                 for i in range(n)],

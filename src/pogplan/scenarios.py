@@ -327,9 +327,9 @@ SCENARIOS = {
 }
 
 
-def sample_tasks(rng, n_tasks=2):
-    """Random task locations in the unit box (per-trial warehouse layout)."""
-    return tuple(tuple(rng.uniform(0.0, 1.0, size=2)) for _ in range(n_tasks))
+def sample_tasks(rng):
+    """Two random task locations in the unit box (per-trial warehouse layout)."""
+    return tuple(tuple(rng.uniform(0.0, 1.0, size=2)) for _ in range(2))
 
 
 def _gathering_groups(game):

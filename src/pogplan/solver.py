@@ -64,28 +64,24 @@ def draw_noise(game, k, rng):
             for _ in range(game.t_future)]
 
 
-def _run_rollout(game, state, hists, thetas, eps, cost_players, record=False):
-    """Shared rollout engine over Node or ndarray inputs.
+def _run_rollout(game, state, hists, thetas, eps, cost_players):
+    """Shared rollout engine over Node or ndarray inputs: the reward sums of
+    ``cost_players``, keyed by player.
 
-    Returns (reward sums per cost player, trajectory record or None).  Only
-    active players' observations are sampled unless ``record`` asks for all.
-    A passive policy reads only the planning-time window, so its network runs
-    once here and each step takes one block of the emitted sequence.
+    Only active players observe; a passive policy reads only the
+    planning-time window, so its network runs once here and each step takes
+    one block of the emitted sequence.
     """
     n = game.n_players
     sequences = {i: policy_forward(thetas[i], hists[i], t_offset=None)
                  for i in range(n) if thetas[i].mode != ACTIVE}
     hists = list(hists)
     acc = {i: None for i in cost_players}
-    traj = {"states": [], "observations": [], "actions": []} if record else None
 
     for t in range(game.t_future):
-        step_obs = [None] * n
         for i in range(n):
-            if thetas[i].mode == ACTIVE or record:
-                z = game.observe(state, i, eps[t][i])
-                step_obs[i] = z
-                hists[i] = shift_window(hists[i], z)
+            if thetas[i].mode == ACTIVE:
+                hists[i] = shift_window(hists[i], game.observe(state, i, eps[t][i]))
         actions = []
         for i in range(n):
             if thetas[i].mode == ACTIVE:
@@ -96,11 +92,7 @@ def _run_rollout(game, state, hists, thetas, eps, cost_players, record=False):
         for i in cost_players:
             r = game.reward(state, i)
             acc[i] = r if acc[i] is None else ag.add(acc[i], r)
-        if record:
-            traj["states"].append(state)
-            traj["observations"].append(step_obs)
-            traj["actions"].append(actions)
-    return acc, traj
+    return acc
 
 
 def _batch_inputs(game, pset, idx):
@@ -135,7 +127,7 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     tape = Tape()
     lifted = list(thetas)
     lifted[player] = replace(thetas[player], flat=tape.param(thetas[player].flat))
-    acc, _ = _run_rollout(game, state, hists, lifted, eps, [player])
+    acc = _run_rollout(game, state, hists, lifted, eps, [player])
     cost = 0.0 if game.t_future == 0 else ag.affine(ag.asum(acc[player]), -1.0 / k_batch, 0.0)
     if not isinstance(cost, ag.Node):
         ag.check_finite(np.asarray(cost), "cost")
@@ -151,28 +143,15 @@ def evaluation_batch(game, pset, k_batch, rng):
     return idx, eps
 
 
-def run_batch(game, pset, thetas, batch, players=None, record=False):
-    """Forward-only batch rollout on a frozen (indices, noise) pair.
-
-    Returns (mean costs per requested player, trajectory record or None);
-    the trajectory holds per-step state structures for plan analysis.
-    """
-    idx, eps = batch
-    players = list(range(game.n_players)) if players is None else players
-    state, hists = _batch_inputs(game, pset, idx)
-    acc, traj = _run_rollout(game, state, hists, thetas, eps, players, record=record)
-    if game.t_future == 0:
-        costs = {i: 0.0 for i in players}
-    else:
-        costs = {i: -float(np.sum(acc[i])) / len(idx) for i in players}
-    return costs, traj
-
-
 def eval_cost(game, pset, thetas, players, batch):
-    """Forward-only costs of ``players`` on a frozen evaluation batch, from
-    one rollout: a list aligned with ``players``."""
-    costs = run_batch(game, pset, thetas, batch, players)[0]
-    return [costs[i] for i in players]
+    """Forward-only mean costs of ``players`` on a frozen (indices, noise)
+    batch, from one rollout: a list aligned with ``players``."""
+    idx, eps = batch
+    state, hists = _batch_inputs(game, pset, idx)
+    acc = _run_rollout(game, state, hists, thetas, eps, players)
+    if game.t_future == 0:
+        return [0.0] * len(players)
+    return [-float(np.sum(acc[i])) / len(idx) for i in players]
 
 
 def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
@@ -199,8 +178,11 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     The cyclic garbage collector is paused for the solve, since its tapes
     hold no reference cycles and are freed by reference counting; the
     caller's collector state is restored on every exit, raising included.
-    Warm starts: pass the previous round's thetas/adam_states.
+    Warm starts: pass the previous round's thetas/adam_states.  A
+    ``k_batch`` below 1 raises ``ValueError`` before any draw.
     """
+    if k_batch < 1:
+        raise ValueError(f"k_batch must be at least 1, got {k_batch}")
     n = game.n_players
     thetas = [th.copy() for th in thetas]
     if adam_states is None:

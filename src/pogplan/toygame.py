@@ -18,17 +18,15 @@ from .gamedef import GameDef
 
 
 class ToyFilterGame(GameDef):
-    """Latent x in {0, 1}; z = x flipped with probability ``flip_prob``."""
+    """Latent x in {0, 1}, uniform prior; z = x flipped with probability
+    ``flip_prob``.  Every constant is fixed: the oracle needs one game."""
 
-    def __init__(self, flip_prob=0.2, t_past=3, prior_one=0.5):
-        if not 0.0 < flip_prob < 0.5:
-            raise ValueError("flip_prob must lie in (0, 0.5)")
-        self.n_players = 1
-        self.t_past = t_past
-        self.t_future = 1
-        self.flip_prob = flip_prob
-        self.prior_one = prior_one
-        self._flip_quantile = NormalDist().inv_cdf(1.0 - flip_prob / 2.0)
+    n_players = 1
+    t_past = 3
+    t_future = 1
+    flip_prob = 0.2
+    prior_one = 0.5
+    _flip_quantile = NormalDist().inv_cdf(1.0 - flip_prob / 2.0)
 
     def state_comps(self, player):
         return (1,)

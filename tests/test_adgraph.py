@@ -153,29 +153,65 @@ def test_node_outliving_its_tape_raises():
         ag.exp(x)
 
 
-def _adgraph_in_src():
-    """Scan ``src`` for references to ``adgraph``: a function is named as
-    ``ag.X`` or ``adgraph.X``, imported with ``from .adgraph import X``, or
-    named inside ``adgraph`` itself.  Returns the public functions (name to
-    definition), the names referenced and the calls through those names, as
-    (name, call) pairs."""
-    module = Path(ag.__file__)
-    public = {node.name: node for node in ast.parse(module.read_text()).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+SRC = Path(ag.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"   # the benchmark, a caller outside src
+ENTRY_POINTS = {("cli", "main")}   # called by the console script pyproject.toml declares
+
+
+def _public_api():
+    """Per ``pogplan`` module, its public functions and the ``__init__`` of its
+    public classes, keyed (module, name), each with the parameters a call
+    fills by position (``self`` dropped)."""
+    api = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                api[(path.stem, node.name)] = (node, node.args.posonlyargs + node.args.args)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        api[(path.stem, node.name)] = (fn, (fn.args.posonlyargs + fn.args.args)[1:])
+    return api
+
+
+def _references(callers):
+    """Scan the ``*.py`` files of the ``callers`` directories for references
+    to ``pogplan`` names.  A name (module, X) is referenced as ``alias.X``,
+    where ``alias`` names the module (``from . import adgraph as ag``,
+    ``from pogplan import solver``), as ``X`` imported from the module
+    (``from .adgraph import X``, ``from pogplan.solver import X``), or as
+    ``X`` inside the module itself; ``np.exp`` is no reference to
+    ``adgraph.exp``.  Returns the names referenced and the calls through
+    them, as (name, call) pairs."""
     used, calls = set(), []
-    for path in module.parent.glob("*.py"):
+    for path in (p for d in callers for p in sorted(d.glob("*.py"))):
         tree = ast.parse(path.read_text())
-        imported = {alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom) and node.level == 1
-                    and node.module == "adgraph" for alias in node.names}
-        used |= imported
+        own = path.stem if path.parent == SRC else None
+        modules, names = {}, {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1 and own:
+                base = node.module
+            elif node.level == 0 and node.module and node.module.split(".")[0] == "pogplan":
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if base is None:
+                    modules[local] = alias.name
+                else:
+                    names[local] = (base, alias.name)
 
         def name_of(node):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                    and node.value.id in ("ag", "adgraph"):
-                return node.attr
-            if isinstance(node, ast.Name) and (path == module or node.id in imported):
-                return node.id
+                    and node.value.id in modules:
+                return modules[node.value.id], node.attr
+            if isinstance(node, ast.Name) and node.id in names:
+                return names[node.id]
+            if isinstance(node, ast.Name) and own:
+                return own, node.id
             return None
 
         for node in ast.walk(tree):
@@ -183,24 +219,21 @@ def _adgraph_in_src():
                 used.add(name_of(node))
             if isinstance(node, ast.Call) and name_of(node.func) is not None:
                 calls.append((name_of(node.func), node))
-    return public, used, calls
+    return used, calls
 
 
-def test_every_public_adgraph_function_has_a_src_caller():
-    """``src`` holds no adgraph function that only the tests use."""
-    public, used, _ = _adgraph_in_src()
-    unused = sorted(set(public) - used)
-    assert not unused, f"adgraph functions with no caller in src: {unused}"
+def _without_caller(api, callers):
+    used, _ = _references(callers)
+    return sorted(f"{module}.{name}" for module, name in set(api) - used)
 
 
-def test_every_defaulted_adgraph_parameter_is_passed_in_src():
-    """``src`` holds no adgraph parameter that only the tests set: each
-    parameter with a default is passed, by position or by keyword, by at
-    least one call in ``src``."""
-    public, _, calls = _adgraph_in_src()
+def _unpassed_defaults(api, callers):
+    """Each parameter with a default that no call in ``callers`` passes, by
+    position or by keyword, as "module.function.parameter"."""
+    _, calls = _references(callers)
     unpassed = []
-    for name, fn in sorted(public.items()):
-        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    for key, (fn, positional) in sorted(api.items()):
+        positional = [a.arg for a in positional]
         defaulted = positional[len(positional) - len(fn.args.defaults):]
         defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                       if d is not None]
@@ -208,9 +241,43 @@ def test_every_defaulted_adgraph_parameter_is_passed_in_src():
             if not any(any(k.arg in (param, None) for k in call.keywords)
                        or any(isinstance(a, ast.Starred) for a in call.args)
                        or (param in positional and len(call.args) > positional.index(param))
-                       for callee, call in calls if callee == name):
-                unpassed.append(f"{name}.{param}")
+                       for callee, call in calls if callee == key):
+                unpassed.append(".".join((*key, param)))
+    return unpassed
+
+
+def _adgraph_api():
+    return {key: value for key, value in _public_api().items() if key[0] == "adgraph"}
+
+
+def test_every_public_adgraph_function_has_a_src_caller():
+    """``src`` holds no adgraph function that only the tests use."""
+    unused = _without_caller(_adgraph_api(), [SRC])
+    assert not unused, f"adgraph functions with no caller in src: {unused}"
+
+
+def test_every_defaulted_adgraph_parameter_is_passed_in_src():
+    """``src`` holds no adgraph parameter that only the tests set: each
+    parameter with a default is passed, by position or by keyword, by at
+    least one call in ``src``."""
+    unpassed = _unpassed_defaults(_adgraph_api(), [SRC])
     assert not unpassed, f"adgraph parameters no call in src passes: {unpassed}"
+
+
+def test_every_public_pogplan_function_has_a_caller():
+    """No ``pogplan`` module holds a public function or class that only the
+    tests use: each is referenced in ``src`` or in the benchmark."""
+    api = {key: value for key, value in _public_api().items() if key not in ENTRY_POINTS}
+    unused = _without_caller(api, [SRC, PERFBENCH])
+    assert not unused, f"pogplan functions with no caller in src or perfbench: {unused}"
+
+
+def test_every_defaulted_pogplan_parameter_is_passed():
+    """No ``pogplan`` function or constructor has a defaulted parameter that
+    only the tests set: some call in ``src`` or in the benchmark passes it."""
+    api = {key: value for key, value in _public_api().items() if key not in ENTRY_POINTS}
+    unpassed = _unpassed_defaults(api, [SRC, PERFBENCH])
+    assert not unpassed, f"pogplan parameters no call in src or perfbench passes: {unpassed}"
 
 
 def test_expected_cost_leaves_no_cyclic_garbage():

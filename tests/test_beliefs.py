@@ -194,7 +194,7 @@ def test_update_two_particle_bayes_rule():
 
 
 def test_toy_game_matches_exact_bayes_filter():
-    game = ToyFilterGame(flip_prob=0.2, t_past=3)
+    game = ToyFilterGame()
     rng = np.random.default_rng(14)
     pset = init_particles(game, 10_000, 1, rng)
     thetas = [init_policy(game, 0, ACTIVE, seed=0, hidden=(4,))]

@@ -59,6 +59,10 @@ def test_malformed_value_names_the_key():
         parse_config_text("trials = 2.5")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just some words")
+    # ';' separates groups only in a key whose default holds groups
+    for text in ("hidden = 4; 4", "wh_station = 0.5; 1.0", "n_eq = 1;"):
+        with pytest.raises(ConfigError, match=text.partition(" ")[0]):
+            parse_config_text(text)
 
 
 def test_unknown_key_rejected():
@@ -88,6 +92,20 @@ def test_round_trip_exact(tmp_path):
     write_config(cfg, path)
     again = parse_config(path)
     assert again == cfg
+
+    # one obstacle and one task: a key whose default holds groups reads one
+    # group without a ';', so its echo parses back to the same one group
+    cfg = parse_config_text("""
+        scenario = warehouse
+        warehouse_random_tasks = false
+        obstacles = 1.8, 1.2, 0.7
+        wh_tasks = 0.25,0.25
+    """)
+    assert cfg.obstacles == ((1.8, 1.2, 0.7),)
+    assert cfg.scenario_config().wh_tasks == ((0.25, 0.25),)
+    write_config(cfg, path)
+    assert "obstacles = 1.8,1.2,0.7\n" in path.read_text()
+    assert parse_config(path) == cfg
 
 
 def test_scenario_config_carries_constants():

@@ -9,6 +9,8 @@ from pogplan import adgraph as ag
 from pogplan.adgraph import Tape
 from pogplan.policy import (
     ACTIVE,
+    BETA1,
+    BETA2,
     PASSIVE,
     adam_init,
     adam_step,
@@ -144,8 +146,8 @@ def test_adam_zero_gradient_keeps_params_and_decays_moments():
     # decay recursion with accumulated moments: m' = beta1 m, v' = beta2 v
     theta2, state2, _ = adam_step(theta1, np.full_like(zero, 0.5), state1)
     theta3, state3, _ = adam_step(theta2, zero, state2)
-    np.testing.assert_allclose(state3.m, state2.beta1 * state2.m, rtol=1e-12)
-    np.testing.assert_allclose(state3.v, state2.beta2 * state2.v, rtol=1e-12)
+    np.testing.assert_allclose(state3.m, BETA1 * state2.m, rtol=1e-12)
+    np.testing.assert_allclose(state3.v, BETA2 * state2.v, rtol=1e-12)
 
 
 def test_adam_first_step_magnitude_closed_form():

@@ -28,7 +28,6 @@ from pogplan.solver import (
     eval_cost,
     evaluation_batch,
     expected_cost,
-    run_batch,
 )
 
 
@@ -37,9 +36,30 @@ def _policies(game, mode=ACTIVE, seed=0, hidden=(8,)):
             for i in range(game.n_players)]
 
 
+def _recorded(game, rollout):
+    """Call ``rollout()`` with ``game.transition`` wrapped on the instance, as
+    the benchmark's tracer wraps game methods: (its result, the state after
+    each transition, the joint action fed to each)."""
+    states, actions = [], []
+    transition = game.transition
+
+    def recording(state, joint):
+        actions.append(list(joint))
+        states.append(transition(state, joint))
+        return states[-1]
+
+    game.transition = recording
+    try:
+        return rollout(), states, actions
+    finally:
+        del game.transition
+
+
 def _record_one(game, pset, thetas, eps):
-    """Recorded rollout of a one-particle set: (costs, trajectory)."""
-    return run_batch(game, pset, thetas, ([0], eps), record=True)
+    """Every player's cost over a one-particle set, with the rollout's
+    states and joint actions."""
+    players = list(range(game.n_players))
+    return _recorded(game, lambda: eval_cost(game, pset, thetas, players, ([0], eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +69,15 @@ def _record_one(game, pset, thetas, eps):
 def test_rollout_zero_horizon_and_zero_rewards():
     game = single_quadratic(t_future=0)
     pset = init_particles(game, 1, 1, np.random.default_rng(0))
-    costs, _ = _record_one(game, pset, _policies(game), eps=[])
-    assert costs == {0: 0.0}
+    costs, _, _ = _record_one(game, pset, _policies(game), eps=[])
+    assert costs == [0.0]
 
     flat = constant_reward_game(value=0.0, t_future=4)
     eps = draw_noise(flat, 1, np.random.default_rng(1))
     pset = init_particles(flat, 1, 1, np.random.default_rng(2))
-    costs, traj = _record_one(flat, pset, _policies(flat), eps)
-    np.testing.assert_array_equal(list(costs.values()), 0.0)
-    assert len(traj["states"]) == 4
+    costs, states, _ = _record_one(flat, pset, _policies(flat), eps)
+    np.testing.assert_array_equal(costs, 0.0)
+    assert len(states) == 4
 
 
 def test_rollout_replay_is_bit_for_bit():
@@ -66,12 +86,13 @@ def test_rollout_replay_is_bit_for_bit():
     thetas = _policies(game)
     pset = init_particles(game, 1, 1, rng)
     eps = draw_noise(game, 1, rng)
-    costs_a, a = _record_one(game, pset, thetas, eps)
-    costs_b, b = _record_one(game, pset, thetas, eps)
+    costs_a, states_a, actions_a = _record_one(game, pset, thetas, eps)
+    costs_b, states_b, actions_b = _record_one(game, pset, thetas, eps)
     assert costs_a == costs_b
-    for sa, sb in zip(a["states"], b["states"]):
+    assert len(states_a) == len(states_b) == game.t_future
+    for sa, sb in zip(states_a, states_b):
         np.testing.assert_array_equal(game.pack_state(sa), game.pack_state(sb))
-    for ta, tb in zip(a["actions"], b["actions"]):
+    for ta, tb in zip(actions_a, actions_b):
         for xa, xb in zip(ta, tb):
             np.testing.assert_array_equal(xa, xb)
 
@@ -83,15 +104,17 @@ def test_rollout_passive_actions_ignore_noise():
     pset = init_particles(game, 1, 1, rng)
     eps1 = draw_noise(game, 1, np.random.default_rng(5))
     eps2 = draw_noise(game, 1, np.random.default_rng(6))
-    _, a = _record_one(game, pset, thetas, eps1)
-    _, b = _record_one(game, pset, thetas, eps2)
-    for ta, tb in zip(a["actions"], b["actions"]):
+    _, _, a = _record_one(game, pset, thetas, eps1)
+    _, _, b = _record_one(game, pset, thetas, eps2)
+    assert len(a) == len(b) == game.t_future
+    for ta, tb in zip(a, b):
         for xa, xb in zip(ta, tb):
             np.testing.assert_array_equal(xa, xb)  # plans are frozen
-    changed = any(not np.array_equal(xa, xb)
-                  for oa, ob in zip(a["observations"], b["observations"])
-                  for xa, xb in zip(oa, ob))
-    assert changed  # the sampled observations themselves still vary
+    start = game.unpack_state(pset.states[[0]])
+    changed = any(not np.array_equal(game.observe(start, i, eps1[0][i]),
+                                     game.observe(start, i, eps2[0][i]))
+                  for i in range(game.n_players))
+    assert changed  # the noise draws themselves give different observations
 
 
 def test_passive_sequence_computed_once_equals_per_step_forward():
@@ -107,12 +130,12 @@ def test_passive_sequence_computed_once_equals_per_step_forward():
 
     tape = ag.Tape()
     lifted = [replace(th, flat=tape.param(th.flat)) for th in thetas]
-    _, raw = _run_rollout(game, state, hists, thetas, eps, [0], record=True)
-    _, taped = _run_rollout(game, state, hists, lifted, eps, [0], record=True)
+    _, _, raw = _recorded(game, lambda: _run_rollout(game, state, hists, thetas, eps, [0]))
+    _, _, taped = _recorded(game, lambda: _run_rollout(game, state, hists, lifted, eps, [0]))
     for t in range(game.t_future):
         want = policy_forward(thetas[0], hists[0], t_offset=t)
-        np.testing.assert_array_equal(raw["actions"][t][0], want)
-        np.testing.assert_array_equal(taped["actions"][t][0].value, want)
+        np.testing.assert_array_equal(raw[t][0], want)
+        np.testing.assert_array_equal(taped[t][0].value, want)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +235,7 @@ def _rollout_program(game, seed, k=3):
         def cost(flat, focal=focal):
             trial = list(thetas)
             trial[focal] = replace(thetas[focal], flat=flat)
-            acc, _ = _run_rollout(game, state, hists, trial, eps, [focal])
+            acc = _run_rollout(game, state, hists, trial, eps, [focal])
             return ag.asum(acc[focal])
 
         yield cost, thetas[focal].flat
