@@ -53,15 +53,9 @@ def cmd_sweep(args):
     rows = sweep(cfg, args.param, values)
     os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, f"sweep_{args.param}.txt")
-    write_sweep(rows, args.param, path)
+    table = write_sweep(rows, path)
     print(f"sweep over {args.param} -> {path}")
-    for r in rows:
-        if "value" in r:
-            print(f"  {args.param}={r['value']:<4d} cost {r['mean_cost']:+.3f} "
-                  f"+- {r['stderr_cost']:.3f}  wall {r['mean_seconds']:.2f}s")
-        else:
-            print(f"  n_eq=({r['n_eq_0']},{r['n_eq_1']}) distance "
-                  f"{r['mean_distance']:.3f} +- {r['stderr_distance']:.3f}")
+    print(table, end="")
     return 0
 
 

@@ -1,5 +1,7 @@
 """Experiment configuration: a flat key = value text format.
 
+One class holds every key: :class:`ExperimentConfig`, the scenario's
+:class:`~pogplan.scenarios.ScenarioConfig` plus the harness settings.
 Every field has a default; an empty file is a valid configuration.  Unknown
 keys, malformed values, and missing files produce distinct diagnostics.  A
 full echo of the effective configuration is written next to experiment
@@ -9,7 +11,7 @@ outputs, and ``parse_config(write_config(cfg))`` reproduces ``cfg`` exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, make_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .scenarios import ScenarioConfig
 
@@ -19,10 +21,12 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class _HarnessConfig:
-    """Harness settings; :data:`ExperimentConfig` adds the scenario constants."""
+class ExperimentConfig(ScenarioConfig):
+    """Every scenario constant (inherited) plus the harness settings.
 
-    scenario: str = "tag"
+    An experiment config is the game's config: ``make_game`` takes it as is.
+    """
+
     brain: str = "shared"
     gathering: tuple = ("active", "active")  # per mode group, see run_matrix
     k_all: int = 1000
@@ -42,24 +46,14 @@ class _HarnessConfig:
     dump_particles: bool = False
     resample_ess_fraction: float = 0.0  # 0 disables the resampling extension
 
-    def scenario_config(self, tasks=None):
-        kwargs = {f.name: getattr(self, f.name) for f in fields(ScenarioConfig)
-                  if f.name != "name"}
-        if tasks is not None:
-            kwargs["wh_tasks"] = tasks
-        return ScenarioConfig(name=self.scenario, **kwargs)
+    def validate(self):
+        """The scenario checks, then the harness's; ``make_game`` runs them,
+        so ``run_matrix`` rejects bad settings before writing anything."""
+        super().validate()
+        if self.k_batch < 1:
+            raise ValueError(f"k_batch must be at least 1, got {self.k_batch}")
+        return self
 
-
-# Every ScenarioConfig constant becomes a flat key with the same default; the
-# scenario's ``name`` is the ``scenario`` key.  ``__module__`` lets process-pool
-# workers unpickle the class by name.
-ExperimentConfig = make_dataclass(
-    "ExperimentConfig",
-    [(f.name, f.type, field(default=f.default)) for f in fields(ScenarioConfig)
-     if f.name != "name"],
-    bases=(_HarnessConfig,),
-    namespace={"__module__": __name__,
-               "__doc__": "Harness settings plus every scenario constant (flattened)."})
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 _DEFAULTS = ExperimentConfig()

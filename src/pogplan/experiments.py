@@ -32,13 +32,9 @@ def _n_threads():
     return max(1, int(os.environ.get(THREADS_ENV, "1")))
 
 
-def _call(packed):
-    fn, arg = packed
-    return fn(arg)
-
-
 def map_trials(fn, args):
-    """Run ``fn`` over trial arguments, optionally on a process pool."""
+    """``[fn(a) for a in args]``, on a process pool of POGPLAN_THREADS workers
+    when that is above 1; ``fn`` must then be a module-level function."""
     args = list(args)
     n = min(_n_threads(), len(args))
     if n <= 1:
@@ -46,7 +42,7 @@ def map_trials(fn, args):
     from concurrent.futures import ProcessPoolExecutor   # only a pool run pays its import
 
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(_call, [(fn, a) for a in args]))
+        return list(pool.map(fn, args))
 
 
 def mean_stderr(values):
@@ -64,10 +60,10 @@ def mean_stderr(values):
 
 def trial_game(cfg, trial_seed):
     """Scenario instance for one trial (warehouse task layout is per-seed)."""
-    tasks = None
     if cfg.scenario == "warehouse" and cfg.warehouse_random_tasks:
-        tasks = sample_tasks(np.random.default_rng(np.random.SeedSequence((trial_seed, 77))))
-    return make_game(cfg.scenario_config(tasks=tasks))
+        cfg = replace(cfg, wh_tasks=sample_tasks(
+            np.random.default_rng(np.random.SeedSequence((trial_seed, 77)))))
+    return make_game(cfg)
 
 
 def episode_options(cfg, modes, dump_path=None):
@@ -200,9 +196,10 @@ def _sweep_point(packed):
 def sweep(cfg, param, values):
     """Scaling study over t_future, k_batch, or n_eq.
 
-    t_future / k_batch: first-round solve per seed, reporting cost and wall
-    time per value.  n_eq: pairwise grid of separate-brain episodes,
-    reporting mean inter-player distance and each agent's mean surprisal.
+    Each row is a dict whose keys name its columns.  t_future / k_batch:
+    first-round solve per seed, a row ``{param: value, mean_cost, ...}`` per
+    value.  n_eq: pairwise grid of separate-brain episodes, reporting mean
+    inter-player distance and each agent's mean surprisal.
     """
     if param in ("t_future", "k_batch"):
         rows = []
@@ -212,7 +209,7 @@ def sweep(cfg, param, values):
                                  [(sub, cfg.seed + t) for t in range(cfg.trials)])
             cost_m, cost_e = mean_stderr([r["cost"] for r in results])
             sec_m, sec_e = mean_stderr([r["seconds"] for r in results])
-            rows.append({"value": int(value), "mean_cost": cost_m, "stderr_cost": cost_e,
+            rows.append({param: int(value), "mean_cost": cost_m, "stderr_cost": cost_e,
                          "mean_seconds": sec_m, "stderr_seconds": sec_e,
                          "costs": [r["cost"] for r in results]})
         return rows
@@ -260,7 +257,7 @@ def rollout_gradcheck(scenario, programs=100, seed=0):
     policies, one focal player; the whole rollout cost is differentiated
     with respect to that player's parameters.
     """
-    game = make_game(ScenarioConfig(name=scenario, t_past=2, t_future=2))
+    game = make_game(ScenarioConfig(scenario=scenario, t_past=2, t_future=2))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(programs):
@@ -290,9 +287,6 @@ def _random_reachable_state(game, rng):
     for i in range(game.n_players):
         comps = game.state_comps(i)
         pos = rng.normal(scale=1.5, size=(1, comps[0]))
-        if len(comps) == 1:
-            state.append((pos,))
-            continue
         vel = rng.uniform(-0.9, 0.9, size=(1, comps[1])) * game.v_max[i]
         state.append((pos, vel))
     return state
@@ -342,21 +336,16 @@ def write_summary(table, path):
                      f"{r.trials} {_fmt(r.grad_seconds)}\n")
 
 
-def write_sweep(rows, param, path):
+def write_sweep(rows, path):
+    """Write the scalar columns of sweep rows under a header of their keys;
+    per-seed lists are left out.  Returns the text written."""
+    columns = [k for row in rows[:1] for k, v in row.items() if not isinstance(v, list)]
+    lines = ["# pogplan sweep v1", f"# columns: {' '.join(columns)}"]
+    lines += [" ".join(str(r[k]) for k in columns) for r in rows]   # str(float) is repr
+    text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write("# pogplan sweep v1\n")
-        if rows and "n_eq_0" in rows[0]:
-            fh.write("# columns: n_eq_0 n_eq_1 mean_distance stderr_distance "
-                     "mean_surprisal_0 mean_surprisal_1\n")
-            for r in rows:
-                fh.write(f"{r['n_eq_0']} {r['n_eq_1']} {_fmt(r['mean_distance'])} "
-                         f"{_fmt(r['stderr_distance'])} {_fmt(r['mean_surprisal_0'])} "
-                         f"{_fmt(r['mean_surprisal_1'])}\n")
-        else:
-            fh.write(f"# columns: {param} mean_cost stderr_cost mean_seconds stderr_seconds\n")
-            for r in rows:
-                fh.write(f"{r['value']} {_fmt(r['mean_cost'])} {_fmt(r['stderr_cost'])} "
-                         f"{_fmt(r['mean_seconds'])} {_fmt(r['stderr_seconds'])}\n")
+        fh.write(text)
+    return text
 
 
 def write_trial_record(record, game, cfg, label, path):

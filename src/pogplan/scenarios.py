@@ -20,9 +20,14 @@ SMOOTHMIN_TEMP = 10.0  # sharpness of the soft minimum over obstacles
 
 @dataclass
 class ScenarioConfig:
-    """Scenario name plus every game constant, all overridable."""
+    """Scenario name plus every game constant, all overridable.
 
-    name: str = "tag"
+    Each field is also a flat key of an experiment config file:
+    :class:`pogplan.config.ExperimentConfig` subclasses this class, so an
+    experiment config is itself the game's config.
+    """
+
+    scenario: str = "tag"
     t_past: int = 6
     t_future: int = 6
 
@@ -78,9 +83,9 @@ class ScenarioConfig:
 def make_game(config):
     """Instantiate the configured scenario."""
     config.validate()
-    if config.name not in SCENARIOS:
-        raise ValueError(f"unknown scenario '{config.name}'")
-    return SCENARIOS[config.name](config)
+    if config.scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario '{config.scenario}'")
+    return SCENARIOS[config.scenario](config)
 
 
 def _gaussian_logdensity(obs_block, mean, var):

@@ -282,7 +282,7 @@ def test_every_defaulted_pogplan_parameter_is_passed():
 
 def test_expected_cost_leaves_no_cyclic_garbage():
     """The tape of a gradient step is freed by reference counting alone."""
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     thetas = [init_policy(game, i, mode, seed=i, hidden=(8,))
               for i, mode in enumerate([PASSIVE, ACTIVE])]
     pset = beliefs.init_particles(game, 50, 1, np.random.default_rng(0))
@@ -301,7 +301,7 @@ def test_expected_cost_leaves_no_cyclic_garbage():
 
 def _step_ops(monkeypatch, name, modes):
     """Per player, the ops one k = 10 gradient step records."""
-    game = make_game(ScenarioConfig(name=name))
+    game = make_game(ScenarioConfig(scenario=name))
     thetas = [init_policy(game, i, mode, seed=i, hidden=(64, 64))
               for i, mode in enumerate(modes)]
     pset = beliefs.init_particles(game, 100, 1, np.random.default_rng(0))

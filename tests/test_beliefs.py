@@ -24,7 +24,7 @@ from pogplan.toygame import ToyFilterGame, exact_posterior
 
 
 def _tag():
-    return make_game(ScenarioConfig(name="tag"))
+    return make_game(ScenarioConfig(scenario="tag"))
 
 
 def _policies(game, seed=0, hidden=(4,)):
@@ -48,7 +48,7 @@ def test_init_partition_and_weights():
 
 
 def test_init_two_spawn_split():
-    cfg = ScenarioConfig(name="tag", spawn_mode=True)
+    cfg = ScenarioConfig(scenario="tag", spawn_mode=True)
     game = make_game(cfg)
     pset = init_particles(game, 10_000, 1, np.random.default_rng(1))
     east = np.mean(np.all(pset.states[:, 0:2] == np.asarray(cfg.spawn_east), axis=1))
@@ -164,7 +164,7 @@ def test_row_blocked_update_matches_single_forward(mode, monkeypatch):
 
 def test_update_two_particle_bayes_rule():
     """gamma=1 on two particles reduces to the textbook posterior."""
-    cfg = ScenarioConfig(name="warehouse")
+    cfg = ScenarioConfig(scenario="warehouse")
     game = make_game(cfg)
     rng = np.random.default_rng(12)
     pset = init_particles(game, 2, 1, rng)
@@ -217,7 +217,7 @@ def test_toy_game_matches_exact_bayes_filter():
 
 
 def test_degenerate_weights_reset_uniform():
-    game = make_game(ScenarioConfig(name="warehouse"))
+    game = make_game(ScenarioConfig(scenario="warehouse"))
     pset = init_particles(game, 8, 1, np.random.default_rng(16))
     # an impossibly distant reading under near-zero noise kills every particle
     pset.states[:, 0:2] = [0.5, 1.0]

@@ -1,0 +1,56 @@
+"""The benchmark's tracer patches program functions by name from outside the
+program.  Entering and leaving its hooks here catches a rename in ``src``
+that would break a traced benchmark run."""
+
+import gc
+import importlib
+import os
+import sys
+
+import pytest
+
+from pogplan import adgraph, beliefs, experiments, runner, solver
+from pogplan.config import ExperimentConfig
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench")
+
+PATCHED = [
+    (runner, "calc_eq"), (runner, "update_particles"), (runner, "surprisal"),
+    (runner, "act"), (runner, "policy_forward"),
+    (solver, "expected_cost"), (solver, "eval_cost"), (solver, "adam_step"),
+    (solver, "policy_forward"), (beliefs, "policy_forward"),
+    (adgraph.Tape, "backward"),
+    (experiments, "write_trial_record"), (experiments, "trial_game"),
+]
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    yield importlib.import_module("tracing")
+    for name in ("tracing", "stats"):   # the benchmark's own top-level modules
+        sys.modules.pop(name, None)
+
+
+def test_stamped_rounds_swaps_and_restores_step_record(tracing):
+    original = runner.StepRecord
+    with tracing.stamped_rounds():
+        assert runner.StepRecord is tracing.StampedStepRecord
+    assert runner.StepRecord is original
+
+
+def test_tracer_patches_every_hook_and_restores_it(tracing):
+    originals = [getattr(owner, attr) for owner, attr in PATCHED]
+    callbacks = list(gc.callbacks)
+    cfg = ExperimentConfig(t_past=2, t_future=2)
+    with tracing.Tracer().installed():
+        for (owner, attr), original in zip(PATCHED, originals):
+            assert getattr(owner, attr) is not original, attr
+        game = experiments.trial_game(cfg, 0)
+        for meth in tracing.GAME_METHODS:   # wrapped on the instance
+            assert meth in vars(game), meth
+    for (owner, attr), original in zip(PATCHED, originals):
+        assert getattr(owner, attr) is original, attr
+    assert gc.callbacks == callbacks
+    assert not any(meth in vars(game) for meth in tracing.GAME_METHODS)

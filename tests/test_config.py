@@ -1,8 +1,9 @@
 """Configuration parsing: defaults, diagnostics, round trip."""
 
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from pogplan.config import (
@@ -12,7 +13,8 @@ from pogplan.config import (
     parse_config_text,
     write_config,
 )
-from pogplan.scenarios import ScenarioConfig
+from pogplan.experiments import trial_game
+from pogplan.scenarios import ScenarioConfig, make_game, sample_tasks
 
 DEFAULTS_FILE = os.path.join(os.path.dirname(__file__), "data", "config_defaults.cfg")
 
@@ -102,21 +104,31 @@ def test_round_trip_exact(tmp_path):
         wh_tasks = 0.25,0.25
     """)
     assert cfg.obstacles == ((1.8, 1.2, 0.7),)
-    assert cfg.scenario_config().wh_tasks == ((0.25, 0.25),)
+    assert cfg.wh_tasks == ((0.25, 0.25),)
     write_config(cfg, path)
     assert "obstacles = 1.8,1.2,0.7\n" in path.read_text()
     assert parse_config(path) == cfg
 
 
 def test_scenario_config_carries_constants():
-    cfg = parse_config_text("scenario = warehouse\nwh_alpha = 7.5\nt_future = 4")
-    sc = cfg.scenario_config()
-    assert sc.name == "warehouse"
-    assert sc.wh_alpha == 7.5
-    assert sc.t_future == 4
-    sc2 = cfg.scenario_config(tasks=((0.1, 0.1), (0.9, 0.9)))
-    assert sc2.wh_tasks == ((0.1, 0.1), (0.9, 0.9))
-    assert ExperimentConfig().scenario_config() == ScenarioConfig()
+    """An experiment config is the game's config: the game reads its
+    constants, and a trial swaps in per-seed warehouse tasks only when
+    ``warehouse_random_tasks`` is set."""
+    cfg = parse_config_text("scenario = warehouse\nwh_alpha = 7.5\nt_future = 4\n"
+                            "wh_tasks = 0.1,0.1; 0.9,0.9")
+    assert isinstance(cfg, ScenarioConfig)
+    game = make_game(cfg)
+    assert game.config.wh_alpha == 7.5
+    assert game.t_future == 4
+    assert [tuple(t) for t in game.tasks] == [(0.1, 0.1), (0.9, 0.9)]
+
+    seeded = trial_game(cfg, 3)
+    want = sample_tasks(np.random.default_rng(np.random.SeedSequence((3, 77))))
+    assert [tuple(t) for t in seeded.tasks] == [tuple(t) for t in want]
+    assert seeded.config.wh_alpha == 7.5
+    assert cfg.wh_tasks == ((0.1, 0.1), (0.9, 0.9))   # the caller's config is kept
+    fixed = trial_game(replace(cfg, warehouse_random_tasks=False), 3)
+    assert [tuple(t) for t in fixed.tasks] == [(0.1, 0.1), (0.9, 0.9)]
 
 
 def test_committed_default_echo_still_parses_to_defaults():

@@ -79,7 +79,8 @@ def test_run_matrix_zero_trials(tmp_path, capsys):
 
 def test_run_matrix_validates_before_writing(tmp_path):
     for bad, message in (({"t_past": 0}, "t_past must be at least 1"),
-                         ({"brain": "Separate"}, "unknown brain mode")):
+                         ({"brain": "Separate"}, "unknown brain mode"),
+                         ({"k_batch": 0}, "k_batch must be at least 1")):
         cfg = _tiny_cfg(tmp_path, **bad)
         with pytest.raises(ValueError, match=message):
             run_matrix(cfg)
@@ -222,7 +223,7 @@ def test_emit_plot_data_schemas(tmp_path):
 def test_sweep_t_future_rows(tmp_path):
     cfg = _tiny_cfg(tmp_path, scenario="warehouse", trials=2, max_iters=3)
     rows = sweep(cfg, "t_future", [1, 2])
-    assert [r["value"] for r in rows] == [1, 2]
+    assert [r["t_future"] for r in rows] == [1, 2]
     for r in rows:
         assert np.isfinite(r["mean_cost"])
         assert r["mean_seconds"] > 0
@@ -368,6 +369,22 @@ def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--param", "t_future",
                  "--values", "1,2"]) == 0
     assert os.path.exists(os.path.join(cfg.outdir, "sweep_t_future.txt"))
+
+
+def test_cli_sweep_n_eq_writes_and_prints_the_grid(tmp_path, capsys):
+    path, cfg = _write_cfg(tmp_path, trials=1, episode_steps=2, max_iters=1)
+    assert main(["sweep", "--config", path, "--param", "n_eq",
+                 "--values", "1,2"]) == 0
+    header = ("# columns: n_eq_0 n_eq_1 mean_distance stderr_distance "
+              "mean_surprisal_0 mean_surprisal_1")
+    with open(os.path.join(cfg.outdir, "sweep_n_eq.txt")) as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    assert lines[:2] == ["# pogplan sweep v1", header]
+    rows = [line.split() for line in lines[2:]]
+    assert [r[:2] for r in rows] == [["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
+    assert all(len(r) == 6 for r in rows)
+    assert capsys.readouterr().out.endswith(text)   # the table as written
 
 
 def test_cli_checks(capsys):

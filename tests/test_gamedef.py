@@ -85,7 +85,7 @@ def _two_player_state(p0, v0, p1, v1):
 
 
 # fov = pi/2, sigma2_base = 0.01, c_scale = 5.0, play_radius = 5.0
-TAG = TagGame(ScenarioConfig(name="tag"))
+TAG = TagGame(ScenarioConfig(scenario="tag"))
 
 
 def test_fov_observe_dead_ahead_zero_noise():

@@ -45,7 +45,7 @@ def test_init_deterministic_given_seed():
 
 
 def test_tag_widths_match_window_and_action():
-    game = make_game(ScenarioConfig(name="tag", t_past=6, t_future=6))
+    game = make_game(ScenarioConfig(scenario="tag", t_past=6, t_future=6))
     active = init_policy(game, 1, ACTIVE, seed=0)
     assert active.input_width == 6 * game.obs_dim(1) == 36
     assert active.shapes[-1][0] == game.action_dim(1) == 2

@@ -31,24 +31,24 @@ def _state(game, rng, k=1, spread=2.0):
 
 
 def test_make_game_dispatch_and_validation():
-    assert isinstance(make_game(ScenarioConfig(name="tag")), TagGame)
-    assert isinstance(make_game(ScenarioConfig(name="tagchain")), TagChainGame)
-    assert isinstance(make_game(ScenarioConfig(name="hideseek")), HideSeekGame)
-    assert isinstance(make_game(ScenarioConfig(name="warehouse")), WarehouseGame)
+    assert isinstance(make_game(ScenarioConfig(scenario="tag")), TagGame)
+    assert isinstance(make_game(ScenarioConfig(scenario="tagchain")), TagChainGame)
+    assert isinstance(make_game(ScenarioConfig(scenario="hideseek")), HideSeekGame)
+    assert isinstance(make_game(ScenarioConfig(scenario="warehouse")), WarehouseGame)
     with pytest.raises(ValueError):
-        make_game(ScenarioConfig(name="poker"))
+        make_game(ScenarioConfig(scenario="poker"))
     with pytest.raises(ValueError):
-        make_game(ScenarioConfig(name="tagchain", chain_players=3))
+        make_game(ScenarioConfig(scenario="tagchain", chain_players=3))
     with pytest.raises(ValueError):
-        make_game(ScenarioConfig(name="hideseek", obstacles=((4.9, 0.0, 0.5),)))
+        make_game(ScenarioConfig(scenario="hideseek", obstacles=((4.9, 0.0, 0.5),)))
     with pytest.raises(ValueError):
-        make_game(ScenarioConfig(name="warehouse", wh_alpha=-1.0))
+        make_game(ScenarioConfig(scenario="warehouse", wh_alpha=-1.0))
     # a zero-width window cannot shift; t_future = 0 stays a valid horizon
     with pytest.raises(ValueError, match="t_past"):
-        make_game(ScenarioConfig(name="tag", t_past=0))
+        make_game(ScenarioConfig(scenario="tag", t_past=0))
     with pytest.raises(ValueError, match="t_future"):
-        make_game(ScenarioConfig(name="tag", t_future=-1))
-    assert make_game(ScenarioConfig(name="tag", t_past=1, t_future=0)).t_future == 0
+        make_game(ScenarioConfig(scenario="tag", t_future=-1))
+    assert make_game(ScenarioConfig(scenario="tag", t_past=1, t_future=0)).t_future == 0
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_make_game_dispatch_and_validation():
 # ---------------------------------------------------------------------------
 
 def test_tag_rewards_zero_sum_and_values():
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     # coincident players: distance term vanishes (up to the norm epsilon)
     both = [(np.array([[0.7, -0.3]]), np.zeros((1, 2)))] * 2
     assert abs(game.reward_report(both, 0).item()) < 1e-4
@@ -81,7 +81,7 @@ def test_tag_rewards_zero_sum_and_values():
 
 
 def test_tag_observation_layout_and_own_state_exact():
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     assert game.obs_dim(0) == 6 and game.noise_dim(0) == 2
     rng = np.random.default_rng(1)
     state = _state(game, rng)
@@ -94,7 +94,7 @@ def test_tag_observation_layout_and_own_state_exact():
 
 
 def test_tag_initial_sampling():
-    cfg = ScenarioConfig(name="tag")
+    cfg = ScenarioConfig(scenario="tag")
     game = make_game(cfg)
     a = game.sample_initial(np.random.default_rng(3), 4)
     b = game.sample_initial(np.random.default_rng(3), 4)
@@ -104,7 +104,7 @@ def test_tag_initial_sampling():
         np.testing.assert_array_equal(va, 0.0)
 
     # two-spawn mode: pursuer at east/west with equal probability
-    spawn_cfg = ScenarioConfig(name="tag", spawn_mode=True)
+    spawn_cfg = ScenarioConfig(scenario="tag", spawn_mode=True)
     spawn_game = make_game(spawn_cfg)
     draws = spawn_game.sample_initial(np.random.default_rng(4), 10_000)
     pursuer = draws[0][0]
@@ -120,7 +120,7 @@ def test_tag_initial_sampling():
 # ---------------------------------------------------------------------------
 
 def test_chain_reward_structure():
-    game = make_game(ScenarioConfig(name="tagchain", chain_players=4))
+    game = make_game(ScenarioConfig(scenario="tagchain", chain_players=4))
     assert game.n_players == 4
     assert game.obs_dim(0) == 4 + 2 * 3 and game.noise_dim(0) == 6
 
@@ -143,7 +143,7 @@ def test_chain_reward_structure():
 
 def test_chain_cross_gradient_zero():
     # P1's reward has no dependence on E2's position
-    game = make_game(ScenarioConfig(name="tagchain"))
+    game = make_game(ScenarioConfig(scenario="tagchain"))
     rng = np.random.default_rng(6)
     state_np = _state(game, rng)
     tape = Tape()
@@ -158,9 +158,9 @@ def test_chain_cross_gradient_zero():
 # ---------------------------------------------------------------------------
 
 def test_hideseek_clear_sightline_matches_plain_fov():
-    cfg = ScenarioConfig(name="hideseek", obstacles=((0.0, 3.5, 0.5),))
+    cfg = ScenarioConfig(scenario="hideseek", obstacles=((0.0, 3.5, 0.5),))
     game = make_game(cfg)
-    plain = make_game(ScenarioConfig(name="tag"))
+    plain = make_game(ScenarioConfig(scenario="tag"))
     # observer and target on the x axis, obstacle far above the sight line
     state = [(np.array([[-1.0, 0.0]]), np.array([[0.2, 0.0]])),
              (np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))]
@@ -171,12 +171,12 @@ def test_hideseek_clear_sightline_matches_plain_fov():
 
 def test_hideseek_through_center_occlusion_scale():
     r = 1.5
-    cfg = ScenarioConfig(name="hideseek", obstacles=((0.0, 0.0, r),))
+    cfg = ScenarioConfig(scenario="hideseek", obstacles=((0.0, 0.0, r),))
     game = make_game(cfg)
     state = [(np.array([[-3.0, 0.0]]), np.array([[0.2, 0.0]])),
              (np.array([[3.0, 0.0]]), np.array([[0.0, 0.0]]))]
     v_occ = game._pair_variance(state, 0, 1).item()
-    v_base = make_game(ScenarioConfig(name="tag"))._pair_variance(state, 0, 1).item()
+    v_base = make_game(ScenarioConfig(scenario="tag"))._pair_variance(state, 0, 1).item()
     np.testing.assert_allclose(v_occ - v_base, cfg.c_scale * r, rtol=0.01)
     # the occlusion is softplus(-temp * clearance) / temp: invert it
     temp = SMOOTHMIN_TEMP
@@ -185,7 +185,7 @@ def test_hideseek_through_center_occlusion_scale():
 
 
 def test_hideseek_variance_continuous_when_grazing():
-    cfg = ScenarioConfig(name="hideseek", obstacles=((0.0, 1.0, 0.8),))
+    cfg = ScenarioConfig(scenario="hideseek", obstacles=((0.0, 1.0, 0.8),))
     game = make_game(cfg)
     heights = np.linspace(-0.5, 2.5, 601)
     values = []
@@ -198,7 +198,7 @@ def test_hideseek_variance_continuous_when_grazing():
 
 
 def test_hideseek_obstacle_collision_penalized():
-    cfg = ScenarioConfig(name="hideseek", obstacles=((1.0, 0.0, 0.7),))
+    cfg = ScenarioConfig(scenario="hideseek", obstacles=((1.0, 0.0, 0.7),))
     game = make_game(cfg)
     inside = [(np.array([[1.0, 0.0]]), np.zeros((1, 2))),
               (np.array([[-2.0, 0.0]]), np.zeros((1, 2)))]
@@ -210,7 +210,7 @@ def test_hideseek_obstacle_collision_penalized():
 
 
 def test_hideseek_zero_sum_reported():
-    game = make_game(ScenarioConfig(name="hideseek"))
+    game = make_game(ScenarioConfig(scenario="hideseek"))
     state = _state(game, np.random.default_rng(7), k=10_000)
     total = game.reward_report(state, 0) + game.reward_report(state, 1)
     assert np.max(np.abs(total)) < 1e-9
@@ -221,7 +221,7 @@ def test_hideseek_zero_sum_reported():
 # ---------------------------------------------------------------------------
 
 def test_warehouse_rewards():
-    cfg = ScenarioConfig(name="warehouse", wh_tasks=((0.2, 0.2), (0.9, 0.9)))
+    cfg = ScenarioConfig(scenario="warehouse", wh_tasks=((0.2, 0.2), (0.9, 0.9)))
     game = make_game(cfg)
 
     at_task = [(np.array([[0.2, 0.2]]), np.zeros((1, 2))),
@@ -240,7 +240,7 @@ def test_warehouse_rewards():
 
 
 def test_warehouse_observation_noise_model():
-    cfg = ScenarioConfig(name="warehouse")
+    cfg = ScenarioConfig(scenario="warehouse")
     game = make_game(cfg)
     station = np.asarray(cfg.wh_station)
 
@@ -266,7 +266,7 @@ def test_warehouse_observation_noise_model():
 
 
 def test_warehouse_p1_reward_independent_of_p2():
-    game = make_game(ScenarioConfig(name="warehouse"))
+    game = make_game(ScenarioConfig(scenario="warehouse"))
     rng = np.random.default_rng(9)
     state_np = game.sample_initial(rng, 3)
     tape = Tape()
@@ -277,7 +277,7 @@ def test_warehouse_p1_reward_independent_of_p2():
 
 
 def test_warehouse_initials_inside_unit_box():
-    game = make_game(ScenarioConfig(name="warehouse"))
+    game = make_game(ScenarioConfig(scenario="warehouse"))
     state = game.sample_initial(np.random.default_rng(10), 5000)
     for pos, vel in state:
         assert np.all((pos >= 0.0) & (pos <= 1.0))
@@ -293,7 +293,7 @@ def test_observations_match_recorded_values(name):
     recorded from the observation models for K = 5 states (the last at rest)
     and every player; the file stores the states and noise with them."""
     path = os.path.join(os.path.dirname(__file__), "data", "observations.npz")
-    game = make_game(ScenarioConfig(name=name))
+    game = make_game(ScenarioConfig(scenario=name))
     with np.load(path) as rec:
         state = game.unpack_state(rec[f"{name}/state"])
         for p in range(game.n_players):
@@ -306,9 +306,9 @@ def test_observations_match_recorded_values(name):
 
 
 def test_mode_groups():
-    assert mode_groups(make_game(ScenarioConfig(name="tag"))) == [[0], [1]]
-    assert mode_groups(make_game(ScenarioConfig(name="tagchain"))) == [[0, 1], [2, 3]]
-    assert mode_groups(make_game(ScenarioConfig(name="warehouse"))) == [[1]]
+    assert mode_groups(make_game(ScenarioConfig(scenario="tag"))) == [[0], [1]]
+    assert mode_groups(make_game(ScenarioConfig(scenario="tagchain"))) == [[0, 1], [2, 3]]
+    assert mode_groups(make_game(ScenarioConfig(scenario="warehouse"))) == [[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def _unpack_flat(game, x, with_actions=False):
 
 @pytest.mark.parametrize("name", ["tag", "tagchain", "hideseek", "warehouse"])
 def test_scenario_grad_checks(name):
-    game = make_game(ScenarioConfig(name=name))
+    game = make_game(ScenarioConfig(scenario=name))
     d, act, noise = _flat_widths(game)
     rng = np.random.default_rng(12)
     proj = rng.normal(size=64)

@@ -81,7 +81,7 @@ def test_rollout_zero_horizon_and_zero_rewards():
 
 
 def test_rollout_replay_is_bit_for_bit():
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     rng = np.random.default_rng(3)
     thetas = _policies(game)
     pset = init_particles(game, 1, 1, rng)
@@ -98,7 +98,7 @@ def test_rollout_replay_is_bit_for_bit():
 
 
 def test_rollout_passive_actions_ignore_noise():
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     rng = np.random.default_rng(4)
     thetas = _policies(game, mode=PASSIVE)
     pset = init_particles(game, 1, 1, rng)
@@ -120,7 +120,7 @@ def test_rollout_passive_actions_ignore_noise():
 def test_passive_sequence_computed_once_equals_per_step_forward():
     """Both rollout paths slice one passive forward pass per rollout; each
     block equals a fresh per-step forward on the planning-time window."""
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     rng = np.random.default_rng(10)
     thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(8,)),
               init_policy(game, 1, ACTIVE, seed=2, hidden=(8,))]
@@ -173,7 +173,7 @@ def test_nonfinite_inputs_abort(where):
     """Raw inputs never reach the tape's own checks, so expected_cost checks
     them, and calc_eq aborts.  A saturated opponent weight would otherwise
     yield a finite action (tanh(inf) = 1)."""
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(8,)),
               init_policy(game, 1, ACTIVE, seed=2, hidden=(8,))]
     pset = init_particles(game, 4, 1, np.random.default_rng(23))
@@ -251,7 +251,7 @@ def test_rollout_gradient_taylor_remainder(name):
     O(h) term, and the rate drops towards 1.  Unlike a per-coordinate
     finite-difference score, the test does not judge near-zero coordinates
     on rounding."""
-    game = make_game(ScenarioConfig(name=name, t_past=2, t_future=4))
+    game = make_game(ScenarioConfig(scenario=name, t_past=2, t_future=4))
     steps = 1e-3 * 0.5 ** np.arange(6)
     rng = np.random.default_rng(40)
     for seed in range(2):
@@ -271,7 +271,7 @@ def test_rollout_gradient_taylor_remainder(name):
 
 
 def test_expected_cost_deterministic_given_stream():
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     pset = init_particles(game, 32, 1, np.random.default_rng(12))
     thetas = _policies(game, hidden=(8, 8))
     c1, g1 = expected_cost(game, pset, thetas, 0, 4, np.random.default_rng(13))
@@ -384,6 +384,22 @@ def test_calc_eq_survives_nonfinite_costs():
     assert not res.converged
 
 
+def test_calc_eq_aborts_on_nonfinite_evaluation(monkeypatch):
+    """A solve whose gradient play converged but whose final evaluation cost
+    is not finite is marked aborted and not converged; its costs are kept."""
+    game = single_quadratic()
+    rng = np.random.default_rng(27)
+    pset = init_particles(game, 4, 1, rng)
+    monkeypatch.setattr(solver, "eval_cost",
+                        lambda game, pset, thetas, players, batch: [np.nan] * len(players))
+    res = calc_eq(game, pset, _policies(game, hidden=(4,)), rng, eps_tol=np.inf,
+                  max_iters=3, k_batch=2)
+    assert res.iterations == 1   # every gradient passes an infinite tolerance
+    assert res.aborted
+    assert not res.converged
+    assert np.isnan(res.costs).all()
+
+
 def test_calc_eq_counts_skipped_adam_steps():
     """A finite rollout with a non-finite gradient skips the update, without
     aborting, and every skip is counted."""
@@ -466,7 +482,7 @@ def _calc_eq_tag_arrays():
     solve; per-step states, actions and iteration counts of the episode.
     Parameters and moments are split into the per-layer keys recorded
     before policies had one flat vector: weights then bias, layer by layer."""
-    game = make_game(ScenarioConfig(name="tag"))
+    game = make_game(ScenarioConfig(scenario="tag"))
     modes = [PASSIVE, ACTIVE]
     thetas = [init_policy(game, i, modes[i], seed=30 + i, hidden=(8, 8)) for i in range(2)]
     pset = init_particles(game, 200, 1, np.random.default_rng(31))
@@ -513,7 +529,7 @@ def _hideseek_step_arrays():
     each player, three calls on one stream.  The 300-particle cloud has
     random velocities and windows; a few rows put the two players on one
     spot or a player on an obstacle centre."""
-    game = make_game(ScenarioConfig(name="hideseek"))
+    game = make_game(ScenarioConfig(scenario="hideseek"))
     rng = np.random.default_rng(40)
     pset = init_particles(game, 300, 1, rng)
     state = game.unpack_state(pset.states)
