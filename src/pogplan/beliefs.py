@@ -14,6 +14,9 @@ no resampling step by default; an optional effective-sample-size triggered
 systematic resampler is provided as a clearly flagged extension for long
 episodes.
 
+An update advances the cloud in place and returns the same ``ParticleSet``:
+callers must not keep views of its arrays across an update.  Partition blocks
+are strided slices, so a block's states and windows are views, not copies.
 Policies run over the cloud in slices of ``ROW_BLOCK`` rows, so each layer's
 intermediate stays in cache instead of spilling a cloud-sized temporary to
 memory on every layer.
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import ACTIVE, PolicyParams, policy_forward, shift_window
+from .policy import ACTIVE, PolicyParams, policy_forward
 
 DEGENERACY_FLOOR = 1e-300
 # Rows per policy forward in the belief update: a 1024 x 64 float64 layer
@@ -41,7 +44,7 @@ class ParticleSet:
     states: np.ndarray          # (K, D) packed joint states
     hists: list                 # per player: (K, t_past * obs_dim_i)
     weights: np.ndarray         # (K,) nonnegative, summing to one
-    blocks: list                # disjoint index arrays covering range(K); read-only, shared
+    blocks: list                # slice(p, K, n_eq) per block p; read-only, shared
     degenerate: bool = False    # set when a weight collapse forced a reset
 
     @property
@@ -50,8 +53,8 @@ class ParticleSet:
 
 
 def round_robin_partition(k_all, n_eq):
-    """n_eq disjoint, exhaustive index sets with sizes differing by <= 1."""
-    return [np.arange(p, k_all, n_eq) for p in range(n_eq)]
+    """n_eq disjoint, exhaustive strided slices with sizes differing by <= 1."""
+    return [slice(p, k_all, n_eq) for p in range(n_eq)]
 
 
 def init_particles(game, k_all, n_eq, rng):
@@ -90,22 +93,16 @@ def sample_batch(cdf, k_batch, rng):
     return cdf.searchsorted(rng.random(k_batch), side="right")
 
 
-def _apply_policies(game, policies, new_hists, old_hists, idx):
-    # Active policies read the freshly pushed window; passive ones read the
-    # pre-push window (their plans never depend on the newest observation),
-    # matching the rollout and real-world conventions.
-    actions = []
-    for i in range(game.n_players):
-        hist = (new_hists[i] if policies[i].mode == ACTIVE else old_hists[i])[idx]
-        actions.append(np.concatenate([
-            policy_forward(policies[i], hist[lo:lo + ROW_BLOCK], t_offset=0)
-            for lo in range(0, len(idx), ROW_BLOCK)]))
-    return actions
+def _forward(theta, hist):
+    out = np.empty((hist.shape[0], theta.action_dim))
+    for lo in range(0, hist.shape[0], ROW_BLOCK):
+        out[lo:lo + ROW_BLOCK] = policy_forward(theta, hist[lo:lo + ROW_BLOCK], t_offset=0)
+    return out
 
 
 def update_particles(pset, game, policies, true_obs, player, gamma, rng,
                      resample_threshold=None):
-    """One forward update of the cloud (returns a new ParticleSet).
+    """One forward update of the cloud, in place; returns ``pset`` itself.
 
     Per particle: draw a fresh joint observation of its current state; with
     probability ``gamma`` overwrite ``player``'s component with the true
@@ -113,12 +110,15 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
     (untrimmed Gaussian) density under the particle state; shift the windows;
     advance the state with the policies applied to each particle's own
     window.  With ``true_obs=None`` the update is fully open-loop (gamma
-    treated as zero) and the weight vector is returned bit-for-bit unchanged.
+    treated as zero) and the weight vector is left bit-for-bit unchanged.
 
     ``policies`` is either one per-player list (applied to every particle) or
     one such list per partition block (each candidate policy drives its own
     block).  Weights are renormalized after the sweep; a collapse below
-    ``DEGENERACY_FLOOR`` resets them to uniform and flags the set.
+    ``DEGENERACY_FLOOR`` resets them to uniform and flags the set.  Arguments
+    are checked before the first write, so a ``ValueError`` leaves the cloud
+    as it was.  Windows shift a ``ROW_BLOCK``-row chunk at a time: nothing
+    cloud-sized is allocated beyond the fresh observations.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
@@ -126,10 +126,14 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
     block_policies = policies if per_block else [policies] * len(pset.blocks)
     if per_block and len(policies) != len(pset.blocks):
         raise ValueError(f"{len(policies)} candidate policies for {len(pset.blocks)} blocks")
+    widths = [h.shape[1] for h in pset.hists]
+    if any([t.input_width for t in thetas] != widths for thetas in block_policies):
+        raise ValueError(f"policy input widths differ from the window widths {widths}")
+    if true_obs is not None and np.size(true_obs) != game.obs_dim(player):
+        raise ValueError(f"true_obs has {np.size(true_obs)} entries, not {game.obs_dim(player)}")
 
     k = pset.k_all
     state = game.unpack_state(pset.states)
-    new_weights = pset.weights.copy()
     conditioned = False
 
     # Fresh joint observations of the current states, one draw per player.
@@ -143,36 +147,42 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
         if np.any(mask):
             conditioned = True
             z_bar = np.asarray(true_obs, dtype=float).reshape(1, -1)
-            obs[player] = obs[player].copy()
+            if np.may_share_memory(obs[player], pset.states):   # an exactly seen state
+                obs[player] = obs[player].copy()
             obs[player][mask] = z_bar
             rows = game.unpack_state(pset.states[mask])
             logd = game.obs_logdensity(rows, player, np.broadcast_to(z_bar, (int(mask.sum()), z_bar.shape[1])))
-            new_weights[mask] = new_weights[mask] * np.exp(logd)
+            pset.weights[mask] = pset.weights[mask] * np.exp(logd)
 
-    # Shift every window by one observation.
-    new_hists = [shift_window(h, z) for h, z in zip(pset.hists, obs)]
-
-    # Advance each block's particles under its own candidate policy.
-    new_states = np.empty_like(pset.states)
-    for block, thetas in zip(pset.blocks, block_policies):
-        actions = _apply_policies(game, thetas, new_hists, pset.hists, block)
+    # Passive policies read the pre-push window (their plans never depend on
+    # the newest observation), active ones the pushed window, matching the
+    # rollout and real-world conventions.
+    passive = [[None if t.mode == ACTIVE else _forward(t, h[block])
+                for t, h in zip(thetas, pset.hists)]
+               for block, thetas in zip(pset.blocks, block_policies)]
+    for h, z in zip(pset.hists, obs):   # shift_window in place; overlap copies stay chunk-sized
+        width, lo = h.shape[1], z.shape[1]
+        for r in range(0, k, ROW_BLOCK):
+            h[r:r + ROW_BLOCK, :width - lo] = h[r:r + ROW_BLOCK, lo:]
+            h[r:r + ROW_BLOCK, width - lo:] = z[r:r + ROW_BLOCK]
+    for block, thetas, acts in zip(pset.blocks, block_policies, passive):
+        actions = [_forward(t, h[block]) if a is None else a
+                   for t, h, a in zip(thetas, pset.hists, acts)]
         rows = game.unpack_state(pset.states[block])
-        new_states[block] = game.pack_state(game.transition(rows, actions))
+        pset.states[block] = game.pack_state(game.transition(rows, actions))
 
-    degenerate = False
+    pset.degenerate = False
     if conditioned:
-        total = new_weights.sum()
+        total = pset.weights.sum()
         if total < DEGENERACY_FLOOR:
-            new_weights[:] = 1.0 / k
-            degenerate = True
+            pset.weights[:] = 1.0 / k
+            pset.degenerate = True
         else:
-            new_weights = new_weights / total
+            pset.weights /= total
 
-    out = ParticleSet(states=new_states, hists=new_hists, weights=new_weights,
-                      blocks=pset.blocks, degenerate=degenerate)
-    if resample_threshold is not None and effective_sample_size(out) < resample_threshold:
-        out = systematic_resample(out, rng)
-    return out
+    if resample_threshold is not None and effective_sample_size(pset) < resample_threshold:
+        systematic_resample(pset, rng)
+    return pset
 
 
 def effective_sample_size(pset):
@@ -182,17 +192,17 @@ def effective_sample_size(pset):
 
 def systematic_resample(pset, rng):
     """Optional extension (off by default): systematic resampling to uniform
-    weights.  Partition blocks keep their index positions."""
+    weights, written into the set's own arrays; returns ``pset``.  Partition
+    blocks keep their index positions."""
     k = pset.k_all
     positions = (rng.random() + np.arange(k)) / k
     cum = np.cumsum(pset.weights / pset.weights.sum())
     cum[-1] = 1.0
     idx = np.searchsorted(cum, positions)
-    return ParticleSet(states=pset.states[idx].copy(),
-                       hists=[h[idx].copy() for h in pset.hists],
-                       weights=np.full(k, 1.0 / k),
-                       blocks=pset.blocks,
-                       degenerate=pset.degenerate)
+    for a in (pset.states, *pset.hists):
+        a[:] = a[idx]
+    pset.weights[:] = 1.0 / k
+    return pset
 
 
 # ---------------------------------------------------------------------------

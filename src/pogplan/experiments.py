@@ -201,6 +201,8 @@ def sweep(cfg, param, values):
     value.  n_eq: pairwise grid of separate-brain episodes, reporting mean
     inter-player distance and each agent's mean surprisal.
     """
+    if not values:
+        raise ValueError(f"no values to sweep {param} over")
     if param in ("t_future", "k_batch"):
         rows = []
         for value in values:

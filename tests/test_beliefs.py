@@ -1,5 +1,10 @@
 """Particle store: sampling, conditioning against exact Bayes, diagnostics."""
 
+import copy
+import hashlib
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -35,8 +40,9 @@ def _policies(game, seed=0, hidden=(4,)):
 def test_init_partition_and_weights():
     game = _tag()
     pset = init_particles(game, 10, 3, np.random.default_rng(0))
-    assert sorted(len(b) for b in pset.blocks) == [3, 3, 4]
-    joined = np.sort(np.concatenate(pset.blocks))
+    members = [np.arange(10)[b] for b in pset.blocks]
+    assert sorted(len(m) for m in members) == [3, 3, 4]
+    joined = np.sort(np.concatenate(members))
     np.testing.assert_array_equal(joined, np.arange(10))  # disjoint, exhaustive
     np.testing.assert_array_equal(pset.weights, np.full(10, 0.1))
     assert pset.states.shape == (10, sum(game.state_dim(i) for i in range(game.n_players)))
@@ -110,27 +116,29 @@ def test_update_gamma_zero_weights_fixed_point():
     game = _tag()
     pset = init_particles(game, 64, 2, np.random.default_rng(7))
     pset.weights[:] = np.random.default_rng(8).dirichlet(np.ones(64))
-    before = pset.weights.copy()
+    before = copy.deepcopy(pset)
     out = update_particles(pset, game, _policies(game), true_obs=None, player=0,
                            gamma=0.5, rng=np.random.default_rng(9))
-    np.testing.assert_array_equal(out.weights, before)  # exact fixed point
+    assert out is pset  # advanced in place
+    np.testing.assert_array_equal(out.weights, before.weights)  # exact fixed point
     assert out.k_all == 64
     for i in range(game.n_players):
-        assert out.hists[i].shape == pset.hists[i].shape
-    joined = np.sort(np.concatenate(out.blocks))
+        assert out.hists[i].shape == before.hists[i].shape
+    joined = np.sort(np.concatenate([np.arange(64)[b] for b in out.blocks]))
     np.testing.assert_array_equal(joined, np.arange(64))
 
 
 def test_update_preserves_counts_and_moves_states():
     game = _tag()
     pset = init_particles(game, 32, 4, np.random.default_rng(10))
+    before = copy.deepcopy(pset)
     out = update_particles(pset, game, _policies(game), true_obs=None, player=0,
                            gamma=0.0, rng=np.random.default_rng(11))
-    assert out.states.shape == pset.states.shape
-    assert not np.array_equal(out.states, pset.states)  # velocities integrate
+    assert out.states.shape == before.states.shape
+    assert not np.array_equal(out.states, before.states)  # velocities integrate
     # identical rng stream gives an identical update
-    out2 = update_particles(pset, game, _policies(game), true_obs=None, player=0,
-                            gamma=0.0, rng=np.random.default_rng(11))
+    out2 = update_particles(copy.deepcopy(before), game, _policies(game), true_obs=None,
+                            player=0, gamma=0.0, rng=np.random.default_rng(11))
     np.testing.assert_array_equal(out.states, out2.states)
 
 
@@ -147,7 +155,7 @@ def test_row_blocked_update_matches_single_forward(mode, monkeypatch):
                                        np.zeros((1, game.noise_dim(0)))))[0]
 
     def three_updates():
-        pset, rng = start, np.random.default_rng(32)
+        pset, rng = copy.deepcopy(start), np.random.default_rng(32)
         for _ in range(3):
             pset = update_particles(pset, game, thetas, true_obs, player=0,
                                     gamma=0.3, rng=rng)
@@ -294,12 +302,13 @@ def test_systematic_resample_extension():
     pset.weights[:] = 1e-9
     pset.weights[4] = 1.0 - 99e-9
     assert effective_sample_size(pset) < 2.0
+    heavy = pset.states[4].copy()
     out = systematic_resample(pset, np.random.default_rng(24))
     np.testing.assert_allclose(out.weights, 0.01)
     # nearly every particle is now a copy of the heavy one
-    matches = np.all(out.states == pset.states[4], axis=1).mean()
+    matches = np.all(out.states == heavy, axis=1).mean()
     assert matches > 0.95
-    joined = np.sort(np.concatenate(out.blocks))
+    joined = np.sort(np.concatenate([np.arange(100)[b] for b in out.blocks]))
     np.testing.assert_array_equal(joined, np.arange(100))
 
 
@@ -315,3 +324,127 @@ def test_particle_dump_schema(tmp_path):
     parts = lines[1].split()
     assert len(parts) == 7
     assert float(parts[6]) == 0.2
+
+
+UPDATE_STEPS = os.path.join(os.path.dirname(__file__), "data", "update_steps.npz")
+
+
+def _update_step_arrays():
+    """States, windows, weights and the reset flag after each of four seeded
+    updates, as named arrays: one open-loop update, two gamma = 0.3
+    conditioned ones, then a conditioned one with a resample threshold.  A
+    tag cloud of 2 * ROW_BLOCK + 37 particles in three blocks (window shifts
+    end on a ragged chunk), and a tagchain cloud of the same size in two
+    uneven blocks (policy forwards end on ragged slices); every block has
+    its own candidate, with passive and active players."""
+    out = {}
+    cases = (("tag", 3, (PASSIVE, ACTIVE)),
+             ("tagchain", 2, (PASSIVE, ACTIVE, ACTIVE, PASSIVE)))
+    for name, n_eq, modes in cases:
+        game = make_game(ScenarioConfig(scenario=name))
+        k = 2 * beliefs.ROW_BLOCK + 37
+        rng = np.random.default_rng(50)
+        pset = init_particles(game, k, n_eq, rng)
+        for pos, vel in game.unpack_state(pset.states):
+            vel[...] = rng.normal(scale=0.3, size=vel.shape)
+        blocks = [[init_policy(game, i, modes[i], seed=51 + 10 * b + i, hidden=(8, 8))
+                   for i in range(game.n_players)] for b in range(n_eq)]
+        player = game.n_players - 1
+        true_obs = np.asarray(game.observe(game.unpack_state(pset.states[:1]), player,
+                                           np.zeros((1, game.noise_dim(player)))))[0]
+        steps = [(None, 0.0, None), (true_obs, 0.3, None), (true_obs, 0.3, None),
+                 (true_obs, 0.3, 0.99 * k)]
+        for step, (z, gamma, threshold) in enumerate(steps):
+            pset = update_particles(pset, game, blocks, z, player, gamma, rng,
+                                    resample_threshold=threshold)
+            out[f"{name}/{step}/states"] = pset.states.copy()
+            for i, h in enumerate(pset.hists):
+                out[f"{name}/{step}/hist{i}"] = h.copy()
+            out[f"{name}/{step}/weights"] = pset.weights.copy()
+            out[f"{name}/{step}/degenerate"] = np.array(pset.degenerate)
+    return out
+
+
+def _digest(value):
+    """SHA-256 of an array's dtype, shape and bytes, as 32 uint8."""
+    head = f"{value.dtype.str} {value.shape}".encode()
+    return np.frombuffer(hashlib.sha256(head + value.tobytes()).digest(), dtype=np.uint8)
+
+
+def test_update_steps_match_recorded_values():
+    """Updates over strided blocks are bit for bit those recorded in
+    ``tests/data/update_steps.npz`` (written by ``np.savez(UPDATE_STEPS,
+    **{k: _digest(v) for k, v in _update_step_arrays().items()})``).  The
+    file holds digests: the arrays themselves take 22 MB."""
+    got = _update_step_arrays()
+    with np.load(UPDATE_STEPS) as rec:
+        assert sorted(rec.files) == sorted(got)
+        for key, value in got.items():
+            assert _digest(value).tobytes() == rec[key].tobytes(), key
+    k = 2 * beliefs.ROW_BLOCK + 37
+    np.testing.assert_array_equal(got["tag/3/weights"], np.full(k, 1.0 / k))  # resampled
+    assert not np.array_equal(got["tag/2/weights"], np.full(k, 1.0 / k))     # conditioned
+
+
+def test_update_allocates_no_second_cloud():
+    """One conditioned update on a 20,000-particle cloud in two blocks
+    allocates less than half the cloud's own bytes at its peak: the cloud is
+    advanced in place, a block at a time."""
+    game = _tag()
+    k = 20_000
+    pset = init_particles(game, k, 2, np.random.default_rng(60))
+    blocks = [[init_policy(game, i, mode, seed=61 + 2 * b + i)
+               for i, mode in enumerate((PASSIVE, ACTIVE))] for b in range(2)]
+    true_obs = np.asarray(game.observe(game.unpack_state(pset.states[:1]), 1,
+                                       np.zeros((1, game.noise_dim(1)))))[0]
+    rng = np.random.default_rng(62)
+    cloud = pset.states.nbytes + sum(h.nbytes for h in pset.hists) + pset.weights.nbytes
+    tracemalloc.start()
+    try:
+        update_particles(pset, game, blocks, true_obs, 1, 0.3, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * cloud, peak / cloud
+
+
+def test_update_that_raises_leaves_the_cloud():
+    """A wrong block count, a policy of the wrong input width in the last
+    block, or a true observation of the wrong length is refused before the
+    cloud is written."""
+    game = _tag()
+    rng = np.random.default_rng(28)
+    pset = init_particles(game, 50, 3, rng)
+    for pos, vel in game.unpack_state(pset.states):
+        vel[...] = rng.normal(size=vel.shape)
+    for h in pset.hists:
+        h[...] = rng.normal(size=h.shape)
+    pset.weights[:] = rng.dirichlet(np.ones(50))
+    good = [_policies(game, seed=s) for s in (0, 2, 4)]
+    narrow = make_game(ScenarioConfig(scenario="tag", t_past=2))
+    bad = good[:2] + [[good[2][0], init_policy(narrow, 1, ACTIVE, seed=5, hidden=(4,))]]
+    z = np.asarray(game.observe(game.unpack_state(pset.states[:1]), 0,
+                                np.zeros((1, game.noise_dim(0)))))[0]
+    before = copy.deepcopy(pset)
+    for policies, true_obs, match in ((good[:2], z, "candidate policies"),
+                                      (bad, z, "input widths"),
+                                      (good, z[:-1], "true_obs has")):
+        with pytest.raises(ValueError, match=match):
+            update_particles(pset, game, policies, true_obs, player=0, gamma=0.5, rng=rng)
+        for got, want in [(pset.states, before.states), (pset.weights, before.weights),
+                          *zip(pset.hists, before.hists)]:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_conditioning_on_an_exactly_seen_state_leaves_the_states():
+    """Warehouse player 0 sees its own position exactly, as a view of the
+    states: conditioning writes the true observation into the windows, not
+    into the particles."""
+    game = make_game(ScenarioConfig(scenario="warehouse"))
+    pset = init_particles(game, 50, 1, np.random.default_rng(26))
+    before = pset.states.copy()
+    z = np.array([9.0, 9.0])
+    update_particles(pset, game, _policies(game), true_obs=z, player=0, gamma=1.0,
+                     rng=np.random.default_rng(27))
+    np.testing.assert_array_equal(pset.hists[0][:, -2:], np.broadcast_to(z, (50, 2)))
+    assert np.abs(pset.states[:, 0:2] - before[:, 0:2]).max() < 1.0

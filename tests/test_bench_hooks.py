@@ -54,3 +54,19 @@ def test_tracer_patches_every_hook_and_restores_it(tracing):
         assert getattr(owner, attr) is original, attr
     assert gc.callbacks == callbacks
     assert not any(meth in vars(game) for meth in tracing.GAME_METHODS)
+
+
+def test_traced_belief_updates_read_what_the_round_records(tracing):
+    """The tracer takes k_all, the ESS fraction and the reset flag from the
+    set that ``update_particles`` returns; in a traced separate-brain round
+    they equal what the round's record keeps for each agent."""
+    cfg = ExperimentConfig(brain="separate", episode_steps=1, max_iters=2, k_all=40,
+                           k_batch=4, hidden=(4,), t_past=2, t_future=2, gamma=0.5)
+    with tracing.Tracer().installed() as tracer:
+        game = experiments.trial_game(cfg, 3)
+        record = runner.run_episode(game, experiments.episode_options(cfg, ("active",) * 2), 3)
+    step, = record.steps
+    updates = [s.info for s in tracer.spans if s.name == "beliefs.update"]
+    assert len(updates) == game.n_players
+    assert updates == [(cfg.k_all, step.belief_ess[p], step.belief_reset[p])
+                       for p in range(game.n_players)]

@@ -405,6 +405,15 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     assert "k_batch must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_empty_sweep_exits_nonzero(tmp_path, capsys):
+    path, cfg = _write_cfg(tmp_path)
+    assert main(["sweep", "--config", path, "--param", "k_batch", "--values", ","]) == 1
+    assert "no values to sweep k_batch over" in capsys.readouterr().err
+    assert not os.path.exists(cfg.outdir)
+    with pytest.raises(ValueError, match="no values"):
+        sweep(cfg, "n_eq", [])
+
+
 def test_cli_zero_width_window_exits_nonzero(tmp_path, capsys):
     path, _ = _write_cfg(tmp_path, t_past=0)
     assert main(["run", "--config", path]) == 1
