@@ -37,13 +37,13 @@ def _load_config(path):
 
 def cmd_run(args):
     cfg = _load_config(args.config)
-    table, _ = run_matrix(cfg)
-    print(f"scenario {table.scenario}: {len(table.rows)} summary rows "
+    rows, _ = run_matrix(cfg)
+    print(f"scenario {cfg.scenario}: {len(rows)} summary rows "
           f"-> {os.path.join(cfg.outdir, 'summary.txt')}")
-    for row in table.rows:
-        print(f"  {row.label:40s} {row.group:10s} cost {row.mean_cost:+.3f} "
-              f"+- {row.stderr:.3f}  ({row.trials} trials, "
-              f"{1e3 * row.grad_seconds:.1f} ms/grad-step)")
+    for row in rows:
+        print(f"  {row['label']:40s} {row['group']:10s} cost {row['mean_cost']:+.3f} "
+              f"+- {row['stderr']:.3f}  ({row['trials']} trials, "
+              f"{1e3 * row['grad_seconds']:.1f} ms/grad-step)")
     return 0
 
 

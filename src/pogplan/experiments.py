@@ -3,15 +3,17 @@
 Trials are embarrassingly parallel across seeds; set POGPLAN_THREADS to fan
 them out over processes.  All aggregation happens in seed order, so results
 are bit-for-bit reproducible regardless of the pool size.  Every output file
-is plain columnar text with a one-line header; trial records parse back
-exactly.
+is plain columnar text under ``#`` header lines, one row per line.  A trial
+record (its format is documented at ``_record_sections``) reads back every
+section but ``[gradtimes]``, which is written for people; older records
+without ``[belief_health]`` or gradient norms parse, with those fields None.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -89,24 +91,8 @@ def _one_trial(packed):
 
 
 # ---------------------------------------------------------------------------
-# Summary table
+# Trial battery
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SummaryRow:
-    label: str
-    group: str
-    mean_cost: float
-    stderr: float
-    trials: int
-    grad_seconds: float   # mean wall time per gradient step, per player
-
-
-@dataclass
-class SummaryTable:
-    scenario: str
-    rows: list = field(default_factory=list)
-
 
 def combo_label(names, combo):
     return ",".join(f"{name}={mode}" for name, mode in zip(names, combo))
@@ -115,8 +101,9 @@ def combo_label(names, combo):
 def run_matrix(cfg):
     """Every active/passive configuration of the scenario's mode groups.
 
-    Returns (SummaryTable, {label: [TrialRecord]}); also writes the config
-    echo, per-trial records, and the summary under cfg.outdir.
+    Returns (summary rows, {label: [TrialRecord]}), each summary row a dict
+    whose keys name its columns; also writes the config echo, per-trial
+    records, and the summary under cfg.outdir.
     """
     probe = trial_game(cfg, cfg.seed)   # validate the settings before writing anything
     names = group_names(probe)
@@ -125,12 +112,12 @@ def run_matrix(cfg):
     os.makedirs(cfg.outdir, exist_ok=True)
     write_config(cfg, os.path.join(cfg.outdir, "config_echo.txt"))
 
-    table = SummaryTable(scenario=cfg.scenario)
+    rows = []
     all_records = {}
     if cfg.trials <= 0:
         print("warning: 0 trials requested; summary is empty")
-        write_summary(table, os.path.join(cfg.outdir, "summary.txt"))
-        return table, all_records
+        write_summary(cfg.scenario, rows, os.path.join(cfg.outdir, "summary.txt"))
+        return rows, all_records
     for combo in combos:
         label = combo_label(names, combo)
         seeds = [cfg.seed + t for t in range(cfg.trials)]
@@ -146,14 +133,14 @@ def run_matrix(cfg):
             costs = [np.mean([r.episode_cost(p) for p in players]) for r in records]
             mean, err = mean_stderr(costs)
             times = [t for r in records for t in r.grad_step_times()]
-            table.rows.append(SummaryRow(label=label, group=gname, mean_cost=mean,
-                                         stderr=err, trials=len(records),
-                                         grad_seconds=float(np.mean(times)) if times else float("nan")))
+            rows.append({"label": label, "group": gname, "mean_cost": mean, "stderr": err,
+                         "trials": len(records),
+                         "grad_seconds": float(np.mean(times)) if times else float("nan")})
         for record in records:
             path = os.path.join(cfg.outdir, f"record_{label}_{record.seed}.txt")
             write_trial_record(record, trial_game(cfg, record.seed), cfg, label, path)
-    write_summary(table, os.path.join(cfg.outdir, "summary.txt"))
-    return table, all_records
+    write_summary(cfg.scenario, rows, os.path.join(cfg.outdir, "summary.txt"))
+    return rows, all_records
 
 
 # ---------------------------------------------------------------------------
@@ -324,100 +311,163 @@ def belief_bayes_check(k_particles=10_000, steps=5, seed=0):
 # File formats
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return repr(float(x))
+def _line(values):
+    """One row of columnar text: flags as ``true``/``false``, integers and
+    strings as they are, every other number as the repr of its float."""
+    return " ".join(str(v).lower() if isinstance(v, (bool, np.bool_))
+                    else str(v) if isinstance(v, (int, np.integer, str))
+                    else repr(float(v)) for v in values) + "\n"
 
 
-def write_summary(table, path):
+def _write_lines(path, head, rows):
+    """Write the ``head`` lines, then one ``_line`` per row; returns the text."""
+    text = "".join(f"{h}\n" for h in head) + "".join(map(_line, rows))
     with open(path, "w") as fh:
-        fh.write("# pogplan summary v1\n")
-        fh.write(f"# scenario {table.scenario}\n")
-        fh.write("# columns: label group mean_cost stderr trials grad_seconds\n")
-        for r in table.rows:
-            fh.write(f"{r.label} {r.group} {_fmt(r.mean_cost)} {_fmt(r.stderr)} "
-                     f"{r.trials} {_fmt(r.grad_seconds)}\n")
+        fh.write(text)
+    return text
+
+
+def write_summary(scenario, rows, path):
+    columns = ("label", "group", "mean_cost", "stderr", "trials", "grad_seconds")
+    _write_lines(path, ["# pogplan summary v1", f"# scenario {scenario}",
+                        f"# columns: {' '.join(columns)}"],
+                 ([row[k] for k in columns] for row in rows))
 
 
 def write_sweep(rows, path):
     """Write the scalar columns of sweep rows under a header of their keys;
     per-seed lists are left out.  Returns the text written."""
     columns = [k for row in rows[:1] for k, v in row.items() if not isinstance(v, list)]
-    lines = ["# pogplan sweep v1", f"# columns: {' '.join(columns)}"]
-    lines += [" ".join(str(r[k]) for k in columns) for r in rows]   # str(float) is repr
-    text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
+    return _write_lines(path, ["# pogplan sweep v1", f"# columns: {' '.join(columns)}"],
+                        ([row[k] for k in columns] for row in rows))
+
+
+def _slot(lists, i):
+    """``lists[i]``, opening it when ``i`` is one past the end: rows are read
+    in the order they were written."""
+    if i == len(lists):
+        lists.append([])
+    return lists[i]
+
+
+def _floats(values, width):
+    if len(values) != width:
+        raise ValueError(f"{len(values)} values where {width} belong")
+    return [float(v) for v in values]
+
+
+def _record_sections(record, game):
+    """The sections of a trial record after ``[meta]``, one
+    ``(name, header, rows, read)`` entry each.  ``write_trial_record``
+    writes ``rows`` under ``[name]`` and ``# header``; ``read_trial_record``
+    passes each row of ``[name]``, as strings, to ``read``, which adds it to
+    ``record``.  Widths come from ``game``; agent -1 is the shared brain.
+
+    - ``[steps]``: step, player, the player's slice of the packed true state
+      after the transition, its action, its boundary-free and full rewards;
+    - ``[solves]``: step, agent, candidate, iterations, converged, then the
+      last gradient norm per player (older records end at the flag);
+    - ``[gradtimes]``: step, count, mean and std of the round's gradient-step
+      seconds; written for people, not read back;
+    - ``[surprisal]``: step, agent, opponent, nats;
+    - ``[belief]``: step, agent, player, mean of the player's position;
+    - ``[belief_health]``: step, agent, ESS fraction, reset flag (absent
+      from older records);
+    - ``[trace]``: agent, candidate, player, iteration, first-round cost.
+
+    Read from an older record, ``solve_grad_norms``, ``belief_ess`` and
+    ``belief_reset`` are None.
+    """
+    steps, at = record.steps, {}
+
+    def read_steps(step, p, *values):
+        sd, ad = game.state_dim(int(p)), game.action_dim(int(p))
+        values = _floats(values, sd + ad + 2)
+        if int(step) not in at:
+            at[int(step)] = StepRecord(
+                step=int(step), state=np.empty((1, 0)), actions=[], rewards_report=[],
+                rewards_full=[], solve_iterations=[], solve_converged=[],
+                solve_grad_norms=None, grad_seconds=[], surprisal={}, belief_means={},
+                belief_ess=None, belief_reset=None)
+            steps.append(at[int(step)])
+        s = at[int(step)]
+        s.state = np.concatenate([s.state, [values[:sd]]], axis=1)
+        s.actions.append(np.array([values[sd:sd + ad]]))
+        s.rewards_report.append(values[-2])
+        s.rewards_full.append(values[-1])
+
+    def read_solves(step, agent, candidate, iterations, converged, *norms):
+        s = at[int(step)]
+        _slot(s.solve_iterations, int(agent)).append(int(iterations))
+        _slot(s.solve_converged, int(agent)).append(converged == "true")
+        if norms:
+            s.solve_grad_norms = s.solve_grad_norms or []
+            _slot(s.solve_grad_norms, int(agent)).append([float(g) for g in norms])
+
+    def read_surprisal(step, agent, opponent, nats):
+        at[int(step)].surprisal[int(agent), int(opponent)] = float(nats)
+
+    def read_belief(step, agent, p, *mean):
+        at[int(step)].belief_means[int(agent), int(p)] = np.array(
+            _floats(mean, game.state_comps(int(p))[0]))
+
+    def read_belief_health(step, agent, ess_frac, reset):
+        s = at[int(step)]
+        s.belief_ess, s.belief_reset = s.belief_ess or {}, s.belief_reset or {}
+        s.belief_ess[int(agent)] = float(ess_frac)
+        s.belief_reset[int(agent)] = reset == "true"
+
+    def read_trace(agent, candidate, p, iteration, cost):
+        _slot(_slot(_slot(record.first_traces, int(agent)), int(candidate)),
+              int(p)).append(float(cost))
+
+    return [
+        ("steps", "step player x y vx vy ax ay reward_report reward_full",
+         [(s.step, p, *s.state[0, game.state_offset(p):game.state_offset(p) + game.state_dim(p)],
+           *s.actions[p][0], s.rewards_report[p], s.rewards_full[p])
+          for s in steps for p in range(game.n_players)], read_steps),
+        ("solves", "step agent candidate iterations converged grad_norm per player",
+         [(s.step, ai, ci, it, cv, *gn) for s in steps
+          for ai, agent in enumerate(zip(s.solve_iterations, s.solve_converged,
+                                         s.solve_grad_norms))
+          for ci, (it, cv, gn) in enumerate(zip(*agent))], read_solves),
+        ("gradtimes", "step count mean std",
+         [(s.step, len(s.grad_seconds), np.mean(s.grad_seconds or [0.0]),
+           np.std(s.grad_seconds or [0.0])) for s in steps], None),
+        ("surprisal", "step agent opponent nll",
+         [(s.step, *key, nats) for s in steps for key, nats in sorted(s.surprisal.items())],
+         read_surprisal),
+        ("belief", "step agent player mean_x mean_y",
+         [(s.step, *key, *mean) for s in steps for key, mean in sorted(s.belief_means.items())],
+         read_belief),
+        ("belief_health", "step agent ess_frac reset",
+         [(s.step, agent, frac, s.belief_reset[agent]) for s in steps
+          for agent, frac in sorted(s.belief_ess.items())], read_belief_health),
+        ("trace", "agent candidate player iteration cost",
+         [(ai, ci, p, it, cost) for ai, cands in enumerate(record.first_traces)
+          for ci, traces in enumerate(cands) for p, trace in enumerate(traces)
+          for it, cost in enumerate(trace)], read_trace),
+    ]
 
 
 def write_trial_record(record, game, cfg, label, path):
-    """Serialize one episode: header metadata and per-section columnar rows."""
-    n = game.n_players
+    """Serialize one episode: the ``[meta]`` block, then every section of
+    ``_record_sections``."""
+    meta = {"scenario": cfg.scenario, "label": label, "seed": record.seed,
+            "brain": record.brain, "modes": ",".join(record.modes),
+            "n_eq": ",".join(map(str, record.n_eq)), "aborted": str(record.aborted).lower(),
+            "players": game.n_players}
+    parts = ["# pogplan trial record v1\n[meta]\n", *(f"{k} = {v}\n" for k, v in meta.items())]
+    for name, header, rows, _ in _record_sections(record, game):
+        parts += [f"[{name}]\n# {header}\n", *map(_line, rows)]
     with open(path, "w") as fh:
-        fh.write("# pogplan trial record v1\n")
-        fh.write("[meta]\n")
-        fh.write(f"scenario = {cfg.scenario}\n")
-        fh.write(f"label = {label}\n")
-        fh.write(f"seed = {record.seed}\n")
-        fh.write(f"brain = {record.brain}\n")
-        fh.write(f"modes = {','.join(record.modes)}\n")
-        fh.write(f"n_eq = {','.join(str(x) for x in record.n_eq)}\n")
-        fh.write(f"aborted = {str(record.aborted).lower()}\n")
-        fh.write(f"players = {n}\n")
-        fh.write("[steps]\n")
-        fh.write("# step player x y vx vy ax ay reward_report reward_full\n")
-        for s in record.steps:
-            state = game.unpack_state(s.state)
-            for p in range(n):
-                pos, vel = state[p][0][0], state[p][1][0]
-                a = s.actions[p][0]
-                fh.write(f"{s.step} {p} {_fmt(pos[0])} {_fmt(pos[1])} {_fmt(vel[0])} "
-                         f"{_fmt(vel[1])} {_fmt(a[0])} {_fmt(a[1])} "
-                         f"{_fmt(s.rewards_report[p])} {_fmt(s.rewards_full[p])}\n")
-        fh.write("[solves]\n")
-        fh.write("# step agent candidate iterations converged grad_norm per player\n")
-        for s in record.steps:
-            for ai, (iters, convs, norms) in enumerate(zip(
-                    s.solve_iterations, s.solve_converged, s.solve_grad_norms)):
-                for ci, (it, cv, gn) in enumerate(zip(iters, convs, norms)):
-                    fh.write(f"{s.step} {ai} {ci} {it} {str(cv).lower()} "
-                             f"{' '.join(_fmt(g) for g in gn)}\n")
-        fh.write("[gradtimes]\n")
-        fh.write("# step count mean std\n")
-        for s in record.steps:
-            t = np.asarray(s.grad_seconds)
-            fh.write(f"{s.step} {t.size} {_fmt(t.mean() if t.size else 0.0)} "
-                     f"{_fmt(t.std() if t.size else 0.0)}\n")
-        fh.write("[surprisal]\n")
-        fh.write("# step agent opponent nll\n")
-        for s in record.steps:
-            for (agent, opp), value in sorted(s.surprisal.items()):
-                fh.write(f"{s.step} {agent} {opp} {_fmt(value)}\n")
-        fh.write("[belief]\n")
-        fh.write("# step agent player mean_x mean_y\n")
-        for s in record.steps:
-            for (agent, p), mean in sorted(s.belief_means.items()):
-                fh.write(f"{s.step} {agent} {p} {_fmt(mean[0])} {_fmt(mean[1])}\n")
-        fh.write("[belief_health]\n")
-        fh.write("# step agent ess_frac reset\n")
-        for s in record.steps:
-            for agent, frac in sorted(s.belief_ess.items()):
-                fh.write(f"{s.step} {agent} {_fmt(frac)} {str(s.belief_reset[agent]).lower()}\n")
-        fh.write("[trace]\n")
-        fh.write("# agent candidate player iteration cost\n")
-        for ai, cands in enumerate(record.first_traces):
-            for ci, traces in enumerate(cands):
-                for p, trace in enumerate(traces):
-                    for it, c in enumerate(trace):
-                        fh.write(f"{ai} {ci} {p} {it} {_fmt(c)}\n")
+        fh.write("".join(parts))
 
 
 def read_trial_record(path):
-    """Parse a record file back into a TrialRecord (gradient times are not
-    read back)."""
-    meta = {}
-    sections = {}
-    current = None
+    """Parse a record file back into a TrialRecord, on the game its
+    ``scenario`` line names; a malformed file raises ``ValueError``."""
+    meta, sections, current = {}, {}, None
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -426,71 +476,31 @@ def read_trial_record(path):
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
                 sections[current] = []
-                continue
-            if current == "meta":
+            elif current == "meta":
                 key, _, value = line.partition("=")
                 meta[key.strip()] = value.strip()
+            elif current is None:
+                raise ValueError(f"malformed trial record {path}: a row before any [section]")
             else:
                 sections[current].append(line.split())
-
-    n = int(meta["players"])
-    steps = {}
-    for row in sections.get("steps", []):
-        step, p = int(row[0]), int(row[1])
-        entry = steps.setdefault(step, {
-            "players": {}, "surprisal": {}, "belief": {},
-            "iters": {}, "conv": {}, "norms": {}, "ess": None, "reset": None})
-        entry["players"][p] = [float(v) for v in row[2:]]
-    for row in sections.get("solves", []):
-        step, ai, ci = int(row[0]), int(row[1]), int(row[2])
-        steps[step]["iters"].setdefault(ai, {})[ci] = int(row[3])
-        steps[step]["conv"].setdefault(ai, {})[ci] = row[4] == "true"
-        if len(row) > 5:  # records before gradient norms end at the flag
-            steps[step]["norms"].setdefault(ai, {})[ci] = [float(v) for v in row[5:]]
-    for row in sections.get("surprisal", []):
-        steps[int(row[0])]["surprisal"][(int(row[1]), int(row[2]))] = float(row[3])
-    for row in sections.get("belief", []):
-        steps[int(row[0])]["belief"][(int(row[1]), int(row[2]))] = np.array(
-            [float(row[3]), float(row[4])])
-    for row in sections.get("belief_health", []):   # absent from older records
-        entry = steps[int(row[0])]
-        if entry["ess"] is None:
-            entry["ess"], entry["reset"] = {}, {}
-        entry["ess"][int(row[1])] = float(row[2])
-        entry["reset"][int(row[1])] = row[3] == "true"
-
-    record = TrialRecord(seed=int(meta["seed"]), brain=meta["brain"],
-                         modes=meta["modes"].split(","),
-                         n_eq=[int(x) for x in meta["n_eq"].split(",")],
-                         aborted=meta["aborted"] == "true")
-    for step in sorted(steps):
-        entry = steps[step]
-        state = np.concatenate([np.asarray(entry["players"][p][0:4])
-                                for p in range(n)])[None, :]
-        actions = [np.asarray(entry["players"][p][4:6])[None, :] for p in range(n)]
-        iters = [[entry["iters"][ai][ci] for ci in sorted(entry["iters"][ai])]
-                 for ai in sorted(entry["iters"])]
-        convs = [[entry["conv"][ai][ci] for ci in sorted(entry["conv"][ai])]
-                 for ai in sorted(entry["conv"])]
-        norms = [[entry["norms"][ai][ci] for ci in sorted(entry["norms"][ai])]
-                 for ai in sorted(entry["norms"])] or None
-        record.steps.append(StepRecord(
-            step=step, state=state, actions=actions,
-            rewards_report=[entry["players"][p][6] for p in range(n)],
-            rewards_full=[entry["players"][p][7] for p in range(n)],
-            solve_iterations=iters, solve_converged=convs, solve_grad_norms=norms,
-            grad_seconds=[], surprisal=entry["surprisal"],
-            belief_means=entry["belief"], belief_ess=entry["ess"],
-            belief_reset=entry["reset"]))
-
-    traces = {}
-    for row in sections.get("trace", []):
-        ai, ci, p, it = (int(v) for v in row[:4])
-        traces.setdefault(ai, {}).setdefault(ci, {}).setdefault(p, {})[it] = float(row[4])
-    record.first_traces = [
-        [[[cand[p][it] for it in sorted(cand[p])] for p in sorted(cand)]
-         for ci, cand in sorted(agent.items())]
-        for ai, agent in sorted(traces.items())]
+    try:
+        players = int(meta["players"])
+        record = TrialRecord(seed=int(meta["seed"]), brain=meta["brain"],
+                             modes=meta["modes"].split(","),
+                             n_eq=[int(x) for x in meta["n_eq"].split(",")],
+                             aborted=meta["aborted"] == "true")
+        game = make_game(ScenarioConfig(scenario=meta["scenario"]))
+    except KeyError as exc:
+        raise ValueError(f"malformed trial record {path}: [meta] has no {exc} line") from exc
+    for name, _, _, read in _record_sections(record, game):
+        for row in sections.get(name, []) if read else []:
+            try:
+                read(*row)
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed trial record {path}: [{name}] row "
+                                 f"'{' '.join(row)}': {exc!r}") from exc
+    if any(len(s.actions) != players for s in record.steps):
+        raise ValueError(f"malformed trial record {path}: a step lacks a player's row")
     return record
 
 
@@ -509,16 +519,10 @@ def emit_plot_data(records, kind, path, player=None):
     if kind == "trajectory":
         record = records[0]
         n = len(record.modes)
-        with open(path, "w") as fh:
-            fh.write("# step player x y vx vy reward_units_distance\n")
-            for s in record.steps:
-                state = s.state.reshape(-1)
-                for p in range(n):
-                    x, y, vx, vy = state[4 * p: 4 * p + 4]
-                    fh.write(f"{s.step} {p} {_fmt(x)} {_fmt(y)} {_fmt(vx)} {_fmt(vy)} "
-                             f"{_fmt(s.rewards_report[p])}\n")
-        return path
-    if kind == "convergence":
+        head = "# step player x y vx vy reward_units_distance"
+        rows = [(s.step, p, *state, s.rewards_report[p])
+                for s in record.steps for p, state in enumerate(s.state.reshape(n, -1))]
+    elif kind == "convergence":
         n = len(records[0].modes)
         player = n - 1 if player is None else player
         if not 0 <= player < n:
@@ -527,13 +531,9 @@ def emit_plot_data(records, kind, path, player=None):
         if not traces:
             raise ValueError("records carry no first-step cost traces")
         length = min(len(t) for t in traces)
-        with open(path, "w") as fh:
-            fh.write("# iteration mean_cost stderr\n")
-            for it in range(length):
-                m, e = mean_stderr([t[it] for t in traces])
-                fh.write(f"{it} {_fmt(m)} {_fmt(e)}\n")
-        return path
-    if kind == "surprisal":
+        head = "# iteration mean_cost stderr"
+        rows = [(it, *mean_stderr([t[it] for t in traces])) for it in range(length)]
+    elif kind == "surprisal":
         player = 1 if player is None else player
         groups = {}
         for r in records:
@@ -545,10 +545,9 @@ def emit_plot_data(records, kind, path, player=None):
                 raise ValueError("records carry no surprisal entries for the "
                                  f"requested agent {player}")
             groups.setdefault(r.n_eq[brain], []).append(float(np.mean(values)))
-        with open(path, "w") as fh:
-            fh.write("# n_eq mean_surprisal stderr\n")
-            for key in sorted(groups):
-                m, e = mean_stderr(groups[key])
-                fh.write(f"{key} {_fmt(m)} {_fmt(e)}\n")
-        return path
-    raise ValueError(f"unknown plot-data kind '{kind}'")
+        head = "# n_eq mean_surprisal stderr"
+        rows = [(key, *mean_stderr(groups[key])) for key in sorted(groups)]
+    else:
+        raise ValueError(f"unknown plot-data kind '{kind}'")
+    _write_lines(path, [head], rows)
+    return path

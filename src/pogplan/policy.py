@@ -137,16 +137,17 @@ def adam_step(theta, grad, state):
 
     ``grad`` is one array in ``flat`` order; any other shape raises
     ``ValueError``.  A non-finite gradient skips the update entirely:
-    returns ``(theta, state, True)`` unchanged.
+    returns ``(theta, state)`` unchanged, so ``state.step`` counts only the
+    updates made.
     """
     if np.shape(grad) != theta.flat.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} != parameter shape {theta.flat.shape}")
     if not np.all(np.isfinite(grad)):
-        return theta, state, True
+        return theta, state
     t = state.step + 1
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     m = BETA1 * state.m + (1.0 - BETA1) * grad
     v = BETA2 * state.v + (1.0 - BETA2) * (grad * grad)
     step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return replace(theta, flat=theta.flat - step), replace(state, m=m, v=v, step=t), False
+    return replace(theta, flat=theta.flat - step), replace(state, m=m, v=v, step=t)

@@ -52,7 +52,6 @@ class EquilibriumResult:
     iterations: int
     converged: bool
     aborted: bool = False
-    adam_skips: int = 0   # Adam updates skipped for a non-finite gradient
     cost_trace: list = field(default_factory=list)   # per player: per-iteration batch costs
     grad_step_seconds: list = field(default_factory=list)
 
@@ -172,8 +171,8 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     opponent weight, a non-finite value recorded on the tape (see
     :mod:`pogplan.adgraph` for which ops check), or a non-finite cost.  A
     non-finite final evaluation cost also marks the solve aborted.  A finite
-    rollout whose gradient is non-finite skips that player's Adam update;
-    ``adam_skips`` counts these.
+    rollout whose gradient is non-finite skips that player's Adam update,
+    which leaves that player's ``AdamState.step`` where it was.
 
     The cyclic garbage collector is paused for the solve, since its tapes
     hold no reference cycles and are freed by reference counting; the
@@ -198,7 +197,6 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     times = []
     converged = False
     aborted = False
-    adam_skips = 0
     iterations = 0
 
     gc_was_enabled = gc.isenabled()
@@ -213,8 +211,7 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
                 except FloatingPointError:
                     aborted = True
                     break
-                thetas[i], adam_states[i], skipped = adam_step(thetas[i], grad, adam_states[i])
-                adam_skips += skipped
+                thetas[i], adam_states[i] = adam_step(thetas[i], grad, adam_states[i])
                 times.append(time.perf_counter() - t0)
                 # a skipped update's gradient is non-finite, so its norm never
                 # passes: an iteration with a skip cannot converge
@@ -237,5 +234,5 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     return EquilibriumResult(thetas=thetas, adam_states=adam_states,
                              costs=costs, grad_norms=grad_norms,
                              iterations=iterations, converged=converged,
-                             aborted=aborted, adam_skips=adam_skips, cost_trace=trace,
+                             aborted=aborted, cost_trace=trace,
                              grad_step_seconds=times)

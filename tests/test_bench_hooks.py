@@ -1,9 +1,13 @@
 """The benchmark's tracer patches program functions by name from outside the
 program.  Entering and leaving its hooks here catches a rename in ``src``
-that would break a traced benchmark run."""
+that would break a traced benchmark run, and binding the benchmark's calls
+to the program's signatures catches a signature change."""
 
+import ast
 import gc
+import glob
 import importlib
+import inspect
 import os
 import sys
 
@@ -70,3 +74,68 @@ def test_traced_belief_updates_read_what_the_round_records(tracing):
     assert len(updates) == game.n_players
     assert updates == [(cfg.k_all, step.belief_ess[p], step.belief_reset[p])
                        for p in range(game.n_players)]
+
+
+def _pogplan_calls(path):
+    """(dotted name, call) for every call in one benchmark file to a name it
+    imports from ``pogplan`` or to an attribute of one."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    bound = {}   # local name -> dotted pogplan name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pogplan":
+            bound.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        elif isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: a.name for a in node.names
+                          if a.name.split(".")[0] == "pogplan"})
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.insert(0, func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id in bound:
+            calls.append((".".join([bound[func.id], *parts]), node))
+    return calls
+
+
+def _resolve(dotted):
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(dotted)
+
+
+def test_benchmark_calls_bind_to_the_program_signatures():
+    """Every call ``perfbench/*.py`` makes to a ``pogplan`` function or
+    class binds, by its positional and keyword shape, to that callable's
+    signature, e.g. ``experiments.write_trial_record(record, game, cfg,
+    label, path)`` inside the benchmark's timed loop."""
+    checked, broken = set(), []
+    for path in sorted(glob.glob(os.path.join(BENCH, "*.py"))):
+        for dotted, call in _pogplan_calls(path):
+            where = f"{os.path.basename(path)}:{call.lineno} {dotted}"
+            try:
+                target = _resolve(dotted)
+            except (ImportError, AttributeError) as exc:
+                broken.append(f"{where}: {exc}")
+                continue
+            if not callable(target) or any(isinstance(a, ast.Starred) for a in call.args) \
+                    or any(k.arg is None for k in call.keywords):
+                continue   # a module, or a shape known only at run time
+            try:
+                inspect.signature(target).bind(*call.args, **{k.arg: k for k in call.keywords})
+            except TypeError as exc:
+                broken.append(f"{where}: {exc}")
+            checked.add(dotted)
+    assert not broken, broken
+    assert {"pogplan.experiments.write_trial_record",
+            "pogplan.experiments.modes_for_combo"} <= checked

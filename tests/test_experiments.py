@@ -45,34 +45,34 @@ def test_mean_stderr_identity():
 
 def test_run_matrix_tag_shape_and_files(tmp_path):
     cfg = _tiny_cfg(tmp_path)
-    table, records = run_matrix(cfg)
+    rows, records = run_matrix(cfg)
     assert len(records) == 4  # 2 mode groups -> 4 configurations
-    assert len(table.rows) == 8  # x 2 reporting groups
+    assert len(rows) == 8  # x 2 reporting groups
     assert os.path.exists(os.path.join(cfg.outdir, "config_echo.txt"))
     assert os.path.exists(os.path.join(cfg.outdir, "summary.txt"))
     files = os.listdir(cfg.outdir)
     assert sum(f.startswith("record_") for f in files) == 4 * 2
 
     # stderr matches the direct computation from the per-trial costs
-    label = table.rows[0].label
+    label = rows[0]["label"]
     group_players = [0]
     costs = [r.episode_cost(0) for r in records[label]]
     m, e = mean_stderr(costs)
-    assert table.rows[0].mean_cost == pytest.approx(m)
-    assert table.rows[0].stderr == pytest.approx(e)
+    assert rows[0]["mean_cost"] == pytest.approx(m)
+    assert rows[0]["stderr"] == pytest.approx(e)
 
 
 def test_run_matrix_warehouse_has_two_configurations(tmp_path):
     cfg = _tiny_cfg(tmp_path, scenario="warehouse")
-    table, records = run_matrix(cfg)
+    rows, records = run_matrix(cfg)
     assert len(records) == 2  # only P2 distinguishes active from passive
-    assert {r.label for r in table.rows} == {"p2=passive", "p2=active"}
+    assert {r["label"] for r in rows} == {"p2=passive", "p2=active"}
 
 
 def test_run_matrix_zero_trials(tmp_path, capsys):
     cfg = _tiny_cfg(tmp_path, trials=0)
-    table, records = run_matrix(cfg)
-    assert table.rows == []
+    rows, records = run_matrix(cfg)
+    assert rows == []
     assert records == {}
     assert "0 trials" in capsys.readouterr().out
 

@@ -138,14 +138,13 @@ def test_adam_zero_gradient_keeps_params_and_decays_moments():
     theta = _toy_theta()
     state = adam_init(theta, lr=0.01)
     zero = np.zeros_like(theta.flat)
-    theta1, state1, skipped = adam_step(theta, zero, state)
-    assert not skipped
+    theta1, state1 = adam_step(theta, zero, state)
     np.testing.assert_array_equal(theta.flat, theta1.flat)  # no momentum yet, nothing moves
     assert state1.step == 1
 
     # decay recursion with accumulated moments: m' = beta1 m, v' = beta2 v
-    theta2, state2, _ = adam_step(theta1, np.full_like(zero, 0.5), state1)
-    theta3, state3, _ = adam_step(theta2, zero, state2)
+    theta2, state2 = adam_step(theta1, np.full_like(zero, 0.5), state1)
+    theta3, state3 = adam_step(theta2, zero, state2)
     np.testing.assert_allclose(state3.m, BETA1 * state2.m, rtol=1e-12)
     np.testing.assert_allclose(state3.v, BETA2 * state2.v, rtol=1e-12)
 
@@ -155,7 +154,7 @@ def test_adam_first_step_magnitude_closed_form():
     lr = 0.004
     state = adam_init(theta, lr=lr)
     g = 0.37
-    theta1, state1, _ = adam_step(theta, np.full_like(theta.flat, g), state)
+    theta1, state1 = adam_step(theta, np.full_like(theta.flat, g), state)
     # bias-corrected first step: lr * g / (|g| + eps) ~= lr
     np.testing.assert_allclose(np.abs(theta.flat - theta1.flat), lr, rtol=1e-6)
     assert state1.step == 1
@@ -164,8 +163,8 @@ def test_adam_first_step_magnitude_closed_form():
 def test_adam_nonfinite_gradient_skipped():
     theta = _toy_theta()
     state = adam_init(theta)
-    theta1, state1, skipped = adam_step(theta, np.full_like(theta.flat, np.nan), state)
-    assert skipped
+    theta1, state1 = adam_step(theta, np.full_like(theta.flat, np.nan), state)
+    assert theta1 is theta and state1 is state
     assert state1.step == 0
     np.testing.assert_array_equal(theta.flat, theta1.flat)
 
@@ -187,7 +186,7 @@ def test_layer_arrays_are_views_into_flat():
     built; a copy shares nothing with its source."""
     theta = init_policy(StubGame(), 0, PASSIVE, seed=4, hidden=(5, 3))
     assert theta.shapes == ((5, 12), (3, 5), (10, 3))
-    stepped, _, _ = adam_step(theta, np.linspace(-1.0, 1.0, theta.flat.size), adam_init(theta))
+    stepped, _ = adam_step(theta, np.linspace(-1.0, 1.0, theta.flat.size), adam_init(theta))
     dup = theta.copy()
     for th in (theta, dup, stepped):
         weights, biases = ag.layer_views(th.flat, th.shapes)
