@@ -8,6 +8,10 @@ fraction ``gamma`` of particles is additionally conditioned on the agent's
 own true observation and reweighted by its likelihood, trading opponent-model
 fidelity for closed-loop accuracy.
 
+The round step of every cloud, beliefs and the one-row true world of
+``runner`` alike, is defined here once: ``observe_particles``, then
+``advance_particles``; ``update_particles`` conditions between the two.
+
 Weights are renormalized whenever a conditioning step changed them (an
 unconditioned update is an exact fixed point of the weight vector).  There is
 no resampling step by default; an optional effective-sample-size triggered
@@ -93,32 +97,73 @@ def sample_batch(cdf, k_batch, rng):
     return cdf.searchsorted(rng.random(k_batch), side="right")
 
 
-def _forward(theta, hist):
-    out = np.empty((hist.shape[0], theta.action_dim))
+def _forward(theta, hist, out):
+    """Write ``theta``'s actions for the rows of ``hist`` into ``out``."""
     for lo in range(0, hist.shape[0], ROW_BLOCK):
         out[lo:lo + ROW_BLOCK] = policy_forward(theta, hist[lo:lo + ROW_BLOCK], t_offset=0)
-    return out
+
+
+def observe_particles(pset, game, rng):
+    """Fresh joint observations of every row's current state, one array per
+    player.  None aliases the cloud (an exactly seen state is copied), so each
+    can be overwritten and outlives the states' in-place advance."""
+    state = game.unpack_state(pset.states)
+    obs = []
+    for i in range(game.n_players):
+        eps = rng.standard_normal((pset.k_all, game.noise_dim(i)))
+        z = np.asarray(game.observe(state, i, eps))
+        obs.append(z.copy() if np.may_share_memory(z, pset.states) else z)
+    return obs
+
+
+def advance_particles(pset, game, block_policies, obs):
+    """The open-loop round step of every row, in place, each block under its
+    own per-player policies; returns every row's actions, one array per
+    player.  Passive policies read the pre-push window, the windows take
+    ``obs``, active policies read the pushed window, and the states
+    transition.  Windows and states go a ``ROW_BLOCK``-row chunk at a time,
+    so the actions are the only cloud-sized allocations."""
+    actions = [np.empty((pset.k_all, t.action_dim)) for t in block_policies[0]]
+
+    def forward(active):
+        for block, thetas in zip(pset.blocks, block_policies):
+            for t, h, a in zip(thetas, pset.hists, actions):
+                if (t.mode == ACTIVE) == active:
+                    _forward(t, h[block], a[block])
+
+    forward(active=False)
+    for h, z in zip(pset.hists, obs):   # ag.shift_last in place, by chunks
+        width, lo = h.shape[1], z.shape[1]
+        for r in range(0, pset.k_all, ROW_BLOCK):
+            h[r:r + ROW_BLOCK, :width - lo] = h[r:r + ROW_BLOCK, lo:]
+            h[r:r + ROW_BLOCK, width - lo:] = z[r:r + ROW_BLOCK]
+    forward(active=True)
+    for r in range(0, pset.k_all, ROW_BLOCK):
+        rows = game.unpack_state(pset.states[r:r + ROW_BLOCK])
+        pset.states[r:r + ROW_BLOCK] = game.pack_state(
+            game.transition(rows, [a[r:r + ROW_BLOCK] for a in actions]))
+    return actions
 
 
 def update_particles(pset, game, policies, true_obs, player, gamma, rng,
                      resample_threshold=None):
     """One forward update of the cloud, in place; returns ``pset`` itself.
 
-    Per particle: draw a fresh joint observation of its current state; with
-    probability ``gamma`` overwrite ``player``'s component with the true
-    observation ``true_obs`` and multiply the weight by that observation's
-    (untrimmed Gaussian) density under the particle state; shift the windows;
-    advance the state with the policies applied to each particle's own
-    window.  With ``true_obs=None`` the update is fully open-loop (gamma
-    treated as zero) and the weight vector is left bit-for-bit unchanged.
+    Per particle: draw a fresh joint observation of its current state
+    (``observe_particles``); with probability ``gamma`` overwrite
+    ``player``'s component with the true observation ``true_obs`` and
+    multiply the weight by that observation's (untrimmed Gaussian) density
+    under the particle state; then take the round step
+    (``advance_particles``).  With ``true_obs=None`` the update is fully
+    open-loop (gamma treated as zero) and the weight vector is left
+    bit-for-bit unchanged.
 
     ``policies`` is either one per-player list (applied to every particle) or
     one such list per partition block (each candidate policy drives its own
     block).  Weights are renormalized after the sweep; a collapse below
     ``DEGENERACY_FLOOR`` resets them to uniform and flags the set.  Arguments
     are checked before the first write, so a ``ValueError`` leaves the cloud
-    as it was.  Windows shift a ``ROW_BLOCK``-row chunk at a time: nothing
-    cloud-sized is allocated beyond the fresh observations.
+    as it was.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
@@ -133,43 +178,19 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
         raise ValueError(f"true_obs has {np.size(true_obs)} entries, not {game.obs_dim(player)}")
 
     k = pset.k_all
-    state = game.unpack_state(pset.states)
+    obs = observe_particles(pset, game, rng)
     conditioned = False
-
-    # Fresh joint observations of the current states, one draw per player.
-    obs = []
-    for i in range(game.n_players):
-        eps = rng.standard_normal((k, game.noise_dim(i)))
-        obs.append(np.asarray(game.observe(state, i, eps)))
-
     if true_obs is not None and gamma > 0.0:
         mask = rng.random(k) < gamma
         if np.any(mask):
             conditioned = True
             z_bar = np.asarray(true_obs, dtype=float).reshape(1, -1)
-            if np.may_share_memory(obs[player], pset.states):   # an exactly seen state
-                obs[player] = obs[player].copy()
             obs[player][mask] = z_bar
             rows = game.unpack_state(pset.states[mask])
             logd = game.obs_logdensity(rows, player, np.broadcast_to(z_bar, (int(mask.sum()), z_bar.shape[1])))
             pset.weights[mask] = pset.weights[mask] * np.exp(logd)
 
-    # Passive policies read the pre-push window (their plans never depend on
-    # the newest observation), active ones the pushed window, matching the
-    # rollout and real-world conventions.
-    passive = [[None if t.mode == ACTIVE else _forward(t, h[block])
-                for t, h in zip(thetas, pset.hists)]
-               for block, thetas in zip(pset.blocks, block_policies)]
-    for h, z in zip(pset.hists, obs):   # shift_window in place; overlap copies stay chunk-sized
-        width, lo = h.shape[1], z.shape[1]
-        for r in range(0, k, ROW_BLOCK):
-            h[r:r + ROW_BLOCK, :width - lo] = h[r:r + ROW_BLOCK, lo:]
-            h[r:r + ROW_BLOCK, width - lo:] = z[r:r + ROW_BLOCK]
-    for block, thetas, acts in zip(pset.blocks, block_policies, passive):
-        actions = [_forward(t, h[block]) if a is None else a
-                   for t, h, a in zip(thetas, pset.hists, acts)]
-        rows = game.unpack_state(pset.states[block])
-        pset.states[block] = game.pack_state(game.transition(rows, actions))
+    advance_particles(pset, game, block_policies, obs)
 
     pset.degenerate = False
     if conditioned:

@@ -376,7 +376,8 @@ def _record_sections(record, game):
     - ``[trace]``: agent, candidate, player, iteration, first-round cost.
 
     Read from an older record, ``solve_grad_norms``, ``belief_ess`` and
-    ``belief_reset`` are None.
+    ``belief_reset`` are None, and such a record is written back without
+    norm columns or ``[belief_health]`` rows.
     """
     steps, at = record.steps, {}
 
@@ -429,7 +430,8 @@ def _record_sections(record, game):
         ("solves", "step agent candidate iterations converged grad_norm per player",
          [(s.step, ai, ci, it, cv, *gn) for s in steps
           for ai, agent in enumerate(zip(s.solve_iterations, s.solve_converged,
-                                         s.solve_grad_norms))
+                                         s.solve_grad_norms or [[()] * len(its) for its
+                                                                in s.solve_iterations]))
           for ci, (it, cv, gn) in enumerate(zip(*agent))], read_solves),
         ("gradtimes", "step count mean std",
          [(s.step, len(s.grad_seconds), np.mean(s.grad_seconds or [0.0]),
@@ -442,7 +444,7 @@ def _record_sections(record, game):
          read_belief),
         ("belief_health", "step agent ess_frac reset",
          [(s.step, agent, frac, s.belief_reset[agent]) for s in steps
-          for agent, frac in sorted(s.belief_ess.items())], read_belief_health),
+          for agent, frac in sorted((s.belief_ess or {}).items())], read_belief_health),
         ("trace", "agent candidate player iteration cost",
          [(ai, ci, p, it, cost) for ai, cands in enumerate(record.first_traces)
           for ci, traces in enumerate(cands) for p, trace in enumerate(traces)

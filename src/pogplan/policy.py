@@ -97,12 +97,6 @@ def action_block(theta, sequence, t_offset):
     return ag.slice_last(sequence, lo, lo + theta.action_dim)
 
 
-def shift_window(window, obs):
-    """Drop the oldest observation of a flattened window (last axis) and
-    append ``obs``; arrays or tape nodes."""
-    return ag.shift_last(window, obs)
-
-
 # ---------------------------------------------------------------------------
 # Adam.
 # ---------------------------------------------------------------------------

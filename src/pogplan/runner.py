@@ -12,10 +12,11 @@ Two deployments, chosen by the config's ``brain``:
   conditions a ``gamma`` fraction of its particles on its own true
   observations only.
 
-Round structure (kept identical to the rollout and the particle update):
-fresh true observations of the current state complete the observation
-windows, the policies map the completed windows to the joint action (passive
-policies read the pre-push window), and the world advances one transition.
+Round structure: the world is a one-row particle cloud, and ``act`` takes the
+round step that ``beliefs`` defines for every cloud: fresh true observations
+of the current state complete the observation windows, the policies map the
+completed windows to the joint action (passive policies read the pre-push
+window), and the world advances one transition.
 Every setting is read from one ``ExperimentConfig`` and everything is driven
 by generators spawned from one seed, so an episode is a pure function of
 (config, modes, seed).
@@ -29,15 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beliefs import (
+    advance_particles,
     dump_particles,
     effective_sample_size,
     gaussian_summary,
     init_particles,
+    observe_particles,
     surprisal,
     update_particles,
 )
 from .config import ExperimentConfig
-from .policy import ACTIVE, adam_init, init_policy, policy_forward, shift_window
+from .policy import ACTIVE, adam_init, init_policy
+from .policy import policy_forward  # unused here; perfbench/tracing.py patches runner.policy_forward
 from .solver import calc_eq
 
 SHARED = "shared"
@@ -87,14 +91,6 @@ class AgentRuntime:
     gamma: float
     solver_rng: np.random.Generator
     update_rng: np.random.Generator
-
-
-@dataclass
-class WorldSim:
-    """Ground truth: the one true joint state and its noise stream."""
-
-    state: np.ndarray            # packed (1, D)
-    rng: np.random.Generator
 
 
 @dataclass
@@ -177,27 +173,13 @@ def plan(agent, game, opts, iters):
     return results
 
 
-def act(world, game, policies, windows):
-    """One real-world round step.
-
-    Draws each player's true observation of the current state, completes the
-    windows (passive policies act on the pre-push window), applies the
-    policies, and advances the true state by exactly one transition.
-    Returns (observations, actions, pushed windows).
-    """
-    state = game.unpack_state(world.state)
-    obs, pushed = [], []
-    for i in range(game.n_players):
-        eps = world.rng.standard_normal((1, game.noise_dim(i)))
-        z = np.asarray(game.observe(state, i, eps))
-        obs.append(z)
-        pushed.append(shift_window(windows[i], z))
-    actions = []
-    for i in range(game.n_players):
-        source = pushed[i] if policies[i].mode == ACTIVE else windows[i]
-        actions.append(np.asarray(policy_forward(policies[i], source, t_offset=0)))
-    world.state = game.pack_state(game.transition(state, actions))
-    return obs, actions, pushed
+def act(world, game, policies, rng):
+    """One unconditioned round step of ``world``, the one-row cloud of the
+    true state and windows; returns (observations, actions), one (1, width)
+    array per player each."""
+    obs = observe_particles(world, game, rng)
+    actions = advance_particles(world, game, [policies], obs)
+    return obs, actions
 
 
 def run_episode(game, opts, seed):
@@ -213,9 +195,7 @@ def run_episode(game, opts, seed):
                           if cfg.resample_ess_fraction > 0 else None)
 
     world_rng = np.random.default_rng(world_ss)
-    world = WorldSim(state=game.pack_state(game.sample_initial(world_rng, 1)),
-                     rng=world_rng)
-    windows = [np.zeros((1, game.t_past * game.obs_dim(i))) for i in range(n)]
+    world = init_particles(game, 1, 1, world_rng)
     record = TrialRecord(seed=seed, brain=cfg.brain, modes=list(modes), n_eq=list(n_eq))
     dump = open(opts.particle_dump, "w") if opts.particle_dump else nullcontext()
     with dump as dump_fh:
@@ -237,10 +217,10 @@ def run_episode(game, opts, seed):
                 policies = agents[0].candidates[0].thetas
             else:
                 policies = [agents[i].candidates[0].thetas[i] for i in range(n)]
-            obs, actions, windows = act(world, game, policies, windows)
+            obs, actions = act(world, game, policies, world_rng)
 
             # each brain updates its own cloud with its own observation only
-            new_state = game.unpack_state(world.state)
+            new_state = game.unpack_state(world.states)
             surp, bmeans, ess, reset = {}, {}, {}, {}
             for agent in agents:
                 block_policies = [cand.thetas for cand in agent.candidates]
@@ -261,7 +241,7 @@ def run_episode(game, opts, seed):
 
             record.steps.append(StepRecord(
                 step=step,
-                state=world.state.copy(),
+                state=world.states.copy(),
                 actions=actions,
                 rewards_report=[np.asarray(game.reward_report(new_state, i)).item()
                                 for i in range(n)],

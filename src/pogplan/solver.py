@@ -13,11 +13,13 @@ the same iteration (the first-order Nash condition, tested on the gradients
 the steps already compute).  The solved policies are then scored once on a
 common-random-numbers evaluation batch frozen at the start of the solve.
 
-Window convention, shared with the particle update and the real world: at
-every step a fresh observation of the *current* state is pushed into each
-active player's window before acting.  Passive players read the pre-push
-window, frozen at planning time, so their action sequence cannot depend on
-any not-yet-realized observation.
+Window convention, the one ``beliefs.advance_particles`` defines for the
+particle update and the real world: at every step a fresh observation of the
+*current* state is pushed into each active player's window before acting.
+Passive players read the pre-push window, frozen at planning time, so their
+action sequence cannot depend on any not-yet-realized observation.  The
+rollout keeps its own step on tape nodes: only active players observe, and a
+passive player takes one block per step of a sequence emitted once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .policy import (
     adam_init,
     adam_step,
     policy_forward,
-    shift_window,
 )
 
 
@@ -80,7 +81,7 @@ def _run_rollout(game, state, hists, thetas, eps, cost_players):
     for t in range(game.t_future):
         for i in range(n):
             if thetas[i].mode == ACTIVE:
-                hists[i] = shift_window(hists[i], game.observe(state, i, eps[t][i]))
+                hists[i] = ag.shift_last(hists[i], game.observe(state, i, eps[t][i]))
         actions = []
         for i in range(n):
             if thetas[i].mode == ACTIVE:

@@ -76,6 +76,41 @@ def test_traced_belief_updates_read_what_the_round_records(tracing):
                        for p in range(game.n_players)]
 
 
+# Every span name ``tracing.layer_metrics`` reads from a traced episode,
+# except the collector's "gc", which a short episode may never record.
+EPISODE_SPANS = (
+    "experiments.trial", "solver.calc_eq", "solver.grad_step", "solver.eval",
+    "adgraph.backward", "policy.forward.taped", "policy.forward.raw", "policy.adam_step",
+    "scenarios.observe.taped", "scenarios.observe.raw", "scenarios.transition.taped",
+    "scenarios.reward.taped", "scenarios.obs_logdensity", "beliefs.update",
+    "beliefs.surprisal", "runner.act",
+)
+
+
+def test_a_traced_episode_records_every_span_the_layer_metrics_read(tracing):
+    """A one-round, separate-brain, conditioned tag episode records each
+    span in ``EPISODE_SPANS``, and those are all the metrics read: renaming
+    every other span changes no metric.  The world's round step runs its
+    policies under ``runner.act``, so a refactor of the step cannot leave a
+    per-layer metric with no samples."""
+    cfg = ExperimentConfig(brain="separate", episode_steps=1, max_iters=2, k_all=40,
+                           k_batch=4, hidden=(4,), t_past=2, t_future=2, gamma=0.5)
+    tracer = tracing.Tracer()
+    with tracing.stamped_rounds(), tracer.installed():
+        game = experiments.trial_game(cfg, 3)
+        record, spans = tracer.trial(runner.run_episode, game,
+                                     experiments.episode_options(cfg, ("active",) * 2), 3)
+    names = {s.name for s in spans}
+    assert not set(EPISODE_SPANS) - names, set(EPISODE_SPANS) - names
+    acts = [i for i, s in enumerate(spans) if s.name == "runner.act"]
+    assert any(s.parent in acts and s.name == "policy.forward.raw" for s in spans)
+
+    kept = [s if s.name in EPISODE_SPANS or s.name == "gc" else s._replace(name="unread")
+            for s in spans]
+    metrics = tracing.layer_metrics([(record, spans)], [], [], busy_wall=1.0)
+    assert tracing.layer_metrics([(record, kept)], [], [], busy_wall=1.0) == metrics
+
+
 def _pogplan_calls(path):
     """(dotted name, call) for every call in one benchmark file to a name it
     imports from ``pogplan`` or to an attribute of one."""

@@ -169,6 +169,22 @@ def test_older_records_parse_without_norms_or_belief_health():
     assert old.first_traces == full.first_traces
 
 
+def test_older_records_write_back_to_an_equal_record(tmp_path):
+    """A record read from an older file, with no gradient norms and no
+    belief health, is written without those columns and rows, and reads
+    back field for field equal."""
+    old = read_trial_record(os.path.join(RECORDS, "older.txt"))
+    cfg, _, seed = CASES["tag_separate"]
+    path = tmp_path / "record.txt"
+    write_trial_record(old, trial_game(cfg, seed), cfg, "tag_separate", path)
+    back = read_trial_record(path)
+
+    def fields(record):
+        return {**vars(record), "steps": [vars(s) for s in record.steps]}
+
+    np.testing.assert_equal(fields(back), fields(old))
+
+
 def test_battery_files_match_the_recorded_files(tmp_path):
     texts = _battery(tmp_path)
     for name in BATTERY_FILES:

@@ -1,5 +1,7 @@
 """Receding-horizon loop: act semantics, episode bookkeeping, determinism."""
 
+import copy
+
 import numpy as np
 import pytest
 import refchain as rc
@@ -7,12 +9,12 @@ from conftest import QuadraticGame
 
 from pogplan import adgraph as ag
 from pogplan import runner
+from pogplan.beliefs import init_particles, update_particles
 from pogplan.config import ExperimentConfig
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.runner import (
     Candidate,
     EpisodeOptions,
-    WorldSim,
     act,
     make_agent,
     plan,
@@ -34,35 +36,31 @@ class _ZeroNoise:
 
 
 def _rest_world(game, seed=0):
+    """The one-row world cloud and the generator it was drawn from."""
     rng = np.random.default_rng(seed)
-    return WorldSim(state=game.pack_state(game.sample_initial(rng, 1)), rng=rng)
-
-
-def _windows(game):
-    return [np.zeros((1, game.t_past * game.obs_dim(i))) for i in range(game.n_players)]
+    return init_particles(game, 1, 1, rng), rng
 
 
 def test_act_zero_action_from_rest_keeps_positions():
     game = make_game(ScenarioConfig(scenario="tag"))
-    world = _rest_world(game)
-    before = world.state.copy()
-    obs, actions, _ = act(world, game, _zero_policies(game), _windows(game))
+    world, rng = _rest_world(game)
+    before = world.states.copy()
+    obs, actions = act(world, game, _zero_policies(game), rng)
     for a in actions:
         np.testing.assert_array_equal(a, 0.0)
-    np.testing.assert_allclose(world.state, before, atol=1e-12)  # started at rest
+    np.testing.assert_allclose(world.states, before, atol=1e-12)  # started at rest
 
 
 def test_act_zero_noise_observations_are_deterministic():
     game = make_game(ScenarioConfig(scenario="tag"))
-    world = _rest_world(game, seed=1)
-    world.rng = _ZeroNoise()
-    state = game.unpack_state(world.state.copy())
+    world, _ = _rest_world(game, seed=1)
+    state = game.unpack_state(world.states.copy())
     expected = [np.asarray(game.observe(state, i, np.zeros((1, 2)))) for i in range(2)]
-    obs, _, pushed = act(world, game, _zero_policies(game), _windows(game))
+    obs, _ = act(world, game, _zero_policies(game), _ZeroNoise())
     for z, e in zip(obs, expected):
         np.testing.assert_array_equal(z, e)
     # the pushed window ends with exactly that observation
-    for i, w in enumerate(pushed):
+    for i, w in enumerate(world.hists):
         np.testing.assert_array_equal(w[:, -game.obs_dim(i):], obs[i])
 
 
@@ -71,14 +69,50 @@ def test_act_passive_policy_reads_prepush_window():
     thetas = _zero_policies(game, mode=PASSIVE)
     # bias the first action block via the output bias: action = scale*tanh(b)
     ag.layer_views(thetas[0].flat, thetas[0].shapes)[1][-1][0] = 0.5
-    world = _rest_world(game, seed=2)
-    windows = _windows(game)
-    windows[0][:] = 1.0  # pre-push content
-    obs, actions, _ = act(world, game, thetas, windows)
+    world, rng = _rest_world(game, seed=2)
+    world.hists[0][:] = 1.0  # pre-push content
+    obs, actions = act(world, game, thetas, rng)
     # zero first-layer weights make the action depend only on biases, so this
     # mostly checks the passive path executes with the frozen window
     expected = game.action_scale(0) * np.tanh(0.5)
     np.testing.assert_allclose(actions[0][0, 0], expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["tag", "tagchain", "hideseek", "warehouse"])
+def test_act_is_the_open_loop_update_of_a_one_row_cloud(name):
+    """The world's round step and a belief's unconditioned update are one
+    step: from the same cloud and the same generator state they leave
+    byte-equal states and windows."""
+    game = make_game(ScenarioConfig(scenario=name))
+    rng = np.random.default_rng(40)
+    world = init_particles(game, 1, 1, rng)
+    for pos, vel in game.unpack_state(world.states):
+        vel[...] = rng.normal(scale=0.3, size=vel.shape)
+    for h in world.hists:
+        h[...] = rng.normal(scale=0.5, size=h.shape)
+    thetas = [init_policy(game, i, (PASSIVE, ACTIVE)[i % 2], seed=41 + i, hidden=(8,))
+              for i in range(game.n_players)]
+    belief = copy.deepcopy(world)
+    act(world, game, thetas, np.random.default_rng(42))
+    update_particles(belief, game, thetas, None, 0, 0.0, np.random.default_rng(42))
+    for got, want in [(world.states, belief.states), *zip(world.hists, belief.hists)]:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_act_returns_the_exactly_seen_position_before_the_transition():
+    """Warehouse player 0 sees its own position exactly; the observation
+    ``act`` returns is that position before the world moved, not a view of
+    the state it advanced in place."""
+    game = make_game(ScenarioConfig(scenario="warehouse"))
+    world, rng = _rest_world(game, seed=3)
+    thetas = [init_policy(game, i, ACTIVE, seed=43 + i, hidden=(4,))
+              for i in range(game.n_players)]
+    for th in thetas:
+        ag.layer_views(th.flat, th.shapes)[1][-1][:] = 0.5   # every action nonzero
+    before = game.unpack_state(world.states.copy())[0][0]
+    obs, _ = act(world, game, thetas, rng)
+    np.testing.assert_array_equal(obs[0], before)
+    assert not np.array_equal(game.unpack_state(world.states)[0][0], before)
 
 
 def _fast_opts(**kw):
@@ -171,8 +205,6 @@ def test_plan_single_candidate_matches_calc_eq():
     agent = make_agent(game, -1, opts, ss)
     thetas_before = [t.copy() for t in agent.candidates[0].thetas]
     states_before = [s.copy() for s in agent.candidates[0].adam_states]
-
-    import copy
 
     clone = copy.deepcopy(agent.solver_rng)
     results = plan(agent, game, opts, iters=3)
