@@ -30,11 +30,11 @@ itself (``check_finite``; see ``solver.expected_cost``).
 
 Fused nodes: the rollout's hot chains are recorded as one node each, with a
 hand-written adjoint (Griewank & Walther, *Evaluating Derivatives*, 2008,
-ch. 4-5).  Each one computes, checks and differentiates exactly as the chain
-of primitives it replaces, so values, adjoints and errors are the chain's,
-bit for bit; an error names the op of the chain that would have raised it.
-Each fused node's docstring names its chain and the intermediates it checks;
-the chains themselves are built in ``tests/refchain.py``.
+ch. 4-5).  Each one computes and differentiates exactly as the chain of
+primitives it replaces, so its values and adjoints are the chain's, bit for
+bit.  It checks the intermediates the chain checks, and its error names the
+node: ``non-finite value in occluded_variance``.  Each fused node's docstring
+names its chain; the chains themselves are built in ``tests/refchain.py``.
 
 Planar kernels compute on the two coordinate columns of a (K, 2) array, not
 on its rows, wherever that gives the chain's bits: a ufunc that loops over K
@@ -82,15 +82,6 @@ def check_finite(value, source):
     total = sum(value.ravel().tolist()) if value.size <= SMALL else _add_reduce(value, None)
     if not math.isfinite(total) and not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite value in {source}")
-
-
-def _finite(value):
-    """Whether every entry of ``value`` is finite: ``check_finite`` as a test."""
-    try:
-        check_finite(value, "")
-    except FloatingPointError:
-        return False
-    return True
 
 
 class Node:
@@ -453,10 +444,10 @@ def shift_last(x, new):
 # ---------------------------------------------------------------------------
 # Fused primitives.  Each replaces a chain of primitives with one node (the
 # chains are built in tests/refchain.py).  Its forward evaluates the chain's
-# numpy expressions, it checks the intermediates the chain checks under the
-# chain's op names, and its vjp applies the chain's adjoint expressions,
-# sending contributions to its operands in the chain's order.  So values,
-# adjoints and raised errors are those of the chain, bit for bit.
+# numpy expressions and its vjp applies the chain's adjoint expressions,
+# sending contributions to its operands in the chain's order, so values and
+# adjoints are the chain's, bit for bit.  It checks the intermediates the
+# chain checks, under its own name.
 # ---------------------------------------------------------------------------
 
 def layer_views(flat, shapes):
@@ -486,12 +477,10 @@ def tanh_mlp(flat, shapes, x, out_scale):
     ``x`` of shape (K, n) yields (K, m).  The weights and biases are the
     ``layer_views`` of the one parameter vector ``flat`` for ``shapes``.
 
-    Replaces one dense tanh node per layer and a ``scale``.  When ``flat`` or
-    ``x`` is a node, each layer's pre-activation is checked under
-    ``"dense_tanh"`` and the output under ``"affine"``.  Only layer outputs
-    are stored: the adjoint needs no pre-activation, since tanh' = 1 - tanh^2.
-    The adjoint of ``flat`` is one array, each layer's weight and bias
-    adjoints in their places.
+    Replaces one dense tanh node per layer and a ``scale``.  Only layer
+    outputs are stored: the adjoint needs no pre-activation, since
+    tanh' = 1 - tanh^2.  The adjoint of ``flat`` is one array, each layer's
+    weight and bias adjoints in their places.
     """
     xv, pv = _value(x), _value(flat)
     if xv.ndim != 2:
@@ -506,7 +495,7 @@ def tanh_mlp(flat, shapes, x, out_scale):
         pre = h @ wv.T
         pre += bv
         if tape is not None:
-            check_finite(pre, "dense_tanh")
+            check_finite(pre, "tanh_mlp")
         np.tanh(pre, out=pre)
         ins.append(h)
         outs.append(pre)
@@ -514,7 +503,7 @@ def tanh_mlp(flat, shapes, x, out_scale):
     out = out_scale * h + 0.0
     if tape is None:
         return out
-    check_finite(out, "affine")
+    check_finite(out, "tanh_mlp")
 
     def vjp(g):
         g = out_scale * g
@@ -542,7 +531,7 @@ def tanh_mlp(flat, shapes, x, out_scale):
 def clamped_add(a, b, lo, hi):
     """``smooth_clamp(a + b, lo, hi)``: a sum smoothly saturated onto (lo, hi).
 
-    Replaces add and smooth_clamp; the sum is checked under ``"add"``.
+    Replaces add and smooth_clamp.
     """
     tape = _tape_of(a, b)
     av, bv = _value(a), _value(b)
@@ -551,7 +540,7 @@ def clamped_add(a, b, lo, hi):
     out = lo + (hi - lo) * s
     if tape is None:
         return out
-    check_finite(total, "add")
+    check_finite(total, "clamped_add")
 
     def vjp(g):
         g_total = g * 4.0 * s * (1.0 - s)
@@ -582,8 +571,6 @@ def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
     ``sigma2_base``.
 
     Replaces sub, cross2, dot2, atan2, smooth_abs, affine, relu and affine.
-    Checked: the displacement (``"sub"``, when a position is a node),
-    ``"cross2"``, ``"dot2"``, ``"smooth_abs"`` and both ``"affine"`` outputs.
     """
     tape = _tape_of(pos_obs, vel_obs, pos_target)
     ov, vv, tv = _value(pos_obs), _value(vel_obs), _value(pos_target)
@@ -597,11 +584,8 @@ def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
     if tape is None:
         return var
     d_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
-    if d_taped:
-        check_finite(d, "sub")
-    for value, op in ((cross, "cross2"), (dot, "dot2"), (abs_bearing, "smooth_abs"),
-                      (excess, "affine"), (var, "affine")):
-        check_finite(value, op)
+    for value in ((d,) if d_taped else ()) + (cross, dot, abs_bearing, excess, var):
+        check_finite(value, "fov_variance")
 
     def vjp(g):
         g_bearing = 1.0 * (c_scale * g * (excess > 0.0)) * bearing / abs_bearing
@@ -628,9 +612,8 @@ def trimmed_gauss(mu, var, eps, lo, hi):
     onto (lo, hi): ``smooth_clamp(mu + sqrt(var) * eps, lo, hi)``.
 
     Replaces sqrt, gauss_reparam and smooth_clamp.  ``eps`` is raw noise, as
-    in ``gauss_reparam``.  Checked: the standard deviation (``"sqrt"``, when
-    ``var`` is a node) and the untrimmed draw (``"gauss_reparam"``).  ``var``
-    may broadcast against ``mu`` (e.g. shape (K, 1) vs (K, 2)).
+    in ``gauss_reparam``.  ``var`` may broadcast against ``mu`` (e.g. shape
+    (K, 1) vs (K, 2)).
     """
     tape = _tape_of(mu, var)
     mv, vv, ev = _value(mu), _value(var), np.asarray(eps, dtype=np.float64)
@@ -641,8 +624,8 @@ def trimmed_gauss(mu, var, eps, lo, hi):
     if tape is None:
         return out
     if isinstance(var, Node):
-        check_finite(sigma, "sqrt")
-    check_finite(draw, "gauss_reparam")
+        check_finite(sigma, "trimmed_gauss")
+    check_finite(draw, "trimmed_gauss")
 
     def vjp(g):
         g_draw = g * 4.0 * s * (1.0 - s)
@@ -674,17 +657,15 @@ def soft_barrier(x, scale, shift, weight):
     """``weight * softplus(scale * |x| + shift)^2``, with |x| the regularized
     norm over a last axis of width 2 (``norm_eps``), kept as (K, 1).
 
-    Replaces norm_eps, affine, softplus, square and affine.  Checked: the
-    norm (``"norm_eps"``), the softplus argument (``"affine"``), the square
-    (``"square"``) and the output (``"affine"``).
+    Replaces norm_eps, affine, softplus, square and affine.
     """
     xv = _value(x)
     x0, x1 = _columns(xv)
     norm, arg, soft, sq, out = _barrier(x0, x1, scale, shift, weight)
     if not isinstance(x, Node):
         return out[..., None]
-    for value, op in ((norm, "norm_eps"), (arg, "affine"), (sq, "square"), (out, "affine")):
-        check_finite(value, op)
+    for value in (norm, arg, sq, out):
+        check_finite(value, "soft_barrier")
 
     def vjp(g):
         q = _barrier_slope(g[..., 0], scale, weight, norm, arg, soft)
@@ -700,10 +681,7 @@ def obstacle_penalty(r, pos, obstacles, weight):
     (cx, cy, radius); ``pos`` is (K, 2).
 
     Replaces, per obstacle, sub (pos - centre), ``soft_barrier`` (scale -1,
-    shift radius) and sub (r - penalty).  Checked per obstacle, when ``pos``
-    is a node: the offset (``"sub"``) and the barrier's ``"norm_eps"``,
-    ``"affine"``, ``"square"`` and ``"affine"``; then the reduced reward
-    (``"sub"``).
+    shift radius) and sub (r - penalty).
     """
     tape = _tape_of(r, pos)
     rv, pv = _value(r), _value(pos)
@@ -718,17 +696,8 @@ def obstacle_penalty(r, pos, obstacles, weight):
     if tape is None:
         return rewards[-1]
     pos_taped = isinstance(pos, Node)
-    if pos_taped:
-        stacked = (d0, d1, norm, arg, sq, pen)
-        if not all(_finite(v) for v in stacked + tuple(rewards[1:])):
-            for j in range(len(obstacles)):
-                for value, op in ((d0[j], "sub"), (d1[j], "sub"), (norm[j], "norm_eps"),
-                                  (arg[j], "affine"), (sq[j], "square"), (pen[j], "affine"),
-                                  (rewards[j + 1], "sub")):
-                    check_finite(value, op)
-    else:
-        for value in rewards[1:]:
-            check_finite(value, "sub")
+    for value in ((d0, d1, norm, arg, sq, pen) if pos_taped else ()) + tuple(rewards[1:]):
+        check_finite(value, "obstacle_penalty")
 
     def vjp(g):
         # the chain passes g down its subs to r and -g to each penalty, the
@@ -760,14 +729,10 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
     length plus 1e-9); per obstacle sub (centre - observer), dot2, div,
     smooth_clamp, mul, add, sub, norm_eps, affine, affine, exp and the add
     into the sum; then log, affine, affine, softplus, affine, affine and the
-    add to ``var``.  Checked, in the chain's order, when a position is a
-    node: the sight line (``"sub"``), its squared length (``"dot2"``,
-    ``"add"``), per obstacle the offset from the observer (``"sub"``, when
-    the observer is a node), ``"dot2"``, ``"div"``, ``"mul"``, ``"add"``,
-    ``"sub"``, ``"norm_eps"``, two ``"affine"``, ``"exp"`` and the running
-    sum (``"add"``), then ``"log"`` and four ``"affine"``; always the final
-    sum (``"add"``).  A soft-min sum that is not positive raises ``log``'s
-    ``ValueError``, taped or raw.
+    add to ``var``.  Unlike the chain's ``log``, a soft-min sum that
+    underflows to 0 raises no ``ValueError``: its log is -inf, which raises
+    ``FloatingPointError`` when a position is a node and is otherwise the
+    limit of a clear line, ``var`` unchanged.
     """
     tape = _tape_of(var, pos_obs, pos_target)
     vv, av, bv = _value(var), _value(pos_obs), _value(pos_target)
@@ -799,23 +764,12 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
     total = sums[-1]
     line_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
     if line_taped:
-        head = ((ba0, "sub"), (ba1, "sub"), (len_sq, "dot2"), (len2, "add"))
-        per = [(v, "sub") for v in ((ca0, ca1) if isinstance(pos_obs, Node) else ())]
-        per += [(num, "dot2"), (along, "div"), (tb0, "mul"), (tb1, "mul"), (p0, "add"),
-                (p1, "add"), (cp0, "sub"), (cp1, "sub"), (dist, "norm_eps"),
-                (clear, "affine"), (expo, "affine"), (term, "exp")]
-        if not all(_finite(v) for v, _ in head + tuple(per)) or \
-                not all(_finite(v) for v in sums[1:]):
-            for value, op in head:
-                check_finite(value, op)
-            for j in range(len(obstacles)):
-                for value, op in per:
-                    check_finite(value[j], op)
-                if j:
-                    check_finite(sums[j], "add")
-    if np.any(total <= 0.0):
-        raise ValueError("log of non-positive value")
-    log_total = np.log(total)
+        offsets = (ca0, ca1) if isinstance(pos_obs, Node) else ()
+        for value in (ba0, ba1, len_sq, len2, *offsets, num, along, tb0, tb1, p0, p1,
+                      cp0, cp1, dist, clear, expo, term, *sums[1:]):
+            check_finite(value, "occluded_variance")
+    with np.errstate(divide="ignore"):
+        log_total = np.log(total)
     clearance = (-1.0 / temp) * log_total + 0.0
     neg_clear = -temp * clearance + 0.0
     soft = np.logaddexp(0.0, neg_clear)
@@ -824,11 +778,9 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
     out = vv + extra[..., None]
     if tape is None:
         return out
-    if line_taped:
-        for value, op in ((log_total, "log"), (clearance, "affine"), (neg_clear, "affine"),
-                          (occlusion, "affine"), (extra, "affine")):
-            check_finite(value, op)
-    check_finite(out, "add")
+    for value in ((log_total, clearance, neg_clear, occlusion, extra) if line_taped else ()):
+        check_finite(value, "occluded_variance")
+    check_finite(out, "occluded_variance")
 
     def vjp(g):
         if isinstance(var, Node):

@@ -98,9 +98,10 @@ def sample_batch(cdf, k_batch, rng):
 
 
 def _forward(theta, hist, out):
-    """Write ``theta``'s actions for the rows of ``hist`` into ``out``."""
+    """Write ``theta``'s actions for the rows of ``hist`` into ``out``; a
+    passive policy's action is its sequence's first block."""
     for lo in range(0, hist.shape[0], ROW_BLOCK):
-        out[lo:lo + ROW_BLOCK] = policy_forward(theta, hist[lo:lo + ROW_BLOCK], t_offset=0)
+        out[lo:lo + ROW_BLOCK] = policy_forward(theta, hist[lo:lo + ROW_BLOCK])[:, :theta.action_dim]
 
 
 def observe_particles(pset, game, rng):

@@ -25,7 +25,7 @@ from .config import write_config
 from .policy import ACTIVE, PASSIVE, init_policy
 from .runner import SEPARATE, SHARED, EpisodeOptions, StepRecord, TrialRecord, run_episode
 from .scenarios import ScenarioConfig, group_names, make_game, mode_groups, sample_tasks
-from .solver import calc_eq, eval_cost, evaluation_batch, _run_rollout
+from .solver import calc_eq, draw_noise, eval_cost, evaluation_batch, _run_rollout
 
 THREADS_ENV = "POGPLAN_THREADS"
 
@@ -258,8 +258,7 @@ def rollout_gradcheck(scenario, programs=100, seed=0):
         state = _random_reachable_state(game, rng)
         hists = [rng.normal(scale=0.5, size=(1, game.t_past * game.obs_dim(i)))
                  for i in range(game.n_players)]
-        eps = [[rng.standard_normal((1, game.noise_dim(i)))
-                for i in range(game.n_players)] for _ in range(game.t_future)]
+        eps = draw_noise(game, 1, rng)
 
         def program(flat):
             trial = list(thetas)

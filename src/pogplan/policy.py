@@ -71,22 +71,19 @@ def init_policy(game, player, mode, seed, hidden=(64, 64)):
                         action_scale=game.action_scale(player))
 
 
-def policy_forward(theta, history, t_offset=0):
+def policy_forward(theta, history):
     """Evaluate the policy on a flattened observation window.
 
     ``history`` is (K, input_width) rows, most recent observation last,
-    zero-filled prehistory.  Active mode ignores ``t_offset``; passive mode
-    selects the ``t_offset``-th action block of the emitted sequence, or
-    returns the whole sequence when ``t_offset`` is None.  The output
-    satisfies ``|action| <= action_scale`` per coordinate via a tanh squash.
+    zero-filled prehistory.  Returns the network output: an active policy's
+    action, or a passive policy's whole action sequence (see
+    ``action_block``).  The output satisfies ``|action| <= action_scale`` per
+    coordinate via a tanh squash.
     """
-    width = history.shape[-1] if hasattr(history, "shape") else np.shape(history)[-1]
+    width = history.shape[-1]
     if width != theta.input_width:
         raise ValueError(f"history width {width} != policy input width {theta.input_width}")
-    out = ag.tanh_mlp(theta.flat, theta.shapes, history, theta.action_scale)
-    if theta.mode == PASSIVE and t_offset is not None:
-        out = action_block(theta, out, t_offset)
-    return out
+    return ag.tanh_mlp(theta.flat, theta.shapes, history, theta.action_scale)
 
 
 def action_block(theta, sequence, t_offset):

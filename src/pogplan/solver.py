@@ -73,7 +73,7 @@ def _run_rollout(game, state, hists, thetas, eps, cost_players):
     one block of the emitted sequence.
     """
     n = game.n_players
-    sequences = {i: policy_forward(thetas[i], hists[i], t_offset=None)
+    sequences = {i: policy_forward(thetas[i], hists[i])
                  for i in range(n) if thetas[i].mode != ACTIVE}
     hists = list(hists)
     acc = {i: None for i in cost_players}

@@ -591,13 +591,14 @@ def _nonempty_subsets(n):
     return [[i for i in range(n) if mask >> i & 1] for mask in range(1, 2 ** n)]
 
 
-def _assert_same_failure(fused, chain, values, lifted, op):
-    """Both raise FloatingPointError naming ``op``."""
-    for fn in (fused, chain):
+def _assert_same_failure(fused, chain, values, lifted, op, node):
+    """Both raise FloatingPointError: the chain naming its op ``op``, the
+    fused node naming itself, ``node``."""
+    for fn, source in ((fused, node), (chain, op)):
         with np.errstate(all="ignore"):
             tape = Tape()
             args = [tape.param(v) if i in lifted else v for i, v in enumerate(values)]
-            with pytest.raises(FloatingPointError, match=f"in {op}$"):
+            with pytest.raises(FloatingPointError, match=f"in {source}$"):
                 fn(*args)
 
 
@@ -768,8 +769,8 @@ def test_clamped_add_matches_chain_bitwise():
 
 
 def test_fused_nodes_raise_where_their_chains_raise():
-    """A planted non-finite intermediate raises FloatingPointError naming the
-    same op in the fused node as in its chain."""
+    """A planted non-finite intermediate raises FloatingPointError in the
+    fused node, naming the node, where its chain raises it naming an op."""
     rng = np.random.default_rng(25)
     shapes = ((3, 2), (3, 3), (2, 3))
     w = [rng.normal(size=(3, 2)), rng.normal(size=3), rng.normal(size=(3, 3)),
@@ -785,18 +786,18 @@ def test_fused_nodes_raise_where_their_chains_raise():
     def chain(p, v, out_scale=0.7):
         return rc.chain_mlp(p, shapes, v, out_scale)
 
-    _assert_same_failure(mlp, chain, [flat_huge, x], [1], "dense_tanh")
-    _assert_same_failure(mlp, chain, [flat_huge, x], [0], "dense_tanh")
+    _assert_same_failure(mlp, chain, [flat_huge, x], [1], "dense_tanh", "tanh_mlp")
+    _assert_same_failure(mlp, chain, [flat_huge, x], [0], "dense_tanh", "tanh_mlp")
     _assert_same_failure(lambda p, v: mlp(p, v, np.inf), lambda p, v: chain(p, v, np.inf),
-                         [flat, x], [1], "affine")
+                         [flat, x], [1], "affine", "tanh_mlp")
 
     pos, vel = np.array([[-1e308, 0.0]]), np.array([[0.3, 0.1]])
     far = np.array([[1e308, 0.0]])
-    _assert_same_failure(_fused_fov, rc.chain_fov, [pos, vel, far], [0], "sub")
+    _assert_same_failure(_fused_fov, rc.chain_fov, [pos, vel, far], [0], "sub", "fov_variance")
     big = [np.zeros((1, 2)), np.array([[1e200, 1e200]]), np.array([[1e200, -1e200]])]
-    _assert_same_failure(_fused_fov, rc.chain_fov, big, [1], "cross2")
+    _assert_same_failure(_fused_fov, rc.chain_fov, big, [1], "cross2", "fov_variance")
     big[1:] = np.array([[1e200, 1e-200]]), np.array([[1e200, 1e-200]])  # cross = 0
-    _assert_same_failure(_fused_fov, rc.chain_fov, big, [1], "dot2")
+    _assert_same_failure(_fused_fov, rc.chain_fov, big, [1], "dot2", "fov_variance")
 
     def fov_inf(*v):
         return _fused_fov(*v, fov=np.inf)
@@ -804,21 +805,22 @@ def test_fused_nodes_raise_where_their_chains_raise():
     def chain_fov_inf(*v):
         return rc.chain_fov(*v, fov=np.inf)
 
-    _assert_same_failure(fov_inf, chain_fov_inf, [pos * 0, vel, far * 0 + 1], [1], "affine")
+    _assert_same_failure(fov_inf, chain_fov_inf, [pos * 0, vel, far * 0 + 1], [1], "affine",
+                         "fov_variance")
 
     mu, eps = np.zeros((1, 2)), np.array([[1e200, 0.5]])
     _assert_same_failure(_fused_trimmed, rc.chain_trimmed, [mu, np.array([[-1.0]]), eps],
-                         [1], "sqrt")
+                         [1], "sqrt", "trimmed_gauss")
     _assert_same_failure(_fused_trimmed, rc.chain_trimmed, [mu, np.array([[1e300]]), eps],
-                         [0], "gauss_reparam")
+                         [0], "gauss_reparam", "trimmed_gauss")
     _assert_same_failure(_fused_trimmed, rc.chain_trimmed, [mu, np.array([[1e300]]), eps],
-                         [1], "gauss_reparam")
+                         [1], "gauss_reparam", "trimmed_gauss")
     _assert_same_failure(_fused_trimmed, rc.chain_trimmed,
                          [np.array([[1e308, 0.0]]), np.array([[1.0]]), np.array([[1e308, 0.0]])],
-                         [0], "gauss_reparam")
+                         [0], "gauss_reparam", "trimmed_gauss")
 
     _assert_same_failure(_fused_barrier, rc.chain_barrier, [np.array([[1e200, 0.0]])], [0],
-                         "norm_eps")
+                         "norm_eps", "soft_barrier")
 
     def barrier_shift(v, shift):
         return _fused_barrier(v, shift=shift)
@@ -827,21 +829,23 @@ def test_fused_nodes_raise_where_their_chains_raise():
         return rc.chain_barrier(v, shift=shift)
 
     _assert_same_failure(barrier_shift, chain_shift, [np.array([[1e154, 0.0]]), 1e154], [0],
-                         "square")
-    _assert_same_failure(barrier_shift, chain_shift, [np.ones((1, 2)), -np.inf], [0], "affine")
+                         "square", "soft_barrier")
+    _assert_same_failure(barrier_shift, chain_shift, [np.ones((1, 2)), -np.inf], [0], "affine",
+                         "soft_barrier")
     _assert_same_failure(_fused_clamped_add, rc.chain_clamped_add,
-                         [np.array([[1e308]]), np.array([[1e308]])], [0], "add")
+                         [np.array([[1e308]]), np.array([[1e308]])], [0], "add", "clamped_add")
 
 
 def test_sight_line_and_obstacle_nodes_raise_where_their_chains_raise():
-    """A planted overflow or NaN raises FloatingPointError naming the op of
-    the chain that would have raised, in the chain's order across obstacles."""
+    """A planted overflow or NaN raises FloatingPointError in the fused node,
+    naming the node, where its chain raises it naming the op that raises
+    first in the chain's order across obstacles."""
     zero, one = np.zeros((1, 2)), np.array([[1.0, 0.0]])
     var = np.array([[0.5]])
 
     def occlusion(obstacles, **kw):
         return (lambda *v: _fused_occlusion(*v, obstacles=obstacles, **kw),
-                lambda *v: rc.chain_occlusion(*v, obstacles=obstacles, **kw))
+                lambda *v: rc.chain_occlusion(*v, obstacles=obstacles, **kw), "occluded_variance")
 
     near = [0.3, 0.2, 0.5]
     cases = [
@@ -869,7 +873,8 @@ def test_sight_line_and_obstacle_nodes_raise_where_their_chains_raise():
 
     def penalty(obstacles, weight=10.0):
         return (lambda *v: _fused_obstacle_penalty(*v, obstacles=obstacles, weight=weight),
-                lambda *v: rc.chain_obstacle_penalty(*v, obstacles=obstacles, weight=weight))
+                lambda *v: rc.chain_obstacle_penalty(*v, obstacles=obstacles, weight=weight),
+                "obstacle_penalty")
 
     r = np.array([[0.5]])
     cases += [
@@ -883,23 +888,58 @@ def test_sight_line_and_obstacle_nodes_raise_where_their_chains_raise():
          "sub"),
         (penalty(OBSTACLES), [np.array([[np.nan]]), zero], [1], "sub"),
     ]
-    for (fused, chain), values, lifted, op in cases:
-        _assert_same_failure(fused, chain, values, lifted, op)
+    for (fused, chain, node), values, lifted, op in cases:
+        _assert_same_failure(fused, chain, values, lifted, op, node)
+
+
+def test_fused_nodes_name_themselves_in_their_errors():
+    """Each string an adgraph function passes ``check_finite`` as the source
+    of an error is an op name the same function passes ``_record``: an error
+    names the node that raised it.  Every fused node checks under its name."""
+    def literals(fn, callee):
+        return {call.args[1].value for call in ast.walk(fn)
+                if isinstance(call, ast.Call) and len(call.args) > 1
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == callee
+                and isinstance(call.args[1], ast.Constant)}
+
+    tree = ast.parse((SRC / "adgraph.py").read_text())
+    functions = [fn for node in tree.body
+                 for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
+                 if isinstance(fn, ast.FunctionDef)]
+    wrong, checked = {}, set()
+    for fn in functions:
+        sources = literals(fn, "check_finite")
+        if sources:
+            checked.add(fn.name)
+        unnamed = sources - literals(fn, "_record")
+        if unnamed:
+            wrong[fn.name] = sorted(unnamed)
+    assert not wrong, f"errors that name no op the function records: {wrong}"
+    assert {"tanh_mlp", "clamped_add", "fov_variance", "trimmed_gauss", "soft_barrier",
+            "obstacle_penalty", "occluded_variance"} <= checked
 
 
 def test_sight_line_soft_min_underflow_raises_like_log():
-    """Obstacles far off every sight line underflow the soft-min sum to 0:
-    ``log``'s ValueError, on the raw and on the taped path."""
+    """Obstacles far off every sight line underflow the soft-min sum to 0.
+    The chain raises ``log``'s ValueError, on the raw and on the taped path.
+    The fused node raises FloatingPointError when a position is on the tape,
+    which a solve records as an abort; otherwise it returns the variance of
+    a clear line, ``var`` itself."""
     far = np.array([[1000.0, 1000.0, 1.0], [-1000.0, 1000.0, 1.0]])
     values = [np.array([[0.5]]), np.zeros((1, 2)), np.array([[1.0, 0.0]])]
-    for fn in (_fused_occlusion, rc.chain_occlusion):
+    with pytest.raises(ValueError, match="log of non-positive value"):
+        rc.chain_occlusion(*values, obstacles=far)
+    _assert_bitwise(_fused_occlusion(*values, obstacles=far), values[0])
+    for lifted in _nonempty_subsets(3):
+        tape = Tape()
+        args = [tape.param(v) if i in lifted else v for i, v in enumerate(values)]
         with pytest.raises(ValueError, match="log of non-positive value"):
-            fn(*values, obstacles=far)
-        for lifted in _nonempty_subsets(3):
-            tape = Tape()
-            args = [tape.param(v) if i in lifted else v for i, v in enumerate(values)]
-            with pytest.raises(ValueError, match="log of non-positive value"):
-                fn(*args, obstacles=far)
+            rc.chain_occlusion(*args, obstacles=far)
+        if lifted == [0]:   # only var is on the tape
+            _assert_bitwise(_fused_occlusion(*args, obstacles=far).value, values[0])
+        else:
+            with pytest.raises(FloatingPointError, match="in occluded_variance$"):
+                _fused_occlusion(*args, obstacles=far)
 
 
 def test_fd_concat_slice_sum_axis():

@@ -12,6 +12,7 @@ from pogplan.policy import (
     BETA1,
     BETA2,
     PASSIVE,
+    action_block,
     adam_init,
     adam_step,
     init_policy,
@@ -78,8 +79,8 @@ def test_active_mode_is_pure_function():
     g = StubGame()
     theta = init_policy(g, 0, ACTIVE, seed=5)
     hist = np.random.default_rng(1).normal(size=(1, theta.input_width))
-    a1 = policy_forward(theta, hist, t_offset=0)
-    a2 = policy_forward(theta, hist, t_offset=3)  # active mode ignores the offset
+    a1 = policy_forward(theta, hist)
+    a2 = action_block(theta, policy_forward(theta, hist), 0)  # an active output is one block
     np.testing.assert_array_equal(a1, a2)
 
 
@@ -94,13 +95,14 @@ def test_passive_blocks_cover_distinct_slices():
     g = StubGame()
     theta = init_policy(g, 0, PASSIVE, seed=9)
     hist = np.random.default_rng(2).normal(size=(1, theta.input_width))
-    blocks = [policy_forward(theta, hist, t_offset=t) for t in range(g.t_future)]
+    sequence = policy_forward(theta, hist)
+    blocks = [action_block(theta, sequence, t) for t in range(g.t_future)]
     # re-run as active to get the raw sequence: same weights, no slicing
     full_net = policy_forward(replace(theta, mode=ACTIVE, action_dim=theta.shapes[-1][0]), hist)
     np.testing.assert_allclose(np.concatenate(blocks, axis=-1), full_net)
-    np.testing.assert_array_equal(policy_forward(theta, hist, t_offset=None), full_net)
+    np.testing.assert_array_equal(sequence, full_net)
     with pytest.raises(ValueError):
-        policy_forward(theta, hist, t_offset=g.t_future)
+        action_block(theta, sequence, g.t_future)
 
 
 def test_first_layer_gradient_hand_chain_rule():

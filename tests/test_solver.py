@@ -16,6 +16,7 @@ from pogplan.config import ExperimentConfig
 from pogplan.policy import (
     ACTIVE,
     PASSIVE,
+    action_block,
     init_policy,
     policy_forward,
 )
@@ -133,7 +134,7 @@ def test_passive_sequence_computed_once_equals_per_step_forward():
     _, _, raw = _recorded(game, lambda: _run_rollout(game, state, hists, thetas, eps, [0]))
     _, _, taped = _recorded(game, lambda: _run_rollout(game, state, hists, lifted, eps, [0]))
     for t in range(game.t_future):
-        want = policy_forward(thetas[0], hists[0], t_offset=t)
+        want = action_block(thetas[0], policy_forward(thetas[0], hists[0]), t)
         np.testing.assert_array_equal(raw[t][0], want)
         np.testing.assert_array_equal(taped[t][0].value, want)
 
@@ -168,11 +169,14 @@ def test_expected_cost_constant_reward():
                       rng=np.random.default_rng(8))
 
 
-@pytest.mark.parametrize("where", ["state_inf", "state_nan", "window", "opponent_weight"])
+@pytest.mark.parametrize("where", ["state_inf", "state_nan", "state_huge", "window",
+                                   "opponent_weight"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_nonfinite_inputs_abort(where):
     """Raw inputs never reach the tape's own checks, so expected_cost checks
     them, and calc_eq aborts.  A saturated opponent weight would otherwise
-    yield a finite action (tanh(inf) = 1)."""
+    yield a finite action (tanh(inf) = 1).  A huge finite position passes
+    that check and overflows on the tape, and calc_eq aborts as well."""
     game = make_game(ScenarioConfig(scenario="tag"))
     thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(8,)),
               init_policy(game, 1, ACTIVE, seed=2, hidden=(8,))]
@@ -183,12 +187,30 @@ def test_nonfinite_inputs_abort(where):
         pset.states[:, 0] = np.inf
     elif where == "state_nan":
         pset.states[:, 5] = np.nan
+    elif where == "state_huge":
+        # both players at x = 1e200: their distance is 0, and the boundary
+        # penalty's fused soft_barrier overflows
+        pset.states[:, [0, 4]] = 1e200
     elif where == "window":
         pset.hists[0][:, -1] = np.inf
     else:
         thetas[0].flat[0] = np.inf   # the first layer's first weight
     with pytest.raises(FloatingPointError):
         expected_cost(game, pset, thetas, 1, 2, np.random.default_rng(24))
+    res = calc_eq(game, pset, thetas, np.random.default_rng(25), max_iters=3, k_batch=2)
+    assert res.aborted
+    assert not res.converged
+
+
+def test_soft_min_underflow_aborts_the_solve():
+    """Far from every obstacle, the sight line's soft-min sum underflows to 0.
+    Its log is -inf on the tape, so calc_eq records an abort instead of
+    letting an error escape."""
+    game = make_game(ScenarioConfig(scenario="hideseek"))
+    thetas = [init_policy(game, i, ACTIVE, seed=i, hidden=(8,)) for i in range(2)]
+    pset = init_particles(game, 4, 1, np.random.default_rng(23))
+    pset.states[:, 0:2] = (80.0, 0.0)    # pursuer
+    pset.states[:, 4:6] = (80.0, 3.0)    # evader
     res = calc_eq(game, pset, thetas, np.random.default_rng(25), max_iters=3, k_batch=2)
     assert res.aborted
     assert not res.converged
