@@ -52,6 +52,10 @@ class ExperimentConfig(ScenarioConfig):
         super().validate()
         if self.k_batch < 1:
             raise ValueError(f"k_batch must be at least 1, got {self.k_batch}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not all(1 <= n <= self.k_all for n in self.n_eq):
+            raise ValueError(f"need k_all >= n_eq >= 1, got {self.k_all}, {self.n_eq}")
         return self
 
 

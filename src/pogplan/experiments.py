@@ -535,7 +535,11 @@ def emit_plot_data(records, kind, path, player=None):
         head = "# iteration mean_cost stderr"
         rows = [(it, *mean_stderr([t[it] for t in traces])) for it in range(length)]
     elif kind == "surprisal":
+        if any(len(r.modes) != 2 for r in records):
+            raise ValueError("the surprisal plot needs two-player records")
         player = 1 if player is None else player
+        if not 0 <= player < 2:
+            raise ValueError(f"player {player} outside range(2)")
         groups = {}
         for r in records:
             # a shared brain (agent -1, the only entry of n_eq) holds every belief

@@ -140,16 +140,19 @@ def sq_dist(a, b):
 class PlanarGame(GameDef):
     """Common skeleton for the 2-D double-integrator games.
 
-    Per-player state is (position, velocity); actions are accelerations
-    bounded by ``accel_max`` and velocities saturate at ``v_max``.
+    Built from the scenario's config and one velocity bound per player.
+    Per-player state is (position, velocity); velocities saturate at
+    ``v_max`` and actions are accelerations bounded by ``accel_max``,
+    ``config.accel_ratio`` times ``v_max``.
     """
 
-    def __init__(self, n_players, t_past, t_future, v_max, accel_max):
-        self.n_players = n_players
-        self.t_past = t_past
-        self.t_future = t_future
+    def __init__(self, config, v_max):
+        self.config = config
+        self.n_players = len(v_max)
+        self.t_past = config.t_past
+        self.t_future = config.t_future
         self.v_max = list(v_max)
-        self.accel_max = list(accel_max)
+        self.accel_max = [config.accel_ratio * v for v in v_max]
 
     def state_comps(self, player):
         return (2, 2)

@@ -1,6 +1,9 @@
-"""Concrete game definitions: Tag, TagChain, HideSeek, Warehouse.
+"""Concrete game definitions: the tag family and Warehouse.
 
-All four are continuous planar games with double-integrator dynamics and
+One class, :class:`TagGame`, plays tag as a cyclic chain of pursuers and
+evaders: the ``tag`` scenario is its two-player chain, ``tagchain`` a chain
+of ``chain_players``, and ``hideseek`` is two-player tag with obstacles.
+All are continuous planar games with double-integrator dynamics and
 reparameterized Gaussian observations.  Constants live in
 :class:`ScenarioConfig`; a scenario instance is immutable once built.
 """
@@ -8,7 +11,7 @@ reparameterized Gaussian observations.  Constants live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +45,15 @@ class ScenarioConfig:
     accel_ratio: float = 2.0      # accel bound as a multiple of v_max
     init_pos_std: float = 2.0     # spread of the Gaussian initial positions
 
-    # Tag two-spawn variant: pursuer starts at one of two points, evader between
+    # two-player tag (and hideseek) variant: the pursuer starts at one of two
+    # points, the evader between them; tagchain rejects it
     spawn_mode: bool = False
     spawn_east: tuple = (2.5, 0.0)
     spawn_west: tuple = (-2.5, 0.0)
     evader_start: tuple = (0.0, 0.0)
 
-    # TagChain
+    # tagchain: the chain's player count, even and at least 2; the first
+    # half pursue, the second half evade
     chain_players: int = 4
 
     # HideSeek: circular view-blocking obstacles (cx, cy, radius)
@@ -69,8 +74,10 @@ class ScenarioConfig:
             raise ValueError(f"t_past must be at least 1, got {self.t_past}")
         if self.t_future < 0:
             raise ValueError(f"t_future must be non-negative, got {self.t_future}")
-        if self.chain_players % 2 != 0:
-            raise ValueError("chain_players must be even")
+        if self.chain_players < 2 or self.chain_players % 2 != 0:
+            raise ValueError(f"chain_players must be even and >= 2, got {self.chain_players}")
+        if self.spawn_mode and self.scenario == "tagchain":
+            raise ValueError("spawn_mode places two players; tagchain does not take it")
         for quantity in ("wh_alpha", "wh_beta", "wh_eta1", "wh_eta2"):
             if getattr(self, quantity) <= 0:
                 raise ValueError(f"{quantity} must be positive")
@@ -94,13 +101,29 @@ def _gaussian_logdensity(obs_block, mean, var):
     return -np.log(2.0 * np.pi * var) - d2 / (2.0 * var)
 
 
-class _FovGame(PlanarGame):
-    """Shared machinery for the pursuit-style games (Tag family)."""
+class TagGame(PlanarGame):
+    """Pursuit-evasion in a circular arena, as a cyclic chain of N players.
 
-    def __init__(self, config, n_players, v_max):
-        accel = [config.accel_ratio * v for v in v_max]
-        super().__init__(n_players, config.t_past, config.t_future, v_max, accel)
-        self.config = config
+    Players 0..N/2-1 pursue and the rest evade: pursuer i chases evader i,
+    evader j flees pursuer (j+1) mod N/2.  A pursuer's reward is minus its
+    distance to its target, an evader's its distance from its threat, each
+    less its own boundary penalty.  With two players this is tag, zero-sum
+    apart from those penalties; a longer chain is general-sum.  Every player
+    sees its own state exactly and every other player's position through a
+    noisy forward-facing view cone.
+    """
+
+    def __init__(self, config, n_players=2):
+        self.half = n_players // 2
+        super().__init__(config, [config.v_max_pursuer] * self.half
+                         + [config.v_max_evader] * self.half)
+
+    def player_groups(self):
+        """The two teams, whose players report team means and toggle their
+        information-gathering mode together."""
+        s = "" if self.half == 1 else "s"
+        return [(f"pursuer{s}", list(range(self.half))),
+                (f"evader{s}", list(range(self.half, self.n_players)))]
 
     def obs_dim(self, player):
         return 4 + 2 * (self.n_players - 1)
@@ -122,8 +145,7 @@ class _FovGame(PlanarGame):
             if other == player:
                 continue
             var = self._pair_variance(state, player, other)
-            parts.append(ag.trimmed_gauss(state[other][0], var,
-                                          ag.slice_last(eps, col, col + 2), -r, r))
+            parts.append(ag.trimmed_gauss(state[other][0], var, eps[..., col:col + 2], -r, r))
             col += 2
         return ag.concat(parts)
 
@@ -139,91 +161,27 @@ class _FovGame(PlanarGame):
             col += 2
         return logd
 
-    def _boundary(self, state, player):
-        return boundary_penalty(state[player][0], self.config.play_radius,
-                                self.config.boundary_weight)
-
-
-class TagGame(_FovGame):
-    """Two-player pursuit-evasion in a circular arena.
-
-    The pursuer (player 0) minimizes the inter-player distance, the evader
-    (player 1) maximizes it; aside from individual boundary penalties the
-    game is zero-sum.  Each player sees its own state exactly and the
-    opponent's position through a noisy forward-facing view cone.
-    """
-
-    def __init__(self, config):
-        super().__init__(config, 2, [config.v_max_pursuer, config.v_max_evader])
-
-    def player_groups(self):
-        """The players' named groups, (name, players), in player order."""
-        return [("pursuer", [0]), ("evader", [1])]
-
-    def _distance(self, state):
-        return ag.norm_eps(ag.sub(state[0][0], state[1][0]))
-
-    def reward_report(self, state, player):
-        d = self._distance(state)
-        return ag.scale(d, -1.0) if player == 0 else d
-
-    def reward(self, state, player):
-        return ag.sub(self.reward_report(state, player), self._boundary(state, player))
-
-    def sample_initial(self, rng, k):
-        cfg = self.config
-        if cfg.spawn_mode:
-            picks = rng.integers(0, 2, size=k)
-            spawns = np.array([cfg.spawn_east, cfg.spawn_west])
-            pursuer = spawns[picks]
-            evader = np.tile(np.asarray(cfg.evader_start, dtype=float), (k, 1))
-        else:
-            pursuer = rng.normal(0.0, cfg.init_pos_std, size=(k, 2))
-            evader = rng.normal(0.0, cfg.init_pos_std, size=(k, 2))
-        zeros = np.zeros((k, 2))
-        return [(pursuer, zeros.copy()), (evader, zeros.copy())]
-
-
-class TagChainGame(_FovGame):
-    """N-player cyclic pursuit: P_i chases E_i while E_i flees P_{i+1}.
-
-    Players 0..N/2-1 are pursuers, N/2..N-1 evaders.  Every player observes
-    every other player through its view cone.  General-sum.
-    """
-
-    def __init__(self, config):
-        n = config.chain_players
-        if n % 2 != 0:
-            raise ValueError("TagChain needs an even player count")
-        half = n // 2
-        v_max = [config.v_max_pursuer] * half + [config.v_max_evader] * half
-        super().__init__(config, n, v_max)
-        self.half = half
-
-    def player_groups(self):
-        """Two teams: the chain reports team means and toggles each team's
-        information-gathering mode together."""
-        return [("pursuers", list(range(self.half))),
-                ("evaders", list(range(self.half, self.n_players)))]
-
     def reward_report(self, state, player):
         if player < self.half:  # pursuer i chases evader i
             target = self.half + player
             return ag.scale(ag.norm_eps(ag.sub(state[player][0], state[target][0])), -1.0)
-        j = player - self.half  # evader j flees pursuer (j+1) mod half
-        threat = (j + 1) % self.half
+        threat = (player - self.half + 1) % self.half  # evader j flees pursuer (j+1) mod N/2
         return ag.norm_eps(ag.sub(state[player][0], state[threat][0]))
 
     def reward(self, state, player):
-        return ag.sub(self.reward_report(state, player), self._boundary(state, player))
+        cfg = self.config
+        return ag.sub(self.reward_report(state, player),
+                      boundary_penalty(state[player][0], cfg.play_radius, cfg.boundary_weight))
 
     def sample_initial(self, rng, k):
         cfg = self.config
-        state = []
-        for _ in range(self.n_players):
-            pos = rng.normal(0.0, cfg.init_pos_std, size=(k, 2))
-            state.append((pos, np.zeros((k, 2))))
-        return state
+        if cfg.spawn_mode:  # two players: pursuer at one of two points, evader between
+            positions = [np.array([cfg.spawn_east, cfg.spawn_west])[rng.integers(0, 2, size=k)],
+                         np.tile(np.asarray(cfg.evader_start, dtype=float), (k, 1))]
+        else:
+            positions = [rng.normal(0.0, cfg.init_pos_std, size=(k, 2))
+                         for _ in range(self.n_players)]
+        return [(pos, np.zeros((k, 2))) for pos in positions]
 
 
 class HideSeekGame(TagGame):
@@ -263,11 +221,7 @@ class WarehouseGame(PlanarGame):
     """
 
     def __init__(self, config):
-        super().__init__(2, config.t_past, config.t_future,
-                         [config.wh_v_max_p1, config.wh_v_max_p2],
-                         [config.accel_ratio * config.wh_v_max_p1,
-                          config.accel_ratio * config.wh_v_max_p2])
-        self.config = config
+        super().__init__(config, [config.wh_v_max_p1, config.wh_v_max_p2])
         self.station = np.asarray(config.wh_station, dtype=float)
         self.tasks = [np.asarray(t, dtype=float) for t in config.wh_tasks]
 
@@ -323,10 +277,10 @@ class WarehouseGame(PlanarGame):
                 for _ in range(self.n_players)]
 
 
-# Scenario name -> game class: the names ``make_game`` and the CLI accept.
+# Scenario name -> game constructor: the names ``make_game`` and the CLI accept.
 SCENARIOS = {
     "tag": TagGame,
-    "tagchain": TagChainGame,
+    "tagchain": lambda config: TagGame(config, config.chain_players),
     "hideseek": HideSeekGame,
     "warehouse": WarehouseGame,
 }

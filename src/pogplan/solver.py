@@ -127,8 +127,10 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     tape = Tape()
     lifted = list(thetas)
     lifted[player] = replace(thetas[player], flat=tape.param(thetas[player].flat))
-    acc = _run_rollout(game, state, hists, lifted, eps, [player])
-    cost = 0.0 if game.t_future == 0 else ag.affine(ag.asum(acc[player]), -1.0 / k_batch, 0.0)
+    # an overflow is caught by the tape's finiteness checks, which raise
+    with np.errstate(over="ignore"):
+        acc = _run_rollout(game, state, hists, lifted, eps, [player])
+        cost = 0.0 if game.t_future == 0 else ag.affine(ag.asum(acc[player]), -1.0 / k_batch, 0.0)
     if not isinstance(cost, ag.Node):
         ag.check_finite(np.asarray(cost), "cost")
         return float(cost), np.zeros_like(thetas[player].flat)

@@ -23,6 +23,8 @@ from pogplan.experiments import (
 )
 from pogplan.runner import run_episode
 
+RECORDS = os.path.join(os.path.dirname(__file__), "data", "records")
+
 
 def _tiny_cfg(tmp_path, **kw):
     base = dict(scenario="tag", trials=2, episode_steps=2, max_iters=2,
@@ -80,7 +82,12 @@ def test_run_matrix_zero_trials(tmp_path, capsys):
 def test_run_matrix_validates_before_writing(tmp_path):
     for bad, message in (({"t_past": 0}, "t_past must be at least 1"),
                          ({"brain": "Separate"}, "unknown brain mode"),
-                         ({"k_batch": 0}, "k_batch must be at least 1")):
+                         ({"k_batch": 0}, "k_batch must be at least 1"),
+                         ({"gamma": 1.5, "brain": "separate"}, r"gamma must lie in \[0, 1\]"),
+                         ({"n_eq": (0,)}, "need k_all >= n_eq >= 1"),
+                         ({"k_all": 1, "n_eq": (2,)}, "need k_all >= n_eq >= 1"),
+                         ({"scenario": "tagchain", "chain_players": 0}, "chain_players"),
+                         ({"scenario": "tagchain", "chain_players": -2}, "chain_players")):
         cfg = _tiny_cfg(tmp_path, **bad)
         with pytest.raises(ValueError, match=message):
             run_matrix(cfg)
@@ -214,8 +221,13 @@ def test_emit_plot_data_schemas(tmp_path):
     # the brain's surprisal about player 0, the default agent's opponent
     want = mean_stderr([np.mean([s.surprisal[(-1, 0)] for s in r.steps]) for r in shared])
     assert [float(v) for v in rows[0][1:]] == list(want)
-    with pytest.raises(ValueError, match="no surprisal entries"):   # no opponent 2
-        emit_plot_data(shared, "surprisal", surp, player=-1)
+    for player in (2, -1):   # a two-player record has no agent 2, and no agent -1
+        with pytest.raises(ValueError, match=rf"player {player} outside range\(2\)"):
+            emit_plot_data(shared, "surprisal", surp, player=player)
+    # a chain's player 1 is a teammate of player 0: the plot takes two players only
+    chain = [read_trial_record(os.path.join(RECORDS, "tagchain_shared.txt"))]
+    with pytest.raises(ValueError, match="two-player records"):
+        emit_plot_data(chain, "surprisal", surp)
     with pytest.raises(ValueError):
         emit_plot_data([], "trajectory", surp)
 

@@ -114,7 +114,7 @@ def test_fov_observe_trimmed_to_play_area():
 
 
 def _chain_observe(game, state, player, eps):
-    """``_FovGame.observe`` as the chains its fused nodes replace: the
+    """``TagGame.observe`` as the chains its fused nodes replace: the
     view-cone variance, then the trimmed reparameterized draw."""
     cfg, r = game.config, game.config.play_radius
     parts = [state[player][0], state[player][1]]

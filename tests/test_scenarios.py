@@ -9,17 +9,20 @@ import refchain as rc
 
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
+from pogplan.beliefs import init_particles, update_particles
+from pogplan.policy import init_policy
 from pogplan.scenarios import (
     SMOOTHMIN_TEMP,
     HideSeekGame,
     ScenarioConfig,
-    TagChainGame,
     TagGame,
     WarehouseGame,
+    group_names,
     make_game,
     mode_groups,
     sample_tasks,
 )
+from pogplan.solver import expected_cost
 
 
 def _state(game, rng, k=1, spread=2.0):
@@ -32,13 +35,20 @@ def _state(game, rng, k=1, spread=2.0):
 
 def test_make_game_dispatch_and_validation():
     assert isinstance(make_game(ScenarioConfig(scenario="tag")), TagGame)
-    assert isinstance(make_game(ScenarioConfig(scenario="tagchain")), TagChainGame)
+    chain = make_game(ScenarioConfig(scenario="tagchain"))
+    assert isinstance(chain, TagGame) and chain.n_players == 4
     assert isinstance(make_game(ScenarioConfig(scenario="hideseek")), HideSeekGame)
     assert isinstance(make_game(ScenarioConfig(scenario="warehouse")), WarehouseGame)
     with pytest.raises(ValueError):
         make_game(ScenarioConfig(scenario="poker"))
     with pytest.raises(ValueError):
         make_game(ScenarioConfig(scenario="tagchain", chain_players=3))
+    for players in (0, -2):
+        with pytest.raises(ValueError, match="chain_players must be even and >= 2"):
+            make_game(ScenarioConfig(scenario="tagchain", chain_players=players))
+    # the two-spawn start places two players: tagchain rejects it
+    with pytest.raises(ValueError, match="spawn_mode"):
+        make_game(ScenarioConfig(scenario="tagchain", spawn_mode=True))
     with pytest.raises(ValueError):
         make_game(ScenarioConfig(scenario="hideseek", obstacles=((4.9, 0.0, 0.5),)))
     with pytest.raises(ValueError):
@@ -116,7 +126,7 @@ def test_tag_initial_sampling():
 
 
 # ---------------------------------------------------------------------------
-# TagChain
+# tagchain: chains of four players
 # ---------------------------------------------------------------------------
 
 def test_chain_reward_structure():
@@ -309,6 +319,34 @@ def test_mode_groups():
     assert mode_groups(make_game(ScenarioConfig(scenario="tag"))) == [[0], [1]]
     assert mode_groups(make_game(ScenarioConfig(scenario="tagchain"))) == [[0, 1], [2, 3]]
     assert mode_groups(make_game(ScenarioConfig(scenario="warehouse"))) == [[1]]
+    # a team of one is named in the singular: a two-player chain is tag
+    for scenario, players, names in (("tag", 4, ["pursuer", "evader"]),
+                                     ("tagchain", 2, ["pursuer", "evader"]),
+                                     ("tagchain", 4, ["pursuers", "evaders"])):
+        game = make_game(ScenarioConfig(scenario=scenario, chain_players=players))
+        assert group_names(game) == names
+
+
+@pytest.mark.parametrize("modes", [("passive", "active"), ("active", "active"),
+                                   ("active", "passive")])
+def test_two_player_chain_is_tag_bit_for_bit(modes):
+    """A two-player tagchain is tag: the same costs and gradients from
+    ``expected_cost``, and the same cloud after a conditioned update."""
+    games = [make_game(ScenarioConfig(scenario="tag")),
+             make_game(ScenarioConfig(scenario="tagchain", chain_players=2))]
+    outs = []
+    for game in games:
+        thetas = [init_policy(game, i, modes[i], seed=i + 1, hidden=(8,)) for i in range(2)]
+        pset = init_particles(game, 32, 1, np.random.default_rng(7))
+        rng = np.random.default_rng(11)
+        out = []
+        for player in range(2):
+            cost, grad = expected_cost(game, pset, thetas, player, 10, rng)
+            out += [np.float64(cost).tobytes(), grad.tobytes()]
+        pset = update_particles(pset, game, thetas, np.linspace(-0.5, 0.5, 6), 1, 0.5,
+                                np.random.default_rng(3))
+        outs.append(out + [pset.states.tobytes(), pset.weights.tobytes()])
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

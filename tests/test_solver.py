@@ -171,12 +171,13 @@ def test_expected_cost_constant_reward():
 
 @pytest.mark.parametrize("where", ["state_inf", "state_nan", "state_huge", "window",
                                    "opponent_weight"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_inputs_abort(where):
     """Raw inputs never reach the tape's own checks, so expected_cost checks
     them, and calc_eq aborts.  A saturated opponent weight would otherwise
     yield a finite action (tanh(inf) = 1).  A huge finite position passes
-    that check and overflows on the tape, and calc_eq aborts as well."""
+    that check and overflows on the tape, and calc_eq aborts as well,
+    without numpy's overflow warning."""
     game = make_game(ScenarioConfig(scenario="tag"))
     thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(8,)),
               init_policy(game, 1, ACTIVE, seed=2, hidden=(8,))]
