@@ -20,21 +20,23 @@ them.  So the tape holds exactly the leaves lifted with ``Tape.param`` and the
 values that depend on them; everything else in a rollout (batch rows,
 windows, noise, opponents' networks, game constants) stays raw.
 
-Finiteness: every leaf is checked, and so is the output of every op that can
-turn finite inputs into a non-finite value (arithmetic, exp, sums, norms, dot2
-and the Gaussian draw); a non-finite value raises ``FloatingPointError`` when
-it is recorded.  Ops that map finite inputs to finite outputs (slice, concat,
-shift) skip the check.  Raw operands and raw results are not
-checked: a caller that feeds raw data into a taped computation checks it once
-itself (``check_finite``; see ``solver.expected_cost``).
+Finiteness: ``Tape._record`` names and checks each node in one call: every
+array in its ``checks``, by default the node's value, must be finite, or it
+raises ``FloatingPointError`` naming the op (``non-finite value in exp``).
+Every leaf is checked, and so is the output of every op that can turn finite
+inputs into a non-finite value (arithmetic, exp, sums, norms, dot2 and the
+Gaussian draw); slice, concat and shift pass ``checks=()``.  Raw operands and
+raw results are not checked: a caller that feeds raw data into a taped
+computation checks it once itself (``check_finite``; see ``solver.expected_cost``).
 
 Fused nodes: the rollout's hot chains are recorded as one node each, with a
 hand-written adjoint (Griewank & Walther, *Evaluating Derivatives*, 2008,
 ch. 4-5).  Each one computes and differentiates exactly as the chain of
 primitives it replaces, so its values and adjoints are the chain's, bit for
-bit.  It checks the intermediates the chain checks, and its error names the
-node: ``non-finite value in occluded_variance``.  Each fused node's docstring
-names its chain; the chains themselves are built in ``tests/refchain.py``.
+bit.  It passes ``_record`` the intermediates the chain checks, which depend
+on which operands are nodes; ``tanh_mlp`` alone checks each pre-activation
+itself, before ``np.tanh`` overwrites it.  Each fused node's docstring names
+its chain; the chains themselves are built in ``tests/refchain.py``.
 
 Planar kernels compute on the two coordinate columns of a (K, 2) array, not
 on its rows, wherever that gives the chain's bits: a ufunc that loops over K
@@ -122,12 +124,17 @@ class Tape:
         self.nodes = []
         self._ref = weakref.ref(self)  # shared by every node: no cycle back to the tape
 
-    def _record(self, value, op, vjp=None, checked=True):
-        """Append a node; ``vjp(g)`` sends the adjoint ``g`` to its node operands."""
+    def _record(self, value, op, vjp=None, checks=None):
+        """Append a node named ``op`` whose ``vjp(g)`` sends the adjoint ``g`` to its
+        node operands, after checking that every array in ``checks`` (default: the
+        value) is finite; ``check_finite``'s error names ``op``."""
         if type(value) is not np.ndarray or value.dtype != np.float64:
             value = np.asarray(value, dtype=np.float64)
-        if checked:
+        if checks is None:
             check_finite(value, op)
+        else:
+            for array in checks:
+                check_finite(array, op)
         node = Node(self._ref, value, op, vjp)
         self.nodes.append(node)
         return node
@@ -273,11 +280,6 @@ def affine(x, scale, shift):
     return x.tape._record(scale * x.value + shift, "affine", vjp)
 
 
-def scale(x, c):
-    """Constant rescaling (special case of ``affine``)."""
-    return affine(x, c, 0.0)
-
-
 def exp(x):
     if not isinstance(x, Node):
         return np.exp(_value(x))
@@ -399,7 +401,7 @@ def concat(parts):
                 _accumulate(p, g[..., lo:hi])
             lo = hi
 
-    return tape._record(np.concatenate(values, axis=-1), "concat", vjp, checked=False)
+    return tape._record(np.concatenate(values, axis=-1), "concat", vjp, checks=())
 
 
 def slice_last(x, lo, hi):
@@ -412,7 +414,7 @@ def slice_last(x, lo, hi):
         full[..., lo:hi] = g
         _accumulate(x, full)
 
-    return x.tape._record(x.value[..., lo:hi], "slice", vjp, checked=False)
+    return x.tape._record(x.value[..., lo:hi], "slice", vjp, checks=())
 
 
 def shift_last(x, new):
@@ -438,7 +440,7 @@ def shift_last(x, new):
             full[..., lo:] = g[..., :width - lo]
             _accumulate(x, full)
 
-    return tape._record(out, "shift", vjp, checked=False)
+    return tape._record(out, "shift", vjp, checks=())
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +448,7 @@ def shift_last(x, new):
 # chains are built in tests/refchain.py).  Its forward evaluates the chain's
 # numpy expressions and its vjp applies the chain's adjoint expressions,
 # sending contributions to its operands in the chain's order, so values and
-# adjoints are the chain's, bit for bit.  It checks the intermediates the
-# chain checks, under its own name.
+# adjoints are the chain's, bit for bit.
 # ---------------------------------------------------------------------------
 
 def layer_views(flat, shapes):
@@ -477,7 +478,7 @@ def tanh_mlp(flat, shapes, x, out_scale):
     ``x`` of shape (K, n) yields (K, m).  The weights and biases are the
     ``layer_views`` of the one parameter vector ``flat`` for ``shapes``.
 
-    Replaces one dense tanh node per layer and a ``scale``.  Only layer
+    Replaces one dense tanh node per layer and an ``affine``.  Only layer
     outputs are stored: the adjoint needs no pre-activation, since
     tanh' = 1 - tanh^2.  The adjoint of ``flat`` is one array, each layer's
     weight and bias adjoints in their places.
@@ -503,7 +504,6 @@ def tanh_mlp(flat, shapes, x, out_scale):
     out = out_scale * h + 0.0
     if tape is None:
         return out
-    check_finite(out, "tanh_mlp")
 
     def vjp(g):
         g = out_scale * g
@@ -525,7 +525,7 @@ def tanh_mlp(flat, shapes, x, out_scale):
         if isinstance(x, Node):
             _accumulate(x, g)
 
-    return tape._record(out, "tanh_mlp", vjp, checked=False)
+    return tape._record(out, "tanh_mlp", vjp)
 
 
 def clamped_add(a, b, lo, hi):
@@ -540,7 +540,6 @@ def clamped_add(a, b, lo, hi):
     out = lo + (hi - lo) * s
     if tape is None:
         return out
-    check_finite(total, "clamped_add")
 
     def vjp(g):
         g_total = g * 4.0 * s * (1.0 - s)
@@ -549,7 +548,7 @@ def clamped_add(a, b, lo, hi):
         if isinstance(b, Node):
             _accumulate(b, _unbroadcast(g_total, bv.shape))
 
-    return tape._record(out, "clamped_add", vjp, checked=False)
+    return tape._record(out, "clamped_add", vjp, checks=(total,))
 
 
 def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
@@ -584,8 +583,6 @@ def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
     if tape is None:
         return var
     d_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
-    for value in ((d,) if d_taped else ()) + (cross, dot, abs_bearing, excess, var):
-        check_finite(value, "fov_variance")
 
     def vjp(g):
         g_bearing = 1.0 * (c_scale * g * (excess > 0.0)) * bearing / abs_bearing
@@ -604,7 +601,8 @@ def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
             if isinstance(pos_obs, Node):
                 _accumulate(pos_obs, _unbroadcast(-g_d, ov.shape))
 
-    return tape._record(var, "fov_variance", vjp, checked=False)
+    return tape._record(var, "fov_variance", vjp,
+                        checks=((d,) if d_taped else ()) + (cross, dot, abs_bearing, excess, var))
 
 
 def trimmed_gauss(mu, var, eps, lo, hi):
@@ -623,9 +621,6 @@ def trimmed_gauss(mu, var, eps, lo, hi):
     out = lo + (hi - lo) * s
     if tape is None:
         return out
-    if isinstance(var, Node):
-        check_finite(sigma, "trimmed_gauss")
-    check_finite(draw, "trimmed_gauss")
 
     def vjp(g):
         g_draw = g * 4.0 * s * (1.0 - s)
@@ -634,7 +629,8 @@ def trimmed_gauss(mu, var, eps, lo, hi):
         if isinstance(var, Node):
             _accumulate(var, 0.5 * _unbroadcast(g_draw * ev, sigma.shape) / sigma)
 
-    return tape._record(out, "trimmed_gauss", vjp, checked=False)
+    return tape._record(out, "trimmed_gauss", vjp,
+                        checks=(sigma, draw) if isinstance(var, Node) else (draw,))
 
 
 def _barrier(x0, x1, scale, shift, weight):
@@ -664,14 +660,13 @@ def soft_barrier(x, scale, shift, weight):
     norm, arg, soft, sq, out = _barrier(x0, x1, scale, shift, weight)
     if not isinstance(x, Node):
         return out[..., None]
-    for value in (norm, arg, sq, out):
-        check_finite(value, "soft_barrier")
 
     def vjp(g):
         q = _barrier_slope(g[..., 0], scale, weight, norm, arg, soft)
         _accumulate(x, q[..., None] * xv)
 
-    return x.tape._record(out[..., None], "soft_barrier", vjp, checked=False)
+    return x.tape._record(out[..., None], "soft_barrier", vjp,
+                          checks=(norm, arg, sq, out))
 
 
 def obstacle_penalty(r, pos, obstacles, weight):
@@ -696,8 +691,6 @@ def obstacle_penalty(r, pos, obstacles, weight):
     if tape is None:
         return rewards[-1]
     pos_taped = isinstance(pos, Node)
-    for value in ((d0, d1, norm, arg, sq, pen) if pos_taped else ()) + tuple(rewards[1:]):
-        check_finite(value, "obstacle_penalty")
 
     def vjp(g):
         # the chain passes g down its subs to r and -g to each penalty, the
@@ -709,7 +702,9 @@ def obstacle_penalty(r, pos, obstacles, weight):
             _accumulate_columns(pos, [[q[j] * d0[j], q[j] * d1[j]]
                                       for j in reversed(range(len(obstacles)))])
 
-    return tape._record(rewards[-1], "obstacle_penalty", vjp, checked=False)
+    return tape._record(rewards[-1], "obstacle_penalty", vjp,
+                        checks=((d0, d1, norm, arg, sq, pen) if pos_taped else ())
+                        + tuple(rewards[1:]))
 
 
 def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
@@ -762,12 +757,6 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
     for j in range(1, len(obstacles)):
         sums.append(sums[-1] + term[j])
     total = sums[-1]
-    line_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
-    if line_taped:
-        offsets = (ca0, ca1) if isinstance(pos_obs, Node) else ()
-        for value in (ba0, ba1, len_sq, len2, *offsets, num, along, tb0, tb1, p0, p1,
-                      cp0, cp1, dist, clear, expo, term, *sums[1:]):
-            check_finite(value, "occluded_variance")
     with np.errstate(divide="ignore"):
         log_total = np.log(total)
     clearance = (-1.0 / temp) * log_total + 0.0
@@ -778,9 +767,7 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
     out = vv + extra[..., None]
     if tape is None:
         return out
-    for value in ((log_total, clearance, neg_clear, occlusion, extra) if line_taped else ()):
-        check_finite(value, "occluded_variance")
-    check_finite(out, "occluded_variance")
+    line_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
 
     def vjp(g):
         if isinstance(var, Node):
@@ -810,7 +797,11 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
         if isinstance(pos_target, Node):
             _accumulate_columns(pos_target, [[g_d0, g_d1], [g_ba0, g_ba1]])
 
-    return tape._record(out, "occluded_variance", vjp, checked=False)
+    offsets = (ca0, ca1) if isinstance(pos_obs, Node) else ()
+    line = (ba0, ba1, len_sq, len2, *offsets, num, along, tb0, tb1, p0, p1, cp0, cp1, dist,
+            clear, expo, term, *sums[1:], log_total, clearance, neg_clear, occlusion,
+            extra) if line_taped else ()
+    return tape._record(out, "occluded_variance", vjp, checks=line + (out,))
 
 
 # ---------------------------------------------------------------------------

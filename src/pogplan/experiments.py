@@ -5,8 +5,9 @@ them out over processes.  All aggregation happens in seed order, so results
 are bit-for-bit reproducible regardless of the pool size.  Every output file
 is plain columnar text under ``#`` header lines, one row per line.  A trial
 record (its format is documented at ``_record_sections``) reads back every
-section but ``[gradtimes]``, which is written for people; older records
-without ``[belief_health]`` or gradient norms parse, with those fields None.
+section but ``[gradtimes]``, which is written for people: a record read and
+written back has ``step 0 0.0 0.0`` rows there.  Older records without
+``[belief_health]`` or gradient norms parse, with those fields None.
 """
 
 from __future__ import annotations
@@ -263,8 +264,8 @@ def rollout_gradcheck(scenario, programs=100, seed=0):
         def program(flat):
             trial = list(thetas)
             trial[focal] = replace(thetas[focal], flat=flat)
-            acc = _run_rollout(game, state, hists, trial, eps, [focal])
-            return ag.affine(ag.asum(acc[focal]), -1.0, 0.0)
+            return ag.affine(_run_rollout(game, state, hists, trial, eps, [focal])[focal],
+                             -1.0, 0.0)
 
         worst = max(worst, grad_check(program, thetas[focal].flat, h=1e-4))
     return worst
@@ -367,7 +368,8 @@ def _record_sections(record, game):
     - ``[solves]``: step, agent, candidate, iterations, converged, then the
       last gradient norm per player (older records end at the flag);
     - ``[gradtimes]``: step, count, mean and std of the round's gradient-step
-      seconds; written for people, not read back;
+      seconds; written for people, not read back, so a record read and
+      written back has ``step 0 0.0 0.0`` rows here;
     - ``[surprisal]``: step, agent, opponent, nats;
     - ``[belief]``: step, agent, player, mean of the player's position;
     - ``[belief_health]``: step, agent, ESS fraction, reset flag (absent

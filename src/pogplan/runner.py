@@ -88,7 +88,6 @@ class AgentRuntime:
     player: int                  # own index; -1 for the shared brain
     pset: object
     candidates: list
-    gamma: float
     solver_rng: np.random.Generator
     update_rng: np.random.Generator
 
@@ -137,9 +136,9 @@ class TrialRecord:
 
 
 def make_agent(game, player, opts, seed_seq):
-    """Build one planning brain for ``player`` (-1: the shared brain, which
-    never conditions, so its gamma is 0) from the episode options; its
-    candidates get distinct initial policies to promote distinct equilibria."""
+    """Build one planning brain for ``player`` (-1: the shared brain) from
+    the episode options; its candidates get distinct initial policies to
+    promote distinct equilibria."""
     cfg = opts.config
     modes, n_eq = opts.resolved(game)
     n_cand = n_eq[max(player, 0)]  # the shared brain is agent 0
@@ -153,7 +152,6 @@ def make_agent(game, player, opts, seed_seq):
         candidates.append(Candidate(thetas=thetas,
                                     adam_states=[adam_init(t, lr=cfg.lr) for t in thetas]))
     return AgentRuntime(player=player, pset=pset, candidates=candidates,
-                        gamma=0.0 if player < 0 else cfg.gamma,
                         solver_rng=np.random.default_rng(solver_ss),
                         update_rng=np.random.default_rng(update_ss))
 
@@ -219,7 +217,8 @@ def run_episode(game, opts, seed):
                 policies = [agents[i].candidates[0].thetas[i] for i in range(n)]
             obs, actions = act(world, game, policies, world_rng)
 
-            # each brain updates its own cloud with its own observation only
+            # each brain updates its own cloud with its own observation only; the
+            # shared brain has none, so it never conditions
             new_state = game.unpack_state(world.states)
             surp, bmeans, ess, reset = {}, {}, {}, {}
             for agent in agents:
@@ -227,7 +226,7 @@ def run_episode(game, opts, seed):
                 true_obs = None if agent.player < 0 else obs[agent.player][0]
                 agent.pset = update_particles(
                     agent.pset, game, block_policies, true_obs, agent.player,
-                    agent.gamma, agent.update_rng,
+                    cfg.gamma, agent.update_rng,
                     resample_threshold=resample_threshold)
                 ess[agent.player] = float(effective_sample_size(agent.pset)) / agent.pset.k_all
                 reset[agent.player] = agent.pset.degenerate

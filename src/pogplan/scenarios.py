@@ -164,7 +164,7 @@ class TagGame(PlanarGame):
     def reward_report(self, state, player):
         if player < self.half:  # pursuer i chases evader i
             target = self.half + player
-            return ag.scale(ag.norm_eps(ag.sub(state[player][0], state[target][0])), -1.0)
+            return ag.affine(ag.norm_eps(ag.sub(state[player][0], state[target][0])), -1.0, 0.0)
         threat = (player - self.half + 1) % self.half  # evader j flees pursuer (j+1) mod N/2
         return ag.norm_eps(ag.sub(state[player][0], state[threat][0]))
 
@@ -262,11 +262,11 @@ class WarehouseGame(PlanarGame):
         pos = state[player][0]
         r = None
         for task in self.tasks:
-            term = ag.exp(ag.scale(sq_dist(pos, task), -cfg.wh_beta))
+            term = ag.exp(ag.affine(sq_dist(pos, task), -cfg.wh_beta, 0.0))
             r = term if r is None else ag.add(r, term)
         if player == 1:
-            near = ag.exp(ag.scale(sq_dist(state[1][0], state[0][0]), -cfg.wh_beta))
-            r = ag.sub(r, ag.scale(near, cfg.wh_alpha))
+            near = ag.exp(ag.affine(sq_dist(state[1][0], state[0][0]), -cfg.wh_beta, 0.0))
+            r = ag.sub(r, ag.affine(near, cfg.wh_alpha, 0.0))
         return r
 
     def reward(self, state, player):

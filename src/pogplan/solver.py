@@ -64,13 +64,17 @@ def draw_noise(game, k, rng):
             for _ in range(game.t_future)]
 
 
+@np.errstate(over="ignore")
 def _run_rollout(game, state, hists, thetas, eps, cost_players):
-    """Shared rollout engine over Node or ndarray inputs: the reward sums of
-    ``cost_players``, keyed by player.
+    """Shared rollout engine over Node or ndarray inputs: the batch total of
+    each of ``cost_players``' reward sums, keyed by player (0.0 without
+    steps).
 
     Only active players observe; a passive policy reads only the
     planning-time window, so its network runs once here and each step takes
-    one block of the emitted sequence.
+    one block of the emitted sequence.  An overflow prints no numpy warning:
+    the tape's finiteness checks raise on it, and a raw total comes out
+    non-finite for the caller to flag.
     """
     n = game.n_players
     sequences = {i: policy_forward(thetas[i], hists[i])
@@ -92,7 +96,7 @@ def _run_rollout(game, state, hists, thetas, eps, cost_players):
         for i in cost_players:
             r = game.reward(state, i)
             acc[i] = r if acc[i] is None else ag.add(acc[i], r)
-    return acc
+    return {i: 0.0 if r is None else ag.asum(r) for i, r in acc.items()}
 
 
 def _batch_inputs(game, pset, idx):
@@ -127,10 +131,8 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     tape = Tape()
     lifted = list(thetas)
     lifted[player] = replace(thetas[player], flat=tape.param(thetas[player].flat))
-    # an overflow is caught by the tape's finiteness checks, which raise
-    with np.errstate(over="ignore"):
-        acc = _run_rollout(game, state, hists, lifted, eps, [player])
-        cost = 0.0 if game.t_future == 0 else ag.affine(ag.asum(acc[player]), -1.0 / k_batch, 0.0)
+    total = _run_rollout(game, state, hists, lifted, eps, [player])[player]
+    cost = ag.affine(total, -1.0 / k_batch, 0.0)
     if not isinstance(cost, ag.Node):
         ag.check_finite(np.asarray(cost), "cost")
         return float(cost), np.zeros_like(thetas[player].flat)
@@ -150,10 +152,10 @@ def eval_cost(game, pset, thetas, players, batch):
     batch, from one rollout: a list aligned with ``players``."""
     idx, eps = batch
     state, hists = _batch_inputs(game, pset, idx)
-    acc = _run_rollout(game, state, hists, thetas, eps, players)
+    totals = _run_rollout(game, state, hists, thetas, eps, players)
     if game.t_future == 0:
         return [0.0] * len(players)
-    return [-float(np.sum(acc[i])) / len(idx) for i in players]
+    return [-float(totals[i]) / len(idx) for i in players]
 
 
 def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,

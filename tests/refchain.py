@@ -64,7 +64,7 @@ def tanh(x):
     def vjp(g):
         _accumulate(x, g * (1.0 - y * y))
 
-    return x.tape._record(y, "tanh", vjp, checked=False)
+    return x.tape._record(y, "tanh", vjp, checks=())
 
 
 def log(x):
@@ -154,7 +154,7 @@ def atan2(y, x):
         if isinstance(x, Node):
             _accumulate(x, -g * yv / denom)
 
-    return tape._record(np.arctan2(yv, xv), "atan2", vjp, checked=False)
+    return tape._record(np.arctan2(yv, xv), "atan2", vjp, checks=())
 
 
 def relu(x):
@@ -165,7 +165,7 @@ def relu(x):
     def vjp(g):
         _accumulate(x, g * (x.value > 0.0))
 
-    return x.tape._record(np.maximum(x.value, 0.0), "relu", vjp, checked=False)
+    return x.tape._record(np.maximum(x.value, 0.0), "relu", vjp, checks=())
 
 
 def softplus(x):
@@ -176,7 +176,7 @@ def softplus(x):
     def vjp(g):
         _accumulate(x, g * _sigmoid(x.value))
 
-    return x.tape._record(np.logaddexp(0.0, x.value), "softplus", vjp, checked=False)
+    return x.tape._record(np.logaddexp(0.0, x.value), "softplus", vjp, checks=())
 
 
 def smooth_clamp(x, lo, hi):
@@ -192,7 +192,7 @@ def smooth_clamp(x, lo, hi):
     def vjp(g):
         _accumulate(x, g * 4.0 * s * (1.0 - s))
 
-    return x.tape._record(lo + (hi - lo) * s, "smooth_clamp", vjp, checked=False)
+    return x.tape._record(lo + (hi - lo) * s, "smooth_clamp", vjp, checks=())
 
 
 def sum_axis(x, axis):
@@ -214,7 +214,7 @@ def reshape(x, shape):
     def vjp(g):
         _accumulate(x, g.reshape(x.value.shape))
 
-    return x.tape._record(x.value.reshape(shape), "reshape", vjp, checked=False)
+    return x.tape._record(x.value.reshape(shape), "reshape", vjp, checks=())
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def dense_tanh(w, b, x):
         if isinstance(x, Node):
             _accumulate(x, gz @ wv)
 
-    return tape._record(y, "dense_tanh", vjp, checked=False)
+    return tape._record(y, "dense_tanh", vjp, checks=())
 
 
 def layer_nodes(flat, shapes):
@@ -262,7 +262,7 @@ def chain_mlp(flat, shapes, x, out_scale=0.7):
     h = x
     for w, b in zip(*layer_nodes(flat, shapes)):
         h = dense_tanh(w, b, h)
-    return ag.scale(h, out_scale)
+    return ag.affine(h, out_scale, 0.0)
 
 
 def chain_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_scale=5.0):
@@ -317,10 +317,10 @@ def chain_occlusion(var, pos_obs, pos_target, obstacles, temp=10.0, c_scale=5.0)
         t = smooth_clamp(div(ag.dot2(ba, ag.sub(center, a)), len2), 0.0, 1.0)
         proj = ag.add(a, mul(t, ba))
         clear = ag.affine(ag.norm_eps(ag.sub(center, proj)), 1.0, -radius)
-        term = ag.exp(ag.scale(clear, -temp))
+        term = ag.exp(ag.affine(clear, -temp, 0.0))
         acc = term if acc is None else ag.add(acc, term)
-    clearance = ag.scale(log(acc), -1.0 / temp)
-    occlusion = ag.scale(softplus(ag.scale(clearance, -temp)), 1.0 / temp)
+    clearance = ag.affine(log(acc), -1.0 / temp, 0.0)
+    occlusion = ag.affine(softplus(ag.affine(clearance, -temp, 0.0)), 1.0 / temp, 0.0)
     return ag.add(var, ag.affine(occlusion, c_scale, 0.0))
 
 

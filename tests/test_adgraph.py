@@ -117,7 +117,7 @@ def test_backward_deterministic():
     rng = np.random.default_rng(0)
     tape = Tape()
     x = tape.param(rng.normal(size=5))
-    y = ag.asum(rc.mul(rc.tanh(x), ag.exp(ag.scale(x, 0.3))))
+    y = ag.asum(rc.mul(rc.tanh(x), ag.exp(ag.affine(x, 0.3, 0.0))))
     tape.backward(y)
     first = x.grad.copy()
     tape.backward(y)
@@ -353,7 +353,7 @@ def test_overflow_raises_before_unchecked_ops():
             tape = Tape()
             x = tape.param([400.0])
             with pytest.raises(FloatingPointError):
-                saturate(ag.exp(ag.scale(x, 2.0)))
+                saturate(ag.exp(ag.affine(x, 2.0, 0.0)))
             with pytest.raises(FloatingPointError):
                 saturate(rc.mul(x, 1e307))
 
@@ -407,7 +407,7 @@ def test_fd_add_sub_mul_div():
 
 def test_fd_affine_square_exp_log_sqrt():
     _fd_check(lambda x: ag.asum(ag.affine(rc.square(x), 0.7, 0.2)), 3)
-    _fd_check(lambda x: ag.asum(ag.exp(ag.scale(x, 0.5))), 3)
+    _fd_check(lambda x: ag.asum(ag.exp(ag.affine(x, 0.5, 0.0))), 3)
     _fd_check(lambda x: ag.asum(rc.log(ag.add(rc.square(x), 1.0))), 3)
     _fd_check(lambda x: ag.asum(rc.sqrt(ag.add(rc.square(x), 0.5))), 3)
 
@@ -893,30 +893,31 @@ def test_sight_line_and_obstacle_nodes_raise_where_their_chains_raise():
 
 
 def test_fused_nodes_name_themselves_in_their_errors():
-    """Each string an adgraph function passes ``check_finite`` as the source
-    of an error is an op name the same function passes ``_record``: an error
-    names the node that raised it.  Every fused node checks under its name."""
-    def literals(fn, callee):
-        return {call.args[1].value for call in ast.walk(fn)
-                if isinstance(call, ast.Call) and len(call.args) > 1
-                and getattr(call.func, "id", getattr(call.func, "attr", None)) == callee
-                and isinstance(call.args[1], ast.Constant)}
-
+    """One call, ``Tape._record(value, op, vjp, checks=...)``, names and
+    checks a node, so its errors name it.  ``check_finite`` is called only
+    there and in ``tanh_mlp``'s pre-activation loop, under the name
+    ``tanh_mlp`` records.  Every other fused node passes ``_record`` the
+    intermediates it checks, and slice, concat and shift pass none."""
     tree = ast.parse((SRC / "adgraph.py").read_text())
-    functions = [fn for node in tree.body
+    functions = {fn.name: fn for node in tree.body
                  for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
-                 if isinstance(fn, ast.FunctionDef)]
-    wrong, checked = {}, set()
-    for fn in functions:
-        sources = literals(fn, "check_finite")
-        if sources:
-            checked.add(fn.name)
-        unnamed = sources - literals(fn, "_record")
-        if unnamed:
-            wrong[fn.name] = sorted(unnamed)
-    assert not wrong, f"errors that name no op the function records: {wrong}"
-    assert {"tanh_mlp", "clamped_add", "fov_variance", "trimmed_gauss", "soft_barrier",
-            "obstacle_penalty", "occluded_variance"} <= checked
+                 if isinstance(fn, ast.FunctionDef)}
+
+    def calls(fn, callee):
+        return [call for call in ast.walk(fn) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == callee]
+
+    assert {name for name, fn in functions.items() if calls(fn, "check_finite")} == {
+        "_record", "tanh_mlp"}
+    (pre,) = calls(functions["tanh_mlp"], "check_finite")
+    (record,) = calls(functions["tanh_mlp"], "_record")
+    assert pre.args[1].value == record.args[1].value == "tanh_mlp"
+    for name in ("clamped_add", "fov_variance", "trimmed_gauss", "soft_barrier",
+                 "obstacle_penalty", "occluded_variance", "concat", "slice_last", "shift_last"):
+        (record,) = calls(functions[name], "_record")
+        assert [kw.arg for kw in record.keywords] == ["checks"], name
+        if name in ("concat", "slice_last", "shift_last"):
+            assert ast.literal_eval(record.keywords[0].value) == (), name
 
 
 def test_sight_line_soft_min_underflow_raises_like_log():

@@ -79,6 +79,32 @@ def test_run_matrix_zero_trials(tmp_path, capsys):
     assert "0 trials" in capsys.readouterr().out
 
 
+def test_run_matrix_is_the_same_on_any_process_count(tmp_path, monkeypatch):
+    """An episode is a pure function of (config, seed): run on one process
+    or on a pool of two, a battery writes the same records and summary.
+    Only the wall times differ: ``[gradtimes]`` and ``grad_seconds``."""
+    cfg = _tiny_cfg(tmp_path, episode_steps=1)
+
+    def written(threads):
+        monkeypatch.setenv("POGPLAN_THREADS", str(threads))
+        run_matrix(cfg)
+        files = {}
+        for name in sorted(os.listdir(cfg.outdir)):
+            with open(os.path.join(cfg.outdir, name)) as fh:
+                text = fh.read()
+            if name.startswith("record_"):
+                head, _, rest = text.partition("[gradtimes]\n")
+                text = head + rest[rest.index("\n["):]
+            elif name == "summary.txt":
+                text = [line.rsplit(" ", 1)[0] for line in text.splitlines()]
+            files[name] = text
+        return files
+
+    one, two = written(1), written(2)
+    assert sum(name.startswith("record_") for name in one) == 4 * 2
+    assert one == two
+
+
 def test_run_matrix_validates_before_writing(tmp_path):
     for bad, message in (({"t_past": 0}, "t_past must be at least 1"),
                          ({"brain": "Separate"}, "unknown brain mode"),

@@ -220,7 +220,7 @@ def test_two_candidates_reach_distinct_stationary_points():
     different optima, and both are stationary."""
 
     def double_well(state):
-        return ag.scale(rc.square(ag.affine(rc.square(state[0][0]), 1.0, -1.0)), -1.0)
+        return ag.affine(rc.square(ag.affine(rc.square(state[0][0]), 1.0, -1.0)), -1.0, 0.0)
 
     game = QuadraticGame([double_well])
     ss = np.random.SeedSequence(23)

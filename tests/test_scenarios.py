@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import refchain as rc
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
 from pogplan.beliefs import init_particles, update_particles
-from pogplan.policy import init_policy
+from pogplan.experiments import modes_for_combo
+from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.scenarios import (
     SMOOTHMIN_TEMP,
     HideSeekGame,
@@ -22,7 +24,7 @@ from pogplan.scenarios import (
     mode_groups,
     sample_tasks,
 )
-from pogplan.solver import expected_cost
+from pogplan.solver import _run_rollout, draw_noise, expected_cost
 
 
 def _state(game, rng, k=1, spread=2.0):
@@ -347,6 +349,80 @@ def test_two_player_chain_is_tag_bit_for_bit(modes):
                                 np.random.default_rng(3))
         outs.append(out + [pset.states.tobytes(), pset.weights.tobytes()])
     assert outs[0] == outs[1]
+
+
+# The symmetries of the square (the signed 2x2 permutations) map the tag arena
+# onto itself, and hideseek's point-symmetric obstacle pair keeps -I.
+SIGNED_PERMUTATIONS = [np.array(p) * np.array(signs)[:, None]
+                       for p in ([[1, 0], [0, 1]], [[0, 1], [1, 0]])
+                       for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+
+
+def _map_blocks(x, s):
+    """``s`` applied to every planar 2-block along the last axis of ``x``."""
+    return (x.reshape(x.shape[:-1] + (-1, 2)) @ s.T).reshape(x.shape)
+
+
+def _map_policy(theta, flat, s):
+    """``flat``, a parameter vector (or its gradient) of ``theta``'s layout,
+    for the mapped plane: the first layer's weight columns and the last
+    layer's rows and biases move blockwise with ``s``."""
+    flat = flat.copy()
+    weights, biases = ag.layer_views(flat, theta.shapes)
+    weights[0][...] = _map_blocks(weights[0], s)
+    weights[-1][...] = _map_blocks(weights[-1].T, s).T
+    biases[-1][...] = _map_blocks(biases[-1], s)
+    return flat
+
+
+def _rollout_cost_and_grad(game, state, hists, thetas, eps, player):
+    tape = Tape()
+    lifted = list(thetas)
+    lifted[player] = replace(thetas[player], flat=tape.param(thetas[player].flat))
+    total = _run_rollout(game, state, hists, lifted, eps, [player])[player]
+    cost = ag.affine(total, -1.0 / len(hists[0]), 0.0)
+    tape.backward(cost)
+    return float(cost.value), lifted[player].flat.grad
+
+
+@pytest.mark.parametrize("name, players, maps", [
+    ("tag", 2, SIGNED_PERMUTATIONS),
+    ("tagchain", 4, SIGNED_PERMUTATIONS),
+    ("hideseek", 2, [-np.eye(2)]),
+], ids=["tag", "tagchain", "hideseek"])
+@pytest.mark.parametrize("combo", [(PASSIVE, ACTIVE), (ACTIVE, ACTIVE)], ids="-".join)
+def test_rollout_is_invariant_under_the_arena_symmetries(name, players, maps, combo):
+    """Mapping the plane by a symmetry ``s`` of the arena, on moving states,
+    leaves every player's rollout cost unchanged and maps its gradient as it
+    maps the parameters.  ``s`` acts on every position, velocity, window
+    block and noise block, and on the policies' first-layer columns and
+    last-layer rows and biases (metamorphic testing: Chen et al., ACM
+    Computing Surveys, 2018).  A change that treats the two coordinates
+    differently, or adds a fixed direction, breaks it."""
+    game = make_game(ScenarioConfig(scenario=name, chain_players=players, t_past=3,
+                                    t_future=4))
+    rng = np.random.default_rng(31)
+    k = 16
+    modes = modes_for_combo(game, combo)
+    thetas = [init_policy(game, i, modes[i], seed=i + 5, hidden=(8,))
+              for i in range(game.n_players)]
+    state = [(rng.normal(scale=1.5, size=(k, 2)), rng.uniform(-0.9, 0.9, size=(k, 2)) * v)
+             for v in game.v_max]
+    hists = [rng.normal(scale=0.5, size=(k, game.t_past * game.obs_dim(i)))
+             for i in range(game.n_players)]
+    eps = draw_noise(game, k, rng)
+    for player in range(game.n_players):
+        cost, grad = _rollout_cost_and_grad(game, state, hists, thetas, eps, player)
+        for s in maps:
+            mapped = [replace(th, flat=_map_policy(th, th.flat, s)) for th in thetas]
+            cost_s, grad_s = _rollout_cost_and_grad(
+                game, [(pos @ s.T, vel @ s.T) for pos, vel in state],
+                [_map_blocks(h, s) for h in hists], mapped,
+                [[_map_blocks(e, s) for e in step] for step in eps], player)
+            assert cost_s == pytest.approx(cost, rel=1e-13, abs=0.0), (player, s)
+            np.testing.assert_allclose(grad_s, _map_policy(thetas[player], grad, s),
+                                       rtol=0.0, atol=1e-12 * np.max(np.abs(grad)),
+                                       err_msg=f"player {player}, map {s.tolist()}")
 
 
 # ---------------------------------------------------------------------------

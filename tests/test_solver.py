@@ -203,6 +203,22 @@ def test_nonfinite_inputs_abort(where):
     assert not res.converged
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_final_evaluation_overflow_aborts_without_warning():
+    """A solve with no gradient steps still scores its policies in a raw
+    rollout.  Both tag players at x = 1e200 overflow the boundary penalty
+    there, and the solve is marked aborted without numpy's overflow
+    warning."""
+    game = make_game(ScenarioConfig(scenario="tag"))
+    thetas = [init_policy(game, i, ACTIVE, seed=i, hidden=(8,)) for i in range(2)]
+    pset = init_particles(game, 4, 1, np.random.default_rng(23))
+    pset.states[:, [0, 4]] = 1e200
+    res = calc_eq(game, pset, thetas, np.random.default_rng(25), max_iters=0, k_batch=2)
+    assert res.iterations == 0
+    assert res.aborted
+    assert not res.converged
+
+
 def test_soft_min_underflow_aborts_the_solve():
     """Far from every obstacle, the sight line's soft-min sum underflows to 0.
     Its log is -inf on the tape, so calc_eq records an abort instead of
@@ -258,8 +274,7 @@ def _rollout_program(game, seed, k=3):
         def cost(flat, focal=focal):
             trial = list(thetas)
             trial[focal] = replace(thetas[focal], flat=flat)
-            acc = _run_rollout(game, state, hists, trial, eps, [focal])
-            return ag.asum(acc[focal])
+            return _run_rollout(game, state, hists, trial, eps, [focal])[focal]
 
         yield cost, thetas[focal].flat
 
@@ -321,10 +336,10 @@ def test_cost_scaling_rescales_gradient_proportionally():
     kappa = 3.7
 
     def base(state):
-        return ag.scale(rc.square(ag.affine(state[0][0], 1.0, -2.0)), -1.0)
+        return ag.affine(rc.square(ag.affine(state[0][0], 1.0, -2.0)), -1.0, 0.0)
 
     def scaled(state):
-        return ag.scale(base(state), kappa)
+        return ag.affine(base(state), kappa, 0.0)
 
     from conftest import QuadraticGame
 
