@@ -8,7 +8,9 @@ Subcommands:
   emit         plot-ready columnar text from written trial records
 
 Exit code 0 on success; 1 on configuration errors; 2 when a check fails.
-Thread count for trial batteries comes from the POGPLAN_THREADS variable.
+The POGPLAN_THREADS variable sets the process count: run, sweep and
+the n_eq grid each fan their (setting, seed) trials out over one pool of that
+many workers, and their results come out in setting and seed order.
 """
 
 from __future__ import annotations

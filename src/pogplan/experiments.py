@@ -1,8 +1,10 @@
 """Experiment harness: trial batteries, sweeps, oracle suites, file outputs.
 
-Trials are embarrassingly parallel across seeds; set POGPLAN_THREADS to fan
-them out over processes.  All aggregation happens in seed order, so results
-are bit-for-bit reproducible regardless of the pool size.  Every output file
+Trials are embarrassingly parallel; set POGPLAN_THREADS to fan them out over
+processes.  Each battery command (``run_matrix``, a ``t_future``/``k_batch``
+``sweep``, the n_eq grid) makes one ``map_trials`` call, so it runs every
+(setting, seed) pair on one pool, and its results come out in setting and
+seed order: bit-for-bit the same whatever the pool size.  Every output file
 is plain columnar text under ``#`` header lines, one row per line.  A trial
 record (its format is documented at ``_record_sections``) reads back every
 section but ``[gradtimes]``, which is written for people: a record read and
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from itertools import product
 
@@ -35,17 +38,21 @@ def _n_threads():
     return max(1, int(os.environ.get(THREADS_ENV, "1")))
 
 
-def map_trials(fn, args):
-    """``[fn(a) for a in args]``, on a process pool of POGPLAN_THREADS workers
-    when that is above 1; ``fn`` must then be a module-level function."""
-    args = list(args)
-    n = min(_n_threads(), len(args))
-    if n <= 1:
-        return [fn(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor   # only a pool run pays its import
-
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, args))
+def map_trials(fn, settings, cfg):
+    """Yield ``[fn(setting, seed) for seed in seeds]`` per setting, in order,
+    as soon as its results are in; the seeds are ``cfg.seed + t`` for ``t <
+    cfg.trials``.  Every (setting, seed) pair runs on one process pool of
+    POGPLAN_THREADS workers when that is above 1 (``fn`` must then be a
+    module-level function), else in this process when its setting is due."""
+    seeds = [cfg.seed + t for t in range(cfg.trials)]
+    args = [s for s in settings for _ in seeds], seeds * len(settings)
+    n = min(_n_threads(), len(args[1]))
+    if n > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a pool run pays its import
+    with ProcessPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
+        results = pool.map(fn, *args) if n > 1 else map(fn, *args)
+        for _ in settings:
+            yield [next(results) for _ in seeds]
 
 
 def mean_stderr(values):
@@ -83,11 +90,16 @@ def modes_for_combo(game, combo):
     return modes
 
 
-def _one_trial(packed):
-    cfg, combo, trial_seed, dump_path = packed
+def _one_trial(setting, trial_seed):
+    """One episode of ``setting``, a (config, combo) pair; its particle
+    clouds go to ``cloud_<label>_<seed>.txt`` when the config dumps them."""
+    cfg, combo = setting
     game = trial_game(cfg, trial_seed)
-    modes = modes_for_combo(game, combo)
-    opts = episode_options(cfg, modes, dump_path)
+    dump = None
+    if cfg.dump_particles:
+        label = combo_label(group_names(game), combo)
+        dump = os.path.join(cfg.outdir, f"cloud_{label}_{trial_seed}.txt")
+    opts = episode_options(cfg, modes_for_combo(game, combo), dump)
     return run_episode(game, opts, trial_seed)
 
 
@@ -117,18 +129,10 @@ def run_matrix(cfg):
     all_records = {}
     if cfg.trials <= 0:
         print("warning: 0 trials requested; summary is empty")
-        write_summary(cfg.scenario, rows, os.path.join(cfg.outdir, "summary.txt"))
-        return rows, all_records
-    for combo in combos:
+        combos = []
+    battery = map_trials(_one_trial, [(cfg, combo) for combo in combos], cfg)
+    for records, combo in zip(battery, combos):
         label = combo_label(names, combo)
-        seeds = [cfg.seed + t for t in range(cfg.trials)]
-        args = []
-        for s in seeds:
-            dump = None
-            if cfg.dump_particles:
-                dump = os.path.join(cfg.outdir, f"cloud_{label}_{s}.txt")
-            args.append((cfg, combo, s, dump))
-        records = map_trials(_one_trial, args)
         all_records[label] = records
         for gname, players in probe.player_groups():
             costs = [np.mean([r.episode_cost(p) for p in players]) for r in records]
@@ -176,11 +180,6 @@ def first_step_stats(cfg, trial_seed):
     return {"cost": cost, "seconds": seconds}
 
 
-def _sweep_point(packed):
-    cfg, seed = packed
-    return first_step_stats(cfg, seed)
-
-
 def sweep(cfg, param, values):
     """Scaling study over t_future, k_batch, or n_eq.
 
@@ -193,10 +192,8 @@ def sweep(cfg, param, values):
         raise ValueError(f"no values to sweep {param} over")
     if param in ("t_future", "k_batch"):
         rows = []
-        for value in values:
-            sub = replace(cfg, **{param: int(value)})
-            results = map_trials(_sweep_point,
-                                 [(sub, cfg.seed + t) for t in range(cfg.trials)])
+        subs = [replace(cfg, **{param: int(value)}) for value in values]
+        for results, value in zip(map_trials(first_step_stats, subs, cfg), values):
             cost_m, cost_e = mean_stderr([r["cost"] for r in results])
             sec_m, sec_e = mean_stderr([r["seconds"] for r in results])
             rows.append({param: int(value), "mean_cost": cost_m, "stderr_cost": cost_e,
@@ -214,10 +211,10 @@ def neq_grid(cfg, values):
     if game.n_players != 2:
         raise ValueError("the n_eq grid needs a two-player scenario")
     rows = []
-    for pair in product([int(v) for v in values], repeat=2):
-        sub = replace(cfg, brain=SEPARATE, n_eq=pair)
-        records = map_trials(_one_trial, [(sub, (ACTIVE, ACTIVE), cfg.seed + t, None)
-                                          for t in range(cfg.trials)])
+    pairs = list(product([int(v) for v in values], repeat=2))
+    grid = map_trials(_one_trial, [(replace(cfg, brain=SEPARATE, n_eq=pair, dump_particles=False),
+                                    (ACTIVE, ACTIVE)) for pair in pairs], cfg)
+    for records, pair in zip(grid, pairs):
         dists, surp0, surp1 = [], [], []
         for r in records:
             states = [game.unpack_state(s.state) for s in r.steps]

@@ -40,7 +40,7 @@ from .beliefs import (
     update_particles,
 )
 from .config import ExperimentConfig
-from .policy import ACTIVE, adam_init, init_policy
+from .policy import ACTIVE, PASSIVE, adam_init, init_policy
 from .policy import policy_forward  # unused here; perfbench/tracing.py patches runner.policy_forward
 from .solver import calc_eq
 
@@ -59,11 +59,15 @@ class EpisodeOptions:
 
     def resolved(self, game):
         """(per-player modes, per-agent candidate counts); a single ``n_eq``
-        entry applies to every agent."""
+        entry applies to every agent.  A passive player needs ``t_future``
+        of at least 1, since its policy emits one action per planned step."""
         brain = self.config.brain
         if brain not in (SHARED, SEPARATE):
             raise ValueError(f"unknown brain mode '{brain}'")
         modes = self.modes or [ACTIVE] * game.n_players
+        if PASSIVE in modes and self.config.t_future < 1:
+            raise ValueError(f"t_future must be at least 1 with a passive player, "
+                             f"got {self.config.t_future}")
         n_agents = 1 if brain == SHARED else game.n_players
         n_eq = [int(x) for x in self.config.n_eq]
         if len(n_eq) == 1:

@@ -78,9 +78,11 @@ class ScenarioConfig:
             raise ValueError(f"chain_players must be even and >= 2, got {self.chain_players}")
         if self.spawn_mode and self.scenario == "tagchain":
             raise ValueError("spawn_mode places two players; tagchain does not take it")
-        for quantity in ("wh_alpha", "wh_beta", "wh_eta1", "wh_eta2"):
+        for quantity in ("sigma2_base", "wh_alpha", "wh_beta", "wh_eta1", "wh_eta2"):
             if getattr(self, quantity) <= 0:
                 raise ValueError(f"{quantity} must be positive")
+        if self.init_pos_std < 0:
+            raise ValueError(f"init_pos_std must be non-negative, got {self.init_pos_std}")
         for cx, cy, r in self.obstacles:
             if math.hypot(cx, cy) + r > self.play_radius:
                 raise ValueError(f"obstacle ({cx}, {cy}, r={r}) leaves the play area")

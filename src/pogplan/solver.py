@@ -118,8 +118,7 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     here.  A cost that does not depend on the parameters has zero gradients.  ``cdf``, the
     ``sampling_cdf`` of ``pset.weights``, saves rebuilding it per call.
     """
-    idx = sample_batch(sampling_cdf(pset.weights) if cdf is None else cdf, k_batch, rng)
-    eps = draw_noise(game, k_batch, rng)
+    idx, eps = evaluation_batch(game, pset, k_batch, rng, cdf)
     state, hists = _batch_inputs(game, pset, idx)
     opponents = [th.flat for i, th in enumerate(thetas) if i != player]
     for source, values in (("particle states", [c for block in state for c in block]),
@@ -140,11 +139,13 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     return float(cost.value), lifted[player].flat.grad
 
 
-def evaluation_batch(game, pset, k_batch, rng):
-    """Freeze a common-random-numbers batch for scoring a solve's final costs."""
-    idx = sample_batch(sampling_cdf(pset.weights), k_batch, rng)
-    eps = draw_noise(game, k_batch, rng)
-    return idx, eps
+def evaluation_batch(game, pset, k_batch, rng, cdf=None):
+    """One rollout batch, ``(indices, noise)``: particle rows drawn by weight,
+    then observation noise.  ``calc_eq`` freezes one as the common random
+    numbers that score a solve's final costs; ``cdf``, the ``sampling_cdf``
+    of ``pset.weights``, saves rebuilding it per call."""
+    idx = sample_batch(sampling_cdf(pset.weights) if cdf is None else cdf, k_batch, rng)
+    return idx, draw_noise(game, k_batch, rng)
 
 
 def eval_cost(game, pset, thetas, players, batch):

@@ -1,14 +1,18 @@
 """Harness: trial batteries, record/summary files, sweeps, CLI plumbing."""
 
+import concurrent.futures
 import os
+from itertools import product
 
 import numpy as np
 import pytest
 
+from pogplan import experiments
 from pogplan.cli import main
 from pogplan.config import ExperimentConfig, parse_config_text
 from pogplan.experiments import (
     belief_bayes_check,
+    combo_label,
     emit_plot_data,
     episode_options,
     first_step_stats,
@@ -22,6 +26,7 @@ from pogplan.experiments import (
     write_trial_record,
 )
 from pogplan.runner import run_episode
+from pogplan.scenarios import group_names
 
 RECORDS = os.path.join(os.path.dirname(__file__), "data", "records")
 
@@ -113,11 +118,77 @@ def test_run_matrix_validates_before_writing(tmp_path):
                          ({"n_eq": (0,)}, "need k_all >= n_eq >= 1"),
                          ({"k_all": 1, "n_eq": (2,)}, "need k_all >= n_eq >= 1"),
                          ({"scenario": "tagchain", "chain_players": 0}, "chain_players"),
-                         ({"scenario": "tagchain", "chain_players": -2}, "chain_players")):
+                         ({"scenario": "tagchain", "chain_players": -2}, "chain_players"),
+                         ({"t_future": 0}, "t_future must be at least 1 with a passive player"),
+                         ({"scenario": "warehouse", "t_future": 0}, "t_future"),
+                         ({"hidden": (-3,)}, "hidden widths must be at least 1"),
+                         ({"hidden": (4, 0)}, "hidden widths must be at least 1"),
+                         ({"seed": -1}, "seed must be non-negative"),
+                         ({"init_pos_std": -1.0}, "init_pos_std must be non-negative"),
+                         ({"max_iters": -2}, "max_iters must be non-negative"),
+                         ({"first_step_iters": -1}, "first_step_iters must be non-negative"),
+                         ({"episode_steps": -1}, "episode_steps must be non-negative"),
+                         ({"lr": -0.001}, "lr must be positive"),
+                         ({"lr": 0.0}, "lr must be positive"),
+                         ({"sigma2_base": -0.01}, "sigma2_base must be positive"),
+                         ({"sigma2_base": 0.0}, "sigma2_base must be positive")):
         cfg = _tiny_cfg(tmp_path, **bad)
         with pytest.raises(ValueError, match=message):
             run_matrix(cfg)
         assert not os.path.exists(cfg.outdir)
+    # a zero horizon stays a valid game and a valid sweep value
+    rows = sweep(_tiny_cfg(tmp_path, gathering=("passive", "passive"), trials=1),
+                 "t_future", [0])
+    assert rows[0]["costs"] == [0.0]
+
+
+def test_run_matrix_keeps_earlier_combos_when_a_later_trial_raises(tmp_path, monkeypatch):
+    """A trial that raises in the last combo leaves every earlier combo's
+    records and particle clouds on disk."""
+    monkeypatch.delenv("POGPLAN_THREADS", raising=False)
+    cfg = _tiny_cfg(tmp_path, episode_steps=1, dump_particles=True)
+
+    def failing(game, opts, seed):
+        if opts.modes == ["active", "active"]:
+            raise RuntimeError("trial failed")
+        return run_episode(game, opts, seed)
+
+    monkeypatch.setattr(experiments, "run_episode", failing)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_matrix(cfg)
+    names = group_names(trial_game(cfg, cfg.seed))
+    labels = [combo_label(names, c) for c in product(("passive", "active"), repeat=2)][:3]
+    assert sorted(os.listdir(cfg.outdir)) == sorted(
+        ["config_echo.txt"] + [f"{kind}_{label}_{seed}.txt" for kind in ("cloud", "record")
+                               for label in labels for seed in (0, 1)])
+
+
+def _without_seconds(rows):
+    return [{k: v for k, v in row.items() if "seconds" not in k} for row in rows]
+
+
+def test_each_battery_command_fans_out_through_one_pool(tmp_path, monkeypatch):
+    """On 2 processes, ``run_matrix``, a two-value ``k_batch`` sweep and a
+    two-value n_eq grid each build one process pool, and each gives the rows
+    of one process, but for the seconds columns."""
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    cfg = _tiny_cfg(tmp_path, episode_steps=1)
+    for command in (lambda: run_matrix(cfg)[0], lambda: sweep(cfg, "k_batch", [1, 2]),
+                    lambda: sweep(cfg, "n_eq", [1, 2])):
+        monkeypatch.setenv("POGPLAN_THREADS", "1")
+        one = command()
+        monkeypatch.setenv("POGPLAN_THREADS", "2")
+        pools.clear()
+        two = command()
+        assert pools == [{"max_workers": 2}]
+        assert _without_seconds(two) == _without_seconds(one)
 
 
 def test_record_round_trip(tmp_path):

@@ -10,7 +10,13 @@ import refchain as rc
 
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
-from pogplan.beliefs import init_particles, update_particles
+from pogplan.beliefs import (
+    ParticleSet,
+    advance_particles,
+    init_particles,
+    round_robin_partition,
+    update_particles,
+)
 from pogplan.experiments import modes_for_combo
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.scenarios import (
@@ -385,12 +391,36 @@ def _rollout_cost_and_grad(game, state, hists, thetas, eps, player):
     return float(cost.value), lifted[player].flat.grad
 
 
-@pytest.mark.parametrize("name, players, maps", [
+ARENA_SYMMETRIES = pytest.mark.parametrize("name, players, maps", [
     ("tag", 2, SIGNED_PERMUTATIONS),
     ("tagchain", 4, SIGNED_PERMUTATIONS),
     ("hideseek", 2, [-np.eye(2)]),
 ], ids=["tag", "tagchain", "hideseek"])
-@pytest.mark.parametrize("combo", [(PASSIVE, ACTIVE), (ACTIVE, ACTIVE)], ids="-".join)
+COMBOS = pytest.mark.parametrize("combo", [(PASSIVE, ACTIVE), (ACTIVE, ACTIVE)], ids="-".join)
+
+
+def _moving_case(name, players, combo, k=16):
+    """(game, policies, moving joint state, windows, rng) of ``k`` rows."""
+    game = make_game(ScenarioConfig(scenario=name, chain_players=players, t_past=3,
+                                    t_future=4))
+    rng = np.random.default_rng(31)
+    modes = modes_for_combo(game, combo)
+    thetas = [init_policy(game, i, modes[i], seed=i + 5, hidden=(8,))
+              for i in range(game.n_players)]
+    state = [(rng.normal(scale=1.5, size=(k, 2)), rng.uniform(-0.9, 0.9, size=(k, 2)) * v)
+             for v in game.v_max]
+    hists = [rng.normal(scale=0.5, size=(k, game.t_past * game.obs_dim(i)))
+             for i in range(game.n_players)]
+    return game, thetas, state, hists, rng
+
+
+def _cloud(game, state, hists, weights):
+    return ParticleSet(states=game.pack_state(state), hists=[h.copy() for h in hists],
+                       weights=weights.copy(), blocks=round_robin_partition(len(weights), 1))
+
+
+@ARENA_SYMMETRIES
+@COMBOS
 def test_rollout_is_invariant_under_the_arena_symmetries(name, players, maps, combo):
     """Mapping the plane by a symmetry ``s`` of the arena, on moving states,
     leaves every player's rollout cost unchanged and maps its gradient as it
@@ -399,17 +429,8 @@ def test_rollout_is_invariant_under_the_arena_symmetries(name, players, maps, co
     last-layer rows and biases (metamorphic testing: Chen et al., ACM
     Computing Surveys, 2018).  A change that treats the two coordinates
     differently, or adds a fixed direction, breaks it."""
-    game = make_game(ScenarioConfig(scenario=name, chain_players=players, t_past=3,
-                                    t_future=4))
-    rng = np.random.default_rng(31)
-    k = 16
-    modes = modes_for_combo(game, combo)
-    thetas = [init_policy(game, i, modes[i], seed=i + 5, hidden=(8,))
-              for i in range(game.n_players)]
-    state = [(rng.normal(scale=1.5, size=(k, 2)), rng.uniform(-0.9, 0.9, size=(k, 2)) * v)
-             for v in game.v_max]
-    hists = [rng.normal(scale=0.5, size=(k, game.t_past * game.obs_dim(i)))
-             for i in range(game.n_players)]
+    game, thetas, state, hists, rng = _moving_case(name, players, combo)
+    k = len(hists[0])
     eps = draw_noise(game, k, rng)
     for player in range(game.n_players):
         cost, grad = _rollout_cost_and_grad(game, state, hists, thetas, eps, player)
@@ -422,6 +443,54 @@ def test_rollout_is_invariant_under_the_arena_symmetries(name, players, maps, co
             assert cost_s == pytest.approx(cost, rel=1e-13, abs=0.0), (player, s)
             np.testing.assert_allclose(grad_s, _map_policy(thetas[player], grad, s),
                                        rtol=0.0, atol=1e-12 * np.max(np.abs(grad)),
+                                       err_msg=f"player {player}, map {s.tolist()}")
+
+
+@ARENA_SYMMETRIES
+@COMBOS
+def test_round_step_is_equivariant_under_the_arena_symmetries(name, players, maps, combo):
+    """``advance_particles`` of the mapped cloud, windows and observations,
+    under the mapped policies, gives the mapped states, windows and actions
+    (the map as in ``test_rollout_is_invariant_under_the_arena_symmetries``)."""
+    game, thetas, state, hists, rng = _moving_case(name, players, combo)
+    k = len(hists[0])
+    obs = [rng.normal(scale=1.5, size=(k, game.obs_dim(i))) for i in range(game.n_players)]
+    weights = np.full(k, 1.0 / k)
+    pset = _cloud(game, state, hists, weights)
+    actions = advance_particles(pset, game, [thetas], [z.copy() for z in obs])
+    for s in maps:
+        mapped = _cloud(game, [(pos @ s.T, vel @ s.T) for pos, vel in state],
+                        [_map_blocks(h, s) for h in hists], weights)
+        actions_s = advance_particles(
+            mapped, game, [[replace(th, flat=_map_policy(th, th.flat, s)) for th in thetas]],
+            [_map_blocks(z, s) for z in obs])
+        for got, want in [(mapped.states, pset.states), *zip(mapped.hists, pset.hists),
+                          *zip(actions_s, actions)]:
+            np.testing.assert_allclose(got, _map_blocks(want, s), rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=f"map {s.tolist()}")
+
+
+@ARENA_SYMMETRIES
+def test_conditioned_weights_are_invariant_under_the_arena_symmetries(name, players, maps):
+    """Conditioning a moving cloud on a true observation, and the mapped
+    cloud on the mapped observation, from the same generator state, gives
+    the same weights: the observation density is invariant under the map."""
+    game, thetas, state, hists, rng = _moving_case(name, players, (ACTIVE, ACTIVE))
+    k = len(hists[0])
+    weights = rng.dirichlet(np.ones(k))
+    for player in range(game.n_players):
+        true_obs = rng.normal(scale=1.5, size=game.obs_dim(player))
+        want = update_particles(_cloud(game, state, hists, weights), game, thetas, true_obs,
+                                player, 0.5, np.random.default_rng(player)).weights
+        assert not np.allclose(want, weights)
+        for s in maps:
+            got = update_particles(
+                _cloud(game, [(pos @ s.T, vel @ s.T) for pos, vel in state],
+                       [_map_blocks(h, s) for h in hists], weights), game,
+                [replace(th, flat=_map_policy(th, th.flat, s)) for th in thetas],
+                _map_blocks(true_obs, s), player, 0.5, np.random.default_rng(player)).weights
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
                                        err_msg=f"player {player}, map {s.tolist()}")
 
 
