@@ -43,6 +43,15 @@ on its rows, wherever that gives the chain's bits: a ufunc that loops over K
 rows of width 2, or broadcasts (K, 1) against (K, 2), costs several times
 one that loops once over a column of K entries.
 
+Work arrays: an adjoint's temporaries that no node keeps are written into
+work arrays, one per (shape, role), that the module keeps and reuses across
+every backward sweep in the process (``_work``).  At k = 1000 rows a fresh
+(K, 64) temporary sits at glibc's mmap threshold, so allocating one per sweep
+costs page faults, not just the copy.  A work array is never stored as an
+adjoint: what a vjp sends to ``_accumulate`` is always a fresh array.  Every
+tape shares them, so a process runs one backward sweep at a time; pogplan runs
+trials in parallel on processes (``experiments.map_trials``), never threads.
+
 All per-instance quantities carry a leading batch axis, so one recorded
 rollout covers a whole Monte Carlo batch.  Tapes are single-owner objects and
 must not be shared across threads; build one tape per differentiated rollout.
@@ -472,6 +481,18 @@ def layer_views(flat, shapes):
     return weights, biases
 
 
+_WORK = {}   # (shape, role) -> the work array ``_work`` hands out
+
+
+def _work(shape, role):
+    """The process's work array of ``shape`` for ``role``, reused by every
+    backward sweep; its contents are garbage until written."""
+    array = _WORK.get((shape, role))
+    if array is None:
+        array = _WORK[shape, role] = np.empty(shape)
+    return array
+
+
 def tanh_mlp(flat, shapes, x, out_scale):
     """A tanh network with a scaled output,
     ``out_scale * tanh(w_L @ ... tanh(w_1 @ x + b_1) ... + b_L)``, on rows:
@@ -482,6 +503,10 @@ def tanh_mlp(flat, shapes, x, out_scale):
     outputs are stored: the adjoint needs no pre-activation, since
     tanh' = 1 - tanh^2.  The adjoint of ``flat`` is one array, each layer's
     weight and bias adjoints in their places.
+
+    The adjoints of ``flat`` and ``x`` are fresh arrays, since the nodes keep
+    them.  Each layer's ``g * (1 - y^2)`` and, above the first layer, the
+    adjoint sent down to the layer below are written into work arrays.
     """
     xv, pv = _value(x), _value(flat)
     if xv.ndim != 2:
@@ -512,14 +537,16 @@ def tanh_mlp(flat, shapes, x, out_scale):
             g_weights, g_biases = layer_views(g_flat, shapes)
         for i in range(len(outs) - 1, -1, -1):
             y = outs[i]
-            gz = y * y                       # g * (1 - y^2), in place
+            gz = np.multiply(y, y, out=_work(y.shape, "gz"))   # g * (1 - y^2)
             np.subtract(1.0, gz, out=gz)
             gz *= g
             if isinstance(flat, Node):
                 g_biases[i][...] = gz.sum(axis=0)
-                g_weights[i][...] = gz.T @ ins[i]
-            if i > 0 or isinstance(x, Node):
-                g = gz @ weights[i]
+                np.matmul(gz.T, ins[i], out=g_weights[i])
+            if i > 0:
+                g = np.matmul(gz, weights[i], out=_work(ins[i].shape, "hidden"))
+            elif isinstance(x, Node):
+                g = gz @ weights[i]          # stored as x's adjoint: fresh
         if isinstance(flat, Node):
             _accumulate(flat, g_flat)
         if isinstance(x, Node):

@@ -54,13 +54,16 @@ class ExperimentConfig(ScenarioConfig):
             raise ValueError(f"k_batch must be at least 1, got {self.k_batch}")
         if not all(width >= 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be at least 1, got {self.hidden}")
-        for quantity in ("seed", "max_iters", "first_step_iters", "episode_steps"):
+        for quantity in ("seed", "max_iters", "first_step_iters", "episode_steps", "trials"):
             if getattr(self, quantity) < 0:
                 raise ValueError(f"{quantity} must be non-negative, got {getattr(self, quantity)}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not 0.0 <= self.resample_ess_fraction <= 1.0:
+            raise ValueError("resample_ess_fraction must lie in [0, 1], "
+                             f"got {self.resample_ess_fraction}")
         if not all(1 <= n <= self.k_all for n in self.n_eq):
             raise ValueError(f"need k_all >= n_eq >= 1, got {self.k_all}, {self.n_eq}")
         return self

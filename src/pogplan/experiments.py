@@ -127,7 +127,7 @@ def run_matrix(cfg):
 
     rows = []
     all_records = {}
-    if cfg.trials <= 0:
+    if cfg.trials == 0:
         print("warning: 0 trials requested; summary is empty")
         combos = []
     battery = map_trials(_one_trial, [(cfg, combo) for combo in combos], cfg)

@@ -194,8 +194,8 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
         adam_states = [adam_init(th, lr=lr) for th in thetas]
     else:
         adam_states = [st.copy() for st in adam_states]
-    batch = evaluation_batch(game, pset, k_batch, rng)
     cdf = sampling_cdf(pset.weights)   # the weights are fixed for the solve
+    batch = evaluation_batch(game, pset, k_batch, rng, cdf)
 
     costs = [np.nan] * n
     grad_norms = [np.inf] * n

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -602,21 +603,78 @@ def _assert_same_failure(fused, chain, values, lifted, op, node):
                 fn(*args)
 
 
-def test_tanh_mlp_matches_layer_chain_bitwise():
-    """The fused network against per-layer slices of its parameter vector,
-    one dense tanh node per layer: with the rows, the parameters or both on
-    the tape."""
-    rng = np.random.default_rng(20)
-    sizes = (5, 7, 6, 3)
+def _mlp_params(rng, sizes, fan_in=False):
+    """Layer shapes and a parameter vector for a network of ``sizes``: normal
+    draws, each weight divided by sqrt(n_in) with ``fan_in``."""
     shapes = tuple(zip(sizes[1:], sizes[:-1]))
     params = []
     for n_out, n_in in shapes:
-        params += [rng.normal(size=(n_out, n_in)).ravel(), rng.normal(size=n_out)]
-    flat = np.concatenate(params)
-    for x in (rng.normal(size=(4, 5)), rng.normal(size=(1, 5))):   # batched and one row
+        w = rng.normal(size=(n_out, n_in))
+        params += [(w / np.sqrt(n_in) if fan_in else w).ravel(), rng.normal(size=n_out)]
+    return shapes, np.concatenate(params)
+
+
+def test_tanh_mlp_matches_layer_chain_bitwise():
+    """The fused network against per-layer slices of its parameter vector,
+    one dense tanh node per layer: with the rows, the parameters or both on
+    the tape.  At the benchmark's shapes (1000 rows, hidden (64, 64) on a
+    36-wide window) it runs twice in a row, so the second run goes through
+    warm work arrays."""
+    rng = np.random.default_rng(20)
+    shapes, flat = _mlp_params(rng, (5, 7, 6, 3))
+    cases = [(shapes, flat, rng.normal(size=(4, 5))),   # batched
+             (shapes, flat, rng.normal(size=(1, 5)))]   # one row
+    wide_shapes, wide_flat = _mlp_params(rng, (36, 64, 64, 2), fan_in=True)
+    cases += [(wide_shapes, wide_flat, rng.normal(size=(1000, 36)))] * 2
+    for shapes, flat, x in cases:
         _assert_fused_matches_chain(lambda p, v: _fused_mlp(p, shapes, v),
                                     lambda p, v: rc.chain_mlp(p, shapes, v),
                                     [flat, x], _nonempty_subsets(2))
+
+
+def _policy_tape(flat, shapes, x, seed):
+    """A tape holding the network on rows ``x``, both operands lifted, and a
+    random weighted sum of its outputs: ``(tape, root, leaves)``."""
+    tape = Tape()
+    flat_leaf, x_leaf = tape.param(flat), tape.param(x)
+    out = ag.tanh_mlp(flat_leaf, shapes, x_leaf, 0.7)
+    root = ag.asum(rc.mul(out, np.random.default_rng(seed).normal(size=out.value.shape)))
+    return tape, root, (flat_leaf, x_leaf)
+
+
+def test_tanh_mlp_adjoints_never_alias_work_arrays():
+    """Two k = 1000 sweeps in turn, on different rows: the second reuses the
+    work arrays, and leaves the first tape's adjoints of ``flat`` and ``x``
+    as they were."""
+    rng = np.random.default_rng(23)
+    shapes, flat = _mlp_params(rng, (36, 64, 64, 2), fan_in=True)
+    sweeps = []
+    for seed in (0, 1):
+        tape, root, leaves = _policy_tape(flat, shapes, rng.normal(size=(1000, 36)), seed)
+        tape.backward(root)
+        sweeps.append((leaves, [leaf.grad.copy() for leaf in leaves]))
+    (first, kept), (second, _) = sweeps
+    for leaf, before, other in zip(first, kept, second):
+        _assert_bitwise(leaf.grad, before)
+        assert not np.array_equal(leaf.grad, other.grad)
+
+
+def test_tanh_mlp_backward_allocates_only_what_it_keeps():
+    """From the second sweep on, a k = 1000 backward through the policy
+    network peaks less than one (1000, 64) temporary above the memory it
+    keeps (the adjoints on the nodes): its temporaries live in work arrays."""
+    rng = np.random.default_rng(24)
+    shapes, flat = _mlp_params(rng, (36, 64, 64, 2), fan_in=True)
+    for sweep in range(3):
+        tape, root, _ = _policy_tape(flat, shapes, rng.normal(size=(1000, 36)), sweep)
+        tracemalloc.start()
+        try:
+            tape.backward(root)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if sweep > 0:
+            assert peak - kept < 1000 * 64 * 8, (peak - kept, kept)
 
 
 def test_fov_variance_matches_chain_bitwise():

@@ -128,6 +128,9 @@ def test_run_matrix_validates_before_writing(tmp_path):
                          ({"max_iters": -2}, "max_iters must be non-negative"),
                          ({"first_step_iters": -1}, "first_step_iters must be non-negative"),
                          ({"episode_steps": -1}, "episode_steps must be non-negative"),
+                         ({"trials": -1}, "trials must be non-negative"),
+                         ({"resample_ess_fraction": -0.5}, r"resample_ess_fraction must lie in \[0, 1\]"),
+                         ({"resample_ess_fraction": 1.5}, r"resample_ess_fraction must lie in \[0, 1\]"),
                          ({"lr": -0.001}, "lr must be positive"),
                          ({"lr": 0.0}, "lr must be positive"),
                          ({"sigma2_base": -0.01}, "sigma2_base must be positive"),
