@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import ACTIVE, PolicyParams, policy_forward
+from .policy import ACTIVE, PolicyParams, action_block, policy_forward
 
 DEGENERACY_FLOOR = 1e-300
 # Rows per policy forward in the belief update: a 1024 x 64 float64 layer
@@ -101,7 +101,8 @@ def _forward(theta, hist, out):
     """Write ``theta``'s actions for the rows of ``hist`` into ``out``; a
     passive policy's action is its sequence's first block."""
     for lo in range(0, hist.shape[0], ROW_BLOCK):
-        out[lo:lo + ROW_BLOCK] = policy_forward(theta, hist[lo:lo + ROW_BLOCK])[:, :theta.action_dim]
+        sequence = policy_forward(theta, hist[lo:lo + ROW_BLOCK])
+        out[lo:lo + ROW_BLOCK] = action_block(theta, sequence, 0)
 
 
 def observe_particles(pset, game, rng):

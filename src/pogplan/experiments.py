@@ -26,7 +26,7 @@ from . import adgraph as ag
 from .adgraph import grad_check
 from .beliefs import init_particles, update_particles
 from .config import write_config
-from .policy import ACTIVE, PASSIVE, init_policy
+from .policy import ACTIVE, PASSIVE, adam_init, init_policy
 from .runner import SEPARATE, SHARED, EpisodeOptions, StepRecord, TrialRecord, run_episode
 from .scenarios import ScenarioConfig, group_names, make_game, mode_groups, sample_tasks
 from .solver import calc_eq, draw_noise, eval_cost, evaluation_batch, _run_rollout
@@ -77,12 +77,30 @@ def trial_game(cfg, trial_seed):
 
 
 def episode_options(cfg, modes, dump_path=None):
-    return EpisodeOptions(config=cfg, modes=list(modes), particle_dump=dump_path)
+    """One trial's ``EpisodeOptions``, checked and resolved once: ``modes``
+    has one entry per player, and a single ``n_eq`` entry applies to every
+    agent.  A passive player needs ``t_future`` of at least 1, since its
+    policy emits one action per planned step."""
+    if cfg.brain not in (SHARED, SEPARATE):
+        raise ValueError(f"unknown brain mode '{cfg.brain}'")
+    if PASSIVE in modes and cfg.t_future < 1:
+        raise ValueError(f"t_future must be at least 1 with a passive player, got {cfg.t_future}")
+    n_agents = 1 if cfg.brain == SHARED else len(modes)
+    n_eq = [int(x) for x in cfg.n_eq]
+    if len(n_eq) == 1:
+        n_eq = n_eq * n_agents
+    if len(n_eq) != n_agents:
+        raise ValueError(f"need {n_agents} n_eq entries, got {len(n_eq)}")
+    return EpisodeOptions(config=cfg, modes=list(modes), n_eq=n_eq, particle_dump=dump_path)
 
 
 def modes_for_combo(game, combo):
-    """Per-player modes from one active/passive choice per mode group."""
+    """Per-player modes from one active/passive choice per mode group;
+    entries past the last group are ignored."""
     groups = mode_groups(game)
+    if len(combo) < len(groups) or not set(combo) <= {ACTIVE, PASSIVE}:
+        raise ValueError(f"need an active or passive mode for each of "
+                         f"{len(groups)} mode groups, got {tuple(combo)}")
     modes = [ACTIVE] * game.n_players  # players without a choice default active
     for players, mode in zip(groups, combo):
         for p in players:
@@ -121,7 +139,7 @@ def run_matrix(cfg):
     probe = trial_game(cfg, cfg.seed)   # validate the settings before writing anything
     names = group_names(probe)
     combos = list(product((PASSIVE, ACTIVE), repeat=len(mode_groups(probe))))
-    episode_options(cfg, modes_for_combo(probe, combos[0])).resolved(probe)
+    episode_options(cfg, modes_for_combo(probe, combos[0]))
     os.makedirs(cfg.outdir, exist_ok=True)
     write_config(cfg, os.path.join(cfg.outdir, "config_echo.txt"))
 
@@ -167,9 +185,9 @@ def first_step_stats(cfg, trial_seed):
     thetas = [init_policy(game, i, modes[i], int(seeds[i]), hidden=tuple(cfg.hidden))
               for i in range(game.n_players)]
     t0 = time.perf_counter()
-    res = calc_eq(game, pset, thetas, np.random.default_rng(solve_ss),
-                  eps_tol=cfg.eps_tol, max_iters=cfg.max_iters,
-                  k_batch=cfg.k_batch, lr=cfg.lr)
+    res = calc_eq(game, pset, thetas, [adam_init(t, lr=cfg.lr) for t in thetas],
+                  np.random.default_rng(solve_ss),
+                  eps_tol=cfg.eps_tol, max_iters=cfg.max_iters, k_batch=cfg.k_batch)
     seconds = time.perf_counter() - t0
 
     # the solved policies are scored on a large frozen batch so the

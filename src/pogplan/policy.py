@@ -37,11 +37,7 @@ class PolicyParams:
     mode: str
     input_width: int
     action_dim: int
-    horizon: int          # number of future steps covered (passive emits all)
     action_scale: float
-
-    def copy(self):
-        return replace(self, flat=self.flat.copy())
 
 
 def init_policy(game, player, mode, seed, hidden=(64, 64)):
@@ -67,7 +63,6 @@ def init_policy(game, player, mode, seed, hidden=(64, 64)):
         w[...] = rng.uniform(-bound, bound, size=w.shape)
     return PolicyParams(flat=flat, shapes=shapes, mode=mode,
                         input_width=input_width, action_dim=action_dim,
-                        horizon=game.t_future,
                         action_scale=game.action_scale(player))
 
 
@@ -87,9 +82,11 @@ def policy_forward(theta, history):
 
 
 def action_block(theta, sequence, t_offset):
-    """The ``t_offset``-th action of a passive policy's emitted sequence."""
-    if not 0 <= t_offset < theta.horizon:
-        raise ValueError(f"t_offset {t_offset} outside horizon {theta.horizon}")
+    """The ``t_offset``-th action of a policy's emitted sequence (Node or
+    array); an active policy's output is a one-action sequence."""
+    steps = sequence.shape[-1] // theta.action_dim
+    if not 0 <= t_offset < steps:
+        raise ValueError(f"t_offset {t_offset} outside a {steps}-step sequence")
     lo = t_offset * theta.action_dim
     return ag.slice_last(sequence, lo, lo + theta.action_dim)
 
@@ -113,9 +110,6 @@ class AdamState:
     v: np.ndarray
     step: int
     lr: float
-
-    def copy(self):
-        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
 def adam_init(theta, lr=1e-3):

@@ -17,9 +17,11 @@ round step that ``beliefs`` defines for every cloud: fresh true observations
 of the current state complete the observation windows, the policies map the
 completed windows to the joint action (passive policies read the pre-push
 window), and the world advances one transition.
-Every setting is read from one ``ExperimentConfig`` and everything is driven
-by generators spawned from one seed, so an episode is a pure function of
-(config, modes, seed).
+Every setting is read from one ``EpisodeOptions``, which
+``experiments.episode_options`` checks and resolves once per trial (the
+modes, and each agent's candidate count), and everything is driven by
+generators spawned from one seed, so an episode is a pure function of
+(options, seed).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .beliefs import (
     update_particles,
 )
 from .config import ExperimentConfig
-from .policy import ACTIVE, PASSIVE, adam_init, init_policy
+from .policy import adam_init, init_policy
 from .policy import policy_forward  # unused here; perfbench/tracing.py patches runner.policy_forward
 from .solver import calc_eq
 
@@ -50,31 +52,14 @@ SEPARATE = "separate"
 
 @dataclass
 class EpisodeOptions:
-    """Everything a single episode needs beyond the game itself: the
-    experiment settings, each player's mode and the per-trial dump path."""
+    """Everything a single episode needs beyond the game itself, as
+    ``experiments.episode_options`` resolves it: the experiment settings,
+    each player's mode, each agent's candidate count and the dump path."""
 
     config: ExperimentConfig      # every setting is read from here
-    modes: list = None            # per player: "active" / "passive"; default all active
-    particle_dump: str = None     # path for per-step cloud dumps, if wanted
-
-    def resolved(self, game):
-        """(per-player modes, per-agent candidate counts); a single ``n_eq``
-        entry applies to every agent.  A passive player needs ``t_future``
-        of at least 1, since its policy emits one action per planned step."""
-        brain = self.config.brain
-        if brain not in (SHARED, SEPARATE):
-            raise ValueError(f"unknown brain mode '{brain}'")
-        modes = self.modes or [ACTIVE] * game.n_players
-        if PASSIVE in modes and self.config.t_future < 1:
-            raise ValueError(f"t_future must be at least 1 with a passive player, "
-                             f"got {self.config.t_future}")
-        n_agents = 1 if brain == SHARED else game.n_players
-        n_eq = [int(x) for x in self.config.n_eq]
-        if len(n_eq) == 1:
-            n_eq = n_eq * n_agents
-        if len(n_eq) != n_agents:
-            raise ValueError(f"need {n_agents} n_eq entries, got {len(n_eq)}")
-        return modes, n_eq
+    modes: list                   # per player: "active" / "passive"
+    n_eq: list                    # per agent: candidate equilibria
+    particle_dump: str            # path for per-step cloud dumps, or None
 
 
 @dataclass
@@ -144,14 +129,13 @@ def make_agent(game, player, opts, seed_seq):
     the episode options; its candidates get distinct initial policies to
     promote distinct equilibria."""
     cfg = opts.config
-    modes, n_eq = opts.resolved(game)
-    n_cand = n_eq[max(player, 0)]  # the shared brain is agent 0
+    n_cand = opts.n_eq[max(player, 0)]  # the shared brain is agent 0
     init_ss, solver_ss, update_ss, *cand_ss = seed_seq.spawn(3 + n_cand)
     pset = init_particles(game, cfg.k_all, n_cand, np.random.default_rng(init_ss))
     candidates = []
     for c_ss in cand_ss:
         seeds = c_ss.generate_state(game.n_players)
-        thetas = [init_policy(game, i, modes[i], int(seeds[i]), hidden=cfg.hidden)
+        thetas = [init_policy(game, i, opts.modes[i], int(seeds[i]), hidden=cfg.hidden)
                   for i in range(game.n_players)]
         candidates.append(Candidate(thetas=thetas,
                                     adam_states=[adam_init(t, lr=cfg.lr) for t in thetas]))
@@ -165,10 +149,8 @@ def plan(agent, game, opts, iters):
     cfg = opts.config
     results = []
     for cand in agent.candidates:
-        res = calc_eq(game, agent.pset, cand.thetas, agent.solver_rng,
-                      eps_tol=cfg.eps_tol, max_iters=iters,
-                      k_batch=cfg.k_batch, lr=cfg.lr,
-                      adam_states=cand.adam_states)
+        res = calc_eq(game, agent.pset, cand.thetas, cand.adam_states, agent.solver_rng,
+                      eps_tol=cfg.eps_tol, max_iters=iters, k_batch=cfg.k_batch)
         cand.thetas = res.thetas
         cand.adam_states = res.adam_states
         results.append(res)
@@ -187,7 +169,6 @@ def act(world, game, policies, rng):
 def run_episode(game, opts, seed):
     """Play one full episode; a pure function of (game, opts, seed)."""
     cfg = opts.config
-    modes, n_eq = opts.resolved(game)
     n = game.n_players
     players = [-1] if cfg.brain == SHARED else list(range(n))
     root = np.random.SeedSequence(seed)
@@ -198,7 +179,7 @@ def run_episode(game, opts, seed):
 
     world_rng = np.random.default_rng(world_ss)
     world = init_particles(game, 1, 1, world_rng)
-    record = TrialRecord(seed=seed, brain=cfg.brain, modes=list(modes), n_eq=list(n_eq))
+    record = TrialRecord(seed=seed, brain=cfg.brain, modes=opts.modes, n_eq=opts.n_eq)
     dump = open(opts.particle_dump, "w") if opts.particle_dump else nullcontext()
     with dump as dump_fh:
         if dump_fh:

@@ -10,8 +10,14 @@ gradient of the estimate with respect to them.
 ``calc_eq`` runs gradient play: round-robin over players, one Adam step each
 on a freshly sampled batch, until every player's gradient norm is small in
 the same iteration (the first-order Nash condition, tested on the gradients
-the steps already compute).  The solved policies are then scored once on a
-common-random-numbers evaluation batch frozen at the start of the solve.
+the steps already compute).  The solved policies are then rolled out once on
+a common-random-numbers evaluation batch frozen at the start of the solve,
+which flags a non-finite cost as an abort.
+
+Warm starts: every solve starts from the policies and Adam states its
+caller passes (``adam_init`` for a cold start, the last round's result for
+a warm one).  ``calc_eq`` never writes into them: an Adam step returns new
+arrays, so a policy the solve never updated comes back as the same object.
 
 Window convention, the one ``beliefs.advance_particles`` defines for the
 particle update and the real world: at every step a fresh observation of the
@@ -33,13 +39,7 @@ import numpy as np
 from . import adgraph as ag
 from .adgraph import Tape
 from .beliefs import sample_batch, sampling_cdf
-from .policy import (
-    ACTIVE,
-    action_block,
-    adam_init,
-    adam_step,
-    policy_forward,
-)
+from .policy import ACTIVE, action_block, adam_step, policy_forward
 
 
 @dataclass
@@ -48,7 +48,6 @@ class EquilibriumResult:
 
     thetas: list
     adam_states: list
-    costs: list           # evaluation-batch cost per player; nan after an abort
     grad_norms: list      # last gradient L2 norm per player
     iterations: int
     converged: bool
@@ -159,8 +158,7 @@ def eval_cost(game, pset, thetas, players, batch):
     return [-float(totals[i]) / len(idx) for i in players]
 
 
-def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
-            k_batch=10, lr=1e-3, adam_states=None):
+def calc_eq(game, pset, thetas, adam_states, rng, *, eps_tol, max_iters, k_batch):
     """Gradient play over particles until every player's gradient is small.
 
     Round-robin over players: one Adam step each on a fresh batch gradient.
@@ -168,9 +166,14 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     parameters, is below ``eps_tol``; the solve stops when every player
     passes in the same iteration, or after ``max_iters``.  An iteration in
     which any Adam update was skipped never counts as converged.  After the
-    loop, every player's cost is evaluated by one rollout of an evaluation
-    batch drawn at the start of the solve; ``cost_trace`` holds the
-    per-iteration costs of the fresh gradient batches.
+    loop, the policies are rolled out once on an evaluation batch drawn at
+    the start of the solve; ``cost_trace`` holds the per-iteration costs of
+    the fresh gradient batches.
+
+    Warm start: the caller passes every player's policy and Adam state, and
+    the solve never writes into them or into their lists.  The result holds
+    new lists, in which a policy or Adam state that no step updated is the
+    object passed in.
 
     The solve aborts, keeping the parameters it has, when ``expected_cost``
     raises ``FloatingPointError``: a non-finite particle state, window or
@@ -183,21 +186,15 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
     The cyclic garbage collector is paused for the solve, since its tapes
     hold no reference cycles and are freed by reference counting; the
     caller's collector state is restored on every exit, raising included.
-    Warm starts: pass the previous round's thetas/adam_states.  A
-    ``k_batch`` below 1 raises ``ValueError`` before any draw.
+    A ``k_batch`` below 1 raises ``ValueError`` before any draw.
     """
     if k_batch < 1:
         raise ValueError(f"k_batch must be at least 1, got {k_batch}")
     n = game.n_players
-    thetas = [th.copy() for th in thetas]
-    if adam_states is None:
-        adam_states = [adam_init(th, lr=lr) for th in thetas]
-    else:
-        adam_states = [st.copy() for st in adam_states]
+    thetas, adam_states = list(thetas), list(adam_states)
     cdf = sampling_cdf(pset.weights)   # the weights are fixed for the solve
     batch = evaluation_batch(game, pset, k_batch, rng, cdf)
 
-    costs = [np.nan] * n
     grad_norms = [np.inf] * n
     trace = [[] for _ in range(n)]
     times = []
@@ -228,17 +225,16 @@ def calc_eq(game, pset, thetas, rng, *, eps_tol=1e-3, max_iters=100,
             if all(g < eps_tol for g in grad_norms):
                 converged = True
                 break
-        if not aborted:
-            costs = eval_cost(game, pset, thetas, list(range(n)), batch)
-            if not np.all(np.isfinite(costs)):
-                aborted = True
-                converged = False
+        if not aborted and not np.all(np.isfinite(
+                eval_cost(game, pset, thetas, list(range(n)), batch))):
+            aborted = True
+            converged = False
     finally:
         if gc_was_enabled:
             gc.enable()
 
     return EquilibriumResult(thetas=thetas, adam_states=adam_states,
-                             costs=costs, grad_norms=grad_norms,
+                             grad_norms=grad_norms,
                              iterations=iterations, converged=converged,
                              aborted=aborted, cost_trace=trace,
                              grad_step_seconds=times)

@@ -114,6 +114,31 @@ def test_backward_requires_scalar_root():
         tape.backward(rc.square(v))
 
 
+@pytest.mark.parametrize("root", ["other_tape", "array"])
+def test_backward_requires_a_node_of_this_tape(root):
+    tape, other = Tape(), Tape()
+    tape.param([1.0, 2.0])
+    root = {"other_tape": ag.asum(other.param([1.0, 2.0])),
+            "array": ag.asum(np.array([1.0, 2.0]))}[root]
+    with pytest.raises(ValueError, match="must be a node of this tape"):
+        tape.backward(root)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.3, 0.3), (0.3, -0.3)])
+def test_clamped_add_requires_lo_below_hi(lo, hi):
+    tape = Tape()
+    with pytest.raises(ValueError, match="requires lo < hi"):
+        ag.clamped_add(tape.param([[0.1]]), np.array([[0.2]]), lo, hi)
+
+
+def test_occluded_variance_requires_positions_of_one_shape():
+    tape = Tape()
+    obstacles = np.array([[0.0, 0.0, 0.5]])
+    with pytest.raises(ValueError, match="positions of one shape"):
+        ag.occluded_variance(np.full((3, 1), 0.1), tape.param(np.zeros((3, 2))),
+                             np.ones((1, 2)), obstacles, 10.0, 5.0)
+
+
 def test_backward_deterministic():
     rng = np.random.default_rng(0)
     tape = Tape()
@@ -279,6 +304,45 @@ def test_every_defaulted_pogplan_parameter_is_passed():
     api = {key: value for key, value in _public_api().items() if key not in ENTRY_POINTS}
     unpassed = _unpassed_defaults(api, [SRC, PERFBENCH])
     assert not unpassed, f"pogplan parameters no call in src or perfbench passes: {unpassed}"
+
+
+def _dataclass_fields():
+    """Every field of a ``pogplan`` dataclass, as "module.Class.field"."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                found += [(f"{path.stem}.{node.name}", item.target.id) for item in node.body
+                          if isinstance(item, ast.AnnAssign)]
+    return found
+
+
+def _attributes_read(callers):
+    """Attribute names loaded anywhere in the ``callers`` directories, as
+    ``x.name`` or as ``getattr(x, "name")``."""
+    read = set()
+    for path in (p for d in callers for p in sorted(d.glob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "getattr" and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant):
+                read.add(node.args[1].value)
+    return read
+
+
+def test_every_pogplan_dataclass_field_is_read():
+    """No ``pogplan`` dataclass carries a field that only the tests read:
+    each field name is loaded as an attribute somewhere in ``src`` or in the
+    benchmark."""
+    fields = _dataclass_fields()
+    assert len(fields) > 50   # the scan found the dataclasses
+    read = _attributes_read([SRC, PERFBENCH])
+    unread = [f"{owner}.{name}" for owner, name in fields if name not in read]
+    assert not unread, f"dataclass fields no code in src or perfbench reads: {unread}"
 
 
 def test_expected_cost_leaves_no_cyclic_garbage():

@@ -412,8 +412,8 @@ def test_update_allocates_no_second_cloud(n_eq):
 
 def test_update_that_raises_leaves_the_cloud():
     """A wrong block count, a policy of the wrong input width in the last
-    block, or a true observation of the wrong length is refused before the
-    cloud is written."""
+    block, a true observation of the wrong length or a ``gamma`` outside
+    [0, 1] is refused before the cloud is written."""
     game = _tag()
     rng = np.random.default_rng(28)
     pset = init_particles(game, 50, 3, rng)
@@ -428,11 +428,13 @@ def test_update_that_raises_leaves_the_cloud():
     z = np.asarray(game.observe(game.unpack_state(pset.states[:1]), 0,
                                 np.zeros((1, game.noise_dim(0)))))[0]
     before = copy.deepcopy(pset)
-    for policies, true_obs, match in ((good[:2], z, "candidate policies"),
-                                      (bad, z, "input widths"),
-                                      (good, z[:-1], "true_obs has")):
+    for policies, true_obs, gamma, match in ((good[:2], z, 0.5, "candidate policies"),
+                                             (bad, z, 0.5, "input widths"),
+                                             (good, z[:-1], 0.5, "true_obs has"),
+                                             (good, z, -0.1, r"gamma must lie in \[0, 1\]"),
+                                             (good, z, 1.5, r"gamma must lie in \[0, 1\]")):
         with pytest.raises(ValueError, match=match):
-            update_particles(pset, game, policies, true_obs, player=0, gamma=0.5, rng=rng)
+            update_particles(pset, game, policies, true_obs, player=0, gamma=gamma, rng=rng)
         for got, want in [(pset.states, before.states), (pset.weights, before.weights),
                           *zip(pset.hists, before.hists)]:
             assert got.tobytes() == want.tobytes()

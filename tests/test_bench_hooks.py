@@ -1,7 +1,9 @@
 """The benchmark's tracer patches program functions by name from outside the
 program.  Entering and leaving its hooks here catches a rename in ``src``
 that would break a traced benchmark run, and binding the benchmark's calls
-to the program's signatures catches a signature change."""
+to the program's signatures catches a signature change.  The benchmark's
+fixed-seed golden values are checked here too, so a change to the numbers
+fails the test suite before it reaches a benchmark run."""
 
 import ast
 import gc
@@ -29,12 +31,31 @@ PATCHED = [
 ]
 
 
+def _bench_module(monkeypatch, name, *imports):
+    """Import the benchmark's top-level module ``name``, which imports the
+    benchmark's ``imports``, without writing bytecode under the benchmark;
+    yields it, then forgets all of them."""
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    yield importlib.import_module(name)
+    for module in (name, *imports):
+        sys.modules.pop(module, None)
+
+
 @pytest.fixture
 def tracing(monkeypatch):
-    monkeypatch.syspath_prepend(BENCH)
-    yield importlib.import_module("tracing")
-    for name in ("tracing", "stats"):   # the benchmark's own top-level modules
-        sys.modules.pop(name, None)
+    yield from _bench_module(monkeypatch, "tracing", "stats")
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    yield from _bench_module(monkeypatch, "checks", "workloads")
+
+
+def test_golden_values_match_the_recorded_ones(checks):
+    """``expected_cost`` and ``update_particles`` at the benchmark's fixed
+    seeds give the values in ``perfbench/golden.json``."""
+    assert checks.compare_golden(checks.golden_values(), checks.load_golden()["values"]) == {}
 
 
 def test_stamped_rounds_swaps_and_restores_step_record(tracing):

@@ -411,6 +411,39 @@ def test_neq_grid_shape(tmp_path):
         assert np.isfinite(r["mean_surprisal_0"])
 
 
+def test_neq_grid_rejects_a_four_player_chain(tmp_path):
+    cfg = _tiny_cfg(tmp_path, scenario="tagchain", trials=1)
+    with pytest.raises(ValueError, match="needs a two-player scenario"):
+        sweep(cfg, "n_eq", [1])
+    assert not os.path.exists(cfg.outdir)
+
+
+def _without_traces(records):
+    for r in records:
+        r.first_traces = []
+
+
+def _without_surprisal(records):
+    for r in records:
+        for s in r.steps:
+            s.surprisal.clear()
+
+
+@pytest.mark.parametrize("kind, strip, match", [
+    ("convergence", _without_traces, "no first-step cost traces"),
+    ("surprisal", _without_surprisal, "no surprisal entries for the requested agent 1"),
+    ("histogram", None, "unknown plot-data kind 'histogram'"),
+])
+def test_emit_plot_data_refuses_what_it_cannot_plot(tmp_path, kind, strip, match):
+    records = [read_trial_record(os.path.join(RECORDS, "tag_separate.txt"))]
+    if strip:
+        strip(records)
+    path = tmp_path / "plot.txt"
+    with pytest.raises(ValueError, match=match):
+        emit_plot_data(records, kind, path)
+    assert not path.exists()
+
+
 def test_first_step_stats_warehouse(tmp_path):
     cfg = _tiny_cfg(tmp_path, scenario="warehouse", max_iters=3)
     out = first_step_stats(cfg, 0)
@@ -532,11 +565,28 @@ def test_cli_zero_width_window_exits_nonzero(tmp_path, capsys):
     assert "t_past must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gathering", [("passive",), ("passive", "Active")])
+def test_cli_sweep_refuses_a_gathering_without_a_mode_per_group(tmp_path, capsys, gathering):
+    """A ``gathering`` must give ``active`` or ``passive`` for every mode group
+    of the scenario: a short one would silently leave the last group active."""
+    path, cfg = _write_cfg(tmp_path, gathering=gathering, trials=1)
+    assert main(["sweep", "--config", path, "--param", "t_future", "--values", "1"]) == 1
+    assert "for each of 2 mode groups" in capsys.readouterr().err
+    assert not os.path.exists(cfg.outdir)
+    # entries past the last group are ignored: warehouse has one group
+    game = trial_game(_tiny_cfg(tmp_path, scenario="warehouse"), 0)
+    assert modes_for_combo(game, ("passive", "active")) == ["active", "passive"]
+
+
 def test_cli_missing_records_dir(tmp_path, capsys):
     empty = tmp_path / "void"
     empty.mkdir()
-    assert main(["emit", "--records", str(empty), "--kind", "trajectory",
-                 "--out", str(tmp_path / "x.txt")]) == 1
+    dest = tmp_path / "x.txt"
+    for kind, message in (("trajectory", "no trial records found under"),
+                          ("particle-cloud", "no particle clouds under")):
+        assert main(["emit", "--records", str(empty), "--kind", kind, "--out", str(dest)]) == 1
+        assert message in capsys.readouterr().err
+        assert not dest.exists()
 
 
 def test_cli_particle_cloud(tmp_path):

@@ -45,6 +45,14 @@ def test_init_deterministic_given_seed():
     assert not np.array_equal(a.flat, c.flat)
 
 
+@pytest.mark.parametrize("player, mode, match", [(0, "Active", "unknown policy mode"),
+                                                 (2, ACTIVE, "player index 2 out of range"),
+                                                 (-1, PASSIVE, "player index -1 out of range")])
+def test_init_policy_rejects_unknown_mode_and_player(player, mode, match):
+    with pytest.raises(ValueError, match=match):
+        init_policy(StubGame(), player, mode, seed=0)
+
+
 def test_tag_widths_match_window_and_action():
     game = make_game(ScenarioConfig(scenario="tag", t_past=6, t_future=6))
     active = init_policy(game, 1, ACTIVE, seed=0)
@@ -183,18 +191,20 @@ def test_adam_wrong_gradient_shape_rejected_before_finiteness_skip():
 
 
 def test_layer_arrays_are_views_into_flat():
-    """After init, copy and an Adam step, the layer views of ``flat`` tile it
+    """After init and an Adam step, the layer views of ``flat`` tile it
     layer by layer (weights row-major, then bias), with the shapes init
-    built; a copy shares nothing with its source."""
+    built; the step's result shares nothing with its source."""
     theta = init_policy(StubGame(), 0, PASSIVE, seed=4, hidden=(5, 3))
     assert theta.shapes == ((5, 12), (3, 5), (10, 3))
-    stepped, _ = adam_step(theta, np.linspace(-1.0, 1.0, theta.flat.size), adam_init(theta))
-    dup = theta.copy()
-    for th in (theta, dup, stepped):
+    state = adam_init(theta)
+    stepped, stepped_state = adam_step(theta, np.linspace(-1.0, 1.0, theta.flat.size), state)
+    assert not any(np.shares_memory(a, b) for a, b in
+                   ((stepped.flat, theta.flat), (stepped_state.m, state.m),
+                    (stepped_state.v, state.v)))
+    for th in (theta, stepped):
         weights, biases = ag.layer_views(th.flat, th.shapes)
         assert [w.shape for w in weights] == list(th.shapes)
         arrays = [a for w, b in zip(weights, biases) for a in (w, b)]
         assert all(np.shares_memory(a, th.flat) for a in arrays)
         th.flat[:] = np.arange(th.flat.size)
         np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), th.flat)
-    assert not np.shares_memory(dup.flat, theta.flat)

@@ -191,13 +191,13 @@ def test_battery_files_match_the_recorded_files(tmp_path):
         assert texts[name] == _recorded(name), name
 
 
-def _drop_step(text, step):
-    """The record without ``step``'s ``[steps]`` rows."""
+def _drop_steps_rows(text, prefix):
+    """The record without the ``[steps]`` rows that start with ``prefix``."""
     lines, section = [], None
     for line in text.splitlines():
         if line.startswith("["):
             section = line
-        if section == "[steps]" and line.startswith(f"{step} "):
+        if section == "[steps]" and line.startswith(prefix):
             continue
         lines.append(line)
     return "\n".join(lines) + "\n"
@@ -214,7 +214,8 @@ MALFORMED = {
     "row_outside_a_section": lambda text: "0 1 2.0\n" + text,
     "short_steps_row": lambda text: _shorten_first_row(text, "steps"),
     "short_surprisal_row": lambda text: _shorten_first_row(text, "surprisal"),
-    "step_without_steps_rows": lambda text: _drop_step(text, 2),
+    "step_without_steps_rows": lambda text: _drop_steps_rows(text, "2 "),
+    "step_without_a_players_row": lambda text: _drop_steps_rows(text, "2 1 "),
 }
 
 

@@ -11,10 +11,10 @@ from pogplan import adgraph as ag
 from pogplan import runner
 from pogplan.beliefs import init_particles, update_particles
 from pogplan.config import ExperimentConfig
+from pogplan.experiments import episode_options
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.runner import (
     Candidate,
-    EpisodeOptions,
     act,
     make_agent,
     plan,
@@ -115,22 +115,23 @@ def test_act_returns_the_exactly_seen_position_before_the_transition():
     assert not np.array_equal(game.unpack_state(world.states)[0][0], before)
 
 
-def _fast_opts(**kw):
+def _fast_opts(modes=(ACTIVE, ACTIVE), **kw):
     base = dict(brain="shared", episode_steps=4, k_all=40, k_batch=3,
                 max_iters=2, hidden=(4,), lr=0.01)
     base.update(kw)
-    return EpisodeOptions(config=ExperimentConfig(**base))
+    return episode_options(ExperimentConfig(**base), modes)
 
 
 def test_options_check_brain_before_counting_candidates():
-    game = make_game(ScenarioConfig(scenario="tag"))
     with pytest.raises(ValueError, match="unknown brain mode 'Separate'"):
-        _fast_opts(brain="Separate", n_eq=(1, 2, 3)).resolved(game)
+        _fast_opts(brain="Separate", n_eq=(1, 2, 3))
     with pytest.raises(ValueError, match="need 2 n_eq entries, got 3"):
-        _fast_opts(brain="separate", n_eq=(1, 2, 3)).resolved(game)
+        _fast_opts(brain="separate", n_eq=(1, 2, 3))
     # one entry applies to every agent
-    assert _fast_opts(brain="separate", n_eq=(2,)).resolved(game) == ([ACTIVE, ACTIVE], [2, 2])
-    assert _fast_opts(n_eq=(3,)).resolved(game) == ([ACTIVE, ACTIVE], [3])
+    opts = _fast_opts(brain="separate", n_eq=(2,))
+    assert (opts.modes, opts.n_eq) == ([ACTIVE, ACTIVE], [2, 2])
+    opts = _fast_opts(n_eq=(3,))
+    assert (opts.modes, opts.n_eq) == ([ACTIVE, ACTIVE], [3])
 
 
 def test_episode_bookkeeping_and_cost_sign():
@@ -203,16 +204,21 @@ def test_plan_single_candidate_matches_calc_eq():
     ss = np.random.SeedSequence(17)
     opts = _fast_opts(k_all=30, k_batch=3)
     agent = make_agent(game, -1, opts, ss)
-    thetas_before = [t.copy() for t in agent.candidates[0].thetas]
-    states_before = [s.copy() for s in agent.candidates[0].adam_states]
+    # the solve never writes into its warm start, so the originals need no copies
+    thetas_before = agent.candidates[0].thetas
+    states_before = agent.candidates[0].adam_states
 
     clone = copy.deepcopy(agent.solver_rng)
     results = plan(agent, game, opts, iters=3)
-    direct = calc_eq(game, agent.pset, thetas_before, clone, eps_tol=opts.config.eps_tol,
-                     max_iters=3, k_batch=3, lr=0.01, adam_states=states_before)
-    assert results[0].costs == direct.costs
+    direct = calc_eq(game, agent.pset, thetas_before, states_before, clone,
+                     eps_tol=opts.config.eps_tol, max_iters=3, k_batch=3)
+    assert results[0].grad_norms == direct.grad_norms
+    assert results[0].cost_trace == direct.cost_trace
     for a, b in zip(results[0].thetas, direct.thetas):
         np.testing.assert_array_equal(a.flat, b.flat)
+    for a, b in zip(results[0].adam_states, direct.adam_states):
+        np.testing.assert_array_equal(a.m, b.m)
+        np.testing.assert_array_equal(a.v, b.v)
 
 
 def test_two_candidates_reach_distinct_stationary_points():
@@ -224,8 +230,8 @@ def test_two_candidates_reach_distinct_stationary_points():
 
     game = QuadraticGame([double_well])
     ss = np.random.SeedSequence(23)
-    opts = EpisodeOptions(config=ExperimentConfig(k_all=8, n_eq=(2,), hidden=(4,), lr=0.05,
-                                                  k_batch=2, eps_tol=0.0))
+    opts = episode_options(ExperimentConfig(k_all=8, n_eq=(2,), hidden=(4,), lr=0.05,
+                                            k_batch=2, eps_tol=0.0), [ACTIVE])
     agent = make_agent(game, -1, opts, ss)
     # zero-width inputs start every net at the exact saddle a = 0; nudge the
     # output biases apart the way real observation inputs would
@@ -255,8 +261,8 @@ def test_episode_abort_flag_on_nonfinite():
                           ag.affine(state[0][0], 0.0, 0.0))
 
     game = QuadraticGame([exploding])
-    opts = EpisodeOptions(config=ExperimentConfig(brain="shared", episode_steps=3, k_all=8,
-                                                  k_batch=2, max_iters=2, hidden=(4,)))
+    opts = episode_options(ExperimentConfig(brain="shared", episode_steps=3, k_all=8,
+                                            k_batch=2, max_iters=2, hidden=(4,)), [ACTIVE])
     record = run_episode(game, opts, seed=29)
     assert record.aborted
     assert len(record.steps) < 3
@@ -273,9 +279,9 @@ def test_particle_dump_closed_when_episode_raises(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "dump_particles", failing_dump)
     game = make_game(ScenarioConfig(scenario="tag"))
-    opts = EpisodeOptions(config=ExperimentConfig(brain="shared", episode_steps=2, k_all=8,
-                                                  k_batch=2, max_iters=1, hidden=(4,)),
-                          particle_dump=str(tmp_path / "cloud.txt"))
+    opts = episode_options(ExperimentConfig(brain="shared", episode_steps=2, k_all=8,
+                                            k_batch=2, max_iters=1, hidden=(4,)),
+                           [ACTIVE, ACTIVE], str(tmp_path / "cloud.txt"))
     with pytest.raises(RuntimeError, match="dump failed"):
         run_episode(game, opts, seed=31)
     assert len(opened) == 1 and opened[0].closed

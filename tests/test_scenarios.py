@@ -59,6 +59,8 @@ def test_make_game_dispatch_and_validation():
         make_game(ScenarioConfig(scenario="tagchain", spawn_mode=True))
     with pytest.raises(ValueError):
         make_game(ScenarioConfig(scenario="hideseek", obstacles=((4.9, 0.0, 0.5),)))
+    with pytest.raises(ValueError, match="at least one obstacle"):
+        make_game(ScenarioConfig(scenario="hideseek", obstacles=()))
     with pytest.raises(ValueError):
         make_game(ScenarioConfig(scenario="warehouse", wh_alpha=-1.0))
     # a zero-width window cannot shift; t_future = 0 stays a valid horizon

@@ -17,10 +17,12 @@ from pogplan.policy import (
     ACTIVE,
     PASSIVE,
     action_block,
+    adam_init,
     init_policy,
     policy_forward,
 )
-from pogplan.runner import EpisodeOptions, run_episode
+from pogplan.experiments import episode_options
+from pogplan.runner import run_episode
 from pogplan.scenarios import ScenarioConfig, WarehouseGame, make_game
 from pogplan.solver import (
     _run_rollout,
@@ -35,6 +37,11 @@ from pogplan.solver import (
 def _policies(game, mode=ACTIVE, seed=0, hidden=(8,)):
     return [init_policy(game, i, mode, seed=seed + i, hidden=hidden)
             for i in range(game.n_players)]
+
+
+def _cold(thetas, lr=1e-3):
+    """Fresh Adam states for a cold start, as ``runner.make_agent`` builds them."""
+    return [adam_init(t, lr=lr) for t in thetas]
 
 
 def _recorded(game, rollout):
@@ -198,7 +205,8 @@ def test_nonfinite_inputs_abort(where):
         thetas[0].flat[0] = np.inf   # the first layer's first weight
     with pytest.raises(FloatingPointError):
         expected_cost(game, pset, thetas, 1, 2, np.random.default_rng(24))
-    res = calc_eq(game, pset, thetas, np.random.default_rng(25), max_iters=3, k_batch=2)
+    res = calc_eq(game, pset, thetas, _cold(thetas), np.random.default_rng(25),
+                  eps_tol=1e-3, max_iters=3, k_batch=2)
     assert res.aborted
     assert not res.converged
 
@@ -213,7 +221,8 @@ def test_final_evaluation_overflow_aborts_without_warning():
     thetas = [init_policy(game, i, ACTIVE, seed=i, hidden=(8,)) for i in range(2)]
     pset = init_particles(game, 4, 1, np.random.default_rng(23))
     pset.states[:, [0, 4]] = 1e200
-    res = calc_eq(game, pset, thetas, np.random.default_rng(25), max_iters=0, k_batch=2)
+    res = calc_eq(game, pset, thetas, _cold(thetas), np.random.default_rng(25),
+                  eps_tol=1e-3, max_iters=0, k_batch=2)
     assert res.iterations == 0
     assert res.aborted
     assert not res.converged
@@ -228,7 +237,8 @@ def test_soft_min_underflow_aborts_the_solve():
     pset = init_particles(game, 4, 1, np.random.default_rng(23))
     pset.states[:, 0:2] = (80.0, 0.0)    # pursuer
     pset.states[:, 4:6] = (80.0, 3.0)    # evader
-    res = calc_eq(game, pset, thetas, np.random.default_rng(25), max_iters=3, k_batch=2)
+    res = calc_eq(game, pset, thetas, _cold(thetas), np.random.default_rng(25),
+                  eps_tol=1e-3, max_iters=3, k_batch=2)
     assert res.aborted
     assert not res.converged
 
@@ -366,11 +376,12 @@ def test_calc_eq_single_player_reaches_optimum():
     rng = np.random.default_rng(18)
     pset = init_particles(game, 4, 1, rng)
     thetas = _policies(game, hidden=(4,))
-    res = calc_eq(game, pset, thetas, rng, eps_tol=0.0, max_iters=500,
-                  k_batch=2, lr=0.05)
+    res = calc_eq(game, pset, thetas, _cold(thetas, lr=0.05), rng, eps_tol=0.0,
+                  max_iters=500, k_batch=2)
     assert res.iterations <= 500
     assert abs(_final_action(game, res.thetas[0]) - 2.0) < 1e-2
-    assert abs(res.costs[0]) < 1e-3
+    cost, = eval_cost(game, pset, res.thetas, [0], evaluation_batch(game, pset, 2, rng))
+    assert abs(cost) < 1e-3
     assert len(res.cost_trace[0]) == res.iterations
     assert len(res.grad_step_seconds) == res.iterations
 
@@ -380,8 +391,8 @@ def test_calc_eq_two_player_nash():
     rng = np.random.default_rng(19)
     pset = init_particles(game, 4, 1, rng)
     thetas = _policies(game, hidden=(4,))
-    res = calc_eq(game, pset, thetas, rng, eps_tol=0.0, max_iters=500,
-                  k_batch=2, lr=0.05)
+    res = calc_eq(game, pset, thetas, _cold(thetas, lr=0.05), rng, eps_tol=0.0,
+                  max_iters=500, k_batch=2)
     a1 = _final_action(game, res.thetas[0])
     a2 = _final_action(game, res.thetas[1])
     assert abs(a1 - 1.0 / 1.1) < 1e-2
@@ -393,15 +404,50 @@ def test_calc_eq_converged_flag_and_warm_start():
     rng = np.random.default_rng(20)
     pset = init_particles(game, 4, 1, rng)
     thetas = _policies(game, hidden=(4,))
-    res = calc_eq(game, pset, thetas, rng, eps_tol=1e-4, max_iters=2000,
-                  k_batch=2, lr=0.05)
+    res = calc_eq(game, pset, thetas, _cold(thetas, lr=0.05), rng, eps_tol=1e-4,
+                  max_iters=2000, k_batch=2)
     assert res.converged
     assert res.iterations < 2000
     # warm start from the solution: immediately flat
-    res2 = calc_eq(game, pset, res.thetas, rng, eps_tol=1e-3, max_iters=50,
-                   k_batch=2, lr=0.05, adam_states=res.adam_states)
+    res2 = calc_eq(game, pset, res.thetas, res.adam_states, rng, eps_tol=1e-3,
+                   max_iters=50, k_batch=2)
     assert res2.iterations <= 10
     assert abs(_final_action(game, res2.thetas[0]) - 2.0) < 0.05
+
+
+@pytest.mark.parametrize("k_batch", [0, -1])
+def test_calc_eq_rejects_an_empty_batch_before_any_draw(k_batch):
+    game = single_quadratic()
+    pset = init_particles(game, 4, 1, np.random.default_rng(28))
+    thetas = _policies(game, hidden=(4,))
+    rng = np.random.default_rng(29)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="k_batch must be at least 1"):
+        calc_eq(game, pset, thetas, _cold(thetas), rng, eps_tol=1e-3, max_iters=3,
+                k_batch=k_batch)
+    assert rng.bit_generator.state == before
+
+
+def test_calc_eq_never_writes_into_its_warm_start():
+    """The caller's policies, Adam states and their lists come back as they
+    went in; a policy and Adam state that no step updated come back as the
+    objects passed in."""
+    game = make_game(ScenarioConfig(scenario="tag", t_past=2, t_future=2))
+    thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(4,)),
+              init_policy(game, 1, ACTIVE, seed=2, hidden=(4,))]
+    states = _cold(thetas)
+    pset = init_particles(game, 16, 1, np.random.default_rng(30))
+    arrays = [a for th, st in zip(thetas, states) for a in (th.flat, st.m, st.v)]
+    before = [a.tobytes() for a in arrays]
+    given = thetas + states
+    res = calc_eq(game, pset, thetas, states, np.random.default_rng(31), eps_tol=1e-3,
+                  max_iters=3, k_batch=4)
+    assert res.adam_states[0].step == 3
+    assert [a.tobytes() for a in arrays] == before
+    assert len(thetas + states) == 4 and all(a is b for a, b in zip(thetas + states, given))
+    idle = calc_eq(game, pset, thetas, states, np.random.default_rng(31), eps_tol=1e-3,
+                   max_iters=0, k_batch=4)
+    assert all(a is b for a, b in zip(idle.thetas + idle.adam_states, thetas + states))
 
 
 def _exploding(state):
@@ -417,25 +463,26 @@ def test_calc_eq_survives_nonfinite_costs():
     rng = np.random.default_rng(21)
     pset = init_particles(game, 2, 1, rng)
     thetas = _policies(game, hidden=(4,))
-    res = calc_eq(game, pset, thetas, rng, max_iters=5, k_batch=1)
+    res = calc_eq(game, pset, thetas, _cold(thetas), rng, eps_tol=1e-3, max_iters=5, k_batch=1)
     assert res.aborted
     assert not res.converged
 
 
 def test_calc_eq_aborts_on_nonfinite_evaluation(monkeypatch):
     """A solve whose gradient play converged but whose final evaluation cost
-    is not finite is marked aborted and not converged; its costs are kept."""
+    is not finite is marked aborted and not converged; it keeps its steps."""
     game = single_quadratic()
     rng = np.random.default_rng(27)
     pset = init_particles(game, 4, 1, rng)
     monkeypatch.setattr(solver, "eval_cost",
                         lambda game, pset, thetas, players, batch: [np.nan] * len(players))
-    res = calc_eq(game, pset, _policies(game, hidden=(4,)), rng, eps_tol=np.inf,
-                  max_iters=3, k_batch=2)
+    thetas = _policies(game, hidden=(4,))
+    res = calc_eq(game, pset, thetas, _cold(thetas), rng, eps_tol=np.inf, max_iters=3, k_batch=2)
     assert res.iterations == 1   # every gradient passes an infinite tolerance
     assert res.aborted
     assert not res.converged
-    assert np.isnan(res.costs).all()
+    assert res.adam_states[0].step == 1
+    assert not np.array_equal(res.thetas[0].flat, thetas[0].flat)
 
 
 def test_calc_eq_counts_skipped_adam_steps():
@@ -451,14 +498,16 @@ def test_calc_eq_counts_skipped_adam_steps():
     pset = init_particles(game, 2, 1, rng)
     thetas = _policies(game, hidden=(4,))
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = calc_eq(game, pset, thetas, rng, max_iters=5, k_batch=1)
+        res = calc_eq(game, pset, thetas, _cold(thetas), rng, eps_tol=1e-3, max_iters=5,
+                      k_batch=1)
     assert not res.aborted
     assert not res.converged
     assert res.iterations > 0
     assert res.adam_states[0].step == 0   # every update skipped
     np.testing.assert_array_equal(thetas[0].flat, res.thetas[0].flat)
 
-    clean = calc_eq(single_quadratic(), pset, thetas, rng, max_iters=5, k_batch=1)
+    clean = calc_eq(single_quadratic(), pset, thetas, _cold(thetas), rng, eps_tol=1e-3,
+                    max_iters=5, k_batch=1)
     assert clean.adam_states[0].step == clean.iterations   # none skipped
 
 
@@ -496,9 +545,11 @@ def test_calc_eq_restores_collector_state(gc_on, ending):
             mp.setattr(solver, "expected_cost", spy)
             if ending == "raises":
                 with pytest.raises(_Broken):
-                    calc_eq(game, pset, thetas, rng, max_iters=3, k_batch=1)
+                    calc_eq(game, pset, thetas, _cold(thetas), rng, eps_tol=1e-3,
+                            max_iters=3, k_batch=1)
             else:
-                res = calc_eq(game, pset, thetas, rng, max_iters=3, k_batch=1)
+                res = calc_eq(game, pset, thetas, _cold(thetas), rng, eps_tol=1e-3,
+                              max_iters=3, k_batch=1)
                 assert res.aborted == (ending == "aborts")
         after = gc.isenabled()
     finally:
@@ -525,7 +576,8 @@ def _calc_eq_tag_arrays():
     modes = [PASSIVE, ACTIVE]
     thetas = [init_policy(game, i, modes[i], seed=30 + i, hidden=(8, 8)) for i in range(2)]
     pset = init_particles(game, 200, 1, np.random.default_rng(31))
-    res = calc_eq(game, pset, thetas, np.random.default_rng(32), max_iters=20, k_batch=10)
+    res = calc_eq(game, pset, thetas, _cold(thetas), np.random.default_rng(32),
+                  eps_tol=1e-3, max_iters=20, k_batch=10)
     out = {"solve/iterations": np.array(res.iterations)}
     for i, theta in enumerate(res.thetas):
         state = res.adam_states[i]
@@ -535,8 +587,8 @@ def _calc_eq_tag_arrays():
             for j, leaf in enumerate(leaves):
                 out[f"solve/{key}/{j}"] = leaf
 
-    opts = EpisodeOptions(config=ExperimentConfig(episode_steps=2, k_all=200, k_batch=10,
-                                                  max_iters=20, hidden=(8, 8)), modes=modes)
+    opts = episode_options(ExperimentConfig(episode_steps=2, k_all=200, k_batch=10,
+                                            max_iters=20, hidden=(8, 8)), modes)
     record = run_episode(game, opts, seed=33)
     for s in record.steps:
         out[f"episode/{s.step}/state"] = s.state
