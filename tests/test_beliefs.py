@@ -332,16 +332,17 @@ UPDATE_STEPS = os.path.join(os.path.dirname(__file__), "data", "update_steps.npz
 def _update_step_arrays():
     """States, windows, weights and the reset flag after each of four seeded
     updates, as named arrays: one open-loop update, two gamma = 0.3
-    conditioned ones, then a conditioned one with a resample threshold.  A
-    tag cloud of 2 * ROW_BLOCK + 37 particles in three blocks (window shifts
-    end on a ragged chunk), and a tagchain cloud of the same size in two
-    uneven blocks (policy forwards end on ragged slices); every block has
-    its own candidate, with passive and active players."""
+    conditioned ones, then a conditioned one with a resample threshold.
+    Clouds of 2 * ROW_BLOCK + 37 particles: tag in three blocks (one row
+    span), tagchain in two uneven blocks (two spans, the last one ragged),
+    and tag in one block (three spans, the last one ragged); every block
+    has its own candidate, with passive and active players."""
     out = {}
-    cases = (("tag", 3, (PASSIVE, ACTIVE)),
-             ("tagchain", 2, (PASSIVE, ACTIVE, ACTIVE, PASSIVE)))
-    for name, n_eq, modes in cases:
-        game = make_game(ScenarioConfig(scenario=name))
+    cases = (("tag", "tag", 3, (PASSIVE, ACTIVE)),
+             ("tagchain", "tagchain", 2, (PASSIVE, ACTIVE, ACTIVE, PASSIVE)),
+             ("tag-one-block", "tag", 1, (PASSIVE, ACTIVE)))
+    for name, scenario, n_eq, modes in cases:
+        game = make_game(ScenarioConfig(scenario=scenario))
         k = 2 * beliefs.ROW_BLOCK + 37
         rng = np.random.default_rng(50)
         pset = init_particles(game, k, n_eq, rng)
