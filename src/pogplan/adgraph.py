@@ -835,9 +835,9 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
 # Gradient checking.
 # ---------------------------------------------------------------------------
 
-def grad_check(f, point, h=1e-5):
+def grad_check(f, point, h):
     """Compare the tape gradient of ``f`` at ``point`` against central
-    finite differences.
+    finite differences of step ``h``.
 
     ``f`` takes one flat vector (Node or ndarray) and returns a scalar.
     Returns the max over coordinates of

@@ -19,20 +19,21 @@ systematic resampler is provided as a clearly flagged extension for long
 episodes.
 
 An update advances the cloud in place and returns the same ``ParticleSet``:
-callers must not keep views of its arrays across an update.  Partition blocks
-are strided slices, so a block's states and windows are views, not copies.
-Policies run over the cloud in slices of ``ROW_BLOCK`` rows, so each layer's
-intermediate stays in cache instead of spilling a cloud-sized temporary to
-memory on every layer.
+callers must not keep views of its arrays across an update.  The partition is
+a block count ``n``: block ``p`` holds rows ``p, p + n, p + 2n, ...``.  The
+cloud advances one span of ``n * ROW_BLOCK`` rows at a time, so each policy
+call sees at most ``ROW_BLOCK`` rows and each layer's intermediate stays in
+cache instead of spilling a cloud-sized temporary to memory on every layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import adgraph as ag
 from .policy import ACTIVE, PolicyParams, action_block, policy_forward
 
 DEGENERACY_FLOOR = 1e-300
@@ -48,7 +49,7 @@ class ParticleSet:
     states: np.ndarray          # (K, D) packed joint states
     hists: list                 # per player: (K, t_past * obs_dim_i)
     weights: np.ndarray         # (K,) nonnegative, summing to one
-    blocks: list                # slice(p, K, n_eq) per block p; read-only, shared
+    n_blocks: int               # block p holds rows p, p + n_blocks, ...
     degenerate: bool = False    # set when a weight collapse forced a reset
 
     @property
@@ -56,14 +57,9 @@ class ParticleSet:
         return self.states.shape[0]
 
 
-def round_robin_partition(k_all, n_eq):
-    """n_eq disjoint, exhaustive strided slices with sizes differing by <= 1."""
-    return [slice(p, k_all, n_eq) for p in range(n_eq)]
-
-
 def init_particles(game, k_all, n_eq, rng):
     """Fresh cloud: states i.i.d. from the initial distribution, zero-filled
-    observation windows, uniform weights, round-robin partition."""
+    observation windows, uniform weights, ``n_eq`` blocks."""
     if k_all < n_eq or n_eq < 1:
         raise ValueError(f"need k_all >= n_eq >= 1, got {k_all}, {n_eq}")
     states = game.pack_state(game.sample_initial(rng, k_all))
@@ -71,7 +67,7 @@ def init_particles(game, k_all, n_eq, rng):
              for i in range(game.n_players)]
     weights = np.full(k_all, 1.0 / k_all)
     return ParticleSet(states=states, hists=hists, weights=weights,
-                       blocks=round_robin_partition(k_all, n_eq))
+                       n_blocks=n_eq)
 
 
 def sampling_cdf(weights):
@@ -97,14 +93,6 @@ def sample_batch(cdf, k_batch, rng):
     return cdf.searchsorted(rng.random(k_batch), side="right")
 
 
-def _forward(theta, hist, out):
-    """Write ``theta``'s actions for the rows of ``hist`` into ``out``; a
-    passive policy's action is its sequence's first block."""
-    for lo in range(0, hist.shape[0], ROW_BLOCK):
-        sequence = policy_forward(theta, hist[lo:lo + ROW_BLOCK])
-        out[lo:lo + ROW_BLOCK] = action_block(theta, sequence, 0)
-
-
 def observe_particles(pset, game, rng):
     """Fresh joint observations of every row's current state, one array per
     player.  None aliases the cloud (an exactly seen state is copied), so each
@@ -121,29 +109,31 @@ def observe_particles(pset, game, rng):
 def advance_particles(pset, game, block_policies, obs):
     """The open-loop round step of every row, in place, each block under its
     own per-player policies; returns every row's actions, one array per
-    player.  Passive policies read the pre-push window, the windows take
-    ``obs``, active policies read the pushed window, and the states
-    transition.  Windows and states go a ``ROW_BLOCK``-row chunk at a time,
-    so the actions are the only cloud-sized allocations."""
-    actions = [np.empty((pset.k_all, t.action_dim)) for t in block_policies[0]]
+    player.  The cloud goes one span of ``n_blocks * ROW_BLOCK`` rows at a
+    time, and block ``p``'s rows of a span are ``span[p::n_blocks]``.  In each
+    span, passive policies read the pre-push window (a passive action is its
+    sequence's first block), the windows take ``obs``, active policies read
+    the pushed window, and the states transition; so the actions are the only
+    cloud-sized allocations."""
+    n, k = pset.n_blocks, pset.k_all
+    actions = [np.empty((k, t.action_dim)) for t in block_policies[0]]
 
-    def forward(active):
-        for block, thetas in zip(pset.blocks, block_policies):
+    def forward(lo, hi, active):
+        for start, thetas in zip(range(lo, hi), block_policies):  # non-empty blocks
+            rows = slice(start, hi, n)
             for t, h, a in zip(thetas, pset.hists, actions):
                 if (t.mode == ACTIVE) == active:
-                    _forward(t, h[block], a[block])
+                    a[rows] = action_block(t, policy_forward(t, h[rows]), 0)
 
-    forward(active=False)
-    for h, z in zip(pset.hists, obs):   # ag.shift_last in place, by chunks
-        width, lo = h.shape[1], z.shape[1]
-        for r in range(0, pset.k_all, ROW_BLOCK):
-            h[r:r + ROW_BLOCK, :width - lo] = h[r:r + ROW_BLOCK, lo:]
-            h[r:r + ROW_BLOCK, width - lo:] = z[r:r + ROW_BLOCK]
-    forward(active=True)
-    for r in range(0, pset.k_all, ROW_BLOCK):
-        rows = game.unpack_state(pset.states[r:r + ROW_BLOCK])
-        pset.states[r:r + ROW_BLOCK] = game.pack_state(
-            game.transition(rows, [a[r:r + ROW_BLOCK] for a in actions]))
+    for lo in range(0, k, n * ROW_BLOCK):
+        hi = min(lo + n * ROW_BLOCK, k)
+        forward(lo, hi, active=False)
+        for h, z in zip(pset.hists, obs):
+            h[lo:hi] = ag.shift_last(h[lo:hi], z[lo:hi])
+        forward(lo, hi, active=True)
+        state = game.unpack_state(pset.states[lo:hi])
+        pset.states[lo:hi] = game.pack_state(
+            game.transition(state, [a[lo:hi] for a in actions]))
     return actions
 
 
@@ -170,11 +160,11 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     per_block = not (policies and isinstance(policies[0], PolicyParams))
-    block_policies = policies if per_block else [policies] * len(pset.blocks)
-    if per_block and len(policies) != len(pset.blocks):
-        raise ValueError(f"{len(policies)} candidate policies for {len(pset.blocks)} blocks")
+    block_policies = policies if per_block else [policies] * pset.n_blocks
+    if per_block and len(policies) != pset.n_blocks:
+        raise ValueError(f"{len(policies)} candidate policies for {pset.n_blocks} blocks")
     widths = [h.shape[1] for h in pset.hists]
-    if any([t.input_width for t in thetas] != widths for thetas in block_policies):
+    if any([t.shapes[0][1] for t in thetas] != widths for thetas in block_policies):
         raise ValueError(f"policy input widths differ from the window widths {widths}")
     if true_obs is not None and np.size(true_obs) != game.obs_dim(player):
         raise ValueError(f"true_obs has {np.size(true_obs)} entries, not {game.obs_dim(player)}")
@@ -215,8 +205,8 @@ def effective_sample_size(pset):
 
 def systematic_resample(pset, rng):
     """Optional extension (off by default): systematic resampling to uniform
-    weights, written into the set's own arrays; returns ``pset``.  Partition
-    blocks keep their index positions."""
+    weights, written into the set's own arrays; returns ``pset``.  Blocks keep
+    their row positions; a position may take a copy of another block's row."""
     k = pset.k_all
     positions = (rng.random() + np.arange(k)) / k
     cum = np.cumsum(pset.weights / pset.weights.sum())
@@ -262,7 +252,7 @@ def surprisal(summary, true_position):
     return 0.5 * (dim * np.log(2.0 * np.pi) + logdet + quad)
 
 
-def dump_particles(pset, game, fh, step, agent=-1):
+def dump_particles(pset, game, fh, step, agent):
     """Append one step of the cloud as columnar text: positions + weights.
 
     ``agent`` labels whose belief this is (-1 for a shared brain).

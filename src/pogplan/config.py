@@ -119,7 +119,7 @@ def _parse_value(key, text, default):
     raise ConfigError(f"malformed value for key '{key}': {text!r}")
 
 
-def parse_config_text(text, source="<config>"):
+def parse_config_text(text, source):
     cfg = ExperimentConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

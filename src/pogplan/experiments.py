@@ -253,7 +253,7 @@ def neq_grid(cfg, values):
 # Oracle suites (also exposed as CLI subcommands)
 # ---------------------------------------------------------------------------
 
-def rollout_gradcheck(scenario, programs=100, seed=0):
+def rollout_gradcheck(scenario, programs, seed):
     """Worst relative error of the tape gradient of random rollout programs
     against central finite differences (step 1e-4).
 
@@ -296,7 +296,7 @@ def _random_reachable_state(game, rng):
     return state
 
 
-def belief_bayes_check(k_particles=10_000, steps=5, seed=0):
+def belief_bayes_check(k_particles=10_000, steps=5, *, seed):
     """Total-variation gap between the conditioned particle marginal and the
     exact enumerated posterior on the two-state toy game."""
     from .toygame import ToyFilterGame, exact_posterior   # only this check uses it
@@ -526,7 +526,7 @@ def read_trial_record(path):
 # Plot-data emission
 # ---------------------------------------------------------------------------
 
-def emit_plot_data(records, kind, path, player=None):
+def emit_plot_data(records, kind, path, player):
     """Write plot-ready columnar text for one figure family.
 
     ``records`` is a list of TrialRecord (fresh or re-read).  No plotting

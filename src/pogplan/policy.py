@@ -35,12 +35,11 @@ class PolicyParams:
     flat: np.ndarray      # every parameter (``adgraph.layer_views``); a tape leaf when lifted
     shapes: tuple         # per layer, the weight shape (out, in)
     mode: str
-    input_width: int
     action_dim: int
     action_scale: float
 
 
-def init_policy(game, player, mode, seed, hidden=(64, 64)):
+def init_policy(game, player, mode, seed, hidden):
     """Build a freshly initialized policy for one player.
 
     Weights are Glorot-uniform (+-sqrt(6/(fan_in+fan_out))), biases zero;
@@ -61,23 +60,22 @@ def init_policy(game, player, mode, seed, hidden=(64, 64)):
         n_out, n_in = w.shape
         bound = np.sqrt(6.0 / (n_in + n_out))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return PolicyParams(flat=flat, shapes=shapes, mode=mode,
-                        input_width=input_width, action_dim=action_dim,
+    return PolicyParams(flat=flat, shapes=shapes, mode=mode, action_dim=action_dim,
                         action_scale=game.action_scale(player))
 
 
 def policy_forward(theta, history):
     """Evaluate the policy on a flattened observation window.
 
-    ``history`` is (K, input_width) rows, most recent observation last,
+    ``history`` is (K, ``shapes[0][1]``) rows, most recent observation last,
     zero-filled prehistory.  Returns the network output: an active policy's
     action, or a passive policy's whole action sequence (see
     ``action_block``).  The output satisfies ``|action| <= action_scale`` per
     coordinate via a tanh squash.
     """
-    width = history.shape[-1]
-    if width != theta.input_width:
-        raise ValueError(f"history width {width} != policy input width {theta.input_width}")
+    width, input_width = history.shape[-1], theta.shapes[0][1]
+    if width != input_width:
+        raise ValueError(f"history width {width} != policy input width {input_width}")
     return ag.tanh_mlp(theta.flat, theta.shapes, history, theta.action_scale)
 
 
@@ -112,7 +110,7 @@ class AdamState:
     lr: float
 
 
-def adam_init(theta, lr=1e-3):
+def adam_init(theta, lr):
     return AdamState(m=np.zeros_like(theta.flat), v=np.zeros_like(theta.flat),
                      step=0, lr=lr)
 

@@ -78,11 +78,14 @@ class ScenarioConfig:
             raise ValueError(f"chain_players must be even and >= 2, got {self.chain_players}")
         if self.spawn_mode and self.scenario == "tagchain":
             raise ValueError("spawn_mode places two players; tagchain does not take it")
-        for quantity in ("sigma2_base", "wh_alpha", "wh_beta", "wh_eta1", "wh_eta2"):
+        for quantity in ("play_radius", "sigma2_base", "v_max_pursuer", "v_max_evader",
+                         "wh_alpha", "wh_beta", "wh_eta1", "wh_eta2", "wh_v_max_p1",
+                         "wh_v_max_p2"):
             if getattr(self, quantity) <= 0:
                 raise ValueError(f"{quantity} must be positive")
-        if self.init_pos_std < 0:
-            raise ValueError(f"init_pos_std must be non-negative, got {self.init_pos_std}")
+        for quantity in ("c_scale", "init_pos_std"):
+            if getattr(self, quantity) < 0:
+                raise ValueError(f"{quantity} must be non-negative, got {getattr(self, quantity)}")
         for cx, cy, r in self.obstacles:
             if math.hypot(cx, cy) + r > self.play_radius:
                 raise ValueError(f"obstacle ({cx}, {cy}, r={r}) leaves the play area")

@@ -208,8 +208,9 @@ def _references(callers):
     (``from .adgraph import X``, ``from pogplan.solver import X``), or as
     ``X`` inside the module itself; ``np.exp`` is no reference to
     ``adgraph.exp``.  Returns the names referenced and the calls through
-    them, as (name, call) pairs."""
-    used, calls = set(), []
+    them, as (name, call) pairs, and the names referenced other than as a
+    call's callee (``{"tag": TagGame}``)."""
+    used, calls, uncalled = set(), [], set()
     for path in (p for d in callers for p in sorted(d.glob("*.py"))):
         tree = ast.parse(path.read_text())
         own = path.stem if path.parent == SRC else None
@@ -240,36 +241,55 @@ def _references(callers):
                 return own, node.id
             return None
 
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
             if name_of(node) is not None:
                 used.add(name_of(node))
+                if id(node) not in callees and isinstance(getattr(node, "ctx", None), ast.Load):
+                    uncalled.add(name_of(node))
             if isinstance(node, ast.Call) and name_of(node.func) is not None:
                 calls.append((name_of(node.func), node))
-    return used, calls
+    return used, calls, uncalled
 
 
 def _without_caller(api, callers):
-    used, _ = _references(callers)
+    used, _, _ = _references(callers)
     return sorted(f"{module}.{name}" for module, name in set(api) - used)
 
 
-def _unpassed_defaults(api, callers):
-    """Each parameter with a default that no call in ``callers`` passes, by
-    position or by keyword, as "module.function.parameter"."""
-    _, calls = _references(callers)
-    unpassed = []
+def _defaulted(api):
+    """Each parameter with a default, as (key, parameter, passes): ``passes``
+    tells whether a call sets it, by position, by keyword or possibly
+    through ``*args`` or ``**kwargs``."""
     for key, (fn, positional) in sorted(api.items()):
         positional = [a.arg for a in positional]
         defaulted = positional[len(positional) - len(fn.args.defaults):]
         defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                       if d is not None]
         for param in defaulted:
-            if not any(any(k.arg in (param, None) for k in call.keywords)
-                       or any(isinstance(a, ast.Starred) for a in call.args)
-                       or (param in positional and len(call.args) > positional.index(param))
-                       for callee, call in calls if callee == key):
-                unpassed.append(".".join((*key, param)))
-    return unpassed
+            def passes(call, param=param, positional=positional):
+                return (any(k.arg in (param, None) for k in call.keywords)
+                        or any(isinstance(a, ast.Starred) for a in call.args)
+                        or (param in positional and len(call.args) > positional.index(param)))
+            yield key, param, passes
+
+
+def _unpassed_defaults(api, callers):
+    """Each parameter with a default that no call in ``callers`` passes, by
+    position or by keyword, as "module.function.parameter"."""
+    _, calls, _ = _references(callers)
+    return [".".join((*key, param)) for key, param, passes in _defaulted(api)
+            if not any(passes(call) for callee, call in calls if callee == key)]
+
+
+def _unomitted_defaults(api, callers):
+    """Each parameter with a default that every call in ``callers`` passes,
+    as "module.function.parameter".  A reference that is not called there
+    (a function kept in a table) counts as omitting every default."""
+    _, calls, uncalled = _references(callers)
+    return [".".join((*key, param)) for key, param, passes in _defaulted(api)
+            if key not in uncalled
+            and all(passes(call) for callee, call in calls if callee == key)]
 
 
 def _adgraph_api():
@@ -304,6 +324,14 @@ def test_every_defaulted_pogplan_parameter_is_passed():
     api = {key: value for key, value in _public_api().items() if key not in ENTRY_POINTS}
     unpassed = _unpassed_defaults(api, [SRC, PERFBENCH])
     assert not unpassed, f"pogplan parameters no call in src or perfbench passes: {unpassed}"
+
+
+def test_every_pogplan_default_is_used():
+    """No ``pogplan`` function or constructor has a default that only the
+    tests rely on: some call in ``src`` or in the benchmark omits it."""
+    api = {key: value for key, value in _public_api().items() if key not in ENTRY_POINTS}
+    unomitted = _unomitted_defaults(api, [SRC, PERFBENCH])
+    assert not unomitted, f"pogplan defaults every call in src or perfbench overrides: {unomitted}"
 
 
 def _dataclass_fields():
@@ -441,7 +469,7 @@ def test_grad_check_square():
 
 
 def test_grad_check_tanh():
-    err = grad_check(lambda x: ag.asum(rc.tanh(x)), np.array([0.5]))
+    err = grad_check(lambda x: ag.asum(rc.tanh(x)), np.array([0.5]), h=1e-5)
     assert err < 1e-6
     # and the analytic value agrees: d tanh = 1 - tanh^2
     tape = Tape()

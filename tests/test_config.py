@@ -44,7 +44,7 @@ def test_simple_overrides_and_comments():
         gathering = passive, active
         spawn_mode = true
         obstacles = 1.0,0.5,0.3 ; -1.0,-0.5,0.4
-    """)
+    """, source="<config>")
     assert cfg.gamma == 0.25
     assert cfg.scenario == "warehouse"
     assert cfg.trials == 3
@@ -56,20 +56,20 @@ def test_simple_overrides_and_comments():
 
 def test_malformed_value_names_the_key():
     with pytest.raises(ConfigError, match="gamma"):
-        parse_config_text("gamma = banana")
+        parse_config_text("gamma = banana", source="<config>")
     with pytest.raises(ConfigError, match="trials"):
-        parse_config_text("trials = 2.5")
+        parse_config_text("trials = 2.5", source="<config>")
     with pytest.raises(ConfigError, match="key = value"):
-        parse_config_text("just some words")
+        parse_config_text("just some words", source="<config>")
     # ';' separates groups only in a key whose default holds groups
     for text in ("hidden = 4; 4", "wh_station = 0.5; 1.0", "n_eq = 1;"):
         with pytest.raises(ConfigError, match=text.partition(" ")[0]):
-            parse_config_text(text)
+            parse_config_text(text, source="<config>")
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown configuration key 'flux'"):
-        parse_config_text("flux = 1")
+        parse_config_text("flux = 1", source="<config>")
 
 
 def test_missing_file_distinct_error(tmp_path):
@@ -89,7 +89,7 @@ def test_round_trip_exact(tmp_path):
         lr = 0.0035
         spawn_mode = true
         fov = 1.2345678901234567
-    """)
+    """, source="<config>")
     path = tmp_path / "echo.cfg"
     write_config(cfg, path)
     again = parse_config(path)
@@ -102,7 +102,7 @@ def test_round_trip_exact(tmp_path):
         warehouse_random_tasks = false
         obstacles = 1.8, 1.2, 0.7
         wh_tasks = 0.25,0.25
-    """)
+    """, source="<config>")
     assert cfg.obstacles == ((1.8, 1.2, 0.7),)
     assert cfg.wh_tasks == ((0.25, 0.25),)
     write_config(cfg, path)
@@ -115,7 +115,7 @@ def test_scenario_config_carries_constants():
     constants, and a trial swaps in per-seed warehouse tasks only when
     ``warehouse_random_tasks`` is set."""
     cfg = parse_config_text("scenario = warehouse\nwh_alpha = 7.5\nt_future = 4\n"
-                            "wh_tasks = 0.1,0.1; 0.9,0.9")
+                            "wh_tasks = 0.1,0.1; 0.9,0.9", source="<config>")
     assert isinstance(cfg, ScenarioConfig)
     game = make_game(cfg)
     assert game.config.wh_alpha == 7.5

@@ -134,7 +134,14 @@ def test_run_matrix_validates_before_writing(tmp_path):
                          ({"lr": -0.001}, "lr must be positive"),
                          ({"lr": 0.0}, "lr must be positive"),
                          ({"sigma2_base": -0.01}, "sigma2_base must be positive"),
-                         ({"sigma2_base": 0.0}, "sigma2_base must be positive")):
+                         ({"sigma2_base": 0.0}, "sigma2_base must be positive"),
+                         ({"v_max_pursuer": -0.3}, "v_max_pursuer must be positive"),
+                         ({"v_max_evader": 0.0}, "v_max_evader must be positive"),
+                         ({"scenario": "warehouse", "wh_v_max_p1": 0.0}, "wh_v_max_p1 must be positive"),
+                         ({"scenario": "warehouse", "wh_v_max_p2": -0.15}, "wh_v_max_p2 must be positive"),
+                         ({"play_radius": 0.0, "obstacles": ()}, "play_radius must be positive"),
+                         ({"play_radius": -5.0, "obstacles": ()}, "play_radius must be positive"),
+                         ({"c_scale": -5.0}, "c_scale must be non-negative")):
         cfg = _tiny_cfg(tmp_path, **bad)
         with pytest.raises(ValueError, match=message):
             run_matrix(cfg)
@@ -295,12 +302,12 @@ def test_emit_plot_data_schemas(tmp_path):
     batch = next(iter(records.values()))
 
     traj = tmp_path / "traj.txt"
-    emit_plot_data(batch, "trajectory", traj)
+    emit_plot_data(batch, "trajectory", traj, player=None)
     lines = [l for l in traj.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == cfg.episode_steps * 2  # steps x players
 
     conv = tmp_path / "conv.txt"
-    emit_plot_data(batch, "convergence", conv)
+    emit_plot_data(batch, "convergence", conv, player=None)
     rows = [l.split() for l in conv.read_text().splitlines() if not l.startswith("#")]
     assert all(len(r) == 3 for r in rows)  # iteration mean stderr
     assert len(rows) == cfg.max_iters
@@ -315,7 +322,7 @@ def test_emit_plot_data_schemas(tmp_path):
     # none under a player's own agent: the shared brain's entries are read
     shared = [r for r in loaded if r.brain == "shared"]
     assert shared and all(r.n_eq == [1] for r in shared)
-    emit_plot_data(shared, "surprisal", surp)
+    emit_plot_data(shared, "surprisal", surp, player=None)
     rows = [l.split() for l in surp.read_text().splitlines() if not l.startswith("#")]
     assert [r[0] for r in rows] == ["1"] and all(len(r) == 3 for r in rows)
     # the brain's surprisal about player 0, the default agent's opponent
@@ -327,9 +334,9 @@ def test_emit_plot_data_schemas(tmp_path):
     # a chain's player 1 is a teammate of player 0: the plot takes two players only
     chain = [read_trial_record(os.path.join(RECORDS, "tagchain_shared.txt"))]
     with pytest.raises(ValueError, match="two-player records"):
-        emit_plot_data(chain, "surprisal", surp)
+        emit_plot_data(chain, "surprisal", surp, player=None)
     with pytest.raises(ValueError):
-        emit_plot_data([], "trajectory", surp)
+        emit_plot_data([], "trajectory", surp, player=None)
 
 
 def test_sweep_t_future_rows(tmp_path):
@@ -440,7 +447,7 @@ def test_emit_plot_data_refuses_what_it_cannot_plot(tmp_path, kind, strip, match
         strip(records)
     path = tmp_path / "plot.txt"
     with pytest.raises(ValueError, match=match):
-        emit_plot_data(records, kind, path)
+        emit_plot_data(records, kind, path, player=None)
     assert not path.exists()
 
 

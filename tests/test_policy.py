@@ -38,10 +38,10 @@ class StubGame:
 
 def test_init_deterministic_given_seed():
     g = StubGame()
-    a = init_policy(g, 0, ACTIVE, seed=42)
-    b = init_policy(g, 0, ACTIVE, seed=42)
+    a = init_policy(g, 0, ACTIVE, seed=42, hidden=(64, 64))
+    b = init_policy(g, 0, ACTIVE, seed=42, hidden=(64, 64))
     np.testing.assert_array_equal(a.flat, b.flat)
-    c = init_policy(g, 0, ACTIVE, seed=43)
+    c = init_policy(g, 0, ACTIVE, seed=43, hidden=(64, 64))
     assert not np.array_equal(a.flat, c.flat)
 
 
@@ -50,24 +50,24 @@ def test_init_deterministic_given_seed():
                                                  (-1, PASSIVE, "player index -1 out of range")])
 def test_init_policy_rejects_unknown_mode_and_player(player, mode, match):
     with pytest.raises(ValueError, match=match):
-        init_policy(StubGame(), player, mode, seed=0)
+        init_policy(StubGame(), player, mode, seed=0, hidden=(64, 64))
 
 
 def test_tag_widths_match_window_and_action():
     game = make_game(ScenarioConfig(scenario="tag", t_past=6, t_future=6))
-    active = init_policy(game, 1, ACTIVE, seed=0)
-    assert active.input_width == 6 * game.obs_dim(1) == 36
+    active = init_policy(game, 1, ACTIVE, seed=0, hidden=(64, 64))
+    assert active.shapes[0][1] == 6 * game.obs_dim(1) == 36
     assert active.shapes[-1][0] == game.action_dim(1) == 2
-    passive = init_policy(game, 1, PASSIVE, seed=0)
+    passive = init_policy(game, 1, PASSIVE, seed=0, hidden=(64, 64))
     assert passive.shapes[-1][0] == 6 * game.action_dim(1) == 12
 
 
 def test_zero_weights_give_zero_action():
     g = StubGame()
-    theta = init_policy(g, 0, ACTIVE, seed=0)
+    theta = init_policy(g, 0, ACTIVE, seed=0, hidden=(64, 64))
     for w in ag.layer_views(theta.flat, theta.shapes)[0]:
         w[:] = 0.0
-    act = policy_forward(theta, np.ones((1, theta.input_width)))
+    act = policy_forward(theta, np.ones((1, theta.shapes[0][1])))
     np.testing.assert_array_equal(act, np.zeros((1, 2)))
 
 
@@ -78,15 +78,15 @@ def test_squash_bound_1000_random_samples():
         theta = init_policy(g, 0, ACTIVE, seed=trial % 17, hidden=(8, 8))
         for w in ag.layer_views(theta.flat, theta.shapes)[0]:
             w *= rng.uniform(0.5, 40.0)  # exaggerate weights; bound must still hold
-        hist = rng.normal(scale=5.0, size=(1, theta.input_width))
+        hist = rng.normal(scale=5.0, size=(1, theta.shapes[0][1]))
         act = policy_forward(theta, hist)
         assert np.max(np.abs(act)) <= g.action_scale(0) + 1e-12
 
 
 def test_active_mode_is_pure_function():
     g = StubGame()
-    theta = init_policy(g, 0, ACTIVE, seed=5)
-    hist = np.random.default_rng(1).normal(size=(1, theta.input_width))
+    theta = init_policy(g, 0, ACTIVE, seed=5, hidden=(64, 64))
+    hist = np.random.default_rng(1).normal(size=(1, theta.shapes[0][1]))
     a1 = policy_forward(theta, hist)
     a2 = action_block(theta, policy_forward(theta, hist), 0)  # an active output is one block
     np.testing.assert_array_equal(a1, a2)
@@ -94,15 +94,15 @@ def test_active_mode_is_pure_function():
 
 def test_wrong_history_width_rejected():
     g = StubGame()
-    theta = init_policy(g, 0, ACTIVE, seed=0)
+    theta = init_policy(g, 0, ACTIVE, seed=0, hidden=(64, 64))
     with pytest.raises(ValueError):
-        policy_forward(theta, np.zeros(theta.input_width + 1))
+        policy_forward(theta, np.zeros(theta.shapes[0][1] + 1))
 
 
 def test_passive_blocks_cover_distinct_slices():
     g = StubGame()
-    theta = init_policy(g, 0, PASSIVE, seed=9)
-    hist = np.random.default_rng(2).normal(size=(1, theta.input_width))
+    theta = init_policy(g, 0, PASSIVE, seed=9, hidden=(64, 64))
+    hist = np.random.default_rng(2).normal(size=(1, theta.shapes[0][1]))
     sequence = policy_forward(theta, hist)
     blocks = [action_block(theta, sequence, t) for t in range(g.t_future)]
     # re-run as active to get the raw sequence: same weights, no slicing
@@ -172,7 +172,7 @@ def test_adam_first_step_magnitude_closed_form():
 
 def test_adam_nonfinite_gradient_skipped():
     theta = _toy_theta()
-    state = adam_init(theta)
+    state = adam_init(theta, lr=1e-3)
     theta1, state1 = adam_step(theta, np.full_like(theta.flat, np.nan), state)
     assert theta1 is theta and state1 is state
     assert state1.step == 0
@@ -182,7 +182,7 @@ def test_adam_nonfinite_gradient_skipped():
 def test_adam_wrong_gradient_shape_rejected_before_finiteness_skip():
     """A gradient that does not match ``flat`` raises, NaN or not."""
     theta = _toy_theta()
-    state = adam_init(theta)
+    state = adam_init(theta, lr=1e-3)
     n = theta.flat.size
     for shape in [(n - 1,), (n + 1,), (1, n)]:
         for fill in (np.nan, 0.0):
@@ -196,7 +196,7 @@ def test_layer_arrays_are_views_into_flat():
     built; the step's result shares nothing with its source."""
     theta = init_policy(StubGame(), 0, PASSIVE, seed=4, hidden=(5, 3))
     assert theta.shapes == ((5, 12), (3, 5), (10, 3))
-    state = adam_init(theta)
+    state = adam_init(theta, lr=1e-3)
     stepped, stepped_state = adam_step(theta, np.linspace(-1.0, 1.0, theta.flat.size), state)
     assert not any(np.shares_memory(a, b) for a, b in
                    ((stepped.flat, theta.flat), (stepped_state.m, state.m),

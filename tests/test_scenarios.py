@@ -14,7 +14,6 @@ from pogplan.beliefs import (
     ParticleSet,
     advance_particles,
     init_particles,
-    round_robin_partition,
     update_particles,
 )
 from pogplan.experiments import modes_for_combo
@@ -418,7 +417,7 @@ def _moving_case(name, players, combo, k=16):
 
 def _cloud(game, state, hists, weights):
     return ParticleSet(states=game.pack_state(state), hists=[h.copy() for h in hists],
-                       weights=weights.copy(), blocks=round_robin_partition(len(weights), 1))
+                       weights=weights.copy(), n_blocks=1)
 
 
 @ARENA_SYMMETRIES

@@ -367,7 +367,7 @@ def test_cost_scaling_rescales_gradient_proportionally():
 # ---------------------------------------------------------------------------
 
 def _final_action(game, theta):
-    hist = np.zeros((1, theta.input_width))
+    hist = np.zeros((1, theta.shapes[0][1]))
     return float(policy_forward(theta, hist)[0, 0])
 
 
