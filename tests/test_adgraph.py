@@ -258,38 +258,43 @@ def _without_caller(api, callers):
 
 
 def _defaulted(api):
-    """Each parameter with a default, as (key, parameter, passes): ``passes``
-    tells whether a call sets it, by position, by keyword or possibly
-    through ``*args`` or ``**kwargs``."""
+    """Each parameter with a default, as (key, parameter, the parameters a
+    call fills by position)."""
     for key, (fn, positional) in sorted(api.items()):
         positional = [a.arg for a in positional]
         defaulted = positional[len(positional) - len(fn.args.defaults):]
         defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                       if d is not None]
         for param in defaulted:
-            def passes(call, param=param, positional=positional):
-                return (any(k.arg in (param, None) for k in call.keywords)
-                        or any(isinstance(a, ast.Starred) for a in call.args)
-                        or (param in positional and len(call.args) > positional.index(param)))
-            yield key, param, passes
+            yield key, param, positional
+
+
+def _passes(call, param, positional):
+    """Whether ``call`` sets ``param``: by position, by keyword, or possibly
+    through ``*args`` or ``**kwargs``."""
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (param in positional and len(call.args) > positional.index(param)))
 
 
 def _unpassed_defaults(api, callers):
     """Each parameter with a default that no call in ``callers`` passes, by
     position or by keyword, as "module.function.parameter"."""
     _, calls, _ = _references(callers)
-    return [".".join((*key, param)) for key, param, passes in _defaulted(api)
-            if not any(passes(call) for callee, call in calls if callee == key)]
+    return [".".join((*key, param)) for key, param, positional in _defaulted(api)
+            if not any(_passes(call, param, positional) for callee, call in calls
+                       if callee == key)]
 
 
 def _unomitted_defaults(api, callers):
     """Each parameter with a default that every call in ``callers`` passes,
     as "module.function.parameter".  A reference that is not called there
-    (a function kept in a table) counts as omitting every default."""
+    (a class kept in a table) counts as omitting every default."""
     _, calls, uncalled = _references(callers)
-    return [".".join((*key, param)) for key, param, passes in _defaulted(api)
+    return [".".join((*key, param)) for key, param, positional in _defaulted(api)
             if key not in uncalled
-            and all(passes(call) for callee, call in calls if callee == key)]
+            and all(_passes(call, param, positional) for callee, call in calls
+                    if callee == key)]
 
 
 def _adgraph_api():
