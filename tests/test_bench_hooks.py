@@ -58,6 +58,24 @@ def test_golden_values_match_the_recorded_ones(checks):
     assert checks.compare_golden(checks.golden_values(), checks.load_golden()["values"]) == {}
 
 
+@pytest.mark.parametrize("brain, combo, digest, solves", [
+    ("shared", ("passive", "active"), "2438a07b39c48c18", 4),
+    ("separate", ("active", "active"), "37633ac0b8787461", 8),
+])
+def test_benchmark_view_of_a_record_is_pinned(checks, brain, combo, digest, solves):
+    """The benchmark reads a round's record through ``checks.digest`` and
+    through ``harness.solve_counts``, which counts the entries of
+    ``solve_iterations``; two short fixed-seed episodes give the values
+    recorded here, so a change to how a round is recorded cannot move
+    either."""
+    workloads = importlib.import_module("workloads")   # on the path the fixture set
+    cfg = ExperimentConfig(**dict(workloads.PAPER, brain=brain, episode_steps=2, max_iters=3,
+                                  k_all=200, n_eq=(2,), seed=5))
+    _, record = workloads.play(cfg, combo, cfg.seed)
+    assert checks.digest(record) == digest
+    assert sum(len(c) for s in record.steps for c in s.solve_iterations) == solves
+
+
 def test_stamped_rounds_swaps_and_restores_step_record(tracing):
     original = runner.StepRecord
     with tracing.stamped_rounds():
