@@ -8,8 +8,9 @@ seed order: bit-for-bit the same whatever the pool size.  Every output file
 is plain columnar text under ``#`` header lines, one row per line.  A trial
 record (its format is documented at ``_record_sections``) reads back every
 section but ``[gradtimes]``, which is written for people: a record read and
-written back has ``step 0 0.0 0.0`` rows there.  Older records without
-``[belief_health]`` or gradient norms parse, with those fields None.
+written back has ``step 0 0.0 0.0`` rows there.  An older record, written
+before the gradient norms and ``[belief_health]``, reads back with no norms
+and no health entries.
 """
 
 from __future__ import annotations
@@ -391,9 +392,10 @@ def _record_sections(record, game):
       from older records);
     - ``[trace]``: agent, candidate, player, iteration, first-round cost.
 
-    Read from an older record, ``solve_grad_norms``, ``belief_ess`` and
-    ``belief_reset`` are None, and such a record is written back without
-    norm columns or ``[belief_health]`` rows.
+    Each ``[solves]`` row is one ``StepRecord.solves`` entry and each
+    ``[belief_health]`` row one ``belief_health`` entry.  An older record
+    reads back with no norms and no health entries, so it is written back
+    without norm columns or ``[belief_health]`` rows.
     """
     steps, at = record.steps, {}
 
@@ -403,9 +405,8 @@ def _record_sections(record, game):
         if int(step) not in at:
             at[int(step)] = StepRecord(
                 step=int(step), state=np.empty((1, 0)), actions=[], rewards_report=[],
-                rewards_full=[], solve_iterations=[], solve_converged=[],
-                solve_grad_norms=None, grad_seconds=[], surprisal={}, belief_means={},
-                belief_ess=None, belief_reset=None)
+                rewards_full=[], solves=[], grad_seconds=[], surprisal={}, belief_means={},
+                belief_health={})
             steps.append(at[int(step)])
         s = at[int(step)]
         s.state = np.concatenate([s.state, [values[:sd]]], axis=1)
@@ -414,12 +415,8 @@ def _record_sections(record, game):
         s.rewards_full.append(values[-1])
 
     def read_solves(step, agent, candidate, iterations, converged, *norms):
-        s = at[int(step)]
-        _slot(s.solve_iterations, int(agent)).append(int(iterations))
-        _slot(s.solve_converged, int(agent)).append(converged == "true")
-        if norms:
-            s.solve_grad_norms = s.solve_grad_norms or []
-            _slot(s.solve_grad_norms, int(agent)).append([float(g) for g in norms])
+        _slot(at[int(step)].solves, int(agent)).append(
+            (int(iterations), converged == "true", [float(g) for g in norms]))
 
     def read_surprisal(step, agent, opponent, nats):
         at[int(step)].surprisal[int(agent), int(opponent)] = float(nats)
@@ -429,10 +426,7 @@ def _record_sections(record, game):
             _floats(mean, game.state_comps(int(p))[0]))
 
     def read_belief_health(step, agent, ess_frac, reset):
-        s = at[int(step)]
-        s.belief_ess, s.belief_reset = s.belief_ess or {}, s.belief_reset or {}
-        s.belief_ess[int(agent)] = float(ess_frac)
-        s.belief_reset[int(agent)] = reset == "true"
+        at[int(step)].belief_health[int(agent)] = (float(ess_frac), reset == "true")
 
     def read_trace(agent, candidate, p, iteration, cost):
         _slot(_slot(_slot(record.first_traces, int(agent)), int(candidate)),
@@ -444,11 +438,8 @@ def _record_sections(record, game):
            *s.actions[p][0], s.rewards_report[p], s.rewards_full[p])
           for s in steps for p in range(game.n_players)], read_steps),
         ("solves", "step agent candidate iterations converged grad_norm per player",
-         [(s.step, ai, ci, it, cv, *gn) for s in steps
-          for ai, agent in enumerate(zip(s.solve_iterations, s.solve_converged,
-                                         s.solve_grad_norms or [[()] * len(its) for its
-                                                                in s.solve_iterations]))
-          for ci, (it, cv, gn) in enumerate(zip(*agent))], read_solves),
+         [(s.step, ai, ci, it, cv, *gn) for s in steps for ai, solves in enumerate(s.solves)
+          for ci, (it, cv, gn) in enumerate(solves)], read_solves),
         ("gradtimes", "step count mean std",
          [(s.step, len(s.grad_seconds), np.mean(s.grad_seconds or [0.0]),
            np.std(s.grad_seconds or [0.0])) for s in steps], None),
@@ -459,8 +450,8 @@ def _record_sections(record, game):
          [(s.step, *key, *mean) for s in steps for key, mean in sorted(s.belief_means.items())],
          read_belief),
         ("belief_health", "step agent ess_frac reset",
-         [(s.step, agent, frac, s.belief_reset[agent]) for s in steps
-          for agent, frac in sorted((s.belief_ess or {}).items())], read_belief_health),
+         [(s.step, agent, *health) for s in steps
+          for agent, health in sorted(s.belief_health.items())], read_belief_health),
         ("trace", "agent candidate player iteration cost",
          [(ai, ci, p, it, cost) for ai, cands in enumerate(record.first_traces)
           for ci, traces in enumerate(cands) for p, trace in enumerate(traces)

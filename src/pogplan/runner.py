@@ -91,17 +91,19 @@ class StepRecord:
     actions: list                # per player (1, action_dim)
     rewards_report: list         # per player, boundary-free reward at new state
     rewards_full: list
-    solve_iterations: list       # per agent: per candidate iteration count
-    solve_converged: list        # per agent: per candidate flag
-    solve_grad_norms: list       # per agent: per candidate: last gradient norm per
-                                 # player; None when read from an older record
+    solves: list                 # per agent: per candidate (iterations, converged, last
+                                 # gradient norm per player); an older record has no norms
     grad_seconds: list           # all gradient-step wall times this round
     surprisal: dict              # (agent, opponent) -> nats
     belief_means: dict           # (agent, player) -> position mean
-    belief_ess: dict             # agent -> effective sample size / cloud size after the
-                                 # update; None when read from an older record
-    belief_reset: dict           # agent -> the update reset collapsed weights to
-                                 # uniform; None when read from an older record
+    belief_health: dict          # agent -> (effective sample size / cloud size after the
+                                 # update, the update reset collapsed weights to uniform);
+                                 # an older record has no health entries
+
+    @property
+    def solve_iterations(self):
+        """Per agent: per candidate iteration count, as the benchmark reads it."""
+        return [[iterations for iterations, _, _ in agent] for agent in self.solves]
 
 
 @dataclass
@@ -205,7 +207,7 @@ def run_episode(game, opts, seed):
             # each brain updates its own cloud with its own observation only; the
             # shared brain has none, so it never conditions
             new_state = game.unpack_state(world.states)
-            surp, bmeans, ess, reset = {}, {}, {}, {}
+            surp, bmeans, health = {}, {}, {}
             for agent in agents:
                 block_policies = [cand.thetas for cand in agent.candidates]
                 true_obs = None if agent.player < 0 else obs[agent.player][0]
@@ -213,8 +215,8 @@ def run_episode(game, opts, seed):
                     agent.pset, game, block_policies, true_obs, agent.player,
                     cfg.gamma, agent.update_rng,
                     resample_threshold=resample_threshold)
-                ess[agent.player] = float(effective_sample_size(agent.pset)) / agent.pset.k_all
-                reset[agent.player] = agent.pset.degenerate
+                ess = float(effective_sample_size(agent.pset))
+                health[agent.player] = (ess / agent.pset.k_all, agent.pset.degenerate)
                 if dump_fh:
                     dump_particles(agent.pset, game, dump_fh, step, agent=agent.player)
                 for j in range(n):
@@ -231,17 +233,12 @@ def run_episode(game, opts, seed):
                                 for i in range(n)],
                 rewards_full=[np.asarray(game.reward(new_state, i)).item()
                               for i in range(n)],
-                solve_iterations=[[r.iterations for r in results]
-                                  for results in all_results],
-                solve_converged=[[r.converged for r in results]
-                                 for results in all_results],
-                solve_grad_norms=[[r.grad_norms for r in results]
-                                  for results in all_results],
+                solves=[[(r.iterations, r.converged, r.grad_norms) for r in results]
+                        for results in all_results],
                 grad_seconds=[t for results in all_results
                               for r in results for t in r.grad_step_seconds],
                 surprisal=surp,
                 belief_means=bmeans,
-                belief_ess=ess,
-                belief_reset=reset,
+                belief_health=health,
             ))
     return record

@@ -111,8 +111,7 @@ def test_traced_belief_updates_read_what_the_round_records(tracing):
     step, = record.steps
     updates = [s.info for s in tracer.spans if s.name == "beliefs.update"]
     assert len(updates) == game.n_players
-    assert updates == [(cfg.k_all, step.belief_ess[p], step.belief_reset[p])
-                       for p in range(game.n_players)]
+    assert updates == [(cfg.k_all, *step.belief_health[p]) for p in range(game.n_players)]
 
 
 # Every span name ``tracing.layer_metrics`` reads from a traced episode,

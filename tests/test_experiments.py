@@ -224,16 +224,15 @@ def test_record_round_trip(tmp_path):
 def test_record_grad_norms_round_trip_and_older_records_parse(tmp_path):
     """Each ``[solves]`` row carries the solve's last gradient norm per
     player after the flag; a record from before those columns still parses,
-    with the norms absent."""
+    each solve with the same iterations and flag and no norms."""
     cfg = _tiny_cfg(tmp_path, brain="separate", n_eq=(2,))
     game = trial_game(cfg, 5)
     record = run_episode(game, episode_options(cfg, ("active", "passive")), 5)
     path = tmp_path / "record.txt"
     write_trial_record(record, game, cfg, "label", path)
     loaded = read_trial_record(path)
-    assert [s.solve_grad_norms for s in loaded.steps] == \
-        [s.solve_grad_norms for s in record.steps]
-    norms = record.steps[0].solve_grad_norms
+    assert [s.solves for s in loaded.steps] == [s.solves for s in record.steps]
+    norms = [[gn for _, _, gn in c] for c in record.steps[0].solves]
     assert len(norms) == 2 and all(len(c) == 2 for c in norms)  # agents, candidates
     assert all(len(p) == game.n_players and all(g > 0 for g in p) for c in norms for p in c)
 
@@ -247,16 +246,14 @@ def test_record_grad_norms_round_trip_and_older_records_parse(tmp_path):
     older = tmp_path / "older.txt"
     older.write_text("\n".join(lines) + "\n")
     old = read_trial_record(older)
-    assert all(s.solve_grad_norms is None for s in old.steps)
-    for a, b in zip(old.steps, loaded.steps):
-        assert a.solve_iterations == b.solve_iterations
-        assert a.solve_converged == b.solve_converged
+    for a, b in zip(old.steps, loaded.steps, strict=True):
+        assert a.solves == [[(it, cv, []) for it, cv, _ in c] for c in b.solves]
 
 
 def test_belief_resets_and_ess_recorded_and_round_trip(tmp_path, monkeypatch):
     """Every update's reset flag and ESS fraction land in the step record,
     per agent, and survive a write/read round trip; a record without the
-    ``[belief_health]`` section reads them back as None.  At gamma = 1 with a
+    ``[belief_health]`` section reads back with no health entries.  At gamma = 1 with a
     sharp view cone, agent 1's weights collapse in the second update."""
     from pogplan import beliefs, runner
 
@@ -272,8 +269,8 @@ def test_belief_resets_and_ess_recorded_and_round_trip(tmp_path, monkeypatch):
     cfg = _tiny_cfg(tmp_path, brain="separate", gamma=1.0, sigma2_base=1e-6, episode_steps=2)
     game = trial_game(cfg, 2)
     record = run_episode(game, episode_options(cfg, ("active", "active")), 2)
-    got = [(agent, s.belief_ess[agent], s.belief_reset[agent])
-           for s in record.steps for agent in sorted(s.belief_ess)]
+    got = [(agent, *s.belief_health[agent])
+           for s in record.steps for agent in sorted(s.belief_health)]
     assert got == seen
     assert [r for _, _, r in got] == [False, False, False, True]
 
@@ -281,15 +278,14 @@ def test_belief_resets_and_ess_recorded_and_round_trip(tmp_path, monkeypatch):
     write_trial_record(record, game, cfg, "label", path)
     loaded = read_trial_record(path)
     for a, b in zip(loaded.steps, record.steps):
-        assert a.belief_ess == b.belief_ess
-        assert a.belief_reset == b.belief_reset
+        assert a.belief_health == b.belief_health
 
     text = path.read_text()
     head, _, rest = text.partition("[belief_health]\n")
     older = tmp_path / "older.txt"
     older.write_text(head + rest[rest.index("[trace]"):])
     old = read_trial_record(older)
-    assert all(s.belief_ess is None and s.belief_reset is None for s in old.steps)
+    assert all(s.belief_health == {} for s in old.steps)
     for a, b in zip(old.steps, loaded.steps):   # the [belief] rows still parse
         assert a.belief_means.keys() == b.belief_means.keys()
         for key, mean in a.belief_means.items():
