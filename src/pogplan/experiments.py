@@ -372,6 +372,13 @@ def _floats(values, width):
     return [float(v) for v in values]
 
 
+def _flag(word):
+    """A ``true``/``false`` column as a bool; any other word is an error."""
+    if word not in ("true", "false"):
+        raise ValueError(f"flag '{word}' is neither true nor false")
+    return word == "true"
+
+
 def _record_sections(record, game):
     """The sections of a trial record after ``[meta]``, one
     ``(name, header, rows, read)`` entry each.  ``write_trial_record``
@@ -416,7 +423,7 @@ def _record_sections(record, game):
 
     def read_solves(step, agent, candidate, iterations, converged, *norms):
         _slot(at[int(step)].solves, int(agent)).append(
-            (int(iterations), converged == "true", [float(g) for g in norms]))
+            (int(iterations), _flag(converged), [float(g) for g in norms]))
 
     def read_surprisal(step, agent, opponent, nats):
         at[int(step)].surprisal[int(agent), int(opponent)] = float(nats)
@@ -426,7 +433,7 @@ def _record_sections(record, game):
             _floats(mean, game.state_comps(int(p))[0]))
 
     def read_belief_health(step, agent, ess_frac, reset):
-        at[int(step)].belief_health[int(agent)] = (float(ess_frac), reset == "true")
+        at[int(step)].belief_health[int(agent)] = (float(ess_frac), _flag(reset))
 
     def read_trace(agent, candidate, p, iteration, cost):
         _slot(_slot(_slot(record.first_traces, int(agent)), int(candidate)),
@@ -497,10 +504,12 @@ def read_trial_record(path):
         record = TrialRecord(seed=int(meta["seed"]), brain=meta["brain"],
                              modes=meta["modes"].split(","),
                              n_eq=[int(x) for x in meta["n_eq"].split(",")],
-                             aborted=meta["aborted"] == "true")
+                             aborted=_flag(meta["aborted"]))
         game = make_game(ScenarioConfig(scenario=meta["scenario"]))
     except KeyError as exc:
         raise ValueError(f"malformed trial record {path}: [meta] has no {exc} line") from exc
+    except ValueError as exc:
+        raise ValueError(f"malformed trial record {path}: [meta]: {exc}") from exc
     for name, _, _, read in _record_sections(record, game):
         for row in sections.get(name, []) if read else []:
             try:
