@@ -36,7 +36,12 @@ THREADS_ENV = "POGPLAN_THREADS"
 
 
 def _n_threads():
-    return max(1, int(os.environ.get(THREADS_ENV, "1")))
+    """The pool size POGPLAN_THREADS sets, 1 when it is unset."""
+    text = os.environ.get(THREADS_ENV, "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
 
 
 def map_trials(fn, settings, cfg):
@@ -70,9 +75,10 @@ def mean_stderr(values):
 # ---------------------------------------------------------------------------
 
 def trial_game(cfg, trial_seed):
-    """Scenario instance for one trial (warehouse task layout is per-seed)."""
+    """Scenario instance for one trial (warehouse task layout is per-seed);
+    the settings are checked as given, before sampled tasks replace ``wh_tasks``."""
     if cfg.scenario == "warehouse" and cfg.warehouse_random_tasks:
-        cfg = replace(cfg, wh_tasks=sample_tasks(
+        cfg = replace(cfg.validate(), wh_tasks=sample_tasks(
             np.random.default_rng(np.random.SeedSequence((trial_seed, 77)))))
     return make_game(cfg)
 
@@ -141,6 +147,7 @@ def run_matrix(cfg):
     names = group_names(probe)
     combos = list(product((PASSIVE, ACTIVE), repeat=len(mode_groups(probe))))
     episode_options(cfg, modes_for_combo(probe, combos[0]))
+    _n_threads()                        # and POGPLAN_THREADS
     os.makedirs(cfg.outdir, exist_ok=True)
     write_config(cfg, os.path.join(cfg.outdir, "config_echo.txt"))
 

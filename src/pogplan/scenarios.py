@@ -11,7 +11,8 @@ reparameterized Gaussian observations.  Constants live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -19,6 +20,17 @@ from . import adgraph as ag
 from .gamedef import PlanarGame, boundary_penalty, sq_dist
 
 SMOOTHMIN_TEMP = 10.0  # sharpness of the soft minimum over obstacles
+
+
+def _scalars(value):
+    """A setting's scalars, nested tuples flattened."""
+    return [x for v in value for x in _scalars(v)] if isinstance(value, tuple) else [value]
+
+
+def _is_point(value, width):
+    """Whether ``value`` is a tuple of ``width`` numbers."""
+    return (isinstance(value, tuple) and len(value) == width
+            and all(isinstance(x, Real) for x in value))
 
 
 @dataclass
@@ -70,6 +82,10 @@ class ScenarioConfig:
     wh_v_max_p2: float = 0.15
 
     def validate(self):
+        for f in fields(self):   # a subclass's settings too
+            value = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in _scalars(value)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.t_past < 1:
             raise ValueError(f"t_past must be at least 1, got {self.t_past}")
         if self.t_future < 0:
@@ -78,15 +94,24 @@ class ScenarioConfig:
             raise ValueError(f"chain_players must be even and >= 2, got {self.chain_players}")
         if self.spawn_mode and self.scenario == "tagchain":
             raise ValueError("spawn_mode places two players; tagchain does not take it")
-        for quantity in ("play_radius", "sigma2_base", "v_max_pursuer", "v_max_evader",
-                         "wh_alpha", "wh_beta", "wh_eta1", "wh_eta2", "wh_v_max_p1",
-                         "wh_v_max_p2"):
+        for quantity in ("play_radius", "fov", "sigma2_base", "v_max_pursuer", "v_max_evader",
+                         "accel_ratio", "wh_alpha", "wh_beta", "wh_eta1", "wh_eta2",
+                         "wh_v_max_p1", "wh_v_max_p2"):
             if getattr(self, quantity) <= 0:
                 raise ValueError(f"{quantity} must be positive")
-        for quantity in ("c_scale", "init_pos_std"):
+        for quantity in ("boundary_weight", "c_scale", "init_pos_std"):
             if getattr(self, quantity) < 0:
                 raise ValueError(f"{quantity} must be non-negative, got {getattr(self, quantity)}")
-        for cx, cy, r in self.obstacles:
+        points = [(name, getattr(self, name)) for name in
+                  ("spawn_east", "spawn_west", "evader_start", "wh_station")]
+        for name, point in points + [("wh_tasks", task) for task in self.wh_tasks]:
+            if not _is_point(point, 2):
+                raise ValueError(f"{name} needs two coordinates per point, got {point}")
+        for obstacle in self.obstacles:
+            if not _is_point(obstacle, 3) or obstacle[2] <= 0:
+                raise ValueError(f"an obstacle needs (cx, cy, radius) with a positive "
+                                 f"radius, got {obstacle}")
+            cx, cy, r = obstacle
             if math.hypot(cx, cy) + r > self.play_radius:
                 raise ValueError(f"obstacle ({cx}, {cy}, r={r}) leaves the play area")
         return self

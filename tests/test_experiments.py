@@ -141,7 +141,20 @@ def test_run_matrix_validates_before_writing(tmp_path):
                          ({"scenario": "warehouse", "wh_v_max_p2": -0.15}, "wh_v_max_p2 must be positive"),
                          ({"play_radius": 0.0, "obstacles": ()}, "play_radius must be positive"),
                          ({"play_radius": -5.0, "obstacles": ()}, "play_radius must be positive"),
-                         ({"c_scale": -5.0}, "c_scale must be non-negative")):
+                         ({"c_scale": -5.0}, "c_scale must be non-negative"),
+                         ({"lr": float("nan")}, "lr must be finite"),
+                         ({"sigma2_base": float("nan")}, "sigma2_base must be finite"),
+                         ({"v_max_evader": float("nan")}, "v_max_evader must be finite"),
+                         ({"play_radius": float("inf")}, "play_radius must be finite"),
+                         ({"eps_tol": float("nan")}, "eps_tol must be finite"),
+                         ({"gamma": float("nan")}, "gamma must be finite"),
+                         ({"spawn_east": (float("inf"), 0.0)}, "spawn_east must be finite"),
+                         ({"obstacles": ((1.8, 1.2, float("nan")),)}, "obstacles must be finite"),
+                         ({"accel_ratio": 0.0}, "accel_ratio must be positive"),
+                         ({"accel_ratio": -2.0}, "accel_ratio must be positive"),
+                         ({"fov": 0.0}, "fov must be positive"),
+                         ({"fov": -1.0}, "fov must be positive"),
+                         ({"boundary_weight": -10.0}, "boundary_weight must be non-negative")):
         cfg = _tiny_cfg(tmp_path, **bad)
         with pytest.raises(ValueError, match=message):
             run_matrix(cfg)
@@ -150,6 +163,49 @@ def test_run_matrix_validates_before_writing(tmp_path):
     rows = sweep(_tiny_cfg(tmp_path, gathering=("passive", "passive"), trials=1),
                  "t_future", [0])
     assert rows[0]["costs"] == [0.0]
+
+
+@pytest.mark.parametrize("scenario, line, message", [
+    ("warehouse", "wh_tasks = 0.3", "wh_tasks needs two coordinates"),
+    ("warehouse", "wh_tasks = 0.25,0.25,0.1; 0.75,0.6", "wh_tasks needs two coordinates"),
+    ("warehouse", "wh_station = 0.5", "wh_station needs two coordinates"),
+    ("tag", "spawn_east = 2.5", "spawn_east needs two coordinates"),
+    ("tag", "spawn_west = east,west", "spawn_west needs two coordinates"),
+    ("tag", "evader_start = 0,0,0", "evader_start needs two coordinates"),
+    ("hideseek", "obstacles = 1.8,1.2", r"an obstacle needs \(cx, cy, radius\)"),
+    ("hideseek", "obstacles = 1.8,1.2,-0.7", "positive radius"),
+    ("hideseek", "obstacles = 1.8,1.2,0.0", "positive radius"),
+])
+def test_malformed_points_and_obstacles_are_refused_before_writing(
+        scenario, line, message, tmp_path, capsys):
+    """A planar point needs two numbers and an obstacle three, with a
+    positive radius; a config file that gives another shape is refused by
+    ``pogplan run`` before it writes anything, with the setting named.  A
+    random warehouse layout replaces ``wh_tasks`` per trial, but the value
+    as given is still checked."""
+    outdir = tmp_path / "out"
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"scenario = {scenario}\n{line}\noutdir = {outdir}\n"
+                    "trials = 1\nepisode_steps = 1\nmax_iters = 1\nk_all = 20\nhidden = 4\n")
+    with pytest.raises(ValueError, match=message):
+        run_matrix(parse_config_text(path.read_text(), str(path)))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "k_batch", "n_eq"])
+def test_a_malformed_thread_count_is_named_before_writing(command, tmp_path, monkeypatch):
+    """A ``POGPLAN_THREADS`` that is not an integer stops a battery, a sweep
+    or the n_eq grid before it writes anything, with the variable named."""
+    monkeypatch.setenv("POGPLAN_THREADS", "two")
+    cfg = _tiny_cfg(tmp_path, trials=1)
+    with pytest.raises(ValueError, match="POGPLAN_THREADS must be an integer, got 'two'"):
+        if command == "run":
+            run_matrix(cfg)
+        else:
+            sweep(cfg, command, [1, 2])
+    assert not os.path.exists(cfg.outdir)
 
 
 def test_run_matrix_keeps_earlier_combos_when_a_later_trial_raises(tmp_path, monkeypatch):
