@@ -201,28 +201,23 @@ def _drop_steps_rows(text, prefix):
     return "\n".join(lines) + "\n"
 
 
-def _shorten_first_row(text, section):
+def _edit_first_row(text, section, edit):
+    """The record with the words of the first ``[section]`` row passed through ``edit``."""
     head, _, rest = text.partition(f"[{section}]\n")
     header, row, rest = rest.split("\n", 2)
-    return f"{head}[{section}]\n{header}\n{row.rsplit(' ', 1)[0]}\n{rest}"
-
-
-def _set_first_row_column(text, section, column, word):
-    """The record with ``word`` in ``column`` of the first ``[section]`` row."""
-    head, _, rest = text.partition(f"[{section}]\n")
-    header, row, rest = rest.split("\n", 2)
-    row = " ".join(word if i == column else v for i, v in enumerate(row.split()))
-    return f"{head}[{section}]\n{header}\n{row}\n{rest}"
+    return f"{head}[{section}]\n{header}\n{' '.join(edit(row.split()))}\n{rest}"
 
 
 MALFORMED = {
     "aborted_flag_no": lambda text: text.replace("aborted = false", "aborted = no"),
-    "converged_flag_flase": lambda text: _set_first_row_column(text, "solves", 4, "flase"),
+    "converged_flag_flase": lambda text: _edit_first_row(text, "solves",
+                                                         lambda w: w[:4] + ["flase"] + w[5:]),
     "no_players_line": lambda text: text[:text.index("players = ")],
-    "reset_flag_yes": lambda text: _set_first_row_column(text, "belief_health", 3, "yes"),
+    "reset_flag_yes": lambda text: _edit_first_row(text, "belief_health",
+                                                   lambda w: w[:3] + ["yes"]),
     "row_outside_a_section": lambda text: "0 1 2.0\n" + text,
-    "short_steps_row": lambda text: _shorten_first_row(text, "steps"),
-    "short_surprisal_row": lambda text: _shorten_first_row(text, "surprisal"),
+    "short_steps_row": lambda text: _edit_first_row(text, "steps", lambda w: w[:-1]),
+    "short_surprisal_row": lambda text: _edit_first_row(text, "surprisal", lambda w: w[:-1]),
     "step_without_steps_rows": lambda text: _drop_steps_rows(text, "2 "),
     "step_without_a_players_row": lambda text: _drop_steps_rows(text, "2 1 "),
 }
