@@ -26,10 +26,10 @@ import numpy as np
 from . import adgraph as ag
 from .adgraph import grad_check
 from .beliefs import init_particles, update_particles
-from .config import write_config
+from .config import ExperimentConfig, write_config
 from .policy import ACTIVE, PASSIVE, adam_init, init_policy
 from .runner import SEPARATE, SHARED, EpisodeOptions, StepRecord, TrialRecord, run_episode
-from .scenarios import ScenarioConfig, group_names, make_game, mode_groups, sample_tasks
+from .scenarios import group_names, make_game, mode_groups, sample_tasks
 from .solver import calc_eq, draw_noise, eval_cost, evaluation_batch, _run_rollout
 
 THREADS_ENV = "POGPLAN_THREADS"
@@ -270,7 +270,7 @@ def rollout_gradcheck(scenario, programs, seed):
     policies, one focal player; the whole rollout cost is differentiated
     with respect to that player's parameters.
     """
-    game = make_game(ScenarioConfig(scenario=scenario, t_past=2, t_future=2))
+    game = make_game(ExperimentConfig(scenario=scenario, t_past=2, t_future=2))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(programs):
@@ -512,7 +512,7 @@ def read_trial_record(path):
                              modes=meta["modes"].split(","),
                              n_eq=[int(x) for x in meta["n_eq"].split(",")],
                              aborted=_flag(meta["aborted"]))
-        game = make_game(ScenarioConfig(scenario=meta["scenario"]))
+        game = make_game(ExperimentConfig(scenario=meta["scenario"]))
     except KeyError as exc:
         raise ValueError(f"malformed trial record {path}: [meta] has no {exc} line") from exc
     except ValueError as exc:

@@ -5,14 +5,11 @@ evaders: the ``tag`` scenario is its two-player chain, ``tagchain`` a chain
 of ``chain_players``, and ``hideseek`` is two-player tag with obstacles.
 All are continuous planar games with double-integrator dynamics and
 reparameterized Gaussian observations.  Constants live in
-:class:`ScenarioConfig`; a scenario instance is immutable once built.
+:class:`~pogplan.config.ExperimentConfig`, which ``make_game`` is given; a
+scenario instance is immutable once built.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, fields
-from numbers import Real
 
 import numpy as np
 
@@ -20,101 +17,6 @@ from . import adgraph as ag
 from .gamedef import PlanarGame, boundary_penalty, sq_dist
 
 SMOOTHMIN_TEMP = 10.0  # sharpness of the soft minimum over obstacles
-
-
-def _scalars(value):
-    """A setting's scalars, nested tuples flattened."""
-    return [x for v in value for x in _scalars(v)] if isinstance(value, tuple) else [value]
-
-
-def _is_point(value, width):
-    """Whether ``value`` is a tuple of ``width`` numbers."""
-    return (isinstance(value, tuple) and len(value) == width
-            and all(isinstance(x, Real) for x in value))
-
-
-@dataclass
-class ScenarioConfig:
-    """Scenario name plus every game constant, all overridable.
-
-    Each field is also a flat key of an experiment config file:
-    :class:`pogplan.config.ExperimentConfig` subclasses this class, so an
-    experiment config is itself the game's config.
-    """
-
-    scenario: str = "tag"
-    t_past: int = 6
-    t_future: int = 6
-
-    # planar arena
-    play_radius: float = 5.0
-    boundary_weight: float = 10.0
-    fov: float = math.pi / 2
-    sigma2_base: float = 0.01
-    c_scale: float = 5.0          # variance per radian outside the view cone
-    v_max_pursuer: float = 0.3
-    v_max_evader: float = 0.375   # evader slightly faster
-    accel_ratio: float = 2.0      # accel bound as a multiple of v_max
-    init_pos_std: float = 2.0     # spread of the Gaussian initial positions
-
-    # two-player tag (and hideseek) variant: the pursuer starts at one of two
-    # points, the evader between them; tagchain rejects it
-    spawn_mode: bool = False
-    spawn_east: tuple = (2.5, 0.0)
-    spawn_west: tuple = (-2.5, 0.0)
-    evader_start: tuple = (0.0, 0.0)
-
-    # tagchain: the chain's player count, even and at least 2; the first
-    # half pursue, the second half evade
-    chain_players: int = 4
-
-    # HideSeek: circular view-blocking obstacles (cx, cy, radius)
-    obstacles: tuple = ((1.8, 1.2, 0.7), (-1.8, -1.2, 0.7))
-
-    # Warehouse
-    wh_alpha: float = 4.0         # proximity-penalty weight on P2
-    wh_beta: float = 20.0         # kernel sharpness
-    wh_eta1: float = 4.0          # noise per unit of P1's distance from station
-    wh_eta2: float = 4.0          # noise per unit of P2's distance from station
-    wh_station: tuple = (0.5, 1.0)
-    wh_tasks: tuple = ((0.25, 0.25), (0.75, 0.6))
-    wh_v_max_p1: float = 0.1
-    wh_v_max_p2: float = 0.15
-
-    def validate(self):
-        for f in fields(self):   # a subclass's settings too
-            value = getattr(self, f.name)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in _scalars(value)):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.t_past < 1:
-            raise ValueError(f"t_past must be at least 1, got {self.t_past}")
-        if self.t_future < 0:
-            raise ValueError(f"t_future must be non-negative, got {self.t_future}")
-        if self.chain_players < 2 or self.chain_players % 2 != 0:
-            raise ValueError(f"chain_players must be even and >= 2, got {self.chain_players}")
-        if self.spawn_mode and self.scenario == "tagchain":
-            raise ValueError("spawn_mode places two players; tagchain does not take it")
-        for quantity in ("play_radius", "fov", "sigma2_base", "v_max_pursuer", "v_max_evader",
-                         "accel_ratio", "wh_alpha", "wh_beta", "wh_eta1", "wh_eta2",
-                         "wh_v_max_p1", "wh_v_max_p2"):
-            if getattr(self, quantity) <= 0:
-                raise ValueError(f"{quantity} must be positive")
-        for quantity in ("boundary_weight", "c_scale", "init_pos_std"):
-            if getattr(self, quantity) < 0:
-                raise ValueError(f"{quantity} must be non-negative, got {getattr(self, quantity)}")
-        points = [(name, getattr(self, name)) for name in
-                  ("spawn_east", "spawn_west", "evader_start", "wh_station")]
-        for name, point in points + [("wh_tasks", task) for task in self.wh_tasks]:
-            if not _is_point(point, 2):
-                raise ValueError(f"{name} needs two coordinates per point, got {point}")
-        for obstacle in self.obstacles:
-            if not _is_point(obstacle, 3) or obstacle[2] <= 0:
-                raise ValueError(f"an obstacle needs (cx, cy, radius) with a positive "
-                                 f"radius, got {obstacle}")
-            cx, cy, r = obstacle
-            if math.hypot(cx, cy) + r > self.play_radius:
-                raise ValueError(f"obstacle ({cx}, {cy}, r={r}) leaves the play area")
-        return self
 
 
 def make_game(config):

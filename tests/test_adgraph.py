@@ -12,8 +12,9 @@ import refchain as rc
 from pogplan import adgraph as ag
 from pogplan import beliefs, solver
 from pogplan.adgraph import Tape, grad_check
+from pogplan.config import ExperimentConfig
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
-from pogplan.scenarios import ScenarioConfig, make_game
+from pogplan.scenarios import make_game
 
 
 def fd_grad(f, x, h=1e-6):
@@ -380,7 +381,7 @@ def test_every_pogplan_dataclass_field_is_read():
 
 def test_expected_cost_leaves_no_cyclic_garbage():
     """The tape of a gradient step is freed by reference counting alone."""
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     thetas = [init_policy(game, i, mode, seed=i, hidden=(8,))
               for i, mode in enumerate([PASSIVE, ACTIVE])]
     pset = beliefs.init_particles(game, 50, 1, np.random.default_rng(0))
@@ -399,7 +400,7 @@ def test_expected_cost_leaves_no_cyclic_garbage():
 
 def _step_ops(monkeypatch, name, modes):
     """Per player, the ops one k = 10 gradient step records."""
-    game = make_game(ScenarioConfig(scenario=name))
+    game = make_game(ExperimentConfig(scenario=name))
     thetas = [init_policy(game, i, mode, seed=i, hidden=(64, 64))
               for i, mode in enumerate(modes)]
     pset = beliefs.init_particles(game, 100, 1, np.random.default_rng(0))

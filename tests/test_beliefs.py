@@ -22,13 +22,14 @@ from pogplan.beliefs import (
     systematic_resample,
     update_particles,
 )
+from pogplan.config import ExperimentConfig
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
-from pogplan.scenarios import ScenarioConfig, make_game
+from pogplan.scenarios import make_game
 from pogplan.toygame import ToyFilterGame, exact_posterior
 
 
 def _tag():
-    return make_game(ScenarioConfig(scenario="tag"))
+    return make_game(ExperimentConfig(scenario="tag"))
 
 
 def _policies(game, seed=0, hidden=(4,)):
@@ -50,7 +51,7 @@ def test_init_partition_and_weights():
 
 
 def test_init_two_spawn_split():
-    cfg = ScenarioConfig(scenario="tag", spawn_mode=True)
+    cfg = ExperimentConfig(scenario="tag", spawn_mode=True)
     game = make_game(cfg)
     pset = init_particles(game, 10_000, 1, np.random.default_rng(1))
     east = np.mean(np.all(pset.states[:, 0:2] == np.asarray(cfg.spawn_east), axis=1))
@@ -195,7 +196,7 @@ def test_row_blocked_update_matches_single_forward(mode, monkeypatch):
 
 def test_update_two_particle_bayes_rule():
     """gamma=1 on two particles reduces to the textbook posterior."""
-    cfg = ScenarioConfig(scenario="warehouse")
+    cfg = ExperimentConfig(scenario="warehouse")
     game = make_game(cfg)
     rng = np.random.default_rng(12)
     pset = init_particles(game, 2, 1, rng)
@@ -248,7 +249,7 @@ def test_toy_game_matches_exact_bayes_filter():
 
 
 def test_degenerate_weights_reset_uniform():
-    game = make_game(ScenarioConfig(scenario="warehouse"))
+    game = make_game(ExperimentConfig(scenario="warehouse"))
     pset = init_particles(game, 8, 1, np.random.default_rng(16))
     # an impossibly distant reading under near-zero noise kills every particle
     pset.states[:, 0:2] = [0.5, 1.0]
@@ -364,7 +365,7 @@ def _update_step_arrays():
              ("tagchain", "tagchain", 2, (PASSIVE, ACTIVE, ACTIVE, PASSIVE)),
              ("tag-one-block", "tag", 1, (PASSIVE, ACTIVE)))
     for name, scenario, n_eq, modes in cases:
-        game = make_game(ScenarioConfig(scenario=scenario))
+        game = make_game(ExperimentConfig(scenario=scenario))
         k = 2 * beliefs.ROW_BLOCK + 37
         rng = np.random.default_rng(50)
         pset = init_particles(game, k, n_eq, rng)
@@ -446,7 +447,7 @@ def test_update_that_raises_leaves_the_cloud():
         h[...] = rng.normal(size=h.shape)
     pset.weights[:] = rng.dirichlet(np.ones(50))
     good = [_policies(game, seed=s) for s in (0, 2, 4)]
-    narrow = make_game(ScenarioConfig(scenario="tag", t_past=2))
+    narrow = make_game(ExperimentConfig(scenario="tag", t_past=2))
     bad = good[:2] + [[good[2][0], init_policy(narrow, 1, ACTIVE, seed=5, hidden=(4,))]]
     z = np.asarray(game.observe(game.unpack_state(pset.states[:1]), 0,
                                 np.zeros((1, game.noise_dim(0)))))[0]
@@ -467,7 +468,7 @@ def test_conditioning_on_an_exactly_seen_state_leaves_the_states():
     """Warehouse player 0 sees its own position exactly, as a view of the
     states: conditioning writes the true observation into the windows, not
     into the particles."""
-    game = make_game(ScenarioConfig(scenario="warehouse"))
+    game = make_game(ExperimentConfig(scenario="warehouse"))
     pset = init_particles(game, 50, 1, np.random.default_rng(26))
     before = pset.states.copy()
     z = np.array([9.0, 9.0])

@@ -11,8 +11,9 @@ import refchain as rc
 
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape, grad_check
+from pogplan.config import ExperimentConfig
 from pogplan.gamedef import boundary_penalty, double_integrator_step
-from pogplan.scenarios import ScenarioConfig, TagGame
+from pogplan.scenarios import TagGame
 
 
 def _arr(*rows):
@@ -85,7 +86,7 @@ def _two_player_state(p0, v0, p1, v1):
 
 
 # fov = pi/2, sigma2_base = 0.01, c_scale = 5.0, play_radius = 5.0
-TAG = TagGame(ScenarioConfig(scenario="tag"))
+TAG = TagGame(ExperimentConfig(scenario="tag"))
 
 
 def test_fov_observe_dead_ahead_zero_noise():

@@ -7,6 +7,7 @@ import pytest
 
 from pogplan import adgraph as ag
 from pogplan.adgraph import Tape
+from pogplan.config import ExperimentConfig
 from pogplan.policy import (
     ACTIVE,
     BETA1,
@@ -18,7 +19,7 @@ from pogplan.policy import (
     init_policy,
     policy_forward,
 )
-from pogplan.scenarios import ScenarioConfig, make_game
+from pogplan.scenarios import make_game
 
 
 class StubGame:
@@ -54,7 +55,7 @@ def test_init_policy_rejects_unknown_mode_and_player(player, mode, match):
 
 
 def test_tag_widths_match_window_and_action():
-    game = make_game(ScenarioConfig(scenario="tag", t_past=6, t_future=6))
+    game = make_game(ExperimentConfig(scenario="tag", t_past=6, t_future=6))
     active = init_policy(game, 1, ACTIVE, seed=0, hidden=(64, 64))
     assert active.shapes[0][1] == 6 * game.obs_dim(1) == 36
     assert active.shapes[-1][0] == game.action_dim(1) == 2

@@ -20,7 +20,7 @@ from pogplan.runner import (
     plan,
     run_episode,
 )
-from pogplan.scenarios import ScenarioConfig, make_game
+from pogplan.scenarios import make_game
 
 
 def _zero_policies(game, mode=ACTIVE):
@@ -42,7 +42,7 @@ def _rest_world(game, seed=0):
 
 
 def test_act_zero_action_from_rest_keeps_positions():
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     world, rng = _rest_world(game)
     before = world.states.copy()
     obs, actions = act(world, game, _zero_policies(game), rng)
@@ -52,7 +52,7 @@ def test_act_zero_action_from_rest_keeps_positions():
 
 
 def test_act_zero_noise_observations_are_deterministic():
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     world, _ = _rest_world(game, seed=1)
     state = game.unpack_state(world.states.copy())
     expected = [np.asarray(game.observe(state, i, np.zeros((1, 2)))) for i in range(2)]
@@ -65,7 +65,7 @@ def test_act_zero_noise_observations_are_deterministic():
 
 
 def test_act_passive_policy_reads_prepush_window():
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     thetas = _zero_policies(game, mode=PASSIVE)
     # bias the first action block via the output bias: action = scale*tanh(b)
     ag.layer_views(thetas[0].flat, thetas[0].shapes)[1][-1][0] = 0.5
@@ -83,7 +83,7 @@ def test_act_is_the_open_loop_update_of_a_one_row_cloud(name):
     """The world's round step and a belief's unconditioned update are one
     step: from the same cloud and the same generator state they leave
     byte-equal states and windows."""
-    game = make_game(ScenarioConfig(scenario=name))
+    game = make_game(ExperimentConfig(scenario=name))
     rng = np.random.default_rng(40)
     world = init_particles(game, 1, 1, rng)
     for pos, vel in game.unpack_state(world.states):
@@ -103,7 +103,7 @@ def test_act_returns_the_exactly_seen_position_before_the_transition():
     """Warehouse player 0 sees its own position exactly; the observation
     ``act`` returns is that position before the world moved, not a view of
     the state it advanced in place."""
-    game = make_game(ScenarioConfig(scenario="warehouse"))
+    game = make_game(ExperimentConfig(scenario="warehouse"))
     world, rng = _rest_world(game, seed=3)
     thetas = [init_policy(game, i, ACTIVE, seed=43 + i, hidden=(4,))
               for i in range(game.n_players)]
@@ -135,7 +135,7 @@ def test_options_check_brain_before_counting_candidates():
 
 
 def test_episode_bookkeeping_and_cost_sign():
-    game = make_game(ScenarioConfig(scenario="tag", t_past=3, t_future=3))
+    game = make_game(ExperimentConfig(scenario="tag", t_past=3, t_future=3))
     record = run_episode(game, _fast_opts(episode_steps=6), seed=5)
     assert len(record.steps) == 6
     assert not record.aborted
@@ -152,7 +152,7 @@ def test_episode_bookkeeping_and_cost_sign():
 
 
 def test_episode_determinism():
-    game = make_game(ScenarioConfig(scenario="tag", t_past=3, t_future=3))
+    game = make_game(ExperimentConfig(scenario="tag", t_past=3, t_future=3))
     a = run_episode(game, _fast_opts(), seed=9)
     b = run_episode(game, _fast_opts(), seed=9)
     assert len(a.steps) == len(b.steps)
@@ -168,7 +168,7 @@ def test_episode_determinism():
 
 
 def test_separate_brains_with_common_seeds_stay_identical(monkeypatch):
-    game = make_game(ScenarioConfig(scenario="tag", t_past=3, t_future=3))
+    game = make_game(ExperimentConfig(scenario="tag", t_past=3, t_future=3))
     opts = _fast_opts(brain="separate", gamma=0.0, episode_steps=4)
     make_agent = runner.make_agent
     monkeypatch.setattr(runner, "make_agent", lambda game, player, opts, seed_seq:
@@ -183,12 +183,12 @@ def test_separate_brains_with_common_seeds_stay_identical(monkeypatch):
 def test_separate_brain_consumes_only_own_observation():
     calls = []
 
-    class Spy(type(make_game(ScenarioConfig(scenario="tag")))):
+    class Spy(type(make_game(ExperimentConfig(scenario="tag")))):
         def obs_logdensity(self, state, player, obs):
             calls.append(player)
             return super().obs_logdensity(state, player, obs)
 
-    game = Spy(ScenarioConfig(scenario="tag", t_past=2, t_future=2))
+    game = Spy(ExperimentConfig(scenario="tag", t_past=2, t_future=2))
     opts = _fast_opts(brain="separate", gamma=1.0, episode_steps=2,
                       max_iters=1, k_all=20)
     run_episode(game, opts, seed=13)
@@ -200,7 +200,7 @@ def test_separate_brain_consumes_only_own_observation():
 def test_plan_single_candidate_matches_calc_eq():
     from pogplan.solver import calc_eq
 
-    game = make_game(ScenarioConfig(scenario="tag", t_past=2, t_future=2))
+    game = make_game(ExperimentConfig(scenario="tag", t_past=2, t_future=2))
     ss = np.random.SeedSequence(17)
     opts = _fast_opts(k_all=30, k_batch=3)
     agent = make_agent(game, -1, opts, ss)
@@ -278,7 +278,7 @@ def test_particle_dump_closed_when_episode_raises(tmp_path, monkeypatch):
         raise RuntimeError("dump failed")
 
     monkeypatch.setattr(runner, "dump_particles", failing_dump)
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     opts = episode_options(ExperimentConfig(brain="shared", episode_steps=2, k_all=8,
                                             k_batch=2, max_iters=1, hidden=(4,)),
                            [ACTIVE, ACTIVE], str(tmp_path / "cloud.txt"))

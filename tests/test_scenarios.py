@@ -16,12 +16,12 @@ from pogplan.beliefs import (
     init_particles,
     update_particles,
 )
+from pogplan.config import ExperimentConfig
 from pogplan.experiments import modes_for_combo
 from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.scenarios import (
     SMOOTHMIN_TEMP,
     HideSeekGame,
-    ScenarioConfig,
     TagGame,
     WarehouseGame,
     group_names,
@@ -41,33 +41,33 @@ def _state(game, rng, k=1, spread=2.0):
 
 
 def test_make_game_dispatch_and_validation():
-    assert isinstance(make_game(ScenarioConfig(scenario="tag")), TagGame)
-    chain = make_game(ScenarioConfig(scenario="tagchain"))
+    assert isinstance(make_game(ExperimentConfig(scenario="tag")), TagGame)
+    chain = make_game(ExperimentConfig(scenario="tagchain"))
     assert isinstance(chain, TagGame) and chain.n_players == 4
-    assert isinstance(make_game(ScenarioConfig(scenario="hideseek")), HideSeekGame)
-    assert isinstance(make_game(ScenarioConfig(scenario="warehouse")), WarehouseGame)
+    assert isinstance(make_game(ExperimentConfig(scenario="hideseek")), HideSeekGame)
+    assert isinstance(make_game(ExperimentConfig(scenario="warehouse")), WarehouseGame)
     with pytest.raises(ValueError):
-        make_game(ScenarioConfig(scenario="poker"))
+        make_game(ExperimentConfig(scenario="poker"))
     with pytest.raises(ValueError):
-        make_game(ScenarioConfig(scenario="tagchain", chain_players=3))
+        make_game(ExperimentConfig(scenario="tagchain", chain_players=3))
     for players in (0, -2):
         with pytest.raises(ValueError, match="chain_players must be even and >= 2"):
-            make_game(ScenarioConfig(scenario="tagchain", chain_players=players))
+            make_game(ExperimentConfig(scenario="tagchain", chain_players=players))
     # the two-spawn start places two players: tagchain rejects it
     with pytest.raises(ValueError, match="spawn_mode"):
-        make_game(ScenarioConfig(scenario="tagchain", spawn_mode=True))
+        make_game(ExperimentConfig(scenario="tagchain", spawn_mode=True))
     with pytest.raises(ValueError):
-        make_game(ScenarioConfig(scenario="hideseek", obstacles=((4.9, 0.0, 0.5),)))
+        make_game(ExperimentConfig(scenario="hideseek", obstacles=((4.9, 0.0, 0.5),)))
     with pytest.raises(ValueError, match="at least one obstacle"):
-        make_game(ScenarioConfig(scenario="hideseek", obstacles=()))
+        make_game(ExperimentConfig(scenario="hideseek", obstacles=()))
     with pytest.raises(ValueError):
-        make_game(ScenarioConfig(scenario="warehouse", wh_alpha=-1.0))
+        make_game(ExperimentConfig(scenario="warehouse", wh_alpha=-1.0))
     # a zero-width window cannot shift; t_future = 0 stays a valid horizon
     with pytest.raises(ValueError, match="t_past"):
-        make_game(ScenarioConfig(scenario="tag", t_past=0))
+        make_game(ExperimentConfig(scenario="tag", t_past=0))
     with pytest.raises(ValueError, match="t_future"):
-        make_game(ScenarioConfig(scenario="tag", t_future=-1))
-    assert make_game(ScenarioConfig(scenario="tag", t_past=1, t_future=0)).t_future == 0
+        make_game(ExperimentConfig(scenario="tag", t_future=-1))
+    assert make_game(ExperimentConfig(scenario="tag", t_past=1, t_future=0)).t_future == 0
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_make_game_dispatch_and_validation():
 # ---------------------------------------------------------------------------
 
 def test_tag_rewards_zero_sum_and_values():
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     # coincident players: distance term vanishes (up to the norm epsilon)
     both = [(np.array([[0.7, -0.3]]), np.zeros((1, 2)))] * 2
     assert abs(game.reward_report(both, 0).item()) < 1e-4
@@ -100,7 +100,7 @@ def test_tag_rewards_zero_sum_and_values():
 
 
 def test_tag_observation_layout_and_own_state_exact():
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     assert game.obs_dim(0) == 6 and game.noise_dim(0) == 2
     rng = np.random.default_rng(1)
     state = _state(game, rng)
@@ -113,7 +113,7 @@ def test_tag_observation_layout_and_own_state_exact():
 
 
 def test_tag_initial_sampling():
-    cfg = ScenarioConfig(scenario="tag")
+    cfg = ExperimentConfig(scenario="tag")
     game = make_game(cfg)
     a = game.sample_initial(np.random.default_rng(3), 4)
     b = game.sample_initial(np.random.default_rng(3), 4)
@@ -123,7 +123,7 @@ def test_tag_initial_sampling():
         np.testing.assert_array_equal(va, 0.0)
 
     # two-spawn mode: pursuer at east/west with equal probability
-    spawn_cfg = ScenarioConfig(scenario="tag", spawn_mode=True)
+    spawn_cfg = ExperimentConfig(scenario="tag", spawn_mode=True)
     spawn_game = make_game(spawn_cfg)
     draws = spawn_game.sample_initial(np.random.default_rng(4), 10_000)
     pursuer = draws[0][0]
@@ -139,7 +139,7 @@ def test_tag_initial_sampling():
 # ---------------------------------------------------------------------------
 
 def test_chain_reward_structure():
-    game = make_game(ScenarioConfig(scenario="tagchain", chain_players=4))
+    game = make_game(ExperimentConfig(scenario="tagchain", chain_players=4))
     assert game.n_players == 4
     assert game.obs_dim(0) == 4 + 2 * 3 and game.noise_dim(0) == 6
 
@@ -162,7 +162,7 @@ def test_chain_reward_structure():
 
 def test_chain_cross_gradient_zero():
     # P1's reward has no dependence on E2's position
-    game = make_game(ScenarioConfig(scenario="tagchain"))
+    game = make_game(ExperimentConfig(scenario="tagchain"))
     rng = np.random.default_rng(6)
     state_np = _state(game, rng)
     tape = Tape()
@@ -177,9 +177,9 @@ def test_chain_cross_gradient_zero():
 # ---------------------------------------------------------------------------
 
 def test_hideseek_clear_sightline_matches_plain_fov():
-    cfg = ScenarioConfig(scenario="hideseek", obstacles=((0.0, 3.5, 0.5),))
+    cfg = ExperimentConfig(scenario="hideseek", obstacles=((0.0, 3.5, 0.5),))
     game = make_game(cfg)
-    plain = make_game(ScenarioConfig(scenario="tag"))
+    plain = make_game(ExperimentConfig(scenario="tag"))
     # observer and target on the x axis, obstacle far above the sight line
     state = [(np.array([[-1.0, 0.0]]), np.array([[0.2, 0.0]])),
              (np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))]
@@ -190,12 +190,12 @@ def test_hideseek_clear_sightline_matches_plain_fov():
 
 def test_hideseek_through_center_occlusion_scale():
     r = 1.5
-    cfg = ScenarioConfig(scenario="hideseek", obstacles=((0.0, 0.0, r),))
+    cfg = ExperimentConfig(scenario="hideseek", obstacles=((0.0, 0.0, r),))
     game = make_game(cfg)
     state = [(np.array([[-3.0, 0.0]]), np.array([[0.2, 0.0]])),
              (np.array([[3.0, 0.0]]), np.array([[0.0, 0.0]]))]
     v_occ = game._pair_variance(state, 0, 1).item()
-    v_base = make_game(ScenarioConfig(scenario="tag"))._pair_variance(state, 0, 1).item()
+    v_base = make_game(ExperimentConfig(scenario="tag"))._pair_variance(state, 0, 1).item()
     np.testing.assert_allclose(v_occ - v_base, cfg.c_scale * r, rtol=0.01)
     # the occlusion is softplus(-temp * clearance) / temp: invert it
     temp = SMOOTHMIN_TEMP
@@ -204,7 +204,7 @@ def test_hideseek_through_center_occlusion_scale():
 
 
 def test_hideseek_variance_continuous_when_grazing():
-    cfg = ScenarioConfig(scenario="hideseek", obstacles=((0.0, 1.0, 0.8),))
+    cfg = ExperimentConfig(scenario="hideseek", obstacles=((0.0, 1.0, 0.8),))
     game = make_game(cfg)
     heights = np.linspace(-0.5, 2.5, 601)
     values = []
@@ -217,7 +217,7 @@ def test_hideseek_variance_continuous_when_grazing():
 
 
 def test_hideseek_obstacle_collision_penalized():
-    cfg = ScenarioConfig(scenario="hideseek", obstacles=((1.0, 0.0, 0.7),))
+    cfg = ExperimentConfig(scenario="hideseek", obstacles=((1.0, 0.0, 0.7),))
     game = make_game(cfg)
     inside = [(np.array([[1.0, 0.0]]), np.zeros((1, 2))),
               (np.array([[-2.0, 0.0]]), np.zeros((1, 2)))]
@@ -229,7 +229,7 @@ def test_hideseek_obstacle_collision_penalized():
 
 
 def test_hideseek_zero_sum_reported():
-    game = make_game(ScenarioConfig(scenario="hideseek"))
+    game = make_game(ExperimentConfig(scenario="hideseek"))
     state = _state(game, np.random.default_rng(7), k=10_000)
     total = game.reward_report(state, 0) + game.reward_report(state, 1)
     assert np.max(np.abs(total)) < 1e-9
@@ -240,7 +240,7 @@ def test_hideseek_zero_sum_reported():
 # ---------------------------------------------------------------------------
 
 def test_warehouse_rewards():
-    cfg = ScenarioConfig(scenario="warehouse", wh_tasks=((0.2, 0.2), (0.9, 0.9)))
+    cfg = ExperimentConfig(scenario="warehouse", wh_tasks=((0.2, 0.2), (0.9, 0.9)))
     game = make_game(cfg)
 
     at_task = [(np.array([[0.2, 0.2]]), np.zeros((1, 2))),
@@ -259,7 +259,7 @@ def test_warehouse_rewards():
 
 
 def test_warehouse_observation_noise_model():
-    cfg = ScenarioConfig(scenario="warehouse")
+    cfg = ExperimentConfig(scenario="warehouse")
     game = make_game(cfg)
     station = np.asarray(cfg.wh_station)
 
@@ -285,7 +285,7 @@ def test_warehouse_observation_noise_model():
 
 
 def test_warehouse_p1_reward_independent_of_p2():
-    game = make_game(ScenarioConfig(scenario="warehouse"))
+    game = make_game(ExperimentConfig(scenario="warehouse"))
     rng = np.random.default_rng(9)
     state_np = game.sample_initial(rng, 3)
     tape = Tape()
@@ -296,7 +296,7 @@ def test_warehouse_p1_reward_independent_of_p2():
 
 
 def test_warehouse_initials_inside_unit_box():
-    game = make_game(ScenarioConfig(scenario="warehouse"))
+    game = make_game(ExperimentConfig(scenario="warehouse"))
     state = game.sample_initial(np.random.default_rng(10), 5000)
     for pos, vel in state:
         assert np.all((pos >= 0.0) & (pos <= 1.0))
@@ -312,7 +312,7 @@ def test_observations_match_recorded_values(name):
     recorded from the observation models for K = 5 states (the last at rest)
     and every player; the file stores the states and noise with them."""
     path = os.path.join(os.path.dirname(__file__), "data", "observations.npz")
-    game = make_game(ScenarioConfig(scenario=name))
+    game = make_game(ExperimentConfig(scenario=name))
     with np.load(path) as rec:
         state = game.unpack_state(rec[f"{name}/state"])
         for p in range(game.n_players):
@@ -325,14 +325,14 @@ def test_observations_match_recorded_values(name):
 
 
 def test_mode_groups():
-    assert mode_groups(make_game(ScenarioConfig(scenario="tag"))) == [[0], [1]]
-    assert mode_groups(make_game(ScenarioConfig(scenario="tagchain"))) == [[0, 1], [2, 3]]
-    assert mode_groups(make_game(ScenarioConfig(scenario="warehouse"))) == [[1]]
+    assert mode_groups(make_game(ExperimentConfig(scenario="tag"))) == [[0], [1]]
+    assert mode_groups(make_game(ExperimentConfig(scenario="tagchain"))) == [[0, 1], [2, 3]]
+    assert mode_groups(make_game(ExperimentConfig(scenario="warehouse"))) == [[1]]
     # a team of one is named in the singular: a two-player chain is tag
     for scenario, players, names in (("tag", 4, ["pursuer", "evader"]),
                                      ("tagchain", 2, ["pursuer", "evader"]),
                                      ("tagchain", 4, ["pursuers", "evaders"])):
-        game = make_game(ScenarioConfig(scenario=scenario, chain_players=players))
+        game = make_game(ExperimentConfig(scenario=scenario, chain_players=players))
         assert group_names(game) == names
 
 
@@ -341,8 +341,8 @@ def test_mode_groups():
 def test_two_player_chain_is_tag_bit_for_bit(modes):
     """A two-player tagchain is tag: the same costs and gradients from
     ``expected_cost``, and the same cloud after a conditioned update."""
-    games = [make_game(ScenarioConfig(scenario="tag")),
-             make_game(ScenarioConfig(scenario="tagchain", chain_players=2))]
+    games = [make_game(ExperimentConfig(scenario="tag")),
+             make_game(ExperimentConfig(scenario="tagchain", chain_players=2))]
     outs = []
     for game in games:
         thetas = [init_policy(game, i, modes[i], seed=i + 1, hidden=(8,)) for i in range(2)]
@@ -402,7 +402,7 @@ COMBOS = pytest.mark.parametrize("combo", [(PASSIVE, ACTIVE), (ACTIVE, ACTIVE)],
 
 def _moving_case(name, players, combo, k=16):
     """(game, policies, moving joint state, windows, rng) of ``k`` rows."""
-    game = make_game(ScenarioConfig(scenario=name, chain_players=players, t_past=3,
+    game = make_game(ExperimentConfig(scenario=name, chain_players=players, t_past=3,
                                     t_future=4))
     rng = np.random.default_rng(31)
     modes = modes_for_combo(game, combo)
@@ -525,7 +525,7 @@ def _unpack_flat(game, x, with_actions=False):
 
 @pytest.mark.parametrize("name", ["tag", "tagchain", "hideseek", "warehouse"])
 def test_scenario_grad_checks(name):
-    game = make_game(ScenarioConfig(scenario=name))
+    game = make_game(ExperimentConfig(scenario=name))
     d, act, noise = _flat_widths(game)
     rng = np.random.default_rng(12)
     proj = rng.normal(size=64)

@@ -23,7 +23,7 @@ from pogplan.policy import (
 )
 from pogplan.experiments import episode_options
 from pogplan.runner import run_episode
-from pogplan.scenarios import ScenarioConfig, WarehouseGame, make_game
+from pogplan.scenarios import WarehouseGame, make_game
 from pogplan.solver import (
     _run_rollout,
     calc_eq,
@@ -89,7 +89,7 @@ def test_rollout_zero_horizon_and_zero_rewards():
 
 
 def test_rollout_replay_is_bit_for_bit():
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     rng = np.random.default_rng(3)
     thetas = _policies(game)
     pset = init_particles(game, 1, 1, rng)
@@ -106,7 +106,7 @@ def test_rollout_replay_is_bit_for_bit():
 
 
 def test_rollout_passive_actions_ignore_noise():
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     rng = np.random.default_rng(4)
     thetas = _policies(game, mode=PASSIVE)
     pset = init_particles(game, 1, 1, rng)
@@ -128,7 +128,7 @@ def test_rollout_passive_actions_ignore_noise():
 def test_passive_sequence_computed_once_equals_per_step_forward():
     """Both rollout paths slice one passive forward pass per rollout; each
     block equals a fresh per-step forward on the planning-time window."""
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     rng = np.random.default_rng(10)
     thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(8,)),
               init_policy(game, 1, ACTIVE, seed=2, hidden=(8,))]
@@ -185,7 +185,7 @@ def test_nonfinite_inputs_abort(where):
     yield a finite action (tanh(inf) = 1).  A huge finite position passes
     that check and overflows on the tape, and calc_eq aborts as well,
     without numpy's overflow warning."""
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(8,)),
               init_policy(game, 1, ACTIVE, seed=2, hidden=(8,))]
     pset = init_particles(game, 4, 1, np.random.default_rng(23))
@@ -217,7 +217,7 @@ def test_final_evaluation_overflow_aborts_without_warning():
     rollout.  Both tag players at x = 1e200 overflow the boundary penalty
     there, and the solve is marked aborted without numpy's overflow
     warning."""
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     thetas = [init_policy(game, i, ACTIVE, seed=i, hidden=(8,)) for i in range(2)]
     pset = init_particles(game, 4, 1, np.random.default_rng(23))
     pset.states[:, [0, 4]] = 1e200
@@ -232,7 +232,7 @@ def test_soft_min_underflow_aborts_the_solve():
     """Far from every obstacle, the sight line's soft-min sum underflows to 0.
     Its log is -inf on the tape, so calc_eq records an abort instead of
     letting an error escape."""
-    game = make_game(ScenarioConfig(scenario="hideseek"))
+    game = make_game(ExperimentConfig(scenario="hideseek"))
     thetas = [init_policy(game, i, ACTIVE, seed=i, hidden=(8,)) for i in range(2)]
     pset = init_particles(game, 4, 1, np.random.default_rng(23))
     pset.states[:, 0:2] = (80.0, 0.0)    # pursuer
@@ -299,7 +299,7 @@ def test_rollout_gradient_taylor_remainder(name):
     O(h) term, and the rate drops towards 1.  Unlike a per-coordinate
     finite-difference score, the test does not judge near-zero coordinates
     on rounding."""
-    game = make_game(ScenarioConfig(scenario=name, t_past=2, t_future=4))
+    game = make_game(ExperimentConfig(scenario=name, t_past=2, t_future=4))
     steps = 1e-3 * 0.5 ** np.arange(6)
     rng = np.random.default_rng(40)
     for seed in range(2):
@@ -319,7 +319,7 @@ def test_rollout_gradient_taylor_remainder(name):
 
 
 def test_expected_cost_deterministic_given_stream():
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     pset = init_particles(game, 32, 1, np.random.default_rng(12))
     thetas = _policies(game, hidden=(8, 8))
     c1, g1 = expected_cost(game, pset, thetas, 0, 4, np.random.default_rng(13))
@@ -432,7 +432,7 @@ def test_calc_eq_never_writes_into_its_warm_start():
     """The caller's policies, Adam states and their lists come back as they
     went in; a policy and Adam state that no step updated come back as the
     objects passed in."""
-    game = make_game(ScenarioConfig(scenario="tag", t_past=2, t_future=2))
+    game = make_game(ExperimentConfig(scenario="tag", t_past=2, t_future=2))
     thetas = [init_policy(game, 0, PASSIVE, seed=1, hidden=(4,)),
               init_policy(game, 1, ACTIVE, seed=2, hidden=(4,))]
     states = _cold(thetas)
@@ -572,7 +572,7 @@ def _calc_eq_tag_arrays():
     solve; per-step states, actions and iteration counts of the episode.
     Parameters and moments are split into the per-layer keys recorded
     before policies had one flat vector: weights then bias, layer by layer."""
-    game = make_game(ScenarioConfig(scenario="tag"))
+    game = make_game(ExperimentConfig(scenario="tag"))
     modes = [PASSIVE, ACTIVE]
     thetas = [init_policy(game, i, modes[i], seed=30 + i, hidden=(8, 8)) for i in range(2)]
     pset = init_particles(game, 200, 1, np.random.default_rng(31))
@@ -620,7 +620,7 @@ def _hideseek_step_arrays():
     each player, three calls on one stream.  The 300-particle cloud has
     random velocities and windows; a few rows put the two players on one
     spot or a player on an obstacle centre."""
-    game = make_game(ScenarioConfig(scenario="hideseek"))
+    game = make_game(ExperimentConfig(scenario="hideseek"))
     rng = np.random.default_rng(40)
     pset = init_particles(game, 300, 1, rng)
     state = game.unpack_state(pset.states)
