@@ -41,7 +41,7 @@ _BOUNDS = (
       "wh_alpha", "wh_beta", "wh_eta1", "wh_eta2", "wh_v_max_p1", "wh_v_max_p2", "lr")),
     ("be non-negative", lambda v: v >= 0,
      ("t_future", "boundary_weight", "c_scale", "init_pos_std", "max_iters", "first_step_iters",
-      "episode_steps", "trials", "seed")),
+      "eps_tol", "episode_steps", "trials", "seed")),
     ("lie in [0, 1]", lambda v: 0 <= v <= 1, ("gamma", "resample_ess_fraction")),
 )
 
@@ -69,7 +69,7 @@ class ExperimentConfig:
     init_pos_std: float = 2.0     # spread of the Gaussian initial positions
 
     # two-player tag (and hideseek) variant: the pursuer starts at one of two
-    # points, the evader between them; tagchain rejects it
+    # points, the evader between them; the other scenarios reject it
     spawn_mode: bool = False
     spawn_east: tuple = (2.5, 0.0)
     spawn_west: tuple = (-2.5, 0.0)
@@ -125,8 +125,9 @@ class ExperimentConfig:
                     raise ValueError(f"{name} must {bound}, got {getattr(self, name)}")
         if self.chain_players < 2 or self.chain_players % 2 != 0:
             raise ValueError(f"chain_players must be even and >= 2, got {self.chain_players}")
-        if self.spawn_mode and self.scenario == "tagchain":
-            raise ValueError("spawn_mode places two players; tagchain does not take it")
+        if self.spawn_mode and self.scenario not in ("tag", "hideseek"):
+            raise ValueError(f"spawn_mode places two tag players; {self.scenario} "
+                             "does not take it")
         points = [(name, getattr(self, name)) for name in
                   ("spawn_east", "spawn_west", "evader_start", "wh_station")]
         for name, point in points + [("wh_tasks", task) for task in self.wh_tasks]:

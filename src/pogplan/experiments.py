@@ -212,13 +212,14 @@ def sweep(cfg, param, values):
     Each row is a dict whose keys name its columns.  t_future / k_batch:
     first-round solve per seed, a row ``{param: value, mean_cost, ...}`` per
     value.  n_eq: pairwise grid of separate-brain episodes, reporting mean
-    inter-player distance and each agent's mean surprisal.
+    inter-player distance and each agent's mean surprisal.  Every swept
+    config is checked before the first trial runs.
     """
     if not values:
         raise ValueError(f"no values to sweep {param} over")
     if param in ("t_future", "k_batch"):
         rows = []
-        subs = [replace(cfg, **{param: int(value)}) for value in values]
+        subs = [replace(cfg, **{param: int(value)}).validate() for value in values]
         for results, value in zip(map_trials(first_step_stats, subs, cfg), values):
             cost_m, cost_e = mean_stderr([r["cost"] for r in results])
             sec_m, sec_e = mean_stderr([r["seconds"] for r in results])
@@ -238,7 +239,8 @@ def neq_grid(cfg, values):
         raise ValueError("the n_eq grid needs a two-player scenario")
     rows = []
     pairs = list(product([int(v) for v in values], repeat=2))
-    grid = map_trials(_one_trial, [(replace(cfg, brain=SEPARATE, n_eq=pair, dump_particles=False),
+    grid = map_trials(_one_trial, [(replace(cfg, brain=SEPARATE, n_eq=pair,
+                                            dump_particles=False).validate(),
                                     (ACTIVE, ACTIVE)) for pair in pairs], cfg)
     for records, pair in zip(grid, pairs):
         dists, surp0, surp1 = [], [], []

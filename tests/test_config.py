@@ -62,7 +62,8 @@ def test_malformed_value_names_the_key():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just some words", source="<config>")
     # ';' separates groups only in a key whose default holds groups
-    for text in ("hidden = 4; 4", "wh_station = 0.5; 1.0", "n_eq = 1;"):
+    # a flag reads only a word for true or false
+    for text in ("hidden = 4; 4", "wh_station = 0.5; 1.0", "n_eq = 1;", "dump_particles = maybe"):
         with pytest.raises(ConfigError, match=text.partition(" ")[0]):
             parse_config_text(text, source="<config>")
 
@@ -109,6 +110,13 @@ def test_round_trip_exact(tmp_path):
     assert "obstacles = 1.8,1.2,0.7\n" in path.read_text()
     assert parse_config(path) == cfg
 
+    # an empty tuple value reads as (), is echoed empty and reads back
+    cfg = parse_config_text("hidden =", source="<config>")
+    assert cfg.hidden == ()
+    write_config(cfg, path)
+    assert "hidden = \n" in path.read_text()
+    assert parse_config(path) == cfg
+
 
 def test_scenario_config_carries_constants():
     """An experiment config is the game's config: the game reads its
@@ -128,6 +136,19 @@ def test_scenario_config_carries_constants():
     assert cfg.wh_tasks == ((0.1, 0.1), (0.9, 0.9))   # the caller's config is kept
     fixed = trial_game(replace(cfg, warehouse_random_tasks=False), 3)
     assert [tuple(t) for t in fixed.tasks] == [(0.1, 0.1), (0.9, 0.9)]
+
+
+def test_every_numeric_setting_refuses_minus_one():
+    """Each int or float setting has a bound that -1 breaks, and the error
+    names the setting."""
+    defaults = ExperimentConfig()
+    numeric = [f.name for f in fields(ExperimentConfig)
+               if type(getattr(defaults, f.name)) in (int, float)]
+    assert "eps_tol" in numeric and "spawn_mode" not in numeric
+    for name in numeric:
+        bad = replace(defaults, **{name: type(getattr(defaults, name))(-1)})
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            bad.validate()
 
 
 def test_committed_default_echo_still_parses_to_defaults():

@@ -406,6 +406,21 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
         sweep(_tiny_cfg(tmp_path), "k_all", [1])
 
 
+def test_sweep_checks_every_value_before_the_first_trial(tmp_path, monkeypatch):
+    """A bad swept value is refused before any trial of a good one is played."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trial ran before every swept setting was checked")
+
+    monkeypatch.setattr(experiments, "run_episode", unreachable)
+    monkeypatch.setattr(experiments, "calc_eq", unreachable)
+    cfg = _tiny_cfg(tmp_path, trials=1)
+    for param, values, message in (("n_eq", [1, 0], "need k_all >= n_eq >= 1"),
+                                   ("k_batch", [4, 0], "k_batch must be at least 1"),
+                                   ("t_future", [2, -1], "t_future must be non-negative")):
+        with pytest.raises(ValueError, match=message):
+            sweep(cfg, param, values)
+
+
 EPISODE_SETTINGS = os.path.join(os.path.dirname(__file__), "data", "episode_settings.npz")
 
 

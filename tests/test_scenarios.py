@@ -53,9 +53,10 @@ def test_make_game_dispatch_and_validation():
     for players in (0, -2):
         with pytest.raises(ValueError, match="chain_players must be even and >= 2"):
             make_game(ExperimentConfig(scenario="tagchain", chain_players=players))
-    # the two-spawn start places two players: tagchain rejects it
-    with pytest.raises(ValueError, match="spawn_mode"):
-        make_game(ExperimentConfig(scenario="tagchain", spawn_mode=True))
+    # the two-spawn start places two tag players: tagchain and warehouse reject it
+    for scenario in ("tagchain", "warehouse"):
+        with pytest.raises(ValueError, match="spawn_mode"):
+            make_game(ExperimentConfig(scenario=scenario, spawn_mode=True))
     with pytest.raises(ValueError):
         make_game(ExperimentConfig(scenario="hideseek", obstacles=((4.9, 0.0, 0.5),)))
     with pytest.raises(ValueError, match="at least one obstacle"):
