@@ -20,11 +20,10 @@ SMOOTHMIN_TEMP = 10.0  # sharpness of the soft minimum over obstacles
 
 
 def make_game(config):
-    """Instantiate the configured scenario."""
-    config.validate()
+    """Instantiate the configured scenario, once its name and settings are checked."""
     if config.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario '{config.scenario}'")
-    return SCENARIOS[config.scenario](config)
+    return SCENARIOS[config.scenario](config.validate())
 
 
 def _gaussian_logdensity(obs_block, mean, var):

@@ -61,8 +61,8 @@ def test_malformed_value_names_the_key():
         parse_config_text("trials = 2.5", source="<config>")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just some words", source="<config>")
-    # ';' separates groups only in a key whose default holds groups
-    # a flag reads only a word for true or false
+    # ';' separates groups only in a key whose default holds groups, and a
+    # flag reads only a word for true or false
     for text in ("hidden = 4; 4", "wh_station = 0.5; 1.0", "n_eq = 1;", "dump_particles = maybe"):
         with pytest.raises(ConfigError, match=text.partition(" ")[0]):
             parse_config_text(text, source="<config>")
