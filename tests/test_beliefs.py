@@ -358,12 +358,16 @@ def _update_step_arrays():
     conditioned ones, then a conditioned one with a resample threshold.
     Clouds of 2 * ROW_BLOCK + 37 particles: tag in three blocks (one row
     span), tagchain in two uneven blocks (two spans, the last one ragged),
-    and tag in one block (three spans, the last one ragged); every block
-    has its own candidate, with passive and active players."""
+    tag in one block (three spans, the last one ragged), and hideseek
+    (occluded sight lines) and warehouse in two blocks (two spans, the last
+    one ragged); every block has its own candidate, with passive and active
+    players."""
     out = {}
     cases = (("tag", "tag", 3, (PASSIVE, ACTIVE)),
              ("tagchain", "tagchain", 2, (PASSIVE, ACTIVE, ACTIVE, PASSIVE)),
-             ("tag-one-block", "tag", 1, (PASSIVE, ACTIVE)))
+             ("tag-one-block", "tag", 1, (PASSIVE, ACTIVE)),
+             ("hideseek", "hideseek", 2, (PASSIVE, ACTIVE)),
+             ("warehouse", "warehouse", 2, (ACTIVE, PASSIVE)))
     for name, scenario, n_eq, modes in cases:
         game = make_game(ExperimentConfig(scenario=scenario))
         k = 2 * beliefs.ROW_BLOCK + 37
