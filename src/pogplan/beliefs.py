@@ -9,8 +9,8 @@ own true observation and reweighted by its likelihood, trading opponent-model
 fidelity for closed-loop accuracy.
 
 The round step of every cloud, beliefs and the one-row true world of
-``runner`` alike, is defined here once: ``observe_particles``, then
-``advance_particles``; ``update_particles`` conditions between the two.
+``runner`` alike, is defined here once, in ``advance_particles``: each span
+of rows is observed, pushed, conditioned and advanced in one pass.
 
 Weights are renormalized whenever a conditioning step changed them (an
 unconditioned update is an exact fixed point of the weight vector).  There is
@@ -93,28 +93,26 @@ def sample_batch(cdf, k_batch, rng):
     return cdf.searchsorted(rng.random(k_batch), side="right")
 
 
-def observe_particles(pset, game, rng):
-    """Fresh joint observations of every row's current state, one array per
-    player.  None aliases the cloud (an exactly seen state is copied), so each
-    can be overwritten and outlives the states' in-place advance."""
-    state = game.unpack_state(pset.states)
-    obs = []
-    for i in range(game.n_players):
-        eps = rng.standard_normal((pset.k_all, game.noise_dim(i)))
-        z = np.asarray(game.observe(state, i, eps))
-        obs.append(z.copy() if np.may_share_memory(z, pset.states) else z)
-    return obs
+def observation_noise(game, k, rng):
+    """One round's observation noise for ``k`` rows: one N(0, 1) array per
+    player, drawn in player order."""
+    return [rng.standard_normal((k, game.noise_dim(i))) for i in range(game.n_players)]
 
 
-def advance_particles(pset, game, block_policies, obs):
-    """The open-loop round step of every row, in place, each block under its
-    own per-player policies; returns every row's actions, one array per
-    player.  The cloud goes one span of ``n_blocks * ROW_BLOCK`` rows at a
-    time, and block ``p``'s rows of a span are ``span[p::n_blocks]``.  In each
-    span, passive policies read the pre-push window (a passive action is its
-    sequence's first block), the windows take ``obs``, active policies read
-    the pushed window, and the states transition; so the actions are the only
-    cloud-sized allocations."""
+def advance_particles(pset, game, block_policies, noise, condition):
+    """The round step of every row, in place, each block under its own
+    per-player policies; returns every row's actions, one array per player.
+    The cloud goes one span of ``n_blocks * ROW_BLOCK`` rows at a time, and
+    block ``p``'s rows of a span are ``span[p::n_blocks]``.  In each span the
+    rows are observed under ``noise`` (an ``observation_noise`` draw), passive
+    policies read the pre-push window (a passive action is its sequence's
+    first block), and the windows take the observations.  ``condition``,
+    ``None`` or ``(player, true_obs, mask)``, then conditions the rows
+    ``mask`` picks: ``true_obs`` becomes the last block of ``player``'s window
+    and multiplies the weight by its (untrimmed Gaussian) density.  Active
+    policies read the pushed window, and the states transition.  Observations
+    exist one span at a time, so the actions are the only cloud-sized
+    allocations."""
     n, k = pset.n_blocks, pset.k_all
     actions = [np.empty((k, t.action_dim)) for t in block_policies[0]]
 
@@ -128,14 +126,22 @@ def advance_particles(pset, game, block_policies, obs):
 
     for lo in range(0, k, n * ROW_BLOCK):
         hi = min(lo + n * ROW_BLOCK, k)
+        state = game.unpack_state(pset.states[lo:hi])
+        obs = [game.observe(state, i, eps[lo:hi]) for i, eps in enumerate(noise)]
         forward(lo, hi, active=False)
-        for h, z in zip(pset.hists, obs):
+        for h, z in zip([h[lo:hi] for h in pset.hists], obs):
             # ROW_BLOCK rows at a time: span-sized temporaries raised the peak
             # resident set of a two-block 100,000-row cloud by 8 MB
-            for r in range(lo, hi, ROW_BLOCK):
+            for r in range(0, hi - lo, ROW_BLOCK):
                 h[r:r + ROW_BLOCK] = ag.shift_last(h[r:r + ROW_BLOCK], z[r:r + ROW_BLOCK])
+        if condition is not None:
+            player, true_obs, mask = condition
+            seen = lo + np.flatnonzero(mask[lo:hi])
+            pset.hists[player][seen, -true_obs.size:] = true_obs
+            pset.weights[seen] *= np.exp(game.obs_logdensity(
+                game.unpack_state(pset.states[seen]), player,
+                np.broadcast_to(true_obs, (seen.size, true_obs.size))))
         forward(lo, hi, active=True)
-        state = game.unpack_state(pset.states[lo:hi])
         pset.states[lo:hi] = game.pack_state(
             game.transition(state, [a[lo:hi] for a in actions]))
     return actions
@@ -145,14 +151,11 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
                      resample_threshold=None):
     """One forward update of the cloud, in place; returns ``pset`` itself.
 
-    Per particle: draw a fresh joint observation of its current state
-    (``observe_particles``); with probability ``gamma`` overwrite
-    ``player``'s component with the true observation ``true_obs`` and
-    multiply the weight by that observation's (untrimmed Gaussian) density
-    under the particle state; then take the round step
-    (``advance_particles``).  With ``true_obs=None`` the update is fully
-    open-loop (gamma treated as zero) and the weight vector is left
-    bit-for-bit unchanged.
+    Draws the round's observation noise, picks each particle with
+    probability ``gamma`` to be conditioned on ``player``'s true observation
+    ``true_obs``, and takes the round step (``advance_particles``).  With
+    ``true_obs=None`` the update is fully open-loop (gamma treated as zero)
+    and the weight vector is left bit-for-bit unchanged.
 
     ``policies`` is either one per-player list (applied to every particle) or
     one such list per partition block (each candidate policy drives its own
@@ -174,22 +177,16 @@ def update_particles(pset, game, policies, true_obs, player, gamma, rng,
         raise ValueError(f"true_obs has {np.size(true_obs)} entries, not {game.obs_dim(player)}")
 
     k = pset.k_all
-    obs = observe_particles(pset, game, rng)
-    conditioned = False
+    noise = observation_noise(game, k, rng)
+    condition = None
     if true_obs is not None and gamma > 0.0:
         mask = rng.random(k) < gamma
-        if np.any(mask):
-            conditioned = True
-            z_bar = np.asarray(true_obs, dtype=float).reshape(1, -1)
-            obs[player][mask] = z_bar
-            rows = game.unpack_state(pset.states[mask])
-            logd = game.obs_logdensity(rows, player, np.broadcast_to(z_bar, (int(mask.sum()), z_bar.shape[1])))
-            pset.weights[mask] = pset.weights[mask] * np.exp(logd)
-
-    advance_particles(pset, game, block_policies, obs)
+        if mask.any():
+            condition = (player, np.asarray(true_obs, dtype=float).ravel(), mask)
+    advance_particles(pset, game, block_policies, noise, condition)
 
     pset.degenerate = False
-    if conditioned:
+    if condition is not None:
         total = pset.weights.sum()
         if total < DEGENERACY_FLOOR:
             pset.weights[:] = 1.0 / k

@@ -13,10 +13,11 @@ Two deployments, chosen by the config's ``brain``:
   observations only.
 
 Round structure: the world is a one-row particle cloud, and ``act`` takes the
-round step that ``beliefs`` defines for every cloud: fresh true observations
-of the current state complete the observation windows, the policies map the
-completed windows to the joint action (passive policies read the pre-push
-window), and the world advances one transition.
+round step that ``beliefs.advance_particles`` defines for every cloud: fresh
+true observations of the current state complete the observation windows
+(``act`` reads them back from there), the policies map the completed windows
+to the joint action (passive policies read the pre-push window), and the
+world advances one transition.
 Every setting is read from one ``EpisodeOptions``, which
 ``experiments.episode_options`` checks and resolves once per trial (the
 modes, and each agent's candidate count), and everything is driven by
@@ -37,7 +38,7 @@ from .beliefs import (
     effective_sample_size,
     gaussian_summary,
     init_particles,
-    observe_particles,
+    observation_noise,
     surprisal,
     update_particles,
 )
@@ -162,9 +163,9 @@ def plan(agent, game, opts, iters):
 def act(world, game, policies, rng):
     """One unconditioned round step of ``world``, the one-row cloud of the
     true state and windows; returns (observations, actions), one (1, width)
-    array per player each."""
-    obs = observe_particles(world, game, rng)
-    actions = advance_particles(world, game, [policies], obs)
+    array per player each, the observations copied out of the pushed windows."""
+    actions = advance_particles(world, game, [policies], observation_noise(game, 1, rng), None)
+    obs = [h[:, -game.obs_dim(i):].copy() for i, h in enumerate(world.hists)]
     return obs, actions
 
 

@@ -21,7 +21,8 @@ arrays, so a policy the solve never updated comes back as the same object.
 
 Window convention, the one ``beliefs.advance_particles`` defines for the
 particle update and the real world: at every step a fresh observation of the
-*current* state is pushed into each active player's window before acting.
+*current* state (a conditioned particle's true one) is pushed into each
+active player's window before acting.
 Passive players read the pre-push window, frozen at planning time, so their
 action sequence cannot depend on any not-yet-realized observation.  The
 rollout keeps its own step on tape nodes: only active players observe, and a
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import adgraph as ag
 from .adgraph import Tape
-from .beliefs import sample_batch, sampling_cdf
+from .beliefs import observation_noise, sample_batch, sampling_cdf
 from .policy import ACTIVE, action_block, adam_step, policy_forward
 
 
@@ -58,9 +59,7 @@ class EquilibriumResult:
 
 def draw_noise(game, k, rng):
     """Observation noise for one rollout batch: eps[t][player] ~ N(0, 1)."""
-    return [[rng.standard_normal((k, game.noise_dim(i)))
-             for i in range(game.n_players)]
-            for _ in range(game.t_future)]
+    return [observation_noise(game, k, rng) for _ in range(game.t_future)]
 
 
 @np.errstate(over="ignore")

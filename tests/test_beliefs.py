@@ -417,9 +417,9 @@ def test_update_steps_match_recorded_values():
 @pytest.mark.parametrize("n_eq", [1, 2])
 def test_update_allocates_no_second_cloud(n_eq):
     """One conditioned update on a 20,000-particle cloud, in one block or
-    two, allocates about a third of the cloud's own bytes at its peak: the
-    cloud is advanced in place, a block and a ``ROW_BLOCK``-row chunk at a
-    time."""
+    two, allocates under a quarter of the cloud's own bytes at its peak: the
+    cloud is observed and advanced in place, a span and a ``ROW_BLOCK``-row
+    chunk at a time, and holds no cloud-sized observation arrays."""
     game = _tag()
     k = 20_000
     pset = init_particles(game, k, n_eq, np.random.default_rng(60))
@@ -435,7 +435,7 @@ def test_update_allocates_no_second_cloud(n_eq):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.35 * cloud, peak / cloud
+    assert peak < 0.25 * cloud, peak / cloud
 
 
 def test_update_that_raises_leaves_the_cloud():

@@ -115,6 +115,22 @@ def test_act_returns_the_exactly_seen_position_before_the_transition():
     assert not np.array_equal(game.unpack_state(world.states)[0][0], before)
 
 
+@pytest.mark.parametrize("name", ["tag", "tagchain", "hideseek", "warehouse"])
+def test_act_observations_are_copies_of_the_pushed_windows(name):
+    """Each observation ``act`` returns equals the last block of its player's
+    pushed window and shares no memory with the world's windows or states,
+    so the next round step cannot change it."""
+    game = make_game(ExperimentConfig(scenario=name))
+    world, rng = _rest_world(game, seed=4)
+    thetas = [init_policy(game, i, ACTIVE, seed=44 + i, hidden=(4,))
+              for i in range(game.n_players)]
+    obs, _ = act(world, game, thetas, rng)
+    for i, z in enumerate(obs):
+        np.testing.assert_array_equal(z, world.hists[i][:, -game.obs_dim(i):])
+        for a in (world.states, *world.hists):
+            assert not np.shares_memory(z, a), (i, a.shape)
+
+
 def _fast_opts(modes=(ACTIVE, ACTIVE), **kw):
     base = dict(brain="shared", episode_steps=4, k_all=40, k_batch=3,
                 max_iters=2, hidden=(4,), lr=0.01)

@@ -14,6 +14,7 @@ from pogplan.beliefs import (
     ParticleSet,
     advance_particles,
     init_particles,
+    observation_noise,
     update_particles,
 )
 from pogplan.config import ExperimentConfig
@@ -451,21 +452,22 @@ def test_rollout_is_invariant_under_the_arena_symmetries(name, players, maps, co
 @ARENA_SYMMETRIES
 @COMBOS
 def test_round_step_is_equivariant_under_the_arena_symmetries(name, players, maps, combo):
-    """``advance_particles`` of the mapped cloud, windows and observations,
-    under the mapped policies, gives the mapped states, windows and actions
-    (the map as in ``test_rollout_is_invariant_under_the_arena_symmetries``)."""
+    """``advance_particles`` of the mapped cloud, windows and observation
+    noise, under the mapped policies, gives the mapped states, windows and
+    actions (the map as in
+    ``test_rollout_is_invariant_under_the_arena_symmetries``)."""
     game, thetas, state, hists, rng = _moving_case(name, players, combo)
     k = len(hists[0])
-    obs = [rng.normal(scale=1.5, size=(k, game.obs_dim(i))) for i in range(game.n_players)]
+    noise = observation_noise(game, k, rng)
     weights = np.full(k, 1.0 / k)
     pset = _cloud(game, state, hists, weights)
-    actions = advance_particles(pset, game, [thetas], [z.copy() for z in obs])
+    actions = advance_particles(pset, game, [thetas], noise, None)
     for s in maps:
         mapped = _cloud(game, [(pos @ s.T, vel @ s.T) for pos, vel in state],
                         [_map_blocks(h, s) for h in hists], weights)
         actions_s = advance_particles(
             mapped, game, [[replace(th, flat=_map_policy(th, th.flat, s)) for th in thetas]],
-            [_map_blocks(z, s) for z in obs])
+            [_map_blocks(e, s) for e in noise], None)
         for got, want in [(mapped.states, pset.states), *zip(mapped.hists, pset.hists),
                           *zip(actions_s, actions)]:
             np.testing.assert_allclose(got, _map_blocks(want, s), rtol=0.0,
