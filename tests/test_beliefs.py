@@ -169,7 +169,9 @@ def test_block_p_follows_candidate_p():
 @pytest.mark.parametrize("mode", [ACTIVE, PASSIVE])
 def test_row_blocked_update_matches_single_forward(mode, monkeypatch):
     """Policies evaluated in ROW_BLOCK-row slices, ragged last slice
-    included, reproduce one whole-block forward over conditioned updates."""
+    included, reproduce one whole-block forward over conditioned updates.
+    At gamma = 0.001 the first update conditions rows of only one of its
+    three spans."""
     game = _tag()
     k, n_eq = 5000, 2
     assert k // n_eq > beliefs.ROW_BLOCK and (k // n_eq) % beliefs.ROW_BLOCK
@@ -178,20 +180,21 @@ def test_row_blocked_update_matches_single_forward(mode, monkeypatch):
     true_obs = np.asarray(game.observe(game.unpack_state(start.states[:1]), 0,
                                        np.zeros((1, game.noise_dim(0)))))[0]
 
-    def three_updates():
+    def three_updates(gamma):
         pset, rng = copy.deepcopy(start), np.random.default_rng(32)
         for _ in range(3):
             pset = update_particles(pset, game, thetas, true_obs, player=0,
-                                    gamma=0.3, rng=rng)
+                                    gamma=gamma, rng=rng)
         return pset
 
-    blocked = three_updates()
+    gammas = (0.3, 0.001)
+    blocked = [three_updates(gamma) for gamma in gammas]
     monkeypatch.setattr(beliefs, "ROW_BLOCK", k)
-    single = three_updates()
+    single = [three_updates(gamma) for gamma in gammas]
     # float64 BLAS results may depend on the row count, so not bitwise.
-    for got, want in [(blocked.states, single.states), (blocked.weights, single.weights),
-                      *zip(blocked.hists, single.hists)]:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    for b, s in zip(blocked, single):
+        for got, want in [(b.states, s.states), (b.weights, s.weights), *zip(b.hists, s.hists)]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_update_two_particle_bayes_rule():
