@@ -59,11 +59,12 @@ must not be shared across threads; build one tape per differentiated rollout.
 Ownership: the tape owns its nodes, and the graph holds no reference cycle.
 A node refers back to its tape only through a weak reference, and each
 backward closure refers to its operands and to output arrays, never to its own
-node.  So a graph is freed by reference counting as soon as the last
-reference to the tape and to its nodes goes away (for a gradient step, when
-``solver.expected_cost`` returns), without waiting for the cyclic garbage
-collector.  A node that outlives its tape raises ``ReferenceError`` when
-asked for it.
+node.  A tape is swept once: ``Tape.backward`` frees each interior node's
+closure and adjoint, and what the closure alone keeps (a network's hidden
+layers), as it passes them; the nodes keep their values and the leaves their
+adjoints.  The rest is freed by reference counting when the last reference to
+the tape and its nodes goes away, without waiting for the cyclic garbage
+collector.  A node that outlives its tape raises ``ReferenceError``.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ class Tape:
     def __init__(self):
         self.nodes = []
         self._ref = weakref.ref(self)  # shared by every node: no cycle back to the tape
+        self._swept = False
 
     def _record(self, value, op, vjp=None, checks=None):
         """Append a node named ``op`` whose ``vjp(g)`` sends the adjoint ``g`` to its
@@ -153,25 +155,29 @@ class Tape:
         return self._record(value, "param")
 
     def backward(self, root):
-        """Reverse sweep from a scalar root.
+        """Reverse sweep from a scalar root, which consumes the tape.
 
-        Afterwards every node reachable from the root holds its exact adjoint
-        in ``.grad``.  Unreachable leaves hold zeros; unreachable interior
-        nodes hold None.  Repeated calls on the same tape give identical
-        results (adjoints are reset first).
+        The sweep takes each node's closure and adjoint off it and calls the
+        closure, so afterwards an interior node holds neither, only its value.
+        Every ``param`` leaf holds its exact adjoint in ``.grad``: zeros when
+        the root does not reach it.  A tape is swept once; a second
+        ``backward`` on it raises ``ValueError``.
         """
         if not isinstance(root, Node) or root.tape is not self:
             raise ValueError("backward root must be a node of this tape")
         if root.value.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
-        for node in self.nodes:
-            node.grad = None
+        if self._swept:
+            raise ValueError("this tape has been swept: a tape is swept once")
+        self._swept = True
         root.grad = np.ones_like(root.value)
         for node in reversed(self.nodes):
-            if node.grad is not None and node.vjp is not None:
-                node.vjp(node.grad)
-        for node in self.nodes:
-            if node.grad is None and node.vjp is None:
+            vjp, g = node.vjp, node.grad
+            if vjp is not None:
+                node.vjp = node.grad = None
+                if g is not None:
+                    vjp(g)
+            elif g is None:          # a leaf the root does not reach
                 node.grad = np.zeros_like(node.value)
 
 
@@ -654,7 +660,10 @@ def trimmed_gauss(mu, var, eps, lo, hi):
         if isinstance(mu, Node):
             _accumulate(mu, _unbroadcast(g_draw, mv.shape))
         if isinstance(var, Node):
-            _accumulate(var, 0.5 * _unbroadcast(g_draw * ev, sigma.shape) / sigma)
+            g_sigma = g_draw * ev
+            if g_sigma.shape[-1] == 2 and sigma.shape == g_sigma.shape[:-1] + (1,):
+                g_sigma = _pair_sum(*_columns(g_sigma))[..., None]   # np.sum's bits on the rows
+            _accumulate(var, 0.5 * _unbroadcast(g_sigma, sigma.shape) / sigma)
 
     return tape._record(out, "trimmed_gauss", vjp,
                         checks=(sigma, draw) if isinstance(var, Node) else (draw,))

@@ -33,13 +33,23 @@ def fd_grad(f, x, h=1e-6):
 
 
 def test_lift_readback_and_unreachable_adjoint():
+    """After the sweep an interior node holds neither adjoint nor closure,
+    reached or not; each leaf holds its adjoint, zeros when unreached; and
+    every node keeps its value."""
     tape = Tape()
     stray = tape.param(0.0)
     v = tape.param([1.0, 2.0])
     np.testing.assert_array_equal(v.value, [1.0, 2.0])
+    ag.exp(stray)   # an interior node the root does not reach
     root = ag.asum(rc.square(v))
+    values = [node.value.copy() for node in tape.nodes]
     tape.backward(root)
     assert stray.grad == 0.0  # not on the root path
+    np.testing.assert_array_equal(v.grad, [2.0, 4.0])
+    for node, value in zip(tape.nodes, values):
+        _assert_bitwise(node.value, value)
+        if node.op != "param":
+            assert node.grad is None and node.vjp is None, node
 
 
 def test_lift_nonfinite_rejected():
@@ -140,15 +150,31 @@ def test_occluded_variance_requires_positions_of_one_shape():
                              np.ones((1, 2)), obstacles, 10.0, 5.0)
 
 
-def test_backward_deterministic():
-    rng = np.random.default_rng(0)
+def _swept_program(point):
+    """A small program of ``point`` swept on a fresh tape: (tape, root, leaf)."""
     tape = Tape()
-    x = tape.param(rng.normal(size=5))
+    x = tape.param(point)
     y = ag.asum(rc.mul(rc.tanh(x), ag.exp(ag.affine(x, 0.3, 0.0))))
     tape.backward(y)
-    first = x.grad.copy()
-    tape.backward(y)
-    np.testing.assert_array_equal(first, x.grad)
+    return tape, y, x
+
+
+def test_backward_deterministic():
+    """One program recorded on two fresh tapes gets the same adjoint bits."""
+    point = np.random.default_rng(0).normal(size=5)
+    first, second = (_swept_program(point)[2].grad for _ in range(2))
+    _assert_bitwise(first, second)
+
+
+def test_a_tape_is_swept_once():
+    """A second sweep raises, from the root or from a node recorded after the
+    first, and leaves the first sweep's leaf adjoints as they were."""
+    tape, root, x = _swept_program(np.random.default_rng(0).normal(size=5))
+    kept = x.grad.copy()
+    for again in (root, ag.asum(x)):
+        with pytest.raises(ValueError, match="swept once"):
+            tape.backward(again)
+        _assert_bitwise(x.grad, kept)
 
 
 def test_log_nonpositive_rejected():
@@ -377,6 +403,32 @@ def test_every_pogplan_dataclass_field_is_read():
     read = _attributes_read([SRC, PERFBENCH])
     unread = [f"{owner}.{name}" for owner, name in fields if name not in read]
     assert not unread, f"dataclass fields no code in src or perfbench reads: {unread}"
+
+
+def test_expected_cost_sweep_frees_what_it_passes(monkeypatch):
+    """A k = 1000 hideseek gradient step peaks less than one (1000, 64)
+    hidden layer above the memory live when its sweep starts: the sweep frees
+    each interior adjoint and closure as it passes them."""
+    game = make_game(ExperimentConfig(scenario="hideseek"))
+    thetas = [init_policy(game, i, ACTIVE, seed=i, hidden=(64, 64))
+              for i in range(game.n_players)]
+    pset = beliefs.init_particles(game, 1000, 1, np.random.default_rng(0))
+    solver.expected_cost(game, pset, thetas, 0, 1000, np.random.default_rng(1))  # work arrays
+    live = []
+    sweep = Tape.backward
+
+    def measured(self, root):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return sweep(self, root)
+
+    monkeypatch.setattr(Tape, "backward", measured)
+    tracemalloc.start()
+    try:
+        solver.expected_cost(game, pset, thetas, 0, 1000, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live[0] < 1000 * 64 * 8, (peak, live)
 
 
 def test_expected_cost_leaves_no_cyclic_garbage():
@@ -760,7 +812,7 @@ def test_tanh_mlp_adjoints_never_alias_work_arrays():
 def test_tanh_mlp_backward_allocates_only_what_it_keeps():
     """From the second sweep on, a k = 1000 backward through the policy
     network peaks less than one (1000, 64) temporary above the memory it
-    keeps (the adjoints on the nodes): its temporaries live in work arrays."""
+    keeps (the leaves' adjoints): its temporaries live in work arrays."""
     rng = np.random.default_rng(24)
     shapes, flat = _mlp_params(rng, (36, 64, 64, 2), fan_in=True)
     for sweep in range(3):
@@ -811,6 +863,18 @@ def test_trimmed_gauss_matches_chain_bitwise():
         # every subset of (mu, var) lifted; the noise is raw
         _assert_fused_matches_chain(_fused_trimmed, rc.chain_trimmed, [mu, var, eps],
                                     _nonempty_subsets(2))
+    # noise of zeros of both signs: the adjoint sent to the variance sums two
+    # signed zeros per row, and numpy sums (-0, -0) to +0
+    mu, var = rng.normal(size=(4, 2)), rng.uniform(0.01, 12.0, size=(4, 1))
+    eps = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
+    for sign in (1.0, -1.0):
+        grads = []
+        for op in (_fused_trimmed, rc.chain_trimmed):
+            tape = Tape()
+            leaf = tape.param(var)
+            tape.backward(ag.asum(rc.mul(op(mu, leaf, eps), sign)))
+            grads.append(leaf.grad)
+        _assert_bitwise(*grads)
     tape = Tape()
     with pytest.raises(TypeError):   # noise on the tape is not a draw's operand
         _fused_trimmed(tape.param(mu), var, tape.param(eps))
