@@ -38,10 +38,11 @@ on which operands are nodes; ``tanh_mlp`` alone checks each pre-activation
 itself, before ``np.tanh`` overwrites it.  Each fused node's docstring names
 its chain; the chains themselves are built in ``tests/refchain.py``.
 
-Planar kernels compute on the two coordinate columns of a (K, 2) array, not
-on its rows, wherever that gives the chain's bits: a ufunc that loops over K
-rows of width 2, or broadcasts (K, 1) against (K, 2), costs several times
-one that loops once over a column of K entries.
+Planar kernels compute on the coordinate columns of (K, 2) arrays, not on
+rows, wherever that gives the chain's bits: a ufunc over K rows of width 2, or
+broadcasting (K, 1) against (K, 2), costs several times one over a column of K
+entries.  Adjoint parts are summed per column and joined once; ``dot2``'s
+adjoint and ``trimmed_gauss`` stay on rows, where columns would add calls.
 
 Work arrays: an adjoint's temporaries that no node keeps are written into
 work arrays, one per (shape, role), that the module keeps and reuses across
@@ -325,7 +326,8 @@ def dot2(a, b):
     """
     tape = _tape_of(a, b)
     av, bv = _value(a), _value(b)
-    val = av[..., 0:1] * bv[..., 0:1] + av[..., 1:2] * bv[..., 1:2]
+    (a0, a1), (b0, b1) = _columns(av), _columns(bv)
+    val = (a0 * b0 + a1 * b1)[..., None]
     if tape is None:
         return val
 
@@ -336,12 +338,6 @@ def dot2(a, b):
             _accumulate(b, _unbroadcast(g * av, bv.shape))
 
     return tape._record(val, "dot2", vjp)
-
-
-def _perp(v):
-    """(v1, -v0) over the last axis: the planar cross product a0*v1 - a1*v0
-    is dot2(a, perp(v))."""
-    return np.concatenate([v[..., 1:2], -v[..., 0:1]], axis=-1)
 
 
 def norm_eps(x):
@@ -602,40 +598,42 @@ def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
     default constants, and any other target at bearing 0, variance
     ``sigma2_base``.
 
-    Replaces sub, cross2, dot2, atan2, smooth_abs, affine, relu and affine.
+    Replaces sub, cross2, dot2, atan2, smooth_abs, affine, relu and affine,
+    computed on the columns of its (K, 2) operands, which share one shape.
     """
     tape = _tape_of(pos_obs, vel_obs, pos_target)
     ov, vv, tv = _value(pos_obs), _value(vel_obs), _value(pos_target)
-    d = tv - ov
-    cross = vv[..., 0:1] * d[..., 1:2] - vv[..., 1:2] * d[..., 0:1]
-    dot = vv[..., 0:1] * d[..., 0:1] + vv[..., 1:2] * d[..., 1:2]
+    if not ov.shape == vv.shape == tv.shape:
+        raise ValueError(f"fov_variance shapes differ: {ov.shape}, {vv.shape}, {tv.shape}")
+    (v0, v1), (d0, d1) = _columns(vv), _columns(tv - ov)
+    cross = v0 * d1 - v1 * d0
+    dot = v0 * d0 + v1 * d1
     bearing = np.arctan2(cross, dot)
     abs_bearing = np.sqrt(bearing * bearing + NORM_EPS)
     excess = 1.0 * abs_bearing + -0.5 * fov
     var = c_scale * np.maximum(excess, 0.0) + sigma2_base
     if tape is None:
-        return var
+        return var[..., None]
     d_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
 
     def vjp(g):
-        g_bearing = 1.0 * (c_scale * g * (excess > 0.0)) * bearing / abs_bearing
+        g_bearing = 1.0 * (c_scale * g[..., 0] * (excess > 0.0)) * bearing / abs_bearing
         denom = dot * dot + cross * cross + 1e-12
         g_cross = g_bearing * dot / denom
         g_dot = -g_bearing * cross / denom
         # the chain's dot2 node was recorded after its cross2 node
         if isinstance(vel_obs, Node):
-            _accumulate(vel_obs, _unbroadcast(g_dot * d, vv.shape))
-            _accumulate(vel_obs, _unbroadcast(g_cross * _perp(d), vv.shape))
+            _accumulate_columns(vel_obs, [[g_dot * d0, g_dot * d1],
+                                          [g_cross * d1, g_cross * -d0]])
         if d_taped:
-            g_d = (_unbroadcast(g_dot * vv, d.shape)
-                   + _unbroadcast(-g_cross * _perp(vv), d.shape))
+            g_d0, g_d1 = g_dot * v0 + -g_cross * v1, g_dot * v1 + -g_cross * -v0
             if isinstance(pos_target, Node):
-                _accumulate(pos_target, _unbroadcast(g_d, tv.shape))
+                _accumulate_columns(pos_target, [[g_d0, g_d1]])
             if isinstance(pos_obs, Node):
-                _accumulate(pos_obs, _unbroadcast(-g_d, ov.shape))
+                _accumulate_columns(pos_obs, [[-g_d0, -g_d1]])
 
-    return tape._record(var, "fov_variance", vjp,
-                        checks=((d,) if d_taped else ()) + (cross, dot, abs_bearing, excess, var))
+    return tape._record(var[..., None], "fov_variance", vjp, checks=(
+        (d0, d1) if d_taped else ()) + (cross, dot, abs_bearing, excess, var))
 
 
 def trimmed_gauss(mu, var, eps, lo, hi):

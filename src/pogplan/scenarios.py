@@ -28,8 +28,9 @@ def make_game(config):
 
 def _gaussian_logdensity(obs_block, mean, var):
     """numpy log density of an isotropic 2-D Gaussian block."""
-    d2 = np.sum((np.asarray(obs_block) - mean) ** 2, axis=-1)
-    return -np.log(2.0 * np.pi * var) - d2 / (2.0 * var)
+    obs = np.asarray(obs_block)
+    d0, d1 = obs[..., 0] - mean[..., 0], obs[..., 1] - mean[..., 1]
+    return -np.log(2.0 * np.pi * var) - (d0 * d0 + d1 * d1) / (2.0 * var)
 
 
 class TagGame(PlanarGame):

@@ -14,7 +14,7 @@ so that the tests can compare each fused node with its chain, bit for bit:
 import numpy as np
 
 from pogplan import adgraph as ag
-from pogplan.adgraph import (NORM_EPS, Node, _accumulate, _clamp_ramp, _perp, _sigmoid,
+from pogplan.adgraph import (NORM_EPS, Node, _accumulate, _clamp_ramp, _sigmoid,
                              _tape_of, _unbroadcast, _value)
 
 
@@ -100,6 +100,12 @@ def sqrt(x):
         _accumulate(x, 0.5 * g / y)
 
     return x.tape._record(y, "sqrt", vjp)
+
+
+def _perp(v):
+    """(v1, -v0) over the last axis: the planar cross product a0*v1 - a1*v0
+    is dot2(a, perp(v))."""
+    return np.concatenate([v[..., 1:2], -v[..., 0:1]], axis=-1)
 
 
 def cross2(a, b):

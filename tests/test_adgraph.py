@@ -832,6 +832,17 @@ def test_fov_variance_matches_chain_bitwise():
     for _ in range(10):
         values = [rng.normal(size=(6, 2)) for _ in range(3)]
         _assert_fused_matches_chain(_fused_fov, rc.chain_fov, values, _nonempty_subsets(3))
+    # observer and target sharing one coordinate exactly: a displacement
+    # column of +0 (x - x), and of -0 where the target's coordinate is -0 and
+    # the observer's +0
+    pos, vel, target = (rng.normal(size=(6, 2)) for _ in range(3))
+    target[:3, 0], target[3:, 1] = pos[:3, 0], pos[3:, 1]
+    pos[[1, 4], [0, 1]], target[[1, 4], [0, 1]] = 0.0, -0.0
+    pos[[2, 5], [0, 1]], target[[2, 5], [0, 1]] = -0.0, 0.0
+    _assert_fused_matches_chain(_fused_fov, rc.chain_fov, [pos, vel, target],
+                                _nonempty_subsets(3))
+    with pytest.raises(ValueError, match="shapes differ"):   # no broadcast between operands
+        _fused_fov(pos[:1], vel, target)
 
 
 def test_bearing_at_rest_follows_signed_zeros():
@@ -841,14 +852,15 @@ def test_bearing_at_rest_follows_signed_zeros():
     third quadrant (atan2(+0, -0) = pi)."""
     pos = np.array([[0.4, -0.2]])
     behind = rc.chain_fov(pos, np.array([[1.0, 0.0]]), pos - np.array([[1.0, 0.0]]))
-    for vel in (np.zeros((1, 2)), np.array([[-0.0, 0.0]])):
+    for vx, vy in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+        vel = np.array([[vx, vy]])
         for sx in (-1.0, 1.0):
             for sy in (-1.0, 1.0):
                 target = pos + np.array([[sx * 1.3, sy * 0.7]])
                 values = [pos, vel, target]
                 _assert_fused_matches_chain(_fused_fov, rc.chain_fov, values,
                                             _nonempty_subsets(3))
-                if vel[0, 0] == 0.0 and not np.signbit(vel[0, 0]):
+                if not np.signbit(vel).any():
                     third = sx < 0 and sy < 0
                     want = behind.item() if third else 0.01
                     assert _fused_fov(*values).item() == pytest.approx(want, rel=1e-12)
