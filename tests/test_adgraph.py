@@ -834,22 +834,24 @@ def test_fov_variance_matches_chain_bitwise():
         _assert_fused_matches_chain(_fused_fov, rc.chain_fov, values, _nonempty_subsets(3))
     # observer and target sharing one coordinate exactly: a displacement
     # column of +0 (x - x), and of -0 where the target's coordinate is -0 and
-    # the observer's +0
-    pos, vel, target = (rng.normal(size=(6, 2)) for _ in range(3))
+    # the observer's +0; at rest, the signs of those zeros decide the bearing
+    pos, target = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
     target[:3, 0], target[3:, 1] = pos[:3, 0], pos[3:, 1]
     pos[[1, 4], [0, 1]], target[[1, 4], [0, 1]] = 0.0, -0.0
     pos[[2, 5], [0, 1]], target[[2, 5], [0, 1]] = -0.0, 0.0
-    _assert_fused_matches_chain(_fused_fov, rc.chain_fov, [pos, vel, target],
-                                _nonempty_subsets(3))
+    for vel in (rng.normal(size=(6, 2)), np.zeros((6, 2))):
+        _assert_fused_matches_chain(_fused_fov, rc.chain_fov, [pos, vel, target],
+                                    _nonempty_subsets(3))
     with pytest.raises(ValueError, match="shapes differ"):   # no broadcast between operands
         _fused_fov(pos[:1], vel, target)
 
 
 def test_bearing_at_rest_follows_signed_zeros():
-    """A resting observer against displacements of every sign: the fused
-    variance equals the chain bit for bit, raw and taped, and is the
-    variance at bearing pi exactly when the target lies in the observer's
-    third quadrant (atan2(+0, -0) = pi)."""
+    """A resting observer, its velocity zeros of each sign, against
+    displacements of every sign: the fused variance equals the chain bit for
+    bit, raw and taped, and is the variance at bearing pi exactly when the
+    target lies in the quadrant opposite the zeros' signs (at +0, the third
+    quadrant: atan2(+0, -0) = pi)."""
     pos = np.array([[0.4, -0.2]])
     behind = rc.chain_fov(pos, np.array([[1.0, 0.0]]), pos - np.array([[1.0, 0.0]]))
     for vx, vy in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
@@ -860,10 +862,9 @@ def test_bearing_at_rest_follows_signed_zeros():
                 values = [pos, vel, target]
                 _assert_fused_matches_chain(_fused_fov, rc.chain_fov, values,
                                             _nonempty_subsets(3))
-                if not np.signbit(vel).any():
-                    third = sx < 0 and sy < 0
-                    want = behind.item() if third else 0.01
-                    assert _fused_fov(*values).item() == pytest.approx(want, rel=1e-12)
+                opposite = sx == -np.copysign(1.0, vx) and sy == -np.copysign(1.0, vy)
+                want = behind.item() if opposite else 0.01
+                assert _fused_fov(*values).item() == pytest.approx(want, rel=1e-12)
 
 
 def test_trimmed_gauss_matches_chain_bitwise():
