@@ -23,11 +23,14 @@ windows, noise, opponents' networks, game constants) stays raw.
 Finiteness: ``Tape._record`` names and checks each node in one call: every
 array in its ``checks``, by default the node's value, must be finite, or it
 raises ``FloatingPointError`` naming the op (``non-finite value in exp``).
-Every leaf is checked, and so is the output of every op that can turn finite
-inputs into a non-finite value (arithmetic, exp, sums, norms, dot2 and the
-Gaussian draw); slice, concat and shift pass ``checks=()``.  Raw operands and
-raw results are not checked: a caller that feeds raw data into a taped
-computation checks it once itself (``check_finite``; see ``solver.expected_cost``).
+It hands all of a node's arrays to one ``check_finite`` call, which clears
+them with one running total and looks array by array only when that total
+is not finite.  Every leaf is checked, and so is the output of every op that
+can turn finite inputs into a non-finite value (arithmetic, exp, sums, norms,
+dot2 and the Gaussian draw); slice, concat and shift pass ``checks=()``.  Raw
+operands and raw results are not checked: a caller that feeds raw data into a
+taped computation checks it once itself, one ``check_finite`` call per source
+(see ``solver.expected_cost``).
 
 Fused nodes: the rollout's hot chains are recorded as one node each, with a
 hand-written adjoint (Griewank & Walther, *Evaluating Derivatives*, 2008,
@@ -86,14 +89,21 @@ SMALL = 32   # arrays up to this size are summed as Python floats in check_finit
 NORM_EPS = 1e-9  # regularizer for norms/abs so v=0 keeps finite gradients
 
 
-def check_finite(value, source):
-    """Raise ``FloatingPointError`` unless every entry of the array ``value``
-    is finite; ``source`` names it in the message."""
-    # any NaN/Inf entry poisons the sum, so one sum clears the common case (in
-    # Python for a few entries, cheaper than a ufunc call); a sum can also
-    # overflow on finite entries, so confirm before raising
-    total = sum(value.ravel().tolist()) if value.size <= SMALL else _add_reduce(value, None)
-    if not math.isfinite(total) and not np.isfinite(value).all():
+def check_finite(arrays, source):
+    """Raise ``FloatingPointError`` unless every entry of every array in
+    ``arrays`` is finite; ``source`` names them in the message.
+
+    One running total clears the common case, since any NaN or infinity
+    makes it NaN or infinite: it adds a Python sum for each array of up to
+    ``SMALL`` entries, cheaper than a ufunc call, and one ``np.add.reduce``
+    for each larger array.  A total can also overflow on finite entries, so a
+    total that is not finite is confirmed array by array before raising.
+    """
+    total = 0.0
+    for value in arrays:
+        total += sum(value.ravel().tolist()) if value.size <= SMALL else float(
+            _add_reduce(value, None))
+    if not math.isfinite(total) and not all(np.isfinite(value).all() for value in arrays):
         raise FloatingPointError(f"non-finite value in {source}")
 
 
@@ -142,11 +152,7 @@ class Tape:
         value) is finite; ``check_finite``'s error names ``op``."""
         if type(value) is not np.ndarray or value.dtype != np.float64:
             value = np.asarray(value, dtype=np.float64)
-        if checks is None:
-            check_finite(value, op)
-        else:
-            for array in checks:
-                check_finite(array, op)
+        check_finite((value,) if checks is None else checks, op)
         node = Node(self._ref, value, op, vjp)
         self.nodes.append(node)
         return node
@@ -313,7 +319,7 @@ def asum(x):
         return np.sum(_value(x))
 
     def vjp(g):
-        _accumulate(x, np.broadcast_to(g, x.value.shape).copy())
+        _accumulate(x, np.full(x.value.shape, g))
 
     return x.tape._record(np.sum(x.value), "sum", vjp)
 
@@ -495,16 +501,18 @@ def _work(shape, role):
     return array
 
 
-def tanh_mlp(flat, shapes, x, out_scale):
+def tanh_mlp(flat, layers, x, out_scale):
     """A tanh network with a scaled output,
     ``out_scale * tanh(w_L @ ... tanh(w_1 @ x + b_1) ... + b_L)``, on rows:
-    ``x`` of shape (K, n) yields (K, m).  The weights and biases are the
-    ``layer_views`` of the one parameter vector ``flat`` for ``shapes``.
+    ``x`` of shape (K, n) yields (K, m).  ``layers`` is ``(weights,
+    biases)``, the ``layer_views`` of the one parameter vector ``flat`` (of
+    its value, when ``flat`` is a node), built once by the caller.
 
     Replaces one dense tanh node per layer and an ``affine``.  Only layer
     outputs are stored: the adjoint needs no pre-activation, since
     tanh' = 1 - tanh^2.  The adjoint of ``flat`` is one array, each layer's
-    weight and bias adjoints in their places.
+    weight and bias adjoints in their places, written through its
+    ``layer_views`` for the weights' shapes.
 
     The adjoints of ``flat`` and ``x`` are fresh arrays, since the nodes keep
     them.  Each layer's ``g * (1 - y^2)`` and, above the first layer, the
@@ -514,7 +522,7 @@ def tanh_mlp(flat, shapes, x, out_scale):
     if xv.ndim != 2:
         raise ValueError(f"tanh_mlp needs rows of shape (K, n), got shape {xv.shape}")
     tape = _tape_of(x, flat)
-    weights, biases = layer_views(pv, shapes)
+    weights, biases = layers
     ins, outs = [], []
     h = xv
     for wv, bv in zip(weights, biases):
@@ -523,7 +531,7 @@ def tanh_mlp(flat, shapes, x, out_scale):
         pre = h @ wv.T
         pre += bv
         if tape is not None:
-            check_finite(pre, "tanh_mlp")
+            check_finite((pre,), "tanh_mlp")
         np.tanh(pre, out=pre)
         ins.append(h)
         outs.append(pre)
@@ -536,7 +544,7 @@ def tanh_mlp(flat, shapes, x, out_scale):
         g = out_scale * g
         if isinstance(flat, Node):
             g_flat = np.empty_like(pv)
-            g_weights, g_biases = layer_views(g_flat, shapes)
+            g_weights, g_biases = layer_views(g_flat, [w.shape for w in weights])
         for i in range(len(outs) - 1, -1, -1):
             y = outs[i]
             gz = np.multiply(y, y, out=_work(y.shape, "gz"))   # g * (1 - y^2)
@@ -610,14 +618,14 @@ def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
     dot = v0 * d0 + v1 * d1
     bearing = np.arctan2(cross, dot)
     abs_bearing = np.sqrt(bearing * bearing + NORM_EPS)
-    excess = 1.0 * abs_bearing + -0.5 * fov
+    excess = abs_bearing + -0.5 * fov
     var = c_scale * np.maximum(excess, 0.0) + sigma2_base
     if tape is None:
         return var[..., None]
     d_taped = isinstance(pos_obs, Node) or isinstance(pos_target, Node)
 
     def vjp(g):
-        g_bearing = 1.0 * (c_scale * g[..., 0] * (excess > 0.0)) * bearing / abs_bearing
+        g_bearing = (c_scale * g[..., 0] * (excess > 0.0)) * bearing / abs_bearing
         denom = dot * dot + cross * cross + 1e-12
         g_cross = g_bearing * dot / denom
         g_dot = -g_bearing * cross / denom
@@ -779,12 +787,12 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
     num = ba0 * ca0 + ba1 * ca1
     along = num / len2
     s = _clamp_ramp(along, 0.0, 1.0)
-    t = 0.0 + 1.0 * s
+    t = 0.0 + s
     tb0, tb1 = t * ba0, t * ba1
     p0, p1 = a0 + tb0, a1 + tb1
     cp0, cp1 = cx - p0, cy - p1
     dist = np.sqrt(cp0 * cp0 + cp1 * cp1 + NORM_EPS)
-    clear = 1.0 * dist - radius
+    clear = dist - radius
     expo = -temp * clear + 0.0
     term = np.exp(expo)
     sums = [term[0]]
@@ -810,7 +818,7 @@ def occluded_variance(var, pos_obs, pos_target, obstacles, temp, c_scale):
             return
         g_total = (-1.0 / temp) * (-temp * (
             (1.0 / temp) * (c_scale * g[..., 0]) * _sigmoid(neg_clear))) / total
-        g_dist = 1.0 * (-temp * (g_total * term))
+        g_dist = -temp * (g_total * term)
         gn = g_dist / dist
         gp0, gp1 = -(gn * cp0), -(gn * cp1)         # to the nearest point
         g_s = _pair_sum(gp0 * ba0, gp1 * ba1) * 4.0 * s * (1.0 - s)

@@ -94,9 +94,25 @@ def sample_batch(cdf, k_batch, rng):
 
 
 def observation_noise(game, k, rng):
-    """One round's observation noise for ``k`` rows: one N(0, 1) array per
-    player, drawn in player order."""
-    return [rng.standard_normal((k, game.noise_dim(i))) for i in range(game.n_players)]
+    """One round's observation noise for ``k`` rows: one N(0, 1) array of
+    shape (k, ``noise_dim``) per player, drawn in player order (one round
+    of ``noise_rounds``)."""
+    return noise_rounds(game, 1, k, rng)[0]
+
+
+def noise_rounds(game, rounds, k, rng):
+    """``rounds`` rounds of ``observation_noise`` for ``k`` rows, in round
+    order, with the values of one ``observation_noise`` call per round.  They
+    are one standard-normal draw split into views, round by round and player
+    by player: a ``Generator``'s normal stream does not depend on how its
+    draws are batched."""
+    widths = [game.noise_dim(i) for i in range(game.n_players)]
+    draw = rng.standard_normal((rounds, k * sum(widths)))
+    blocks, lo = [], 0
+    for width in widths:   # one player's blocks of every round
+        blocks.append(draw[:, lo:lo + k * width].reshape(rounds, k, width))
+        lo += k * width
+    return [list(views) for views in zip(*blocks)]
 
 
 def advance_particles(pset, game, block_policies, noise, condition):

@@ -14,11 +14,17 @@ All of a policy's parameters live in one contiguous float64 vector,
 it.  Adam, gradients and gradient checks work on ``flat`` alone.  The same
 forward code runs on a raw ``flat`` (fast evaluation) or on ``flat`` lifted
 onto a tape as one leaf (differentiation); see :mod:`pogplan.adgraph`.
+
+A ``PolicyParams`` is frozen: a new ``flat`` comes only through
+``dataclasses.replace``, which builds a new instance.  So each instance
+builds the layer views of its ``flat`` once, as ``layers``, and every
+forward reuses them.  Views follow in-place writes to ``flat``; a lifted
+``flat``'s views are those of the leaf's value, the same array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,15 +34,22 @@ ACTIVE = "active"
 PASSIVE = "passive"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyParams:
-    """One player's policy: its parameter vector, layer shapes and mode metadata."""
+    """One player's policy: its parameter vector, layer shapes and mode
+    metadata, and the layer views of ``flat`` that its forward reads."""
 
     flat: np.ndarray      # every parameter (``adgraph.layer_views``); a tape leaf when lifted
     shapes: tuple         # per layer, the weight shape (out, in)
     mode: str
     action_dim: int
     action_scale: float
+    layers: tuple = field(init=False, repr=False, compare=False)   # layer_views of flat
+
+    def __post_init__(self):
+        # a frozen field is set through object; ``replace`` calls this anew
+        value = self.flat.value if isinstance(self.flat, ag.Node) else self.flat
+        object.__setattr__(self, "layers", ag.layer_views(value, self.shapes))
 
 
 def init_policy(game, player, mode, seed, hidden):
@@ -76,7 +89,7 @@ def policy_forward(theta, history):
     width, input_width = history.shape[-1], theta.shapes[0][1]
     if width != input_width:
         raise ValueError(f"history width {width} != policy input width {input_width}")
-    return ag.tanh_mlp(theta.flat, theta.shapes, history, theta.action_scale)
+    return ag.tanh_mlp(theta.flat, theta.layers, history, theta.action_scale)
 
 
 def action_block(theta, sequence, t_offset):
@@ -121,16 +134,31 @@ def adam_step(theta, grad, state):
     ``grad`` is one array in ``flat`` order; any other shape raises
     ``ValueError``.  A non-finite gradient skips the update entirely:
     returns ``(theta, state)`` unchanged, so ``state.step`` counts only the
-    updates made.
+    updates made.  The new ``flat``, ``m`` and ``v`` are fresh arrays: the
+    update writes into none of the caller's.
     """
     if np.shape(grad) != theta.flat.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} != parameter shape {theta.flat.shape}")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         return theta, state
     t = state.step + 1
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    m = BETA1 * state.m + (1.0 - BETA1) * grad
-    v = BETA2 * state.v + (1.0 - BETA2) * (grad * grad)
-    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return replace(theta, flat=theta.flat - step), replace(state, m=m, v=v, step=t)
+    # in place on fresh arrays, each operation the IEEE one of
+    # m = BETA1 * m + (1 - BETA1) * grad,  v = BETA2 * v + (1 - BETA2) * grad^2,
+    # flat - lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS): products and sums commute
+    m = np.multiply(state.m, BETA1)
+    work = np.multiply(grad, 1.0 - BETA1)
+    m += work
+    v = np.multiply(state.v, BETA2)
+    np.multiply(grad, grad, out=work)
+    work *= 1.0 - BETA2
+    v += work
+    step = np.divide(m, bc1, out=work)
+    step *= state.lr
+    denom = np.divide(v, bc2)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    flat = np.subtract(theta.flat, step, out=denom)
+    return replace(theta, flat=flat), replace(state, m=m, v=v, step=t)

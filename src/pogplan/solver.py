@@ -39,7 +39,7 @@ import numpy as np
 
 from . import adgraph as ag
 from .adgraph import Tape
-from .beliefs import observation_noise, sample_batch, sampling_cdf
+from .beliefs import noise_rounds, sample_batch, sampling_cdf
 from .policy import ACTIVE, action_block, adam_step, policy_forward
 
 
@@ -58,8 +58,10 @@ class EquilibriumResult:
 
 
 def draw_noise(game, k, rng):
-    """Observation noise for one rollout batch: eps[t][player] ~ N(0, 1)."""
-    return [observation_noise(game, k, rng) for _ in range(game.t_future)]
+    """Observation noise for one rollout batch: eps[t][player] ~ N(0, 1), one
+    ``observation_noise`` round per future step, from one draw
+    (``noise_rounds``)."""
+    return noise_rounds(game, game.t_future, k, rng)
 
 
 @np.errstate(over="ignore")
@@ -122,8 +124,7 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     for source, values in (("particle states", [c for block in state for c in block]),
                            ("observation windows", hists),
                            ("opponent policies", opponents)):
-        for value in values:
-            ag.check_finite(value, source)
+        ag.check_finite(values, source)
 
     tape = Tape()
     lifted = list(thetas)
@@ -131,7 +132,7 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     total = _run_rollout(game, state, hists, lifted, eps, [player])[player]
     cost = ag.affine(total, -1.0 / k_batch, 0.0)
     if not isinstance(cost, ag.Node):
-        ag.check_finite(np.asarray(cost), "cost")
+        ag.check_finite((np.asarray(cost),), "cost")
         return float(cost), np.zeros_like(thetas[player].flat)
     tape.backward(cost)
     return float(cost.value), lifted[player].flat.grad

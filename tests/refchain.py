@@ -236,7 +236,7 @@ def dense_tanh(w, b, x):
     pre = xv @ wv.T + bv
     if tape is None:
         return np.tanh(pre)
-    ag.check_finite(pre, "dense_tanh")
+    ag.check_finite((pre,), "dense_tanh")
     y = np.tanh(pre)
 
     def vjp(g):

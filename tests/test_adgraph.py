@@ -67,6 +67,34 @@ def test_finite_leaf_whose_sum_overflows_accepted():
     np.testing.assert_array_equal(big.value, [1e308, 1e308])
 
 
+def test_check_finite_checks_every_array_of_a_node():
+    """One call checks every array a node checks: a NaN or an infinity in
+    any one of them, small (summed in Python) or large (reduced), raises the
+    error naming the op, also when infinities of both signs cancel to NaN in
+    the total.  Finite arrays whose total overflows do not raise."""
+    rng = np.random.default_rng(30)
+    arrays = [rng.normal(size=3), np.array(0.5), rng.normal(size=ag.SMALL + 1),
+              rng.normal(size=(4, 100)), rng.normal(size=(ag.SMALL, 1))]
+    ag.check_finite(arrays, "op")
+    for i in range(len(arrays)):
+        for bad in (np.nan, np.inf, -np.inf):
+            planted = [a.copy() for a in arrays]
+            planted[i].flat[-1] = bad
+            with pytest.raises(FloatingPointError, match="^non-finite value in op$"):
+                ag.check_finite(planted, "op")
+            tape = Tape()
+            with pytest.raises(FloatingPointError, match="^non-finite value in planted$"):
+                tape._record(np.zeros(2), "planted", checks=planted)
+    planted = [a.copy() for a in arrays]
+    planted[0][0], planted[3][0, 0] = np.inf, -np.inf
+    with pytest.raises(FloatingPointError, match="in op$"):
+        ag.check_finite(planted, "op")
+    with np.errstate(over="ignore"):
+        ag.check_finite([np.full(2, 1e308), np.full(ag.SMALL + 1, 1e308)], "op")
+        ag.check_finite([np.full(2, 1e308), np.full(3, -1e308), np.full(40, 1e308),
+                         np.full(40, -1e308)], "op")
+
+
 def test_mul_product_rule():
     tape = Tape()
     x = tape.param(3.0)
@@ -189,12 +217,12 @@ def test_dense_tanh_shape_mismatch_rejected():
     params = tape.param(np.ones(2 * 3 + 2))
     x = tape.param(np.ones((1, 4)))
     with pytest.raises(ValueError, match="mismatch"):
-        ag.tanh_mlp(params, ((2, 3),), x, 1.0)
+        _fused_mlp(params, ((2, 3),), x, 1.0)
     with pytest.raises(ValueError, match="rows"):   # one unbatched input
-        ag.tanh_mlp(params, ((2, 3),), np.ones(3), 1.0)
+        _fused_mlp(params, ((2, 3),), np.ones(3), 1.0)
     for size in (2 * 3 + 1, 2 * 3 + 3):   # a parameter vector too short or too long
         with pytest.raises(ValueError, match="need 8 parameters"):
-            ag.tanh_mlp(tape.param(np.ones(size)), ((2, 3),), np.ones((1, 3)), 1.0)
+            _fused_mlp(tape.param(np.ones(size)), ((2, 3),), np.ones((1, 3)), 1.0)
 
 
 def test_node_outliving_its_tape_raises():
@@ -568,7 +596,7 @@ def _dense_layer(x, m, n, batch):
     that a flat vector splits into."""
     params = ag.slice_last(x, 0, m * n + m)
     rows = rc.reshape(ag.slice_last(x, m * n + m, x.shape[-1]), (batch, n))
-    return ag.tanh_mlp(params, ((m, n),), rows, 1.0)
+    return _fused_mlp(params, ((m, n),), rows, 1.0)
 
 
 def test_fd_dense_tanh():
@@ -584,7 +612,7 @@ def test_fd_batched_dense_tanh():
     xb = np.random.default_rng(3).normal(size=(5, 4))
     tape = Tape()
     xn = tape.param(xb)
-    y = ag.asum(ag.tanh_mlp(np.concatenate([w0.ravel(), np.zeros(3)]), ((3, 4),), xn, 1.0))
+    y = ag.asum(_fused_mlp(np.concatenate([w0.ravel(), np.zeros(3)]), ((3, 4),), xn, 1.0))
     tape.backward(y)
     grad_batched = xn.grad.copy()
     per_row = np.vstack([
@@ -597,7 +625,7 @@ def test_dense_tanh_matches_unfused_chain():
     """A one-layer ``tanh_mlp`` against tanh(w @ x + b) from elementwise
     primitives, one node per step."""
     def fused(params, x):
-        return ag.tanh_mlp(params, ((4, 3),), x, 1.0)
+        return _fused_mlp(params, ((4, 3),), x, 1.0)
 
     def unfused(params, x):
         (w,), (b,) = rc.layer_nodes(params, ((4, 3),))
@@ -681,7 +709,10 @@ def test_dot2_cross2_match_slice_composite_bitwise():
 # ---------------------------------------------------------------------------
 
 def _fused_mlp(flat, shapes, x, out_scale=0.7):
-    return ag.tanh_mlp(flat, shapes, x, out_scale)
+    """``tanh_mlp`` on the ``layer_views`` of ``flat`` for ``shapes``, built
+    as a policy builds them."""
+    value = flat.value if isinstance(flat, ag.Node) else np.asarray(flat, dtype=np.float64)
+    return ag.tanh_mlp(flat, ag.layer_views(value, shapes), x, out_scale)
 
 
 def _fused_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_scale=5.0):
@@ -728,14 +759,31 @@ def _taped_run(op, values, lifted, seed):
     return [out.value] + [leaves[i].grad for i in lifted]
 
 
+def _zero_row_run(op, values, lifted, seed):
+    """``op`` on a tape whose operands at positions ``lifted`` are leaves
+    that only ``op`` reads, under an upstream adjoint with rows of +0 and of
+    -0: each leaf's adjoint is the op's part itself, so the signs of its
+    zeros are kept.  Returns the leaves' adjoints."""
+    tape = Tape()
+    args = [tape.param(v) if i in lifted else v for i, v in enumerate(values)]
+    out = op(*args)
+    upstream = np.random.default_rng(seed).normal(size=out.shape)
+    upstream[0::3], upstream[1::3] = 0.0, -0.0
+    tape.backward(ag.asum(rc.mul(out, upstream)))
+    return [args[i].grad for i in lifted]
+
+
 def _assert_fused_matches_chain(fused, chain, values, lifted_sets, seed=0):
     """Equal bytes for the raw value, and for the taped value and adjoints
-    with each set of operand positions lifted."""
+    with each set of operand positions lifted: once with every adjoint
+    arriving onto a nonzero one, and once with the fused node's parts as the
+    leaves' first adjoints under zero upstream rows."""
     _assert_bitwise(fused(*values), chain(*values))
     for lifted in lifted_sets:
-        for got, want in zip(_taped_run(fused, values, lifted, seed),
-                             _taped_run(chain, values, lifted, seed)):
-            _assert_bitwise(got, want)
+        for run in (_taped_run, _zero_row_run):
+            for got, want in zip(run(fused, values, lifted, seed),
+                                 run(chain, values, lifted, seed)):
+                _assert_bitwise(got, want)
 
 
 def _nonempty_subsets(n):
@@ -787,7 +835,7 @@ def _policy_tape(flat, shapes, x, seed):
     random weighted sum of its outputs: ``(tape, root, leaves)``."""
     tape = Tape()
     flat_leaf, x_leaf = tape.param(flat), tape.param(x)
-    out = ag.tanh_mlp(flat_leaf, shapes, x_leaf, 0.7)
+    out = _fused_mlp(flat_leaf, shapes, x_leaf, 0.7)
     root = ag.asum(rc.mul(out, np.random.default_rng(seed).normal(size=out.value.shape)))
     return tape, root, (flat_leaf, x_leaf)
 
@@ -1125,11 +1173,12 @@ def test_sight_line_and_obstacle_nodes_raise_where_their_chains_raise():
         _assert_same_failure(fused, chain, values, lifted, op, node)
 
 
-def test_fused_nodes_name_themselves_in_their_errors():
+def test_fused_nodes_name_themselves_in_their_errors(monkeypatch):
     """One call, ``Tape._record(value, op, vjp, checks=...)``, names and
-    checks a node, so its errors name it.  ``check_finite`` is called only
-    there and in ``tanh_mlp``'s pre-activation loop, under the name
-    ``tanh_mlp`` records.  Every other fused node passes ``_record`` the
+    checks a node, so its errors name it: ``_record`` makes exactly one
+    ``check_finite`` call, on all of a node's arrays.  ``check_finite`` is
+    called only there and in ``tanh_mlp``'s pre-activation loop, under the
+    name ``tanh_mlp`` records.  Every other fused node passes ``_record`` the
     intermediates it checks, and slice, concat and shift pass none."""
     tree = ast.parse((SRC / "adgraph.py").read_text())
     functions = {fn.name: fn for node in tree.body
@@ -1142,6 +1191,7 @@ def test_fused_nodes_name_themselves_in_their_errors():
 
     assert {name for name, fn in functions.items() if calls(fn, "check_finite")} == {
         "_record", "tanh_mlp"}
+    (_,) = calls(functions["_record"], "check_finite")
     (pre,) = calls(functions["tanh_mlp"], "check_finite")
     (record,) = calls(functions["tanh_mlp"], "_record")
     assert pre.args[1].value == record.args[1].value == "tanh_mlp"
@@ -1151,6 +1201,13 @@ def test_fused_nodes_name_themselves_in_their_errors():
         assert [kw.arg for kw in record.keywords] == ["checks"], name
         if name in ("concat", "slice_last", "shift_last"):
             assert ast.literal_eval(record.keywords[0].value) == (), name
+    seen = []
+    real = ag.check_finite
+    monkeypatch.setattr(ag, "check_finite",
+                        lambda arrays, source: seen.append(source) or real(arrays, source))
+    tape = Tape()
+    _fused_fov(tape.param(np.ones((3, 2))), np.ones((3, 2)), np.zeros((3, 2)))
+    assert seen == ["param", "fov_variance"]   # seven arrays checked in one call
 
 
 def test_sight_line_soft_min_underflow_raises_like_log():
@@ -1221,7 +1278,7 @@ def test_fd_synthetic_depth6_rollout_with_network():
         state = rc.reshape(x, (1, 2))   # one row
         total = None
         for t in range(6):
-            act = ag.tanh_mlp(params, ((4, 2), (4, 4), (2, 4)), state, 0.3)
+            act = _fused_mlp(params, ((4, 2), (4, 4), (2, 4)), state, 0.3)
             state = ag.add(state, rc.smooth_clamp(act, -0.25, 0.25))
             state = ag.gauss_reparam(state, rc.smooth_abs(ag.norm_eps(state)), eps[t])
             step_cost = ag.asum(rc.square(state))

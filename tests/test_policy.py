@@ -209,3 +209,67 @@ def test_layer_arrays_are_views_into_flat():
         assert all(np.shares_memory(a, th.flat) for a in arrays)
         th.flat[:] = np.arange(th.flat.size)
         np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), th.flat)
+
+
+def test_adam_step_writes_into_none_of_its_inputs():
+    """Over a few steps with moments built up, each update leaves the
+    caller's ``flat``, ``m``, ``v`` and gradient as they were, returns arrays
+    that share no memory with them, and equals the textbook expressions bit
+    for bit."""
+    theta = _toy_theta()
+    state = adam_init(theta, lr=3e-3)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        grad = rng.normal(size=theta.flat.size)
+        grad[:3] = 0.0, -0.0, 1e-300
+        inputs = (theta.flat, state.m, state.v, grad)
+        kept = [a.copy() for a in inputs]
+        stepped, stepped_state = adam_step(theta, grad, state)
+        for a, before in zip(inputs, kept):
+            assert a.tobytes() == before.tobytes()
+        outputs = (stepped.flat, stepped_state.m, stepped_state.v)
+        assert not any(np.shares_memory(a, b) for a in outputs for b in inputs + outputs
+                       if a is not b)
+        t = state.step + 1
+        m = BETA1 * state.m + (1.0 - BETA1) * grad
+        v = BETA2 * state.v + (1.0 - BETA2) * (grad * grad)
+        step = state.lr * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t)) + 1e-8)
+        for got, want in zip(outputs, (theta.flat - step, m, v)):
+            assert got.tobytes() == want.tobytes()
+        theta, state = stepped, stepped_state
+
+
+def test_a_policy_builds_its_views_once(monkeypatch):
+    """A policy's layer views are built with it: its forwards reuse them,
+    they follow in-place writes to ``flat``, and a ``replace`` builds views
+    of the new ``flat``.  ``flat`` cannot be reassigned."""
+    game = make_game(ExperimentConfig(scenario="tag"))
+    theta = init_policy(game, 0, ACTIVE, seed=5, hidden=(6, 4))
+    rng = np.random.default_rng(12)
+    history = rng.normal(size=(3, theta.shapes[0][1]))
+    layers = theta.layers
+    built = []
+    real = ag.layer_views
+    monkeypatch.setattr(ag, "layer_views", lambda *a: built.append(a) or real(*a))
+    first = policy_forward(theta, history)
+    assert policy_forward(theta, history).tobytes() == first.tobytes()
+    assert theta.layers is layers and not built
+    weights, biases = layers
+    for w, b in zip(weights, biases):
+        assert np.shares_memory(w, theta.flat) and np.shares_memory(b, theta.flat)
+
+    theta.flat[:] = rng.normal(size=theta.flat.size) * 0.3
+    fresh = replace(theta, flat=theta.flat.copy())
+    assert len(built) == 1 and fresh.layers is not layers
+    assert policy_forward(theta, history).tobytes() == policy_forward(fresh, history).tobytes()
+    assert policy_forward(theta, history).tobytes() != first.tobytes()
+    assert all(np.shares_memory(a, fresh.flat) and not np.shares_memory(a, theta.flat)
+               for a in fresh.layers[0] + fresh.layers[1])
+
+    tape = Tape()
+    lifted = replace(theta, flat=tape.param(theta.flat))
+    assert all(np.shares_memory(a, theta.flat) for a in lifted.layers[0] + lifted.layers[1])
+    assert policy_forward(lifted, history).value.tobytes() == \
+        policy_forward(theta, history).tobytes()
+    with pytest.raises(AttributeError):
+        theta.flat = fresh.flat

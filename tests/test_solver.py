@@ -11,7 +11,7 @@ from conftest import constant_reward_game, single_quadratic, two_player_quadrati
 
 from pogplan import adgraph as ag
 from pogplan import solver
-from pogplan.beliefs import init_particles
+from pogplan.beliefs import init_particles, observation_noise
 from pogplan.config import ExperimentConfig
 from pogplan.policy import (
     ACTIVE,
@@ -103,6 +103,33 @@ def test_rollout_replay_is_bit_for_bit():
     for ta, tb in zip(actions_a, actions_b):
         for xa, xb in zip(ta, tb):
             np.testing.assert_array_equal(xa, xb)
+
+
+@pytest.mark.parametrize("name", ["tag", "tagchain", "hideseek", "warehouse"])
+def test_draw_noise_equals_one_draw_per_step_and_player(name):
+    """A batch's noise, one standard-normal draw split into views, equals
+    byte for byte what a draw per (step, player) in that order gives: one
+    ``observation_noise`` round per step, or one ``standard_normal`` call per
+    block (warehouse's player 0 takes a zero-width block).  The generator
+    ends in the same state."""
+    game = make_game(ExperimentConfig(scenario=name))
+    n = game.n_players
+    for k in (1, 7):
+        got_rng, round_rng, block_rng = (np.random.default_rng(k) for _ in range(3))
+        got = draw_noise(game, k, got_rng)
+        rounds = [observation_noise(game, k, round_rng) for _ in range(game.t_future)]
+        blocks = [[block_rng.standard_normal((k, game.noise_dim(i))) for i in range(n)]
+                  for _ in range(game.t_future)]
+        assert len(got) == game.t_future
+        for step, by_round, by_block in zip(got, rounds, blocks):
+            assert len(step) == n
+            for a, b, c in zip(step, by_round, by_block):
+                assert a.shape == b.shape == c.shape
+                assert a.tobytes() == b.tobytes() == c.tobytes()
+        tail = [r.standard_normal(3).tobytes() for r in (got_rng, round_rng, block_rng)]
+        assert tail[0] == tail[1] == tail[2]
+        if name == "warehouse":
+            assert got[0][0].shape == (k, 0)
 
 
 def test_rollout_passive_actions_ignore_noise():
