@@ -39,7 +39,8 @@ primitives it replaces, so its values and adjoints are the chain's, bit for
 bit.  It passes ``_record`` the intermediates the chain checks, which depend
 on which operands are nodes; ``tanh_mlp`` alone checks each pre-activation
 itself, before ``np.tanh`` overwrites it.  Each fused node's docstring names
-its chain; the chains themselves are built in ``tests/refchain.py``.
+its chain; the chains themselves are built in ``tests/refchain.py``.  A
+kernel takes no argument that every call passes alike: that is its constant.
 
 Planar kernels compute on the coordinate columns of (K, 2) arrays, not on
 rows, wherever that gives the chain's bits: a ufunc over K rows of width 2, or
@@ -291,15 +292,15 @@ def sub(a, b):
     return tape._record(av - bv, "sub", vjp)
 
 
-def affine(x, scale, shift):
-    """``scale * x + shift`` with python-float coefficients; one node."""
+def affine(x, scale):
+    """``scale * x + 0.0`` (-0 becomes +0) with a python-float ``scale``; one node."""
     if not isinstance(x, Node):
-        return scale * _value(x) + shift
+        return scale * _value(x) + 0.0
 
     def vjp(g):
         _accumulate(x, scale * g)
 
-    return x.tape._record(scale * x.value + shift, "affine", vjp)
+    return x.tape._record(scale * x.value + 0.0, "affine", vjp)
 
 
 def exp(x):
@@ -380,27 +381,36 @@ def _clamp_ramp(v, lo, hi):
     return _sigmoid(4.0 / (hi - lo) * (v - 0.5 * (lo + hi)))
 
 
+def _draw(op, mean, scale, noise):
+    """``mean + scale * noise``, for a mean and noise (..., 2) and a scale (..., 1)."""
+    planar = mean.shape[:-1] + (2,)
+    if (mean.shape, noise.shape, scale.shape) != (planar, planar, planar[:-1] + (1,)):
+        raise ValueError(f"{op} needs a mean and noise of one shape (..., 2) and a scale "
+                         f"of shape (..., 1), got {mean.shape}, {noise.shape} and {scale.shape}")
+    return mean + scale * noise
+
+
 def gauss_reparam(mu, sigma, eps):
     """Pathwise-reparameterized Gaussian draw: mu + sigma * eps.
 
     ``eps`` is raw standard-normal noise, sampled outside the tape and held
     fixed, so the node is exactly differentiable in mu and sigma (d/dmu = 1,
-    d/dsigma = eps).  ``sigma`` may broadcast against ``mu`` (e.g. shape
-    (K, 1) vs (K, 2)).
+    d/dsigma = eps).  ``mu`` and ``eps`` are planar, (..., 2), and ``sigma``
+    is (..., 1): its adjoint sums each row as ``np.sum`` does.
     """
     tape = _tape_of(mu, sigma)
-    eps = np.asarray(eps, dtype=np.float64)
-    mv, sv = _value(mu), _value(sigma)
+    mv, sv, eps = _value(mu), _value(sigma), np.asarray(eps, dtype=np.float64)
+    draw = _draw("gauss_reparam", mv, sv, eps)
     if tape is None:
-        return mv + sv * eps
+        return draw
 
     def vjp(g):
         if isinstance(mu, Node):
-            _accumulate(mu, _unbroadcast(g, mv.shape))
+            _accumulate(mu, g)
         if isinstance(sigma, Node):
-            _accumulate(sigma, _unbroadcast(g * eps, sv.shape))
+            _accumulate(sigma, _pair_sum(*_columns(g * eps))[..., None])
 
-    return tape._record(mv + sv * eps, "gauss_reparam", vjp)
+    return tape._record(draw, "gauss_reparam", vjp)
 
 
 def concat(parts):
@@ -565,16 +575,16 @@ def tanh_mlp(flat, layers, x, out_scale):
     return tape._record(out, "tanh_mlp", vjp)
 
 
-def clamped_add(a, b, lo, hi):
-    """``smooth_clamp(a + b, lo, hi)``: a sum smoothly saturated onto (lo, hi).
+def clamped_add(a, b, bound):
+    """``smooth_clamp(a + b, -bound, bound)``: a sum smoothly saturated.
 
     Replaces add and smooth_clamp.
     """
     tape = _tape_of(a, b)
     av, bv = _value(a), _value(b)
     total = av + bv
-    s = _clamp_ramp(total, lo, hi)
-    out = lo + (hi - lo) * s
+    s = _clamp_ramp(total, -bound, bound)
+    out = -bound + (bound - -bound) * s
     if tape is None:
         return out
 
@@ -644,32 +654,28 @@ def fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale):
         (d0, d1) if d_taped else ()) + (cross, dot, abs_bearing, excess, var))
 
 
-def trimmed_gauss(mu, var, eps, lo, hi):
-    """Reparameterized Gaussian draw of variance ``var``, smoothly trimmed
-    onto (lo, hi): ``smooth_clamp(mu + sqrt(var) * eps, lo, hi)``.
+def trimmed_gauss(mu, var, eps, bound):
+    """Reparameterized Gaussian draw of variance ``var``, smoothly trimmed:
+    ``smooth_clamp(mu + sqrt(var) * eps, -bound, bound)``.
 
-    Replaces sqrt, gauss_reparam and smooth_clamp.  ``eps`` is raw noise, as
-    in ``gauss_reparam``.  ``var`` may broadcast against ``mu`` (e.g. shape
-    (K, 1) vs (K, 2)).
+    Replaces sqrt, gauss_reparam and smooth_clamp.  ``eps`` is raw noise, and
+    the shapes are ``gauss_reparam``'s, ``var`` (..., 1) in place of sigma.
     """
     tape = _tape_of(mu, var)
     mv, vv, ev = _value(mu), _value(var), np.asarray(eps, dtype=np.float64)
     sigma = np.sqrt(vv)
-    draw = mv + sigma * ev
-    s = _clamp_ramp(draw, lo, hi)
-    out = lo + (hi - lo) * s
+    draw = _draw("trimmed_gauss", mv, sigma, ev)
+    s = _clamp_ramp(draw, -bound, bound)
+    out = -bound + (bound - -bound) * s
     if tape is None:
         return out
 
     def vjp(g):
         g_draw = g * 4.0 * s * (1.0 - s)
         if isinstance(mu, Node):
-            _accumulate(mu, _unbroadcast(g_draw, mv.shape))
+            _accumulate(mu, g_draw)
         if isinstance(var, Node):
-            g_sigma = g_draw * ev
-            if g_sigma.shape[-1] == 2 and sigma.shape == g_sigma.shape[:-1] + (1,):
-                g_sigma = _pair_sum(*_columns(g_sigma))[..., None]   # np.sum's bits on the rows
-            _accumulate(var, 0.5 * _unbroadcast(g_sigma, sigma.shape) / sigma)
+            _accumulate(var, 0.5 * _pair_sum(*_columns(g_draw * ev))[..., None] / sigma)
 
     return tape._record(out, "trimmed_gauss", vjp,
                         checks=(sigma, draw) if isinstance(var, Node) else (draw,))
@@ -691,20 +697,20 @@ def _barrier_slope(g, scale, weight, norm, arg, soft):
     return scale * (2.0 * soft * (weight * g) * _sigmoid(arg)) / norm
 
 
-def soft_barrier(x, scale, shift, weight):
-    """``weight * softplus(scale * |x| + shift)^2``, with |x| the regularized
-    norm over a last axis of width 2 (``norm_eps``), kept as (K, 1).
+def soft_barrier(x, shift, weight):
+    """``weight * softplus(|x| + shift)^2``, with |x| the regularized norm
+    over a last axis of width 2 (``norm_eps``), kept as (K, 1).
 
-    Replaces norm_eps, affine, softplus, square and affine.
+    Replaces norm_eps, affine (scale 1), softplus, square and affine.
     """
     xv = _value(x)
     x0, x1 = _columns(xv)
-    norm, arg, soft, sq, out = _barrier(x0, x1, scale, shift, weight)
+    norm, arg, soft, sq, out = _barrier(x0, x1, 1.0, shift, weight)
     if not isinstance(x, Node):
         return out[..., None]
 
     def vjp(g):
-        q = _barrier_slope(g[..., 0], scale, weight, norm, arg, soft)
+        q = _barrier_slope(g[..., 0], 1.0, weight, norm, arg, soft)
         _accumulate(x, q[..., None] * xv)
 
     return x.tape._record(out[..., None], "soft_barrier", vjp,

@@ -239,17 +239,10 @@ def systematic_resample(pset, rng):
 # Gaussian diagnostics of a position marginal.
 # ---------------------------------------------------------------------------
 
-def _position_columns(game, player):
-    off = game.state_offset(player)
-    width = game.state_comps(player)[0]
-    return slice(off, off + width)
-
-
 def gaussian_summary(pset, game, player):
     """Weighted mean and covariance of one player's position marginal,
     regularized by 1e-6 * I so a singular support never fails."""
-    cols = _position_columns(game, player)
-    x = pset.states[:, cols]
+    x = game.unpack_state(pset.states)[player][0]
     w = pset.weights / pset.weights.sum()
     mean = w @ x
     centered = x - mean
@@ -274,9 +267,9 @@ def dump_particles(pset, game, fh, step, agent):
 
     ``agent`` labels whose belief this is (-1 for a shared brain).
     """
+    state = game.unpack_state(pset.states)
     for player in range(game.n_players):
-        cols = _position_columns(game, player)
-        pos = pset.states[:, cols]
+        pos = state[player][0]
         for k in range(pset.k_all):
             coords = " ".join(repr(float(c)) for c in pos[k])
             fh.write(f"{step} {agent} {player} {k} {coords} {float(pset.weights[k])!r}\n")

@@ -289,8 +289,7 @@ def rollout_gradcheck(scenario, programs, seed):
         def program(flat):
             trial = list(thetas)
             trial[focal] = replace(thetas[focal], flat=flat)
-            return ag.affine(_run_rollout(game, state, hists, trial, eps, [focal])[focal],
-                             -1.0, 0.0)
+            return ag.affine(_run_rollout(game, state, hists, trial, eps, [focal])[focal], -1.0)
 
         worst = max(worst, grad_check(program, thetas[focal].flat, h=1e-4))
     return worst

@@ -8,10 +8,10 @@ arguments (``eps`` draws, ``rng``), so transition/observe/reward are pure and
 tape-differentiable.
 
 Joint states are structured as a list over players of tuples of arrays, all
-carrying a leading batch axis (K particles, or K=1 for the real world).  For
-the planar UAV games a block is ``(position (K,2), velocity (K,2))``.
-``pack_state``/``unpack_state`` convert to and from a flat (K, D) layout used
-by the particle store.
+carrying a leading batch axis (K particles, or K=1 for the real world).  A
+block starts with its player's position: ``(position (K,2), velocity (K,2))``
+in the planar UAV games.  ``pack_state``/``unpack_state`` convert to and from
+a flat (K, D) layout used by the particle store.
 
 Instances are immutable after construction and safe to share across rollouts.
 """
@@ -116,7 +116,7 @@ def double_integrator_step(pos, vel, accel, v_max):
     smoothly at +-v_max per axis; the position then advances by the new
     velocity.  Deterministic: there is no process noise.
     """
-    new_vel = ag.clamped_add(vel, accel, -v_max, v_max)
+    new_vel = ag.clamped_add(vel, accel, v_max)
     new_pos = ag.add(pos, new_vel)
     return new_pos, new_vel
 
@@ -128,7 +128,7 @@ def boundary_penalty(pos, radius, weight):
     circle, growing quadratically outside; monotone in distance from the
     origin.  Returns shape (K, 1).
     """
-    return ag.soft_barrier(pos, 1.0, -radius, weight)
+    return ag.soft_barrier(pos, -radius, weight)
 
 
 def sq_dist(a, b):

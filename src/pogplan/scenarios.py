@@ -77,7 +77,7 @@ class TagGame(PlanarGame):
             if other == player:
                 continue
             var = self._pair_variance(state, player, other)
-            parts.append(ag.trimmed_gauss(state[other][0], var, eps[..., col:col + 2], -r, r))
+            parts.append(ag.trimmed_gauss(state[other][0], var, eps[..., col:col + 2], r))
             col += 2
         return ag.concat(parts)
 
@@ -96,7 +96,7 @@ class TagGame(PlanarGame):
     def reward_report(self, state, player):
         if player < self.half:  # pursuer i chases evader i
             target = self.half + player
-            return ag.affine(ag.norm_eps(ag.sub(state[player][0], state[target][0])), -1.0, 0.0)
+            return ag.affine(ag.norm_eps(ag.sub(state[player][0], state[target][0])), -1.0)
         threat = (player - self.half + 1) % self.half  # evader j flees pursuer (j+1) mod N/2
         return ag.norm_eps(ag.sub(state[player][0], state[threat][0]))
 
@@ -154,6 +154,8 @@ class WarehouseGame(PlanarGame):
 
     def __init__(self, config):
         super().__init__(config, [config.wh_v_max_p1, config.wh_v_max_p2])
+        if not config.wh_tasks:
+            raise ValueError("Warehouse requires at least one task")
         self.station = np.asarray(config.wh_station, dtype=float)
         self.tasks = [np.asarray(t, dtype=float) for t in config.wh_tasks]
 
@@ -171,7 +173,7 @@ class WarehouseGame(PlanarGame):
         cfg = self.config
         d1 = ag.norm_eps(ag.sub(state[0][0], self.station))
         d2 = ag.norm_eps(ag.sub(state[1][0], self.station))
-        return ag.add(ag.affine(d1, cfg.wh_eta1, 0.0), ag.affine(d2, cfg.wh_eta2, 0.0))
+        return ag.add(ag.affine(d1, cfg.wh_eta1), ag.affine(d2, cfg.wh_eta2))
 
     def observe(self, state, player, eps):
         # The broadcast is left untrimmed: the station itself sits on the box
@@ -194,11 +196,11 @@ class WarehouseGame(PlanarGame):
         pos = state[player][0]
         r = None
         for task in self.tasks:
-            term = ag.exp(ag.affine(sq_dist(pos, task), -cfg.wh_beta, 0.0))
+            term = ag.exp(ag.affine(sq_dist(pos, task), -cfg.wh_beta))
             r = term if r is None else ag.add(r, term)
         if player == 1:
-            near = ag.exp(ag.affine(sq_dist(state[1][0], state[0][0]), -cfg.wh_beta, 0.0))
-            r = ag.sub(r, ag.affine(near, cfg.wh_alpha, 0.0))
+            near = ag.exp(ag.affine(sq_dist(state[1][0], state[0][0]), -cfg.wh_beta))
+            r = ag.sub(r, ag.affine(near, cfg.wh_alpha))
         return r
 
     def reward(self, state, player):

@@ -130,7 +130,7 @@ def expected_cost(game, pset, thetas, player, k_batch, rng, cdf=None):
     lifted = list(thetas)
     lifted[player] = replace(thetas[player], flat=tape.param(thetas[player].flat))
     total = _run_rollout(game, state, hists, lifted, eps, [player])[player]
-    cost = ag.affine(total, -1.0 / k_batch, 0.0)
+    cost = ag.affine(total, -1.0 / k_batch)
     if not isinstance(cost, ag.Node):
         ag.check_finite((np.asarray(cost),), "cost")
         return float(cost), np.zeros_like(thetas[player].flat)

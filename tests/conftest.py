@@ -59,7 +59,7 @@ class QuadraticGame(GameDef):
 def single_quadratic(t_future=1):
     """One player, cost (a - 2)^2; optimum a* = 2."""
     def r(state):
-        return ag.affine(rc.square(ag.affine(state[0][0], 1.0, -2.0)), -1.0, 0.0)
+        return ag.affine(rc.square(rc.affine(state[0][0], 1.0, -2.0)), -1.0)
 
     return QuadraticGame([r], t_future=t_future)
 
@@ -72,11 +72,11 @@ def two_player_quadratic():
     """
     def r1(state):
         gap = rc.square(ag.sub(state[0][0], state[1][0]))
-        own = ag.affine(rc.square(state[0][0]), 0.1, 0.0)
-        return ag.affine(ag.add(gap, own), -1.0, 0.0)
+        own = ag.affine(rc.square(state[0][0]), 0.1)
+        return ag.affine(ag.add(gap, own), -1.0)
 
     def r2(state):
-        return ag.affine(rc.square(ag.affine(state[1][0], 1.0, -1.0)), -1.0, 0.0)
+        return ag.affine(rc.square(rc.affine(state[1][0], 1.0, -1.0)), -1.0)
 
     return QuadraticGame([r1, r2])
 
@@ -84,6 +84,6 @@ def two_player_quadratic():
 def constant_reward_game(value=-1.0, t_future=6):
     """Every step pays ``value`` regardless of play."""
     def r(state):
-        return ag.affine(ag.affine(state[0][0], 0.0, 0.0), 1.0, value)
+        return rc.affine(ag.affine(state[0][0], 0.0), 1.0, value)
 
     return QuadraticGame([r], t_future=t_future)

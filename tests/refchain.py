@@ -4,9 +4,10 @@
 hand-written adjoint.  This module keeps what those chains were built from,
 so that the tests can compare each fused node with its chain, bit for bit:
 
-* the primitives (``mul`` ... ``smooth_clamp``, ``sum_axis`` and
-  ``reshape``), with the expressions, op names and finiteness checks they
-  had in ``adgraph``, each recording through ``Tape._record``;
+* the primitives (``mul``, ``div``, ``affine`` ... ``smooth_clamp``,
+  ``sum_axis`` and ``reshape``), with the expressions, op names and
+  finiteness checks they had in ``adgraph``, each recording through
+  ``Tape._record``; ``affine`` is ``adgraph.affine`` with a shift;
 * one reference chain per fused node (``dense_tanh`` and the ``chain_*``
   functions), built from these primitives and ``adgraph``'s own.
 """
@@ -54,6 +55,17 @@ def div(a, b):
             _accumulate(b, _unbroadcast(-g * y / bv, bv.shape))
 
     return tape._record(y, "div", vjp)
+
+
+def affine(x, scale, shift):
+    """``scale * x + shift`` with python-float coefficients; one node."""
+    if not isinstance(x, Node):
+        return scale * _value(x) + shift
+
+    def vjp(g):
+        _accumulate(x, scale * g)
+
+    return x.tape._record(scale * x.value + shift, "affine", vjp)
 
 
 def tanh(x):
@@ -268,27 +280,27 @@ def chain_mlp(flat, shapes, x, out_scale=0.7):
     h = x
     for w, b in zip(*layer_nodes(flat, shapes)):
         h = dense_tanh(w, b, h)
-    return ag.affine(h, out_scale, 0.0)
+    return ag.affine(h, out_scale)
 
 
 def chain_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_scale=5.0):
     d = ag.sub(pos_target, pos_obs)
     bearing = atan2(cross2(vel_obs, d), ag.dot2(vel_obs, d))
-    excess = relu(ag.affine(smooth_abs(bearing, NORM_EPS), 1.0, -0.5 * fov))
-    return ag.affine(excess, c_scale, sigma2_base)
+    excess = relu(affine(smooth_abs(bearing, NORM_EPS), 1.0, -0.5 * fov))
+    return affine(excess, c_scale, sigma2_base)
 
 
-def chain_trimmed(mu, var, eps, lo=-5.0, hi=5.0):
-    return smooth_clamp(ag.gauss_reparam(mu, sqrt(var), eps), lo, hi)
+def chain_trimmed(mu, var, eps, bound=5.0):
+    return smooth_clamp(ag.gauss_reparam(mu, sqrt(var), eps), -bound, bound)
 
 
-def chain_clamped_add(a, b, lo=-0.3, hi=0.3):
-    return smooth_clamp(ag.add(a, b), lo, hi)
+def chain_clamped_add(a, b, bound=0.3):
+    return smooth_clamp(ag.add(a, b), -bound, bound)
 
 
 def chain_barrier(x, scale=1.0, shift=-5.0, weight=10.0, norm=ag.norm_eps):
-    arg = ag.affine(norm(x), scale, shift)
-    return ag.affine(square(softplus(arg)), weight, 0.0)
+    arg = affine(norm(x), scale, shift)
+    return ag.affine(square(softplus(arg)), weight)
 
 
 def row_sum_norm_eps(x, eps=NORM_EPS):
@@ -322,12 +334,12 @@ def chain_occlusion(var, pos_obs, pos_target, obstacles, temp=10.0, c_scale=5.0)
         center = np.array([cx, cy])
         t = smooth_clamp(div(ag.dot2(ba, ag.sub(center, a)), len2), 0.0, 1.0)
         proj = ag.add(a, mul(t, ba))
-        clear = ag.affine(ag.norm_eps(ag.sub(center, proj)), 1.0, -radius)
-        term = ag.exp(ag.affine(clear, -temp, 0.0))
+        clear = affine(ag.norm_eps(ag.sub(center, proj)), 1.0, -radius)
+        term = ag.exp(ag.affine(clear, -temp))
         acc = term if acc is None else ag.add(acc, term)
-    clearance = ag.affine(log(acc), -1.0 / temp, 0.0)
-    occlusion = ag.affine(softplus(ag.affine(clearance, -temp, 0.0)), 1.0 / temp, 0.0)
-    return ag.add(var, ag.affine(occlusion, c_scale, 0.0))
+    clearance = ag.affine(log(acc), -1.0 / temp)
+    occlusion = ag.affine(softplus(ag.affine(clearance, -temp)), 1.0 / temp)
+    return ag.add(var, ag.affine(occlusion, c_scale))
 
 
 def chain_shift(window, obs):

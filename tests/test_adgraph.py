@@ -17,21 +17,6 @@ from pogplan.policy import ACTIVE, PASSIVE, init_policy
 from pogplan.scenarios import make_game
 
 
-def fd_grad(f, x, h=1e-6):
-    """Independent central-difference oracle used to check backward()."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        hi, lo = flat.copy(), flat.copy()
-        hi[i] += h
-        lo[i] -= h
-        gf[i] = (float(np.asarray(f(hi.reshape(x.shape))))
-                 - float(np.asarray(f(lo.reshape(x.shape))))) / (2 * h)
-    return g
-
-
 def test_lift_readback_and_unreachable_adjoint():
     """After the sweep an interior node holds neither adjoint nor closure,
     reached or not; each leaf holds its adjoint, zeros when unreached; and
@@ -163,11 +148,11 @@ def test_backward_requires_a_node_of_this_tape(root):
         tape.backward(root)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.3, 0.3), (0.3, -0.3)])
-def test_clamped_add_requires_lo_below_hi(lo, hi):
+@pytest.mark.parametrize("bound", [0.0, -0.3])
+def test_clamped_add_requires_lo_below_hi(bound):
     tape = Tape()
     with pytest.raises(ValueError, match="requires lo < hi"):
-        ag.clamped_add(tape.param([[0.1]]), np.array([[0.2]]), lo, hi)
+        ag.clamped_add(tape.param([[0.1]]), np.array([[0.2]]), bound)
 
 
 def test_occluded_variance_requires_positions_of_one_shape():
@@ -182,7 +167,7 @@ def _swept_program(point):
     """A small program of ``point`` swept on a fresh tape: (tape, root, leaf)."""
     tape = Tape()
     x = tape.param(point)
-    y = ag.asum(rc.mul(rc.tanh(x), ag.exp(ag.affine(x, 0.3, 0.0))))
+    y = ag.asum(rc.mul(rc.tanh(x), ag.exp(ag.affine(x, 0.3))))
     tape.backward(y)
     return tape, y, x
 
@@ -370,6 +355,59 @@ def test_every_defaulted_adgraph_parameter_is_passed_in_src():
     assert not unpassed, f"adgraph parameters no call in src passes: {unpassed}"
 
 
+def _argument(call, param, positional):
+    """The expression ``call`` passes for ``param``, by keyword or by
+    position, or None when it passes none or may pass it through ``*args``
+    or ``**kwargs``."""
+    if any(k.arg is None for k in call.keywords) \
+            or any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    i = positional.index(param) if param in positional else len(call.args)
+    return call.args[i] if i < len(call.args) else None
+
+
+def _literal(node):
+    """The repr of the value of ``node`` (so -0.0 differs from 0.0), or None
+    when ``node`` is None or no literal."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _one_literal_parameters(api, callers):
+    """Each parameter of a function in ``api`` whose body records a node
+    that every call in ``callers`` passes one and the same literal, as
+    "function.parameter".  A function that is not called there, or
+    referenced other than as a callee, has none."""
+    _, calls, uncalled = _references(callers)
+    found = []
+    for key, (fn, positional) in sorted(api.items()):
+        sites = [call for callee, call in calls if callee == key]
+        records = any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_record"
+                      for node in ast.walk(fn))
+        if not records or not sites or key in uncalled:
+            continue
+        positional = [a.arg for a in positional]
+        for param in positional + [a.arg for a in fn.args.kwonlyargs]:
+            values = {_literal(_argument(call, param, positional)) for call in sites}
+            if len(values) == 1 and None not in values:
+                found.append(f"{key[1]}.{param}")
+    return found
+
+
+def test_no_adgraph_kernel_parameter_is_one_literal_in_src():
+    """``src`` passes no tape kernel a parameter that is a constant: no
+    parameter of a public adgraph function that records a node gets one and
+    the same literal from every call in ``src``.  Such a value belongs in
+    the kernel's body."""
+    fixed = _one_literal_parameters(_adgraph_api(), [SRC])
+    assert not fixed, f"adgraph parameters every call in src passes one literal: {fixed}"
+
+
 def test_every_public_pogplan_function_has_a_caller():
     """No ``pogplan`` module holds a public function or class that only the
     tests use: each is referenced in ``src`` or in the benchmark."""
@@ -532,7 +570,7 @@ def test_overflow_raises_before_unchecked_ops():
             tape = Tape()
             x = tape.param([400.0])
             with pytest.raises(FloatingPointError):
-                saturate(ag.exp(ag.affine(x, 2.0, 0.0)))
+                saturate(ag.exp(ag.affine(x, 2.0)))
             with pytest.raises(FloatingPointError):
                 saturate(rc.mul(x, 1e307))
 
@@ -585,8 +623,8 @@ def test_fd_add_sub_mul_div():
 
 
 def test_fd_affine_square_exp_log_sqrt():
-    _fd_check(lambda x: ag.asum(ag.affine(rc.square(x), 0.7, 0.2)), 3)
-    _fd_check(lambda x: ag.asum(ag.exp(ag.affine(x, 0.5, 0.0))), 3)
+    _fd_check(lambda x: ag.asum(rc.affine(rc.square(x), 0.7, 0.2)), 3)
+    _fd_check(lambda x: ag.asum(ag.exp(ag.affine(x, 0.5))), 3)
     _fd_check(lambda x: ag.asum(rc.log(ag.add(rc.square(x), 1.0))), 3)
     _fd_check(lambda x: ag.asum(rc.sqrt(ag.add(rc.square(x), 0.5))), 3)
 
@@ -719,16 +757,16 @@ def _fused_fov(pos_obs, vel_obs, pos_target, fov=np.pi / 2, sigma2_base=0.01, c_
     return ag.fov_variance(pos_obs, vel_obs, pos_target, fov, sigma2_base, c_scale)
 
 
-def _fused_trimmed(mu, var, eps, lo=-5.0, hi=5.0):
-    return ag.trimmed_gauss(mu, var, eps, lo, hi)
+def _fused_trimmed(mu, var, eps, bound=5.0):
+    return ag.trimmed_gauss(mu, var, eps, bound)
 
 
-def _fused_barrier(x, scale=1.0, shift=-5.0, weight=10.0):
-    return ag.soft_barrier(x, scale, shift, weight)
+def _fused_barrier(x, shift=-5.0, weight=10.0):
+    return ag.soft_barrier(x, shift, weight)
 
 
-def _fused_clamped_add(a, b, lo=-0.3, hi=0.3):
-    return ag.clamped_add(a, b, lo, hi)
+def _fused_clamped_add(a, b, bound=0.3):
+    return ag.clamped_add(a, b, bound)
 
 
 OBSTACLES = np.array([[1.8, 1.2, 0.7], [-1.8, -1.2, 0.7], [0.3, -0.4, 0.5]])
@@ -924,31 +962,53 @@ def test_trimmed_gauss_matches_chain_bitwise():
         # every subset of (mu, var) lifted; the noise is raw
         _assert_fused_matches_chain(_fused_trimmed, rc.chain_trimmed, [mu, var, eps],
                                     _nonempty_subsets(2))
-    # noise of zeros of both signs: the adjoint sent to the variance sums two
-    # signed zeros per row, and numpy sums (-0, -0) to +0
+    # noise of zeros of both signs: the adjoint each draw sends to its
+    # variance or scale sums two signed zeros per row, and numpy sums
+    # (-0, -0) to +0; gauss_reparam's chain is a mul and an add
     mu, var = rng.normal(size=(4, 2)), rng.uniform(0.01, 12.0, size=(4, 1))
     eps = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
-    for sign in (1.0, -1.0):
-        grads = []
-        for op in (_fused_trimmed, rc.chain_trimmed):
-            tape = Tape()
-            leaf = tape.param(var)
-            tape.backward(ag.asum(rc.mul(op(mu, leaf, eps), sign)))
-            grads.append(leaf.grad)
-        _assert_bitwise(*grads)
+    pairs = ((_fused_trimmed, rc.chain_trimmed),
+             (ag.gauss_reparam, lambda m, s, e: ag.add(m, rc.mul(s, e))))
+    for fused, chain in pairs:
+        for sign in (1.0, -1.0):
+            grads = []
+            for op in (fused, chain):
+                tape = Tape()
+                leaf = tape.param(var)
+                tape.backward(ag.asum(rc.mul(op(mu, leaf, eps), sign)))
+                grads.append(leaf.grad)
+            _assert_bitwise(*grads)
     tape = Tape()
     with pytest.raises(TypeError):   # noise on the tape is not a draw's operand
         _fused_trimmed(tape.param(mu), var, tape.param(eps))
 
 
+@pytest.mark.parametrize("draw", [ag.gauss_reparam, _fused_trimmed],
+                         ids=["gauss_reparam", "trimmed_gauss"])
+def test_draws_take_planar_means_and_one_column_scales(draw):
+    """Both draws take a mean and noise of one shape (K, 2) and a scale or
+    variance (K, 1), raw or on the tape; other shapes raise ValueError."""
+    mu, scale, eps = np.zeros((3, 2)), np.ones((3, 1)), np.ones((3, 2))
+    draw(mu, scale, eps)
+    for bad in ([mu, np.ones((3, 2)), eps],                         # a scale per coordinate
+                [np.zeros((3, 1)), scale, np.ones((3, 1))],         # a mean of one column
+                [np.zeros((3, 3)), scale, np.ones((3, 3))],         # or of three
+                [mu, scale, np.ones(2)]):                           # noise shared by rows
+        for lifted in ([], [0], [1]):
+            tape = Tape()
+            args = [tape.param(v) if i in lifted else v for i, v in enumerate(bad)]
+            with pytest.raises(ValueError, match="needs a mean and noise of one shape"):
+                draw(*args)
+
+
 def test_soft_barrier_matches_chain_bitwise():
     rng = np.random.default_rng(23)
-    for scale, shift in ((1.0, -5.0), (-1.0, 0.7)):
+    for shift in (-5.0, 0.7):
         def fused(x):
-            return _fused_barrier(x, scale, shift)
+            return _fused_barrier(x, shift)
 
         def chain(x):
-            return rc.chain_barrier(x, scale, shift)
+            return rc.chain_barrier(x, 1.0, shift)
 
         for _ in range(10):
             _assert_fused_matches_chain(fused, chain, [rng.normal(size=(6, 2)) * 4.0], [[0]])
@@ -1037,8 +1097,8 @@ def test_norm_eps_and_soft_barrier_match_row_sums_bitwise():
         _assert_fused_matches_chain(ag.norm_eps, rc.row_sum_norm_eps, [x], [[0]])
         if x.ndim == 2:
             _assert_fused_matches_chain(
-                lambda v: _fused_barrier(v, -1.0, 0.7),
-                lambda v: rc.chain_barrier(v, -1.0, 0.7, norm=rc.row_sum_norm_eps), [x], [[0]])
+                lambda v: _fused_barrier(v, 0.7),
+                lambda v: rc.chain_barrier(v, 1.0, 0.7, norm=rc.row_sum_norm_eps), [x], [[0]])
 
 
 def test_clamped_add_matches_chain_bitwise():
@@ -1280,7 +1340,7 @@ def test_fd_synthetic_depth6_rollout_with_network():
         for t in range(6):
             act = _fused_mlp(params, ((4, 2), (4, 4), (2, 4)), state, 0.3)
             state = ag.add(state, rc.smooth_clamp(act, -0.25, 0.25))
-            state = ag.gauss_reparam(state, rc.smooth_abs(ag.norm_eps(state)), eps[t])
+            state = ag.gauss_reparam(state, rc.smooth_abs(ag.norm_eps(state)), eps[t:t + 1])
             step_cost = ag.asum(rc.square(state))
             total = step_cost if total is None else ag.add(total, step_cost)
         return total if isinstance(x, ag.Node) else float(np.asarray(total))

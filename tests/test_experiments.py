@@ -154,7 +154,9 @@ def test_run_matrix_validates_before_writing(tmp_path):
                          ({"accel_ratio": -2.0}, "accel_ratio must be positive"),
                          ({"fov": 0.0}, "fov must be positive"),
                          ({"fov": -1.0}, "fov must be positive"),
-                         ({"boundary_weight": -10.0}, "boundary_weight must be non-negative")):
+                         ({"boundary_weight": -10.0}, "boundary_weight must be non-negative"),
+                         ({"scenario": "warehouse", "warehouse_random_tasks": False,
+                           "wh_tasks": ()}, "Warehouse requires at least one task")):
         cfg = _tiny_cfg(tmp_path, **bad)
         with pytest.raises(ValueError, match=message):
             run_matrix(cfg)

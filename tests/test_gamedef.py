@@ -125,8 +125,7 @@ def _chain_observe(game, state, player, eps):
             continue
         var = rc.chain_fov(state[player][0], state[player][1], state[other][0],
                            cfg.fov, cfg.sigma2_base, cfg.c_scale)
-        parts.append(rc.chain_trimmed(state[other][0], var, ag.slice_last(eps, col, col + 2),
-                                      -r, r))
+        parts.append(rc.chain_trimmed(state[other][0], var, ag.slice_last(eps, col, col + 2), r))
         col += 2
     return ag.concat(parts)
 

@@ -242,7 +242,7 @@ def test_two_candidates_reach_distinct_stationary_points():
     different optima, and both are stationary."""
 
     def double_well(state):
-        return ag.affine(rc.square(ag.affine(rc.square(state[0][0]), 1.0, -1.0)), -1.0, 0.0)
+        return ag.affine(rc.square(rc.affine(rc.square(state[0][0]), 1.0, -1.0)), -1.0)
 
     game = QuadraticGame([double_well])
     ss = np.random.SeedSequence(23)
@@ -273,8 +273,7 @@ def test_two_candidates_reach_distinct_stationary_points():
 def test_episode_abort_flag_on_nonfinite():
     def exploding(state):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return rc.div(ag.affine(state[0][0], 0.0, 1.0),
-                          ag.affine(state[0][0], 0.0, 0.0))
+            return rc.div(rc.affine(state[0][0], 0.0, 1.0), ag.affine(state[0][0], 0.0))
 
     game = QuadraticGame([exploding])
     opts = episode_options(ExperimentConfig(brain="shared", episode_steps=3, k_all=8,

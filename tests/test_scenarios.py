@@ -389,7 +389,7 @@ def _rollout_cost_and_grad(game, state, hists, thetas, eps, player):
     lifted = list(thetas)
     lifted[player] = replace(thetas[player], flat=tape.param(thetas[player].flat))
     total = _run_rollout(game, state, hists, lifted, eps, [player])[player]
-    cost = ag.affine(total, -1.0 / len(hists[0]), 0.0)
+    cost = ag.affine(total, -1.0 / len(hists[0]))
     tape.backward(cost)
     return float(cost.value), lifted[player].flat.grad
 

@@ -373,10 +373,10 @@ def test_cost_scaling_rescales_gradient_proportionally():
     kappa = 3.7
 
     def base(state):
-        return ag.affine(rc.square(ag.affine(state[0][0], 1.0, -2.0)), -1.0, 0.0)
+        return ag.affine(rc.square(rc.affine(state[0][0], 1.0, -2.0)), -1.0)
 
     def scaled(state):
-        return ag.affine(base(state), kappa, 0.0)
+        return ag.affine(base(state), kappa)
 
     from conftest import QuadraticGame
 
@@ -479,8 +479,7 @@ def test_calc_eq_never_writes_into_its_warm_start():
 
 def _exploding(state):
     with np.errstate(divide="ignore"):
-        return rc.div(ag.affine(state[0][0], 0.0, 1.0),
-                      ag.affine(state[0][0], 0.0, 0.0))  # 1 / 0
+        return rc.div(rc.affine(state[0][0], 0.0, 1.0), ag.affine(state[0][0], 0.0))  # 1 / 0
 
 
 def test_calc_eq_survives_nonfinite_costs():
@@ -516,7 +515,7 @@ def test_calc_eq_counts_skipped_adam_steps():
     """A finite rollout with a non-finite gradient skips the update, without
     aborting; the Adam step count counts only the updates made."""
     def kinked(state):
-        return rc.sqrt(ag.affine(state[0][0], 0.0, 0.0))  # value 0, slope 1/0
+        return rc.sqrt(ag.affine(state[0][0], 0.0))  # value 0, slope 1/0
 
     from conftest import QuadraticGame
 
